@@ -8,8 +8,8 @@ closed-form parameter-region synthesis, and ODE-based verification.
 __version__ = "0.1.0"
 
 from .circuit import (
-    Circuit, CycleError, Gate, TimingBudget, WiringCheck, longest_paths,
-    propagate_timing, wiring_formulas,
+    Circuit, CycleError, Gate, GraphError, TimingBudget, WiringCheck,
+    longest_paths, propagate_timing, wiring_formulas,
 )
 from .formulas import (
     And, Atom, Eventually, Formula, Globally, Implies, Not, Or, StlSyntaxError,
@@ -35,8 +35,8 @@ from .synth import (
     CurvedRegion, EmptyRegionError, GateSynthesis, NumericGateResult,
     NumericGrid, ParamBox, SynthesisResult, alpha_bound, and_box_m1,
     and_n_bound_m1, and_n_bound_m2, and_region_m2, export_region_csv,
-    gate_box, gate_n_bound, gate_region_m2, intersect, not_bounds,
-    or_bounds_m1, or_n_bound_m2, or_region_m2, sample_region,
-    synthesize_circuit, synthesize_numeric, worst_case_output_robustness,
+    intersect, not_bounds, or_bounds_m1, or_n_bound_m2, or_region_m2,
+    sample_region, synthesize_circuit, synthesize_numeric,
+    worst_case_output_robustness,
 )
 from .worstcase import MAX_LEVEL, WorstCaseAssignment, worst_case

@@ -24,12 +24,17 @@ from .formulas import Atom, Eventually, Formula, Globally, Implies
 from .gates import GateKind, Thresholds
 
 __all__ = [
-    "Gate", "Circuit", "TimingBudget", "WiringCheck", "CycleError",
+    "Gate", "Circuit", "TimingBudget", "WiringCheck", "GraphError", "CycleError",
     "longest_paths", "propagate_timing", "wiring_formulas",
 ]
 
 
-class CycleError(ValueError):
+class GraphError(ValueError):
+    """Malformed wiring: a cycle, an undefined variable, or a gate off
+    every input-to-output path."""
+
+
+class CycleError(GraphError):
     """The gate graph contains a cycle."""
 
     def __init__(self, cycle):
@@ -76,7 +81,7 @@ class Circuit:
         for gid, g in self.gates.items():
             for v in g.inputs:
                 if v not in produced and v not in self.external_inputs:
-                    raise ValueError(f"gate {gid!r} reads undefined variable {v!r}")
+                    raise GraphError(f"gate {gid!r} reads undefined variable {v!r}")
         for gid, _name in self.outputs:
             if gid not in self.gates:
                 raise ValueError(f"network output references unknown gate {gid!r}")
@@ -260,7 +265,7 @@ def longest_paths(c: Circuit) -> tuple[dict[str, int], dict[str, int]]:
 
     for gid in c.gates:
         if lf[gid] < 0 or lb[gid] < 0:
-            raise ValueError(
+            raise GraphError(
                 f"gate {gid!r} is not on any input-to-output path"
             )
     return lf, lb

@@ -9,12 +9,11 @@ verify   simulate all input combinations and monitor the network contracts
 monitor  robustness of an STL formula on a trace CSV
 
 Exit codes: 0 success, 1 usage or input error, 2 graph error (cycles,
-dangling gates), 3 empty parameter region, 4 verification failure.
+undefined variables, gates off every input-to-output path), 3 empty
+parameter region, 4 verification failure.
 
 Every command writes a run manifest next to its outputs so a run can be
-reproduced from the files alone.  ``GENESYNTH_THREADS`` caps internal
-parallelism (all current kernels are single-threaded numpy loops, so the
-cap is recorded but never exceeded).
+reproduced from the files alone.
 """
 
 from __future__ import annotations
@@ -26,18 +25,16 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import __version__
-from .circuit import Circuit, CycleError, propagate_timing, wiring_formulas
+from .circuit import Circuit, GraphError, propagate_timing, wiring_formulas
 from .formulas import StlSyntaxError, parse
 from .gates import GateKind, GateParams, Thresholds
 from .monitor import HorizonError, robustness
 from .odesim import verify as run_verify
 from .signals import read_trace_csv, write_trace_csv
 from .synth import (
-    EmptyRegionError, NumericGrid, ParamBox, export_region_csv, gate_box,
-    gate_n_bound, gate_region_m2, sample_region, synthesize_circuit,
+    GATE_RULES, CurvedRegion, EmptyRegionError, NumericGrid, check_n_bound,
+    export_region_csv, sample_region, synthesize_circuit,
 )
 
 EXIT_OK = 0
@@ -75,14 +72,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _threads_cap() -> int:
-    raw = os.environ.get("GENESYNTH_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _ensure_out(path: str) -> str:
     os.makedirs(path, exist_ok=True)
     return path
@@ -94,17 +83,17 @@ def _load_circuit(path: str) -> Circuit:
     except FileNotFoundError:
         print(f"error: circuit file not found: {path}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-    except CycleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_GRAPH)
+    except GraphError:
+        raise  # exit code 2, mapped in main
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        msg = str(exc)
-        # wiring problems other than cycles are still graph errors
-        if "not on any input-to-output path" in msg or "undefined variable" in msg:
-            print(f"error: {msg}", file=sys.stderr)
-            raise SystemExit(EXIT_GRAPH)
-        print(f"error: bad circuit file {path}: {msg}", file=sys.stderr)
+        print(f"error: bad circuit file {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _k_grid(resolution: int, arity: int) -> NumericGrid:
+    """Uniform grid of ``resolution`` points per K axis over (0, 1]."""
+    axis = (1.0 / resolution, 1.0, resolution)
+    return NumericGrid(axes={f"K{i}": axis for i in range(1, arity + 1)})
 
 
 def _parse_n_flags(pairs) -> dict[str, float]:
@@ -129,14 +118,7 @@ def _parse_n_flags(pairs) -> dict[str, float]:
 def cmd_timing(args) -> int:
     c = _load_circuit(args.circuit)
     out = _ensure_out(args.out)
-    try:
-        tb = propagate_timing(c)
-    except CycleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GRAPH
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GRAPH
+    tb = propagate_timing(c)
 
     print(f"network: delta={tb.network_delta:g} lambda={tb.network_lambda:g} "
           f"input hold={tb.input_hold:g}")
@@ -171,15 +153,7 @@ def cmd_synth(args) -> int:
     c = _load_circuit(args.circuit)
     out = _ensure_out(args.out)
     n_map = _parse_n_flags(args.n)
-    try:
-        tb = propagate_timing(c)
-        result = synthesize_circuit(c, tb, method=args.method, n=n_map)
-    except EmptyRegionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY
-    except CycleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GRAPH
+    result = synthesize_circuit(c, method=args.method, n=n_map)
 
     payload = result.to_dict()
     grids = {}
@@ -187,12 +161,7 @@ def cmd_synth(args) -> int:
         for gid, gs in result.gates.items():
             if gs.region is None:
                 continue
-            grid = NumericGrid(
-                axes={
-                    "K1": (1.0 / args.grid, 1.0, args.grid),
-                    "K2": (1.0 / args.grid, 1.0, args.grid),
-                }
-            )
+            grid = _k_grid(args.grid, gs.kind.arity)
             pts, inside, binding = sample_region(gs.region, grid)
             path = os.path.join(out, f"region_{gid}.csv")
             export_region_csv(path, pts, inside, binding)
@@ -231,48 +200,27 @@ def cmd_region(args) -> int:
     ths = (th,) * (kind.arity + 1)
     out = _ensure_out(args.out)
 
-    method = args.method
-    if kind is GateKind.NOT:
-        method = "m1"
-    nb = gate_n_bound(kind, ths, method)
-    strict = method == "m2" and kind is GateKind.OR
-    if args.n < nb or (strict and args.n <= nb):
-        print(
-            f"error: empty region: n={args.n:g} below the {method} "
-            f"Hill-coefficient bound {nb:.4f}",
-            file=sys.stderr,
-        )
-        return EXIT_EMPTY
-
-    R = args.grid
+    rule = GATE_RULES[kind]
+    method = args.method if rule.membership else "m1"
+    nb = check_n_bound(kind, ths, args.n, method)
+    region = (
+        CurvedRegion(kind=kind, thresholds=ths, n=args.n)
+        if method == "m2"
+        else rule.box(*ths, args.n)
+    )
+    grid = _k_grid(args.grid, kind.arity)
+    pts, inside, binding = sample_region(region, grid, tuple(grid.axes))
     path = os.path.join(out, "region.csv")
-    if kind is GateKind.NOT:
-        box = gate_box(kind, ths, args.n)
-        lo, hi = box.intervals["K1"]
-        ks = np.linspace(1.0 / R, 1.0, R).reshape(-1, 1)
-        inside = (ks[:, 0] >= lo) & (ks[:, 0] <= hi)
-        binding = ["" if ok else "K1_interval" for ok in inside]
-        export_region_csv(path, ks, inside, binding)
-        print(f"K1 interval: [{lo:.4f}, {hi:.4f}] (n bound {nb:.4f})")
-    else:
-        region = (
-            gate_region_m2(kind, ths, args.n)
-            if method == "m2"
-            else gate_box(kind, ths, args.n)
-        )
-        grid = NumericGrid(
-            axes={"K1": (1.0 / R, 1.0, R), "K2": (1.0 / R, 1.0, R)}
-        )
-        pts, inside, binding = sample_region(region, grid)
-        export_region_csv(path, pts, inside, binding)
-        print(f"{int(inside.sum())} of {len(pts)} grid points inside "
-              f"(n bound {nb:.4f})")
+    export_region_csv(path, pts, inside, binding)
+    print(f"{int(inside.sum())} of {len(pts)} grid points inside "
+          f"(n bound {nb:.4f})")
     print(f"wrote {path}")
     RunManifest(
         "region", None,
         {
             "kind": kind.value, "plus": args.plus, "minus": args.minus,
-            "p": args.p, "n": args.n, "method": method, "grid": R, "out": out,
+            "p": args.p, "n": args.n, "method": method, "grid": args.grid,
+            "out": out,
         },
         out,
     ).write()
@@ -430,12 +378,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    os.environ.setdefault("GENESYNTH_THREADS", "1")
-    _threads_cap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args)
+    except GraphError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_GRAPH
+    except EmptyRegionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_EMPTY
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 

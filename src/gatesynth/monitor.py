@@ -81,43 +81,45 @@ def robustness_signal(f: Formula, s: Signal) -> np.ndarray:
         h = 1.0  # temporal operators will fail the window check anyway
     else:
         h = s.step
+    return _ev_signal(f, s, h)
 
-    def ev(node: Formula) -> np.ndarray:
-        if isinstance(node, TrueFormula):
-            return np.full(s.times.size, np.inf)
-        if isinstance(node, Atom):
-            x = s.samples(node.var)
-            return x - node.threshold if node.op == ">=" else node.threshold - x
-        if isinstance(node, Not):
-            return -ev(node.child)
-        if isinstance(node, (And, Or, Implies)):
-            a, b = ev(node.left), ev(node.right)
-            if isinstance(node, Implies):
-                a = -a
-            n = min(len(a), len(b))
-            pick = np.minimum if isinstance(node, And) else np.maximum
-            return pick(a[:n], b[:n])
-        if isinstance(node, Globally):
-            ia, ib = _window_offsets(node.lo, node.hi, h)
-            return _sliding(ev(node.child), ia, ib, np.min)
-        if isinstance(node, Eventually):
-            ia, ib = _window_offsets(node.lo, node.hi, h)
-            return _sliding(ev(node.child), ia, ib, np.max)
-        if isinstance(node, Until):
-            ia, ib = _window_offsets(node.lo, node.hi, h)
-            r1, r2 = ev(node.left), ev(node.right)
-            n = min(len(r1), len(r2)) - ib
-            if n < 1:
-                raise HorizonError("trace shorter than until window")
-            out = np.empty(n)
-            for i in range(n):
-                run_min = np.minimum.accumulate(r1[i : i + ib + 1])
-                vals = np.minimum(r2[i + ia : i + ib + 1], run_min[ia:])
-                out[i] = vals.max()
-            return out
-        raise TypeError(f"not a formula node: {node!r}")
 
-    return ev(f)
+def _ev_signal(node: Formula, s: Signal, h: float) -> np.ndarray:
+    # a module-level recursion, not a closure: a nested recursive function
+    # is a reference cycle that would keep ``s`` alive until the next GC
+    if isinstance(node, TrueFormula):
+        return np.full(s.times.size, np.inf)
+    if isinstance(node, Atom):
+        x = s.samples(node.var)
+        return x - node.threshold if node.op == ">=" else node.threshold - x
+    if isinstance(node, Not):
+        return -_ev_signal(node.child, s, h)
+    if isinstance(node, (And, Or, Implies)):
+        a, b = _ev_signal(node.left, s, h), _ev_signal(node.right, s, h)
+        if isinstance(node, Implies):
+            a = -a
+        n = min(len(a), len(b))
+        pick = np.minimum if isinstance(node, And) else np.maximum
+        return pick(a[:n], b[:n])
+    if isinstance(node, Globally):
+        ia, ib = _window_offsets(node.lo, node.hi, h)
+        return _sliding(_ev_signal(node.child, s, h), ia, ib, np.min)
+    if isinstance(node, Eventually):
+        ia, ib = _window_offsets(node.lo, node.hi, h)
+        return _sliding(_ev_signal(node.child, s, h), ia, ib, np.max)
+    if isinstance(node, Until):
+        ia, ib = _window_offsets(node.lo, node.hi, h)
+        r1, r2 = _ev_signal(node.left, s, h), _ev_signal(node.right, s, h)
+        n = min(len(r1), len(r2)) - ib
+        if n < 1:
+            raise HorizonError("trace shorter than until window")
+        out = np.empty(n)
+        for i in range(n):
+            run_min = np.minimum.accumulate(r1[i : i + ib + 1])
+            vals = np.minimum(r2[i + ia : i + ib + 1], run_min[ia:])
+            out[i] = vals.max()
+        return out
+    raise TypeError(f"not a formula node: {node!r}")
 
 
 def _check_horizon(f: Formula, s: Signal, t: float) -> None:

@@ -22,7 +22,7 @@ from .monitor import robustness
 from .signals import ConstantStimulus, Signal
 
 __all__ = [
-    "SimConfig", "schedule_value", "simulate_gate", "simulate_circuit",
+    "SimConfig", "schedule_value", "time_grid", "simulate_gate", "simulate_circuit",
     "simulate_constant_drive", "verify", "VerifyReport", "VerifyEntry",
 ]
 
@@ -67,11 +67,12 @@ def schedule_value(schedule, t: float) -> float:
     return float(level)
 
 
-def _grid(cfg: SimConfig) -> np.ndarray:
-    n = int(round(cfg.horizon / cfg.step))
-    if abs(n * cfg.step - cfg.horizon) > 1e-9:
-        n = int(np.ceil(cfg.horizon / cfg.step - 1e-9))
-    return np.arange(n + 1) * cfg.step
+def time_grid(horizon: float, step: float) -> np.ndarray:
+    """Sample times 0, step, ... through the first one at or past horizon."""
+    n = int(round(horizon / step))
+    if abs(n * step - horizon) > 1e-9:
+        n = int(np.ceil(horizon / step - 1e-9))
+    return np.arange(n + 1) * step
 
 
 def simulate_gate(
@@ -94,7 +95,7 @@ def simulate_gate(
         raise ValueError(f"{g.kind.value} gate takes {g.kind.arity} input(s)")
     if input_vars is None:
         input_vars = ("u",) if g.kind.arity == 1 else ("u1", "u2")
-    times = _grid(cfg)
+    times = time_grid(cfg.horizon, cfg.step)
     drive = float(gate_drive(g, levels))
     x = simulate_constant_drive(
         np.array([drive]), g.alpha, np.array([float(x0)]), cfg.step, len(times) - 1
@@ -148,7 +149,7 @@ def simulate_circuit(
     x = np.array(
         [float(cfg.initial.get(v, 0.0)) for v in state_vars], dtype=float
     )
-    times = _grid(cfg)
+    times = time_grid(cfg.horizon, cfg.step)
     h = cfg.step
 
     gate_list = [(params[gid], c.gates[gid].inputs, idx[c.gates[gid].output]) for gid in order]

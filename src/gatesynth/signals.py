@@ -114,18 +114,6 @@ class Signal:
         return i
 
 
-def from_constant(c: ConstantStimulus, step: float, var: str = "x") -> Signal:
-    """Uniform-grid trace holding a constant level over [0, hold_duration]."""
-    if step <= 0:
-        raise ValueError("step must be > 0")
-    n = int(round(c.hold_duration / step))
-    times = np.arange(n + 1) * step
-    # keep the requested endpoint even when duration is not a step multiple
-    if times[-1] < c.hold_duration - 1e-12:
-        times = np.append(times, c.hold_duration)
-    return Signal(times=times, values={var: np.full(times.shape, c.level)})
-
-
 def write_trace_csv(signal: Signal, path_or_file) -> None:
     """Write a trace as CSV with header ``t,var1,var2,...``."""
     names = signal.variables

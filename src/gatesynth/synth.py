@@ -20,6 +20,7 @@ simulation plus monitoring instead of the analytic bounds.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +32,7 @@ from .gates import (
     truth_table,
 )
 from .monitor import robustness
-from .odesim import simulate_constant_drive
+from .odesim import simulate_constant_drive, time_grid
 from .signals import Signal
 from .worstcase import worst_case
 
@@ -40,7 +41,7 @@ __all__ = [
     "EmptyRegionError", "alpha_bound", "and_n_bound_m1", "and_n_bound_m2",
     "and_box_m1", "and_region_m2", "not_bounds", "or_bounds_m1",
     "or_region_m2", "or_n_bound_m2", "intersect", "synthesize_circuit",
-    "synthesize_numeric", "gate_box", "gate_region_m2", "gate_n_bound",
+    "synthesize_numeric", "GateRule", "GATE_RULES", "check_n_bound",
     "NumericGrid", "NumericGateResult", "worst_case_output_robustness",
     "export_region_csv", "sample_region",
 ]
@@ -105,40 +106,53 @@ def alpha_bound(th: Thresholds, delta: float) -> float:
     return math.log(1.0 / (th.p * th.minus)) / delta
 
 
-def _n_bound(log_ratio_hi: float, min_input_log: float) -> float:
-    return log_ratio_hi / min_input_log
+def _hill_bound(ths, high: float, share: int = 1) -> float:
+    """Smallest n for which every input's K interval is nonempty.
+
+    ``ths`` is (inputs..., output).  The bound is
+    log(high/t~- * share*(1-t~-)/(1-high)) / min_i log(theta_i+/theta_i-).
+    Method 1 splits the output targets over the inputs (AND: high =
+    sqrt(t~+); OR: share = 2); the exact conditions of Method 2 and of the
+    NOT interval use high = t~+ and share = 1.
+    """
+    *ins, out = ths
+    ttm = out.tilde_minus
+    ratio = high / ttm * (share - share * ttm) / (1 - high)
+    return math.log(ratio) / min(math.log(th.plus / th.minus) for th in ins)
+
+
+def _exact_bound(*ths: Thresholds) -> float:
+    """Hill bound of the exact conditions: Method 2 AND/OR and NOT."""
+    return _hill_bound(ths, ths[-1].tilde_plus)
+
+
+def _k_box(input_ths, n: float, lo_base: float, hi_base: float) -> ParamBox:
+    """K_i in [theta_i- * lo_base**(1/n), theta_i+ * hi_base**(1/n)]."""
+    lo_f, hi_f = lo_base ** (1.0 / n), hi_base ** (1.0 / n)
+    return ParamBox(
+        intervals={
+            f"K{i}": (th.minus * lo_f, th.plus * hi_f)
+            for i, th in enumerate(input_ths, 1)
+        }
+    )
 
 
 def and_n_bound_m1(thA: Thresholds, thB: Thresholds, thC: Thresholds) -> float:
     """Hill-coefficient bound for a nonempty Method 1 AND box."""
-    s = math.sqrt(thC.tilde_plus)
-    num = math.log(s / thC.tilde_minus * (1 - thC.tilde_minus) / (1 - s))
-    den = min(math.log(thB.plus / thB.minus), math.log(thA.plus / thA.minus))
-    return _n_bound(num, den)
+    return _hill_bound((thA, thB, thC), math.sqrt(thC.tilde_plus))
 
 
 def and_n_bound_m2(thA: Thresholds, thB: Thresholds, thC: Thresholds) -> float:
     """Hill-coefficient bound for a nonempty Method 2 AND region."""
-    num = math.log(
-        thC.tilde_plus / thC.tilde_minus * (1 - thC.tilde_minus) / (1 - thC.tilde_plus)
-    )
-    den = min(math.log(thB.plus / thB.minus), math.log(thA.plus / thA.minus))
-    return _n_bound(num, den)
+    return _exact_bound(thA, thB, thC)
 
 
 def and_box_m1(
     thA: Thresholds, thB: Thresholds, thC: Thresholds, n: float
 ) -> ParamBox:
     """Method 1 intervals for (K_A, K_B) of an AND gate; empty if n too small."""
-    s = math.sqrt(thC.tilde_plus)
-    lo_f = ((1 - thC.tilde_minus) / thC.tilde_minus) ** (1.0 / n)
-    hi_f = ((1 - s) / s) ** (1.0 / n)
-    return ParamBox(
-        intervals={
-            "K1": (thA.minus * lo_f, thA.plus * hi_f),
-            "K2": (thB.minus * lo_f, thB.plus * hi_f),
-        }
-    )
+    s, ttm = math.sqrt(thC.tilde_plus), thC.tilde_minus
+    return _k_box((thA, thB), n, (1 - ttm) / ttm, (1 - s) / s)
 
 
 def _pow_root(base: float, n: float) -> float:
@@ -164,20 +178,26 @@ def _and_lower_curve(level_a: float, level_b: float, ttC: float, n: float, k_oth
 
 @dataclass(frozen=True)
 class CurvedRegion:
-    """Curve-bounded Method 2 validity region with exact membership."""
+    """Curve-bounded Method 2 validity region with exact membership.
+
+    Construction raises :class:`EmptyRegionError` when n misses the kind's
+    Method 2 bound.
+    """
 
     kind: GateKind
     thresholds: tuple[Thresholds, ...]  # inputs..., output
     n: float
-    n_bound: float = field(default=0.0)
+    n_bound: float = field(init=False)
+
+    def __post_init__(self):
+        if GATE_RULES[self.kind].membership is None:
+            raise ValueError(f"{self.kind.value} gates have no Method 2 region")
+        nb = check_n_bound(self.kind, self.thresholds, self.n, "m2")
+        object.__setattr__(self, "n_bound", nb)
 
     def membership(self, point) -> tuple[bool, str]:
         """(inside, binding constraint name) for a (K1, K2) point."""
-        if self.kind is GateKind.AND:
-            return _and_membership(self.thresholds, self.n, point)
-        if self.kind is GateKind.OR:
-            return _or_membership(self.thresholds, self.n, point)
-        raise ValueError("Method 2 regions exist for AND and OR gates only")
+        return GATE_RULES[self.kind].membership(self.thresholds, self.n, point)
 
     def contains(self, point) -> bool:
         return self.membership(point)[0]
@@ -249,38 +269,37 @@ def _tightest(slacks: dict[str, float]) -> str:
     return min(slacks, key=slacks.get)
 
 
+def _not_box(thB: Thresholds, thD: Thresholds, n: float) -> ParamBox:
+    ttp, ttm = thD.tilde_plus, thD.tilde_minus
+    return _k_box((thB,), n, ttp / (1 - ttp), ttm / (1 - ttm))
+
+
 def not_bounds(thB: Thresholds, thD: Thresholds, n: float) -> tuple[float, ParamBox]:
     """NOT gate: Hill-coefficient bound and K interval at the given n."""
-    ttp, ttm = thD.tilde_plus, thD.tilde_minus
-    nb = math.log(ttp / ttm * (1 - ttm) / (1 - ttp)) / math.log(thB.plus / thB.minus)
-    lo = thB.minus * (ttp / (1 - ttp)) ** (1.0 / n)
-    hi = thB.plus * (ttm / (1 - ttm)) ** (1.0 / n)
-    return nb, ParamBox(intervals={"K1": (lo, hi)})
+    return _exact_bound(thB, thD), _not_box(thB, thD, n)
+
+
+def _or_n_bound_m1(thE: Thresholds, thG: Thresholds, thS: Thresholds) -> float:
+    return _hill_bound((thE, thG, thS), thS.tilde_plus, share=2)
+
+
+def _or_box_m1(
+    thE: Thresholds, thG: Thresholds, thS: Thresholds, n: float
+) -> ParamBox:
+    ttp, ttm = thS.tilde_plus, thS.tilde_minus
+    return _k_box((thE, thG), n, (2 - 2 * ttm) / ttm, (1 - ttp) / ttp)
 
 
 def or_bounds_m1(
     thE: Thresholds, thG: Thresholds, thS: Thresholds, n: float
 ) -> tuple[float, ParamBox]:
     """OR gate Method 1: Hill bound and (K1, K2) hyperbox."""
-    ttp, ttm = thS.tilde_plus, thS.tilde_minus
-    nb = math.log(ttp / ttm * (2 - 2 * ttm) / (1 - ttp)) / min(
-        math.log(thG.plus / thG.minus), math.log(thE.plus / thE.minus)
-    )
-    lo_f = ((2 - 2 * ttm) / ttm) ** (1.0 / n)
-    hi_f = ((1 - ttp) / ttp) ** (1.0 / n)
-    return nb, ParamBox(
-        intervals={
-            "K1": (thE.minus * lo_f, thE.plus * hi_f),
-            "K2": (thG.minus * lo_f, thG.plus * hi_f),
-        }
-    )
+    return _or_n_bound_m1(thE, thG, thS), _or_box_m1(thE, thG, thS, n)
 
 
 def or_n_bound_m2(thE: Thresholds, thG: Thresholds, thS: Thresholds) -> float:
-    ttp, ttm = thS.tilde_plus, thS.tilde_minus
-    return math.log(ttp / ttm * (1 - ttm) / (1 - ttp)) / min(
-        math.log(thG.plus / thG.minus), math.log(thE.plus / thE.minus)
-    )
+    """Hill-coefficient bound for a Method 2 OR region; n must exceed it."""
+    return _exact_bound(thE, thG, thS)
 
 
 def _or_membership(ths, n, point) -> tuple[bool, str]:
@@ -314,56 +333,72 @@ def _or_membership(ths, n, point) -> tuple[bool, str]:
 def or_region_m2(
     thE: Thresholds, thG: Thresholds, thS: Thresholds, n: float
 ) -> CurvedRegion:
-    nb = or_n_bound_m2(thE, thG, thS)
-    if n <= nb:
-        raise ValueError(f"OR Method 2 needs n > {nb:.4f}, got {n}")
-    return CurvedRegion(kind=GateKind.OR, thresholds=(thE, thG, thS), n=n, n_bound=nb)
+    return CurvedRegion(kind=GateKind.OR, thresholds=(thE, thG, thS), n=n)
 
 
 def and_region_m2(
     thA: Thresholds, thB: Thresholds, thC: Thresholds, n: float
 ) -> CurvedRegion:
-    nb = and_n_bound_m2(thA, thB, thC)
-    if n < nb:
-        raise ValueError(f"AND Method 2 needs n >= {nb:.4f}, got {n}")
-    return CurvedRegion(kind=GateKind.AND, thresholds=(thA, thB, thC), n=n, n_bound=nb)
+    return CurvedRegion(kind=GateKind.AND, thresholds=(thA, thB, thC), n=n)
 
 
 # ---------------------------------------------------------------------------
-# per-gate dispatch
+# per-gate-kind rule table
 
 
-def gate_n_bound(kind: GateKind, ths, method: str = "m1") -> float:
-    """Hill-coefficient lower bound for a gate (inputs..., output thresholds)."""
-    kind = GateKind(kind)
-    if kind is GateKind.AND:
-        f = and_n_bound_m1 if method == "m1" else and_n_bound_m2
-        return f(*ths)
-    if kind is GateKind.OR:
-        if method == "m1":
-            return or_bounds_m1(*ths, n=1.0)[0]
-        return or_n_bound_m2(*ths)
-    nb, _ = not_bounds(*ths, n=1.0)
+@dataclass(frozen=True)
+class GateRule:
+    """Synthesis rules of one gate kind.
+
+    The bound and box callables take the gate's thresholds unpacked as
+    (inputs..., output), the box also n.  ``membership`` is the Method 2
+    predicate ``(thresholds, n, point) -> (inside, binding)``, None for a
+    kind without a Method 2 region.  ``strict_m2`` marks a Method 2 bound
+    that n must exceed rather than reach.
+    """
+
+    n_bound: dict[str, Callable[..., float]]  # method -> Hill bound
+    box: Callable[..., ParamBox]  # Method 1 K-box at n
+    membership: Callable[..., tuple[bool, str]] | None
+    default_n: float
+    strict_m2: bool = False
+
+
+GATE_RULES: dict[GateKind, GateRule] = {
+    GateKind.AND: GateRule(
+        n_bound={"m1": and_n_bound_m1, "m2": and_n_bound_m2},
+        box=and_box_m1, membership=_and_membership, default_n=4.0,
+    ),
+    GateKind.OR: GateRule(
+        n_bound={"m1": _or_n_bound_m1, "m2": or_n_bound_m2},
+        box=_or_box_m1, membership=_or_membership, default_n=4.0,
+        strict_m2=True,
+    ),
+    GateKind.NOT: GateRule(
+        # the NOT interval is exact, so both methods share its bound
+        n_bound={"m1": _exact_bound, "m2": _exact_bound},
+        box=_not_box, membership=None, default_n=3.0,
+    ),
+}
+
+
+def check_n_bound(
+    kind: GateKind, ths, n: float, method: str, gate_id: str | None = None
+) -> float:
+    """The kind's Hill-coefficient bound under ``method``.
+
+    Raises :class:`EmptyRegionError` (named after ``gate_id``, else the
+    kind) unless n reaches the bound, or exceeds it where it is strict.
+    """
+    rule = GATE_RULES[kind]
+    nb = rule.n_bound[method](*ths)
+    strict = method == "m2" and rule.strict_m2
+    if n < nb or (strict and n == nb):
+        raise EmptyRegionError(
+            gate_id or kind.value,
+            f"{method} needs n {'>' if strict else '>='} {nb:.4f}, got {n}",
+        )
     return nb
-
-
-def gate_box(kind: GateKind, ths, n: float) -> ParamBox:
-    """Method 1 K-box for any gate kind."""
-    kind = GateKind(kind)
-    if kind is GateKind.AND:
-        return and_box_m1(*ths, n=n)
-    if kind is GateKind.OR:
-        return or_bounds_m1(*ths, n=n)[1]
-    return not_bounds(*ths, n=n)[1]
-
-
-def gate_region_m2(kind: GateKind, ths, n: float) -> CurvedRegion:
-    kind = GateKind(kind)
-    if kind is GateKind.AND:
-        return and_region_m2(*ths, n=n)
-    if kind is GateKind.OR:
-        return or_region_m2(*ths, n=n)
-    raise ValueError("NOT gates have interval bounds; Method 2 applies to AND/OR")
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +463,9 @@ def synthesize_circuit(
 ) -> SynthesisResult:
     """Analytic per-gate synthesis over the whole circuit.
 
-    ``n`` maps gate id to its fixed Hill coefficient (default 4 for
-    AND/OR, 3 for NOT).  Raises :class:`EmptyRegionError` when a gate's n
-    is below its method bound.
+    ``n`` maps gate id to its fixed Hill coefficient (default: the
+    kind's ``default_n`` in :data:`GATE_RULES`).  Raises
+    :class:`EmptyRegionError` when a gate's n misses its method bound.
     """
     if method not in ("m1", "m2"):
         raise ValueError("method must be 'm1' or 'm2'")
@@ -441,19 +476,14 @@ def synthesize_circuit(
     for gid in c.topo_order():
         g = c.gates[gid]
         ths = _gate_thresholds(c, gid)
-        n_g = float(n.get(gid, 3.0 if g.kind is GateKind.NOT else 4.0))
-        nb = gate_n_bound(g.kind, ths, method if g.kind is not GateKind.NOT else "m1")
-        if n_g < nb or (
-            method == "m2" and g.kind is GateKind.OR and n_g <= nb
-        ):
-            raise EmptyRegionError(
-                gid, f"n={n_g} below the {method} bound {nb:.4f}"
-            )
+        rule = GATE_RULES[g.kind]
+        n_g = float(n.get(gid, rule.default_n))
+        nb = check_n_bound(g.kind, ths, n_g, method, gid)
         a_min = alpha_bound(c.thresholds[g.output], tb.delta[gid])
-        box = gate_box(g.kind, ths, n_g)
+        box = rule.box(*ths, n_g)
         region = None
-        if method == "m2" and g.kind in (GateKind.AND, GateKind.OR):
-            region = gate_region_m2(g.kind, ths, n_g)
+        if method == "m2" and rule.membership:
+            region = CurvedRegion(kind=g.kind, thresholds=ths, n=n_g)
         if box.empty:
             raise EmptyRegionError(gid, "Method 1 K intervals cross")
         results[gid] = GateSynthesis(
@@ -530,12 +560,10 @@ def worst_case_output_robustness(
     for i, ks in enumerate(k_values):
         g = GateParams(kind=kind, n=n, alpha=alpha, hill_k=tuple(ks))
         drives[i] = gate_drive(g, wc.levels)
-    horizon = row.lam + row.delta
-    n_steps = int(round(horizon / step))
+    times = time_grid(row.lam + row.delta, step)
     traj = simulate_constant_drive(
-        drives, alpha, np.full(len(drives), wc.x0), step, n_steps
+        drives, alpha, np.full(len(drives), wc.x0), step, times.size - 1
     )
-    times = np.arange(n_steps + 1) * step
     out_formula = Eventually(
         0.0,
         row.delta,
@@ -568,7 +596,7 @@ def synthesize_numeric(
 
     ``grid`` maps gate id to its K-axis grid; ``params`` supplies the
     fixed n and alpha per gate (alpha defaults to its analytic bound, n
-    to 4 for AND/OR and 3 for NOT).  Grid points are independent; results
+    to the kind's ``default_n``).  Grid points are independent; results
     are merged in grid order.
     """
     if tb is None:
@@ -585,7 +613,7 @@ def synthesize_numeric(
             )
         pts = gspec.points(names)
         base = params.get(gid) if params else None
-        n_g = base.n if base else (3.0 if g.kind is GateKind.NOT else 4.0)
+        n_g = base.n if base else GATE_RULES[g.kind].default_n
         alpha = base.alpha if base else alpha_bound(
             c.thresholds[g.output], tb.delta[gid]
         )

@@ -3,8 +3,8 @@ import json
 import pytest
 
 from gatesynth.circuit import (
-    Circuit, CycleError, Gate, WiringCheck, longest_paths, propagate_timing,
-    wiring_formulas,
+    Circuit, CycleError, Gate, GraphError, WiringCheck, longest_paths,
+    propagate_timing, wiring_formulas,
 )
 from gatesynth.gates import GateKind, Thresholds
 from gatesynth.monitor import robustness
@@ -182,8 +182,23 @@ class TestValidation:
             )
         assert set(exc.value.cycle) >= {"a", "b"}
 
+    def test_gate_off_every_path_is_a_graph_error(self):
+        c = Circuit(
+            gates={
+                "M": Gate("M", GateKind.NOT, ("u",), "x"),
+                "Z": Gate("Z", GateKind.NOT, ("u",), "z"),
+            },
+            external_inputs=("u",),
+            outputs=(("M", "out"),),
+            thresholds=thresholds("u", "x", "z"),
+            delta=4.0,
+            lam=4.0,
+        )
+        with pytest.raises(GraphError, match="'Z' is not on any"):
+            propagate_timing(c)
+
     def test_undefined_input_rejected(self):
-        with pytest.raises(ValueError, match="undefined"):
+        with pytest.raises(GraphError, match="undefined"):
             Circuit(
                 gates={"M": Gate("M", GateKind.NOT, ("ghost",), "x")},
                 external_inputs=("u",),

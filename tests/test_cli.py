@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -22,6 +23,17 @@ def write_cycle_circuit(tmp_path):
         "timing": {"delta": 4, "lambda": 4},
     }
     path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def write_dangling_circuit(tmp_path):
+    """The half-adder plus a gate Z whose output feeds nothing."""
+    with open(HALF_ADDER) as fh:
+        data = json.load(fh)
+    data["gates"].append({"id": "Z", "kind": "NOT", "inputs": ["A"], "output": "z"})
+    data["thresholds"]["z"] = {"plus": 0.75, "minus": 0.25}
+    path = tmp_path / "dangling.json"
     path.write_text(json.dumps(data))
     return str(path)
 
@@ -175,9 +187,43 @@ class TestMonitor:
         assert main(["monitor", str(trace), "x >= "]) == 1
 
 
+class TestGraphErrors:
+    @pytest.mark.parametrize("command", ["timing", "synth"])
+    def test_dangling_gate_exits_2(self, tmp_path, capsys, command):
+        rc = main([command, write_dangling_circuit(tmp_path),
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'Z' is not on any input-to-output path" in err
+        assert "Traceback" not in err
+
+    def test_verify_dangling_gate_exits_2(self, tmp_path, capsys):
+        params = json.loads(open(good_params(tmp_path)).read())
+        params["Z"] = dict(params["D"])
+        (tmp_path / "params_z.json").write_text(json.dumps(params))
+        rc = main(["verify", write_dangling_circuit(tmp_path),
+                   str(tmp_path / "params_z.json"), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "'Z' is not on any" in capsys.readouterr().err
+
+    def test_undefined_variable_exits_2(self, tmp_path):
+        with open(HALF_ADDER) as fh:
+            data = json.load(fh)
+        data["gates"][0]["inputs"] = ["ghost"]
+        path = tmp_path / "ghost.json"
+        path.write_text(json.dumps(data))
+        assert main(["synth", str(path), "--out", str(tmp_path)]) == 2
+
+
 class TestUsage:
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 1
 
     def test_no_args(self):
         assert main([]) == 1
+
+    def test_environment_left_unchanged(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("GENESYNTH_THREADS", raising=False)
+        before = dict(os.environ)
+        assert main(["timing", HALF_ADDER, "--out", str(tmp_path)]) == 0
+        assert dict(os.environ) == before

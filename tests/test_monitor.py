@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -142,6 +145,20 @@ class TestWiringValidity:
         for _ in range(200):
             s = random_signal(rng, n=30, h=0.1)
             assert robustness(f, s) >= 0.0
+
+
+class TestMemory:
+    def test_signal_freed_without_gc(self):
+        # the evaluator must not leave a reference cycle holding the trace
+        s = ramp()
+        ref = weakref.ref(s)
+        gc.disable()
+        try:
+            robustness_signal(parse("F[0,1](G[0,0.5](x >= 0.5))"), s)
+            del s
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestErrors:

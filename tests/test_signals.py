@@ -5,7 +5,7 @@ import pytest
 
 from gatesynth.signals import (
     ConstantStimulus, OutOfRangeError, Signal, UnknownVariableError,
-    from_constant, read_trace_csv, write_trace_csv,
+    read_trace_csv, write_trace_csv,
 )
 
 
@@ -70,21 +70,6 @@ class TestInvariants:
 
 
 class TestFromConstant:
-    def test_three_samples(self):
-        s = from_constant(ConstantStimulus(0.75, 2.0), step=1.0)
-        assert list(s.times) == [0.0, 1.0, 2.0]
-        assert np.all(s.values["x"] == 0.75)
-
-    def test_zero_level(self):
-        s = from_constant(ConstantStimulus(0.0, 1.0), step=0.5)
-        assert s.times.size == 3
-        assert np.all(s.values["x"] == 0.0)
-
-    def test_hold_16_step_01(self):
-        s = from_constant(ConstantStimulus(1.0, 16.0), step=0.1)
-        assert s.times.size == 161
-        assert np.all(s.values["x"] == 1.0)
-
     def test_stimulus_validation(self):
         with pytest.raises(ValueError):
             ConstantStimulus(-0.1, 1.0)

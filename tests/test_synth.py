@@ -6,11 +6,11 @@ import pytest
 from gatesynth.circuit import Circuit, Gate, propagate_timing
 from gatesynth.gates import GateKind, GateParams, Thresholds
 from gatesynth.synth import (
-    EmptyRegionError, NumericGrid, ParamBox, alpha_bound, and_box_m1,
-    and_n_bound_m1, and_n_bound_m2, and_region_m2, export_region_csv,
-    gate_box, intersect, not_bounds, or_bounds_m1, or_n_bound_m2,
-    or_region_m2, sample_region, synthesize_circuit, synthesize_numeric,
-    worst_case_output_robustness,
+    GATE_RULES, CurvedRegion, EmptyRegionError, NumericGrid, ParamBox,
+    alpha_bound, and_box_m1, and_n_bound_m1, and_n_bound_m2, and_region_m2,
+    check_n_bound, export_region_csv, intersect, not_bounds, or_bounds_m1,
+    or_n_bound_m2, or_region_m2, sample_region, synthesize_circuit,
+    synthesize_numeric, worst_case_output_robustness,
 )
 from gatesynth.gates import ExtendedTruthRow
 from gatesynth.worstcase import worst_case
@@ -276,6 +276,15 @@ class TestSynthesizeNumeric:
             rhos.append(rho[0])
         assert min(rhos) < 0
 
+    def test_horizon_off_the_step_grid(self):
+        # lam + delta = 2.004 is not a multiple of the step; the trace must
+        # reach past it, as the simulators' grid does
+        row = ExtendedTruthRow(("high", "high"), "high", delta=1.0, lam=1.004)
+        rho = worst_case_output_robustness(
+            GateKind.AND, row, (TH_34, TH_34), TH_34,
+            np.array([[0.3, 0.3]]), 4, 5.0, step=0.01)
+        assert rho.shape == (1,) and np.isfinite(rho[0])
+
 
 class TestRegionExport:
     def test_csv_format(self, tmp_path):
@@ -292,5 +301,36 @@ class TestRegionExport:
         assert {r[2] for r in rows[1:]} <= {"0", "1"}
 
     def test_gate_box_dispatch(self):
-        box = gate_box(GateKind.NOT, (TH_34, TH_34), 3)
+        box = GATE_RULES[GateKind.NOT].box(TH_34, TH_34, 3)
         assert list(box.intervals) == ["K1"]
+        assert box == not_bounds(TH_34, TH_34, 3)[1]
+
+
+class TestRuleTable:
+    def test_every_kind_has_a_rule(self):
+        assert set(GATE_RULES) == set(GateKind)
+
+    def test_exact_bound_shared_by_m2_and_not(self):
+        nb = not_bounds(TH_34, TH_34, 3)[0]
+        assert nb == pytest.approx(2.5372, abs=5e-4)
+        assert and_n_bound_m2(TH_34, TH_34, TH_34) == nb
+        assert or_n_bound_m2(TH_34, TH_34, TH_34) == nb
+
+    def test_only_or_method2_bound_is_strict(self):
+        ths = (TH_34, TH_34, TH_34)
+        nb = or_n_bound_m2(*ths)
+        assert check_n_bound(GateKind.AND, ths, nb, "m2") == nb
+        with pytest.raises(EmptyRegionError, match="OR"):
+            check_n_bound(GateKind.OR, ths, nb, "m2")
+        m1 = GATE_RULES[GateKind.OR].n_bound["m1"](*ths)
+        assert check_n_bound(GateKind.OR, ths, m1, "m1") == m1
+
+    def test_not_has_no_method2_region(self):
+        with pytest.raises(ValueError, match="NOT"):
+            CurvedRegion(kind=GateKind.NOT, thresholds=(TH_34, TH_34), n=3.0)
+
+    def test_default_n_used_by_synthesis(self):
+        c = Circuit.from_json("circuits/half_adder.json")
+        res = synthesize_circuit(c, method="m1")
+        for gid, gs in res.gates.items():
+            assert gs.n == GATE_RULES[gs.kind].default_n
