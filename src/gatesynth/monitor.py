@@ -6,7 +6,9 @@ bounded temporal operators take sup/inf over the signal's sample grid
 restricted to their window.  Two monitors are provided:
 
 * :func:`robustness` — array-based monitor; on uniform grids the temporal
-  windows become fixed index ranges and sliding min/max are vectorised.
+  windows become fixed index ranges.  F/G windows use an O(T) block
+  prefix/suffix scan (van Herk; Gil & Werman) and Until an O(w) loop over
+  window offsets, each step one numpy operation over the whole trace.
 * :func:`robustness_naive` — direct recursive evaluation, O(n*w) per
   temporal operator, supporting arbitrary (non-uniform) grids.  Kept as an
   independent reference for differential testing.
@@ -19,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .formulas import (
     And, Atom, Eventually, Formula, Globally, Implies, Not, Or,
@@ -62,12 +63,30 @@ def _window_offsets(lo: float, hi: float, h: float) -> tuple[int, int]:
     return ia, ib
 
 
-def _sliding(arr: np.ndarray, ia: int, ib: int, reduce) -> np.ndarray:
-    """reduce(arr[i+ia : i+ib+1]) for every i with a full window."""
-    w = ib - ia + 1
+def _sliding(arr: np.ndarray, ia: int, ib: int, pick: np.ufunc) -> np.ndarray:
+    """pick.reduce(arr[i+ia : i+ib+1]) for every i with a full window.
+
+    ``pick`` is ``np.minimum`` or ``np.maximum``.  ``arr[ia:]`` is cut into
+    blocks of w = ib-ia+1 samples; a window starting at i covers the tail
+    of its own block and the head of the next, so its extremum is
+    pick(suffix[i], prefix[i+w-1]) of the per-block running extrema.
+    """
     if len(arr) < ib + 1:
         raise HorizonError("trace shorter than temporal window")
-    return reduce(sliding_window_view(arr, w), axis=1)[ia:]
+    x = arr[ia:]
+    w = ib - ia + 1
+    if w == 1:
+        return x.copy()
+    m = len(x)
+    n = m - w + 1
+    # pad to whole blocks; no full window reaches the padding
+    blocks = np.empty(m + (-m % w))
+    blocks[:m] = x
+    blocks[m:] = x[-1]
+    blocks = blocks.reshape(-1, w)
+    prefix = pick.accumulate(blocks, axis=1).ravel()
+    suffix = pick.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
+    return pick(suffix[:n], prefix[w - 1 : w - 1 + n])
 
 
 def robustness_signal(f: Formula, s: Signal) -> np.ndarray:
@@ -103,21 +122,25 @@ def _ev_signal(node: Formula, s: Signal, h: float) -> np.ndarray:
         return pick(a[:n], b[:n])
     if isinstance(node, Globally):
         ia, ib = _window_offsets(node.lo, node.hi, h)
-        return _sliding(_ev_signal(node.child, s, h), ia, ib, np.min)
+        return _sliding(_ev_signal(node.child, s, h), ia, ib, np.minimum)
     if isinstance(node, Eventually):
         ia, ib = _window_offsets(node.lo, node.hi, h)
-        return _sliding(_ev_signal(node.child, s, h), ia, ib, np.max)
+        return _sliding(_ev_signal(node.child, s, h), ia, ib, np.maximum)
     if isinstance(node, Until):
         ia, ib = _window_offsets(node.lo, node.hi, h)
         r1, r2 = _ev_signal(node.left, s, h), _ev_signal(node.right, s, h)
         n = min(len(r1), len(r2)) - ib
         if n < 1:
             raise HorizonError("trace shorter than until window")
-        out = np.empty(n)
-        for i in range(n):
-            run_min = np.minimum.accumulate(r1[i : i + ib + 1])
-            vals = np.minimum(r2[i + ia : i + ib + 1], run_min[ia:])
-            out[i] = vals.max()
+        # offset d: run[i] = min r1[i..i+d]; out[i] = max over d >= ia of
+        # min(r2[i+d], run[i])
+        run = r1[:n].copy()
+        out = np.full(n, -np.inf)
+        for d in range(ib + 1):
+            if d:
+                np.minimum(run, r1[d : d + n], out=run)
+            if d >= ia:
+                np.maximum(out, np.minimum(r2[d : d + n], run), out=out)
         return out
     raise TypeError(f"not a formula node: {node!r}")
 

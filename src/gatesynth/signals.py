@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import csv
-import io
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,17 +132,32 @@ def write_trace_csv(signal: Signal, path_or_file) -> None:
 
 
 def read_trace_csv(path_or_file) -> Signal:
-    """Read a trace written by :func:`write_trace_csv`."""
+    """Read a trace written by :func:`write_trace_csv`.
+
+    Raises ``ValueError`` for a missing ``t`` column, an empty or repeated
+    variable name, no samples, a ragged row or a non-numeric cell.
+    """
     if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
         with open(path_or_file, newline="") as fh:
-            return read_trace_csv(io.StringIO(fh.read()))
-    rows = list(csv.reader(path_or_file))
-    if not rows or rows[0][:1] != ["t"]:
+            return read_trace_csv(fh)
+    lines = iter(path_or_file)
+    header = next(csv.reader(lines), [])
+    if header[:1] != ["t"]:
         raise ValueError("trace CSV must start with header 't,var1,...'")
-    names = rows[0][1:]
-    data = np.array([[float(x) for x in row] for row in rows[1:]], dtype=float)
-    if data.ndim != 2 or data.shape[1] != len(names) + 1:
-        raise ValueError("malformed trace CSV")
+    names = header[1:]
+    if not all(names) or len(set(names)) != len(names):
+        raise ValueError(f"trace CSV header has an empty or repeated variable name: {names}")
+    # checked here because np.loadtxt only warns on an empty body
+    first = next(lines, "")
+    if not first.strip():
+        raise ValueError("trace CSV has no samples after the header")
+    data = np.loadtxt(
+        itertools.chain([first], lines), delimiter=",", ndmin=2, comments=None,
+    )
+    if data.shape[1] != len(names) + 1:
+        raise ValueError(
+            f"trace CSV rows have {data.shape[1]} columns, header has {len(names) + 1}"
+        )
     return Signal(
         times=data[:, 0],
         values={name: data[:, 1 + j] for j, name in enumerate(names)},

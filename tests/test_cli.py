@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -147,7 +148,7 @@ class TestVerify:
 
     def test_broken_alpha_exits_4(self, tmp_path, capsys):
         params_path = good_params(tmp_path)
-        params = json.loads(open(params_path).read())
+        params = json.loads(Path(params_path).read_text())
         params["C"]["alpha"] = 0.06
         (tmp_path / "broken.json").write_text(json.dumps(params))
         rc = main(["verify", HALF_ADDER, str(tmp_path / "broken.json"),
@@ -157,7 +158,7 @@ class TestVerify:
 
     def test_missing_param_exits_1(self, tmp_path):
         params_path = good_params(tmp_path)
-        params = json.loads(open(params_path).read())
+        params = json.loads(Path(params_path).read_text())
         del params["S"]
         (tmp_path / "partial.json").write_text(json.dumps(params))
         rc = main(["verify", HALF_ADDER, str(tmp_path / "partial.json"),
@@ -181,6 +182,15 @@ class TestMonitor:
         assert rc == 1
         assert "horizon" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body", ["t,x\n", "t,x\n0.0,0.8\n0.1,0.8,0.8\n",
+                                      "t,x\n0.0,high\n", "t,x,x\n0.0,0.8,0.8\n"])
+    def test_bad_trace_exits_1(self, tmp_path, capsys, body):
+        trace = tmp_path / "trace.csv"
+        trace.write_text(body)
+        assert main(["monitor", str(trace), "x >= 0.5"]) == 1
+        err = capsys.readouterr().err
+        assert "bad trace file" in err and "Traceback" not in err
+
     def test_bad_formula_exits_1(self, tmp_path):
         trace = tmp_path / "trace.csv"
         trace.write_text("t,x\n0.0,0.8\n")
@@ -198,7 +208,7 @@ class TestGraphErrors:
         assert "Traceback" not in err
 
     def test_verify_dangling_gate_exits_2(self, tmp_path, capsys):
-        params = json.loads(open(good_params(tmp_path)).read())
+        params = json.loads(Path(good_params(tmp_path)).read_text())
         params["Z"] = dict(params["D"])
         (tmp_path / "params_z.json").write_text(json.dumps(params))
         rc = main(["verify", write_dangling_circuit(tmp_path),

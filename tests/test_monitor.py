@@ -3,10 +3,15 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
+from numpy.lib.stride_tricks import sliding_window_view
 
-from gatesynth.formulas import Atom, Eventually, Globally, Implies, Not, parse
+from gatesynth.formulas import (
+    Atom, Eventually, Globally, Implies, Not, TrueFormula, Until, parse,
+)
 from gatesynth.monitor import (
-    HorizonError, eval_boolean, robustness, robustness_naive,
+    HorizonError, _sliding, eval_boolean, robustness, robustness_naive,
     robustness_signal, satisfies,
 )
 from gatesynth.signals import Signal
@@ -133,6 +138,135 @@ class TestDifferential:
         s = Signal(times=times, values={"x": np.array([0.1, 0.6, 0.7, 0.2, 0.9])})
         f = parse("F[0,2](x >= 0.5)")
         assert robustness(f, s) == robustness_naive(f, s)
+
+
+def spiked(n, x_at=(), y_at=(), x_base=0.0, level=1.0):
+    """x constant at ``x_base`` and y at 0 on n samples of step 0.1, both
+    set to ``level`` at the given indices."""
+    x, y = np.full(n, x_base), np.zeros(n)
+    x[list(x_at)] = level
+    y[list(y_at)] = level
+    return Signal(times=np.arange(n) * 0.1, values={"x": x, "y": y})
+
+
+def assert_fast_is_naive(f, s):
+    """robustness_signal equals robustness_naive exactly at every index the
+    naive monitor accepts, and covers each of them."""
+    fast = robustness_signal(f, s)
+    naive = []
+    for t in s.times:
+        try:
+            naive.append(robustness_naive(f, s, float(t)))
+        except HorizonError:
+            break
+    assert len(fast) >= len(naive) > 0
+    assert fast[: len(naive)].tolist() == naive
+    return fast
+
+
+class TestWindowEndpoints:
+    """Off-by-one checks at window edges: a single extreme sample on the
+    first or last sample of a window must be seen by exactly the windows
+    that contain it."""
+
+    I = 10  # evaluation index the spike is placed relative to
+    # (lo, hi) on step 0.1 and the sample offsets [ia, ib] it covers: w > 1
+    # with ia > 0 and ia = 0, then w = 1 (ia = ib) with ia > 0 and ia = 0
+    WINDOWS = [(0.3, 0.7, 3, 7), (0.0, 0.4, 0, 4), (0.35, 0.44, 4, 4), (0.0, 0.05, 0, 0)]
+
+    @pytest.mark.parametrize("lo,hi,ia,ib", WINDOWS)
+    @pytest.mark.parametrize("edge", ["first", "last"])
+    def test_eventually_spike(self, lo, hi, ia, ib, edge):
+        j = self.I + (ia if edge == "first" else ib)
+        fast = assert_fast_is_naive(Eventually(lo, hi, Atom("x", ">=", 0.5)),
+                                    spiked(37, x_at=[j]))
+        assert fast[self.I] == 0.5
+        assert fast[j - ia + 1] == -0.5 and fast[j - ib - 1] == -0.5
+
+    @pytest.mark.parametrize("lo,hi,ia,ib", WINDOWS)
+    @pytest.mark.parametrize("edge", ["first", "last"])
+    def test_globally_dip(self, lo, hi, ia, ib, edge):
+        j = self.I + (ia if edge == "first" else ib)
+        fast = assert_fast_is_naive(Globally(lo, hi, Atom("x", ">=", 0.5)),
+                                    spiked(37, x_at=[j], x_base=1.0, level=0.0))
+        assert fast[self.I] == -0.5
+        assert fast[j - ia + 1] == 0.5 and fast[j - ib - 1] == 0.5
+
+    @pytest.mark.parametrize("lo,hi,ia,ib", WINDOWS)
+    @pytest.mark.parametrize("edge", ["first", "last"])
+    def test_until_right_spike(self, lo, hi, ia, ib, edge):
+        j = self.I + (ia if edge == "first" else ib)
+        f = Until(lo, hi, Atom("x", ">=", 0.5), Atom("y", ">=", 0.5))
+        fast = assert_fast_is_naive(f, spiked(37, y_at=[j], x_base=1.0))
+        assert fast[self.I] == 0.5
+        assert fast[j - ia + 1] == -0.5 and fast[j - ib - 1] == -0.5
+
+    @pytest.mark.parametrize("at", [0, 3, 7])
+    def test_until_left_dip(self, at):
+        # y holds only at the window's last sample, so a dip in x anywhere
+        # from the evaluation point up to and including it breaks the until
+        f = Until(0.3, 0.7, Atom("x", ">=", 0.5), Atom("y", ">=", 0.5))
+        x, y = np.ones(37), np.zeros(37)
+        x[self.I + at], y[self.I + 7] = 0.0, 1.0
+        s = Signal(times=np.arange(37) * 0.1, values={"x": x, "y": y})
+        fast = assert_fast_is_naive(f, s)
+        assert fast[self.I] == -0.5
+
+    @pytest.mark.parametrize("n", [23, 24, 25, 26, 27])
+    @pytest.mark.parametrize("op", [Eventually, Globally])
+    def test_length_not_a_multiple_of_width(self, rng, n, op):
+        s = random_signal(rng, n=n)
+        assert_fast_is_naive(op(0.2, 0.6, Atom("x", ">=", 0.5)), s)
+        assert_fast_is_naive(Until(0.2, 0.6, Atom("x", ">=", 0.4), Atom("y", ">=", 0.5)), s)
+
+    @pytest.mark.parametrize("lo", [0.0, 0.5])
+    def test_window_covers_whole_trace(self, rng, lo):
+        s = random_signal(rng, n=30)
+        hi = float(s.t_end)
+        for f in (Eventually(lo, hi, Atom("x", ">=", 0.5)),
+                  Globally(lo, hi, Atom("x", ">=", 0.5)),
+                  Until(lo, hi, Atom("x", ">=", 0.2), Atom("y", ">=", 0.5))):
+            assert len(assert_fast_is_naive(f, s)) == 1
+
+    def test_true_operands(self, rng):
+        s = random_signal(rng, n=30)
+        atom = Atom("x", ">=", 0.5)
+        for f in (Eventually(0.2, 0.6, TrueFormula()),
+                  Globally(0.0, 0.05, Not(TrueFormula())),
+                  Until(0.2, 0.6, TrueFormula(), atom),
+                  Until(0.2, 0.6, atom, TrueFormula()),
+                  Until(0.0, 0.6, Not(TrueFormula()), atom),
+                  Globally(0.1, 0.5, Eventually(0.0, 0.3, TrueFormula()))):
+            assert_fast_is_naive(f, s)
+
+
+def sliding_window_oracle(arr, ia, ib, reduce):
+    """The O(T*w) reduction over every full window, as a reference."""
+    return reduce(sliding_window_view(arr, ib - ia + 1), axis=1)[ia:]
+
+
+@st.composite
+def trace_and_window(draw):
+    values = st.floats(allow_nan=True) | st.sampled_from([np.inf, -np.inf, 0.0, -0.0])
+    arr = draw(arrays(np.float64, st.integers(1, 80), elements=values))
+    ib = draw(st.integers(0, len(arr) - 1))
+    ia = draw(st.integers(0, ib))
+    return arr, ia, ib
+
+
+class TestSlidingKernel:
+    @given(trace_and_window())
+    def test_matches_window_view(self, case):
+        arr, ia, ib = case
+        for pick, reduce in ((np.minimum, np.min), (np.maximum, np.max)):
+            got = _sliding(arr, ia, ib, pick)
+            want = sliding_window_oracle(arr, ia, ib, reduce)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want, equal_nan=True)
+
+    def test_short_trace_raises(self):
+        with pytest.raises(HorizonError):
+            _sliding(np.zeros(4), 2, 4, np.minimum)
 
 
 class TestWiringValidity:

@@ -111,3 +111,32 @@ class TestCsv:
     def test_header_required(self):
         with pytest.raises(ValueError):
             read_trace_csv(io.StringIO("a,b\n1,2\n"))
+
+    def test_round_trip_is_bit_exact(self):
+        rng = np.random.default_rng(7)
+        times = np.arange(200) * 0.01
+        values = {"x": rng.random(200), "y": rng.normal(0, 1e-300, 200),
+                  "z": np.array([np.inf, -np.inf, 5e-324, -0.0] * 50)}
+        buf = io.StringIO()
+        write_trace_csv(Signal(times=times, values=values), buf)
+        buf.seek(0)
+        back = read_trace_csv(buf)
+        # compare bit patterns, so -0.0 and subnormals must survive too
+        pairs = [(back.times, times)] + [(back.values[v], values[v]) for v in values]
+        for got, want in pairs:
+            assert got.dtype == np.float64
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("text", [
+        "t,x,x\n0,1,2\n",         # duplicate variable
+        "t,x,\n0,1,2\n",          # empty variable name
+        "t,x\n",                  # header only
+        "t,x\n\n",                # header and a blank line
+        "",                       # nothing at all
+        "t,x\n0,1\n0.1,1,2\n",    # ragged row
+        "t,x\n0,1\n0.1,one\n",    # non-numeric cell
+        "t,x\n0,1,2\n",           # more columns than the header names
+    ])
+    def test_malformed_rejected(self, text):
+        with pytest.raises(ValueError):
+            read_trace_csv(io.StringIO(text))
