@@ -16,8 +16,8 @@ from .formulas import And, Atom, Eventually, Formula, Globally, Implies
 
 __all__ = [
     "GateKind", "Thresholds", "GateParams", "ExtendedTruthRow",
-    "hill_act", "hill_rep", "gate_drive", "closed_form", "truth_table",
-    "row_formula",
+    "hill_act", "hill_rep", "gate_drive", "gate_drives", "check_kinetics",
+    "closed_form", "truth_table", "row_formula",
 ]
 
 HIGH = "high"
@@ -84,17 +84,23 @@ class GateParams:
     def __post_init__(self):
         object.__setattr__(self, "kind", GateKind(self.kind))
         object.__setattr__(self, "hill_k", tuple(float(k) for k in self.hill_k))
-        if self.n <= 0:
-            raise ValueError("Hill coefficient n must be > 0")
-        if self.alpha <= 0:
-            raise ValueError("degradation rate alpha must be > 0")
-        if len(self.hill_k) != self.kind.arity:
-            raise ValueError(
-                f"{self.kind.value} gate needs {self.kind.arity} K value(s), "
-                f"got {len(self.hill_k)}"
-            )
-        if any(not 0 < k <= 1 for k in self.hill_k):
-            raise ValueError("each Hill K must lie in (0, 1]")
+        check_kinetics(self.kind, self.n, self.alpha, self.hill_k)
+
+
+def check_kinetics(kind: GateKind, n: float, alpha: float, hill_k) -> None:
+    """Raise ``ValueError`` unless n > 0, alpha > 0 and ``hill_k`` holds one
+    K per input, each in (0, 1].  An entry of ``hill_k`` may be an array of
+    K values, one per parameter point."""
+    if n <= 0:
+        raise ValueError("Hill coefficient n must be > 0")
+    if alpha <= 0:
+        raise ValueError("degradation rate alpha must be > 0")
+    if len(hill_k) != kind.arity:
+        raise ValueError(
+            f"{kind.value} gate needs {kind.arity} K value(s), got {len(hill_k)}"
+        )
+    if not all(np.all((0 < k) & (k <= 1)) for k in hill_k):
+        raise ValueError("each Hill K must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -130,6 +136,27 @@ def hill_rep(x: float, K: float, n: float):
     return 1.0 / (1.0 + (x / K) ** n)
 
 
+# The drive as a function of the Hill ratios r_i = (u_i/K_i)^n.  Each
+# works elementwise on floats and on numpy arrays alike.
+def _and_of_ratios(r0, r1):
+    return r0 / (1.0 + r0) * (r1 / (1.0 + r1))
+
+
+def _or_of_ratios(r0, r1):
+    return (r0 + r1) / (1.0 + r0 + r1)
+
+
+def _not_of_ratios(r0):
+    return 1.0 / (1.0 + r0)
+
+
+_DRIVE_OF_RATIOS = {
+    GateKind.AND: _and_of_ratios,
+    GateKind.OR: _or_of_ratios,
+    GateKind.NOT: _not_of_ratios,
+}
+
+
 def gate_drive(g: GateParams, inputs) -> float:
     """Dimensionless production term in [0, 1] for the given input levels.
 
@@ -141,15 +168,27 @@ def gate_drive(g: GateParams, inputs) -> float:
         raise ValueError(
             f"{g.kind.value} gate takes {g.kind.arity} input(s), got {len(inputs)}"
         )
-    if g.kind is GateKind.AND:
-        return hill_act(inputs[0], g.hill_k[0], g.n) * hill_act(
-            inputs[1], g.hill_k[1], g.n
-        )
-    if g.kind is GateKind.OR:
-        u = (inputs[0] / g.hill_k[0]) ** g.n
-        v = (inputs[1] / g.hill_k[1]) ** g.n
-        return (u + v) / (1.0 + u + v)
-    return hill_rep(inputs[0], g.hill_k[0], g.n)
+    n, ks = g.n, g.hill_k
+    r0 = (inputs[0] / ks[0]) ** n
+    if len(inputs) == 1:
+        return _DRIVE_OF_RATIOS[g.kind](r0)
+    return _DRIVE_OF_RATIOS[g.kind](r0, (inputs[1] / ks[1]) ** n)
+
+
+def gate_drives(kind: GateKind, n: float, inputs, hill_k: np.ndarray) -> np.ndarray:
+    """:func:`gate_drive` at fixed input levels for each row of ``hill_k``.
+
+    ``hill_k`` has shape (N, arity) and is not validated here (see
+    :func:`check_kinetics`).  Each ratio is a Python float power, as in
+    :func:`gate_drive`, so every drive is bit-identical to it: numpy's
+    float64 ``power`` is a SIMD kernel that can differ from libm ``pow``
+    in the last bit.
+    """
+    ratios = [
+        np.array([(u / k) ** n for k in col], dtype=float)
+        for u, col in zip(inputs, np.asarray(hill_k, dtype=float).T.tolist())
+    ]
+    return _DRIVE_OF_RATIOS[kind](*ratios)
 
 
 def closed_form(K: float, alpha: float, x0: float, t):

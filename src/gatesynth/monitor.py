@@ -93,14 +93,22 @@ def robustness_signal(f: Formula, s: Signal) -> np.ndarray:
     """Robustness of ``f`` at every grid point where it is defined.
 
     Requires a uniformly sampled signal.  Entry ``i`` of the result is the
-    robustness at ``s.times[i]``; the array is shorter than the trace by
-    the formula's horizon.
+    robustness at ``s.times[i]``.  The result covers exactly the times t
+    that :func:`robustness` and :func:`robustness_naive` accept: those
+    with t + ``required_horizon(f)`` <= t_end.
     """
     if s.times.size < 2:
         h = 1.0  # temporal operators will fail the window check anyway
     else:
         h = s.step
-    return _ev_signal(f, s, h)
+    out = _ev_signal(f, s, h)
+    # A window whose upper bound is off the grid reaches less than a step
+    # past its last sample, so the grid-offset arithmetic above can leave
+    # up to one entry per window that needs trace beyond t_end.  Drop them.
+    n, need, end = len(out), required_horizon(f), s.t_end + _TOL
+    while n and s.times[n - 1] + need > end:
+        n -= 1
+    return out[:n]
 
 
 def _ev_signal(node: Formula, s: Signal, h: float) -> np.ndarray:

@@ -117,11 +117,10 @@ def simulate_constant_drive(
     out = np.empty((n_steps + 1, drive.size))
     out[0] = x
     for k in range(n_steps):
-        f = lambda y: alpha * (drive - y)
-        k1 = f(x)
-        k2 = f(x + 0.5 * h * k1)
-        k3 = f(x + 0.5 * h * k2)
-        k4 = f(x + h * k3)
+        k1 = alpha * (drive - x)
+        k2 = alpha * (drive - (x + 0.5 * h * k1))
+        k3 = alpha * (drive - (x + 0.5 * h * k2))
+        k4 = alpha * (drive - (x + h * k3))
         x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         out[k + 1] = x
     return out

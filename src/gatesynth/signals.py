@@ -43,6 +43,9 @@ class Signal:
 
     times: np.ndarray
     values: dict[str, np.ndarray] = field(compare=False)
+    # grid step and uniformity, from the one np.diff of the times
+    _step: float | None = field(init=False, repr=False, compare=False)
+    _uniform: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -51,8 +54,17 @@ class Signal:
             raise ValueError("times must be a nonempty 1-d array")
         if abs(times[0]) > 1e-12:
             raise ValueError("first time point must be 0")
-        if times.size > 1 and not np.all(np.diff(times) > 0):
+        steps = np.diff(times)
+        if not np.all(steps > 0):
             raise ValueError("times must be strictly increasing")
+        step, uniform = None, True
+        if steps.size:
+            step = float(steps[0])
+            # |steps - step| in place: no second trace-sized array
+            dev = np.abs(np.subtract(steps, step, out=steps), out=steps)
+            uniform = bool(np.all(dev <= 1e-9 * max(step, 1.0)))
+        object.__setattr__(self, "_step", step)
+        object.__setattr__(self, "_uniform", uniform)
         if not self.values:
             raise ValueError("signal needs at least one variable")
         vals = {}
@@ -90,21 +102,18 @@ class Signal:
             )
         return float(np.interp(t, self.times, samples))
 
-    def is_uniform(self, rtol: float = 1e-9) -> bool:
-        if self.times.size < 2:
-            return True
-        steps = np.diff(self.times)
-        h = steps[0]
-        return bool(np.all(np.abs(steps - h) <= rtol * max(h, 1.0)))
+    def is_uniform(self) -> bool:
+        """Every step within a relative 1e-9 of the first one."""
+        return self._uniform
 
     @property
     def step(self) -> float:
         """Grid step of a uniform signal."""
-        if self.times.size < 2:
+        if self._step is None:
             raise ValueError("single-sample signal has no step")
-        if not self.is_uniform():
+        if not self._uniform:
             raise ValueError("signal is not uniformly sampled")
-        return float(self.times[1] - self.times[0])
+        return self._step
 
     def index_of(self, t: float, tol: float = 1e-9) -> int:
         """Index of the grid point at time ``t`` (must hit a sample)."""

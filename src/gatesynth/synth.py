@@ -15,6 +15,15 @@ output thresholds) to closed-form bounds:
 Natural logarithms throughout.  A grid-search fallback
 (:func:`synthesize_numeric`) checks admissibility by worst-case
 simulation plus monitoring instead of the analytic bounds.
+
+Region membership and the worst-case drives are evaluated on whole K
+arrays, with results bit-identical to a point-by-point evaluation.  Only
+``+ - * /``, comparisons and min/max run as numpy array operations; every
+power ``x ** n`` is taken on Python floats (libm ``pow``), one per
+distinct K value.  numpy's float64 ``power`` is a SIMD kernel on AVX-512
+hosts and differs from libm in the last bit on about 5% of random
+(x, n) pairs, enough to move a grid point that sits on a region
+boundary.
 """
 
 from __future__ import annotations
@@ -28,8 +37,8 @@ import numpy as np
 from .circuit import Circuit, TimingBudget, propagate_timing
 from .formulas import Atom, Eventually, Globally
 from .gates import (
-    HIGH, ExtendedTruthRow, GateKind, GateParams, Thresholds, gate_drive,
-    truth_table,
+    HIGH, ExtendedTruthRow, GateKind, GateParams, Thresholds, check_kinetics,
+    gate_drives, truth_table,
 )
 from .monitor import robustness
 from .odesim import simulate_constant_drive, time_grid
@@ -67,13 +76,19 @@ class ParamBox:
         return any(lo > hi for lo, hi in self.intervals.values())
 
     def contains(self, point: dict[str, float]) -> bool:
-        if self.empty:
-            return False
-        return all(
-            self.intervals[a][0] <= v <= self.intervals[a][1]
-            for a, v in point.items()
-            if a in self.intervals
-        )
+        values = np.array([list(point.values())], dtype=float)
+        return bool(self.contains_points(values, point)[0])
+
+    def contains_points(self, points: np.ndarray, axis_names) -> np.ndarray:
+        """:meth:`contains` for each row of ``points``, whose columns are
+        ``axis_names``: closed bounds, axes not in the box unconstrained,
+        an empty box contains nothing."""
+        inside = np.full(len(points), not self.empty)
+        for col, a in zip(np.asarray(points).T, axis_names):
+            if a in self.intervals:
+                lo, hi = self.intervals[a]
+                inside &= (lo <= col) & (col <= hi)
+        return inside
 
     def to_dict(self) -> dict:
         return {
@@ -197,7 +212,11 @@ class CurvedRegion:
 
     def membership(self, point) -> tuple[bool, str]:
         """(inside, binding constraint name) for a (K1, K2) point."""
-        return GATE_RULES[self.kind].membership(self.thresholds, self.n, point)
+        inside, binding = GATE_RULES[self.kind].membership(
+            self.thresholds, self.n,
+            np.array([float(point[0])]), np.array([float(point[1])]),
+        )
+        return bool(inside[0]), binding[0]
 
     def contains(self, point) -> bool:
         return self.membership(point)[0]
@@ -208,11 +227,31 @@ class CurvedRegion:
 _EDGE_TOL = 1e-9
 
 
-def _and_membership(ths, n, point) -> tuple[bool, str]:
+def _by_value(x: np.ndarray, *curves) -> list[np.ndarray]:
+    """Each of ``curves`` at every entry of ``x``, once per distinct value.
+
+    The curves get Python floats, so their powers are libm ``pow``, not
+    numpy's SIMD ``power`` (see the module docstring).  A grid has few
+    distinct K2 values, so the Python loop is short.
+    """
+    uniq, inv = np.unique(x, return_inverse=True)
+    vals = uniq.tolist()
+    return [np.array([c(v) for v in vals], dtype=float)[inv] for c in curves]
+
+
+def _tightest(binding: np.ndarray, piece: np.ndarray, **slacks: np.ndarray) -> None:
+    """Set ``binding`` on ``piece`` to the name of the smallest slack.
+
+    A tie goes to the first name in keyword order (``np.argmin`` takes
+    the first minimum).
+    """
+    names = np.array(list(slacks), dtype=object)
+    smallest = np.argmin(np.stack([v[piece] for v in slacks.values()]), axis=0)
+    binding[piece] = names[smallest]
+
+
+def _and_membership(ths, n, k1, k2) -> tuple[np.ndarray, list[str]]:
     thA, thB, thC = ths
-    k1, k2 = float(point[0]), float(point[1])
-    if k1 <= 0 or k2 <= 0:
-        return False, "positivity"
     ttp, ttm = thC.tilde_plus, thC.tilde_minus
     lo_f = _pow_root((1 - ttm) / ttm, n)
     hi_f = _pow_root((1 - ttp) / ttp, n)
@@ -220,53 +259,41 @@ def _and_membership(ths, n, point) -> tuple[bool, str]:
     b_lo, b_hi = thB.minus * lo_f, thB.plus * hi_f
     gA = gB = 1.0  # rescaled maximum input level
 
-    c1 = _and_upper_curve(thA, thB.plus, ttp, n, k2)  # output-high curve
-    c2 = _and_lower_curve(thA.minus, gB, ttm, n, k2)  # row (low, high)
-    c3 = _and_lower_curve(gA, thB.minus, ttm, n, k2)  # row (high, low)
+    pos = (k1 > 0) & (k2 > 0)
+    c1, c2, c3 = (np.full(k1.shape, np.nan) for _ in range(3))
+    c1[pos], c2[pos], c3[pos] = _by_value(
+        k2[pos],
+        lambda k: _and_upper_curve(thA, thB.plus, ttp, n, k),  # output-high curve
+        lambda k: _and_lower_curve(thA.minus, gB, ttm, n, k),  # row (low, high)
+        lambda k: _and_lower_curve(gA, thB.minus, ttm, n, k),  # row (high, low)
+    )
 
     tol = _EDGE_TOL
+    below_c1 = k1 <= c1 + tol
+    lows = np.maximum(c2, c3)
     # piece 1: both K above the output-low rectangle sides
-    if (a_lo - tol <= k1 <= a_hi + tol and b_lo - tol <= k2 <= b_hi + tol
-            and k1 <= c1 + tol):
-        return True, _tightest(
-            {
-                "K1_low_rect": k1 - a_lo,
-                "K1_high_rect": a_hi - k1,
-                "K2_low_rect": k2 - b_lo,
-                "K2_high_rect": b_hi - k2,
-                "high_curve": c1 - k1,
-            }
-        )
+    p1 = (pos & (a_lo - tol <= k1) & (k1 <= a_hi + tol)
+          & (b_lo - tol <= k2) & (k2 <= b_hi + tol) & below_c1)
     # piece 2: K2 below its rectangle side; both lower curves constrain K1
-    if (k2 <= b_lo + tol and k1 <= a_hi + tol
-            and max(c2, c3) - tol <= k1 <= c1 + tol):
-        return True, _tightest(
-            {
-                "K1_high_rect": a_hi - k1,
-                "low_curve_gamma_b": k1 - c2,
-                "low_curve_gamma_a": k1 - c3,
-                "high_curve": c1 - k1,
-            }
-        )
+    p2 = (pos & ~p1 & (k2 <= b_lo + tol) & (k1 <= a_hi + tol)
+          & (lows - tol <= k1) & below_c1)
     # piece 3: K1 below its rectangle side, K2 above; one lower curve
-    if (k2 >= b_lo - tol and k1 <= a_lo + tol
-            and c2 - tol <= k1 <= c1 + tol):
-        return True, _tightest(
-            {
-                "K2_low_rect": k2 - b_lo,
-                "low_curve_gamma_b": k1 - c2,
-                "high_curve": c1 - k1,
-            }
-        )
-    if k1 > c1 >= 0 or c1 < 0:
-        return False, "high_curve"
-    if k1 < max(c2, c3):
-        return False, "low_curve_gamma_b" if c2 >= c3 else "low_curve_gamma_a"
-    return False, "rectangle"
+    p3 = (pos & ~p1 & ~p2 & (k2 >= b_lo - tol) & (k1 <= a_lo + tol)
+          & (c2 - tol <= k1) & below_c1)
 
-
-def _tightest(slacks: dict[str, float]) -> str:
-    return min(slacks, key=slacks.get)
+    binding = np.full(k1.shape, "rectangle", dtype=object)
+    low = k1 < lows
+    binding[low & (c2 >= c3)] = "low_curve_gamma_b"
+    binding[low & ~(c2 >= c3)] = "low_curve_gamma_a"
+    binding[(k1 > c1) & (c1 >= 0) | (c1 < 0)] = "high_curve"
+    binding[~pos] = "positivity"
+    _tightest(binding, p1, K1_low_rect=k1 - a_lo, K1_high_rect=a_hi - k1,
+              K2_low_rect=k2 - b_lo, K2_high_rect=b_hi - k2, high_curve=c1 - k1)
+    _tightest(binding, p2, K1_high_rect=a_hi - k1, low_curve_gamma_b=k1 - c2,
+              low_curve_gamma_a=k1 - c3, high_curve=c1 - k1)
+    _tightest(binding, p3, K2_low_rect=k2 - b_lo, low_curve_gamma_b=k1 - c2,
+              high_curve=c1 - k1)
+    return p1 | p2 | p3, binding.tolist()
 
 
 def _not_box(thB: Thresholds, thD: Thresholds, n: float) -> ParamBox:
@@ -302,32 +329,36 @@ def or_n_bound_m2(thE: Thresholds, thG: Thresholds, thS: Thresholds) -> float:
     return _exact_bound(thE, thG, thS)
 
 
-def _or_membership(ths, n, point) -> tuple[bool, str]:
+def _or_low_curve(thE: Thresholds, thG: Thresholds, ttm: float, n: float, k2: float) -> float:
+    """Smallest K1 keeping the (low, low) row low, given K2."""
+    den = ttm / (1 - ttm) - (thG.minus / k2) ** n
+    return thE.minus * (1.0 / den) ** (1.0 / n)
+
+
+def _or_membership(ths, n, k1, k2) -> tuple[np.ndarray, list[str]]:
     thE, thG, thS = ths
-    k1, k2 = float(point[0]), float(point[1])
-    if k1 <= 0 or k2 <= 0:
-        return False, "positivity"
     ttp, ttm = thS.tilde_plus, thS.tilde_minus
     lo_f = _pow_root((1 - ttm) / ttm, n)
     hi_f = _pow_root((1 - ttp) / ttp, n)
+    e_lo, e_hi = thE.minus * lo_f, thE.plus * hi_f
+    g_lo, g_hi = thG.minus * lo_f, thG.plus * hi_f
     tol = _EDGE_TOL
-    if not (thE.minus * lo_f < k1 <= thE.plus * hi_f + tol):
-        return False, "K1_rect"
-    if not (thG.minus * lo_f < k2 <= thG.plus * hi_f + tol):
-        return False, "K2_rect"
-    den = ttm / (1 - ttm) - (thG.minus / k2) ** n
-    # den > 0 is implied by the K2 rectangle side
-    low_curve = thE.minus * (1.0 / den) ** (1.0 / n)
-    if k1 < low_curve - tol:
-        return False, "low_curve"
-    return True, _tightest(
-        {
-            "K1_high_rect": thE.plus * hi_f - k1,
-            "K2_high_rect": thG.plus * hi_f - k2,
-            "low_curve": k1 - low_curve,
-            "K2_low_rect": k2 - thG.minus * lo_f,
-        }
-    )
+    pos = (k1 > 0) & (k2 > 0)
+    in_k1 = (e_lo < k1) & (k1 <= e_hi + tol)
+    in_k2 = (g_lo < k2) & (k2 <= g_hi + tol)
+    rect = pos & in_k1 & in_k2
+    low = np.full(k1.shape, np.nan)
+    # the curve's denominator is > 0 inside the K2 rectangle side
+    low[rect] = _by_value(k2[rect], lambda k: _or_low_curve(thE, thG, ttm, n, k))[0]
+    inside = rect & (k1 >= low - tol)
+
+    binding = np.full(k1.shape, "low_curve", dtype=object)
+    binding[~in_k2] = "K2_rect"
+    binding[~in_k1] = "K1_rect"
+    binding[~pos] = "positivity"
+    _tightest(binding, inside, K1_high_rect=e_hi - k1, K2_high_rect=g_hi - k2,
+              low_curve=k1 - low, K2_low_rect=k2 - g_lo)
+    return inside, binding.tolist()
 
 
 def or_region_m2(
@@ -352,14 +383,16 @@ class GateRule:
 
     The bound and box callables take the gate's thresholds unpacked as
     (inputs..., output), the box also n.  ``membership`` is the Method 2
-    predicate ``(thresholds, n, point) -> (inside, binding)``, None for a
-    kind without a Method 2 region.  ``strict_m2`` marks a Method 2 bound
-    that n must exceed rather than reach.
+    predicate ``(thresholds, n, k1, k2) -> (inside, binding)`` on float
+    arrays of K1 and K2, giving a boolean mask and one binding-constraint
+    name per point; None for a kind without a Method 2 region.
+    ``strict_m2`` marks a Method 2 bound that n must exceed rather than
+    reach.
     """
 
     n_bound: dict[str, Callable[..., float]]  # method -> Hill bound
     box: Callable[..., ParamBox]  # Method 1 K-box at n
-    membership: Callable[..., tuple[bool, str]] | None
+    membership: Callable[..., tuple[np.ndarray, list[str]]] | None
     default_n: float
     strict_m2: bool = False
 
@@ -556,10 +589,8 @@ def worst_case_output_robustness(
     kind = GateKind(kind)
     wc = worst_case(kind, row, input_ths)
     k_values = np.atleast_2d(np.asarray(k_values, dtype=float))
-    drives = np.empty(len(k_values))
-    for i, ks in enumerate(k_values):
-        g = GateParams(kind=kind, n=n, alpha=alpha, hill_k=tuple(ks))
-        drives[i] = gate_drive(g, wc.levels)
+    check_kinetics(kind, n, alpha, k_values.T)
+    drives = gate_drives(kind, n, wc.levels, k_values)
     times = time_grid(row.lam + row.delta, step)
     traj = simulate_constant_drive(
         drives, alpha, np.full(len(drives), wc.x0), step, times.size - 1
@@ -686,15 +717,10 @@ def sample_region(
 ) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Evaluate region membership on a grid: (points, inside, binding)."""
     pts = grid.points(list(axis_names))
-    inside = np.zeros(len(pts), dtype=bool)
-    binding = []
-    for i, pt in enumerate(pts):
-        if isinstance(region, ParamBox):
-            ok = region.contains(dict(zip(axis_names, pt)))
-            inside[i] = ok
-            binding.append("box" if not ok else "")
-        else:
-            ok, why = region.membership(pt)
-            inside[i] = ok
-            binding.append(why)
+    if isinstance(region, ParamBox):
+        inside = region.contains_points(pts, axis_names)
+        return pts, inside, np.where(inside, "", "box").tolist()
+    inside, binding = GATE_RULES[region.kind].membership(
+        region.thresholds, region.n, pts[:, 0], pts[:, 1]
+    )
     return pts, inside, binding

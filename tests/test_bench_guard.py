@@ -1,0 +1,58 @@
+"""The benchmark's oracles and traced self-check, run with the unit tests.
+
+``bench/run.py`` checks every job's output against its oracle (golden
+robustness values, admissible masks and region inside-counts) and, in a
+traced run, compares call counts with their closed forms.  The unit tests
+would not otherwise see either check.  This runs both on the half-adder
+verify job and on every synth-grid job, reading ``bench/`` without
+changing it.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import layers
+    import workloads
+    from tracer import Tracer
+
+    return layers, workloads, Tracer
+
+
+@pytest.mark.parametrize("workload,jobs", [
+    ("verify-circuits", {"half_adder"}),
+    ("synth-grid", {"numeric.E", "numeric.S", "numeric.D",
+                    "region.E.m2", "region.S.m2", "region.E.m1"}),
+])
+def test_oracles_and_self_check(bench, tmp_path, workload, jobs):
+    layers, workloads, Tracer = bench
+    wl = workloads.WORKLOADS[workload]()
+    wl.setup(np.random.default_rng(1), tmp_path)
+    check_rng = np.random.default_rng([1, 1])
+    tracer = Tracer()
+    layers.install(tracer)
+    problems, ran = [], set()
+    try:
+        for job, fn in wl.jobs():
+            if job not in jobs:
+                continue
+            mark = tracer.span_count()
+            tracer.enabled = True
+            try:
+                result = fn()
+            finally:
+                tracer.enabled = False
+            problems += wl.check(job, result, check_rng)
+            problems += layers.self_check(wl, job, tracer.calls_since(mark))
+            ran.add(job)
+    finally:
+        tracer.unpatch()
+    assert ran == jobs
+    assert problems == []

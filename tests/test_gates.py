@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 from gatesynth.formulas import parse
 from gatesynth.gates import (
     HIGH, LOW, ExtendedTruthRow, GateKind, GateParams, Thresholds,
-    closed_form, gate_drive, hill_act, hill_rep, row_formula, truth_table,
+    check_kinetics, closed_form, gate_drive, gate_drives, hill_act, hill_rep,
+    row_formula, truth_table,
 )
 
 TH = Thresholds(plus=0.75, minus=0.25, p=0.1)
@@ -95,6 +96,52 @@ class TestGateDrive:
         g = GateParams(GateKind.AND, n=4, alpha=1.0, hill_k=(0.4, 0.4))
         with pytest.raises(ValueError):
             gate_drive(g, (0.5,))
+
+    @given(u=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
+           k=st.lists(st.floats(0.01, 1.0), min_size=2, max_size=2),
+           n=st.floats(0.5, 8.0))
+    def test_hill_term_forms_bitwise(self, u, k, n):
+        gand = GateParams(GateKind.AND, n=n, alpha=1.0, hill_k=k)
+        gnot = GateParams(GateKind.NOT, n=n, alpha=1.0, hill_k=k[:1])
+        assert gate_drive(gand, u) == hill_act(u[0], k[0], n) * hill_act(u[1], k[1], n)
+        assert gate_drive(gnot, u[:1]) == hill_rep(u[0], k[0], n)
+
+
+class TestGateDrives:
+    """The K-batched drive is bit-identical to the scalar one."""
+
+    @pytest.mark.parametrize("kind", list(GateKind))
+    @pytest.mark.parametrize("n", [2.5, 3, 4.0, 6.37])
+    def test_bitwise_equal_to_gate_drive(self, kind, n):
+        rng = np.random.default_rng(7)
+        ks = rng.uniform(0.002, 1.0, (400, kind.arity))
+        ks[:3] = 1.0
+        for levels in ([0.0, 0.75], [0.25, 1.0], [0.83, 0.11]):
+            levels = levels[: kind.arity]
+            got = gate_drives(kind, n, levels, ks)
+            want = [gate_drive(GateParams(kind, n, 1.0, tuple(k)), levels) for k in ks]
+            assert got.tolist() == want
+
+    def test_empty_batch(self):
+        assert gate_drives(GateKind.AND, 4, (0.5, 0.5), np.empty((0, 2))).shape == (0,)
+
+
+class TestCheckKinetics:
+    def test_scalars_and_arrays(self):
+        check_kinetics(GateKind.AND, 4, 1.0, (0.4, 1.0))
+        check_kinetics(GateKind.AND, 4, 1.0, np.full((2, 5), 0.5))
+
+    @pytest.mark.parametrize("n,alpha,hill_k,match", [
+        (0, 1.0, (0.4, 0.4), "Hill coefficient"),
+        (4, 0.0, (0.4, 0.4), "degradation rate"),
+        (4, 1.0, (0.4,), "needs 2 K"),
+        (4, 1.0, (0.4, 0.0), r"\(0, 1\]"),
+        (4, 1.0, np.array([[0.4, 0.5], [0.4, 1.01]]), r"\(0, 1\]"),
+        (4, 1.0, np.array([[0.4, np.nan], [0.4, 0.2]]), r"\(0, 1\]"),
+    ])
+    def test_rejects(self, n, alpha, hill_k, match):
+        with pytest.raises(ValueError, match=match):
+            check_kinetics(GateKind.AND, n, alpha, hill_k)
 
 
 class TestClosedForm:

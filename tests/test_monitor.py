@@ -150,17 +150,15 @@ def spiked(n, x_at=(), y_at=(), x_base=0.0, level=1.0):
 
 
 def assert_fast_is_naive(f, s):
-    """robustness_signal equals robustness_naive exactly at every index the
-    naive monitor accepts, and covers each of them."""
+    """robustness_signal equals robustness_naive exactly at every index it
+    returns, and returns every index the naive monitor accepts."""
     fast = robustness_signal(f, s)
-    naive = []
-    for t in s.times:
-        try:
-            naive.append(robustness_naive(f, s, float(t)))
-        except HorizonError:
-            break
-    assert len(fast) >= len(naive) > 0
-    assert fast[: len(naive)].tolist() == naive
+    assert len(fast) > 0
+    naive = [robustness_naive(f, s, float(t)) for t in s.times[: len(fast)]]
+    assert fast.tolist() == naive
+    if len(fast) < s.times.size:
+        with pytest.raises(HorizonError):
+            robustness_naive(f, s, float(s.times[len(fast)]))
     return fast
 
 
@@ -238,6 +236,51 @@ class TestWindowEndpoints:
                   Until(0.0, 0.6, Not(TrueFormula()), atom),
                   Globally(0.1, 0.5, Eventually(0.0, 0.3, TrueFormula()))):
             assert_fast_is_naive(f, s)
+
+
+class TestOffGridBounds:
+    """A window's upper bound between two samples: robustness_signal is
+    defined exactly where robustness and robustness_naive are, at the t
+    with t + required_horizon(f) <= t_end."""
+
+    def test_eventually_reproduction(self):
+        # 11 samples at step 0.1: t + 0.44 <= 1.0 holds up to t = 0.5
+        s = spiked(11, x_at=[9])
+        f = parse("F[0.35,0.44] (x >= 0.5)")
+        fast = robustness_signal(f, s)
+        assert len(fast) == 6
+        assert fast[5] == robustness(f, s, 0.5) == 0.5
+        with pytest.raises(HorizonError):
+            robustness(f, s, 0.6)
+
+    @pytest.mark.parametrize("text", [
+        "F[0.35,0.44] (x >= 0.5)",
+        "G[0.1,0.46] (x >= 0.5)",
+        "F[0,0.25] G[0.12,0.33] (x >= 0.5)",
+        "G[0.05,0.15] F[0.2,0.29] (x >= 0.5)",
+        "(x >= 0.2) U[0.1,0.37] (y >= 0.5)",
+        "F[0,0.13] ((x >= 0.2) U[0.1,0.37] (y >= 0.5))",
+        "F[0,0.44] (x >= 0.5) & G[0,0.3] (y <= 0.5)",
+    ])
+    @pytest.mark.parametrize("n", [11, 12, 30])
+    def test_domain_matches_naive(self, rng, text, n):
+        assert_fast_is_naive(parse(text), random_signal(rng, n=n))
+
+    @pytest.mark.parametrize("text", [
+        "F[0.35,0.44] (x >= 0.5)",
+        "F[0,0.25] G[0.12,0.33] (x >= 0.5)",
+        "(x >= 0.2) U[0.1,0.37] (y >= 0.5)",
+    ])
+    def test_domain_matches_fast_point_monitor(self, rng, text):
+        s = random_signal(rng, n=20)
+        f = parse(text)
+        fast = robustness_signal(f, s)
+        for i, t in enumerate(s.times):
+            if i < len(fast):
+                assert robustness(f, s, float(t)) == fast[i]
+            else:
+                with pytest.raises(HorizonError):
+                    robustness(f, s, float(t))
 
 
 def sliding_window_oracle(arr, ia, ib, reduce):

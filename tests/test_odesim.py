@@ -83,6 +83,22 @@ class TestIntegrator:
             exact = closed_form(d, 1.0, 0.0, np.arange(101) * 0.01)
             assert np.max(np.abs(out[:, j] - exact)) < 1e-9
 
+    def test_stages_bitwise(self):
+        # the classic RK4 stage order with f(y) = alpha * (drive - y)
+        drive, alpha, h = np.array([0.1, 0.55, 0.97]), 1.7, 0.01
+        f = lambda y: alpha * (drive - y)
+        x = np.array([1.0, 0.0, 0.3])
+        want = [x]
+        for _ in range(250):
+            k1 = f(x)
+            k2 = f(x + 0.5 * h * k1)
+            k3 = f(x + 0.5 * h * k2)
+            k4 = f(x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            want.append(x)
+        out = simulate_constant_drive(drive, alpha, want[0], h, 250)
+        assert np.array_equal(out, np.array(want))
+
     def test_determinism(self):
         g = and_gate()
         cfg = SimConfig(horizon=8.0, step=0.01)

@@ -89,6 +89,29 @@ class TestUniformity:
         with pytest.raises(ValueError):
             _ = s.step
 
+    def test_step_is_first_difference(self):
+        times = np.arange(200) * 0.01
+        s = sig(times, np.zeros(200))
+        assert s.step == times[1] - times[0]
+        assert times.tolist() == (np.arange(200) * 0.01).tolist()  # not modified
+
+    def test_tolerance_relative_to_step(self):
+        # steps within 1e-9 * max(h, 1) of the first one count as uniform
+        times = np.arange(6) * 0.1
+        times[3] += 0.5e-9
+        assert sig(times, np.zeros(6)).is_uniform()
+        times[3] += 2e-9
+        assert not sig(times, np.zeros(6)).is_uniform()
+        wide = np.arange(6) * 10.0
+        wide[3] += 5e-9
+        assert sig(wide, np.zeros(6)).is_uniform()
+
+    def test_single_sample(self):
+        s = sig([0.0], [1.0])
+        assert s.is_uniform()
+        with pytest.raises(ValueError, match="no step"):
+            _ = s.step
+
     def test_index_of(self):
         s = sig([0, 0.5, 1.0], [1, 2, 3])
         assert s.index_of(0.5) == 1

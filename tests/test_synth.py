@@ -2,9 +2,10 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gatesynth.circuit import Circuit, Gate, propagate_timing
-from gatesynth.gates import GateKind, GateParams, Thresholds
+from gatesynth.gates import GateKind, GateParams, Thresholds, gate_drive
 from gatesynth.synth import (
     GATE_RULES, CurvedRegion, EmptyRegionError, NumericGrid, ParamBox,
     alpha_bound, and_box_m1, and_n_bound_m1, and_n_bound_m2, and_region_m2,
@@ -12,7 +13,7 @@ from gatesynth.synth import (
     or_n_bound_m2, or_region_m2, sample_region, synthesize_circuit,
     synthesize_numeric, worst_case_output_robustness,
 )
-from gatesynth.gates import ExtendedTruthRow
+from gatesynth.gates import ExtendedTruthRow, truth_table
 from gatesynth.worstcase import worst_case
 
 TH_23 = Thresholds(plus=2 / 3, minus=1 / 3, p=0.1)
@@ -155,6 +156,101 @@ class TestRegionM2:
             or_region_m2(TH_34, TH_34, TH_34, nb)
 
 
+@st.composite
+def thresholds(draw):
+    """Valid thresholds with plus at least 1.25 times minus."""
+    minus = draw(st.floats(0.05, 0.45))
+    p = draw(st.floats(0.01, 0.25))
+    plus = draw(st.floats(1.25 * minus, 0.95 / (1 + p)))
+    return Thresholds(plus=plus, minus=minus, p=p)
+
+
+def steady_state_margins(kind, ths, n, pts):
+    """Per point, the smallest margin over the truth-table rows of the
+    worst-case steady-state drive: drive - t~+ on rows with a high
+    output, t~- - drive on rows with a low one."""
+    *ins, out = ths
+    rows = [(worst_case(kind, row, ins).levels, row.output_level == "high")
+            for row, _ in truth_table(kind, ("a", "b"), "x", 1.0, 1.0,
+                                      {"a": ins[0], "b": ins[1], "x": out})]
+    margins = []
+    for ks in pts.tolist():
+        g = GateParams(kind, n=n, alpha=1.0, hill_k=ks)
+        drives = [(gate_drive(g, levels), high) for levels, high in rows]
+        margins.append(min(d - out.tilde_plus if high else out.tilde_minus - d
+                           for d, high in drives))
+    return np.array(margins)
+
+
+class TestMethod2Oracle:
+    """Method 2 membership against an independent steady-state check:
+    a point is inside exactly when every row's worst-case constant drive
+    meets the margined output threshold."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(kind=st.sampled_from([GateKind.AND, GateKind.OR]),
+           ths=st.tuples(thresholds(), thresholds(), thresholds()),
+           dn=st.floats(0.01, 4.0), seed=st.integers(0, 2**32 - 1))
+    def test_inside_iff_every_row_holds(self, kind, ths, dn, seed):
+        rule = GATE_RULES[kind]
+        n = max(rule.n_bound["m2"](*ths), 0.5) + dn
+        rng = np.random.default_rng(seed)
+        # uniform points, plus points around the Method 1 box where the
+        # region boundary is
+        box = rule.box(*ths, n)
+        near = [
+            rng.uniform(*np.clip([min(lo, hi) - 0.1, max(lo, hi) + 0.1], 1e-3, 1.0), 250)
+            for lo, hi in box.intervals.values()
+        ]
+        pts = np.vstack([rng.uniform(1e-3, 1.0, (250, 2)), np.column_stack(near)])
+        inside, _ = rule.membership(ths, n, pts[:, 0], pts[:, 1])
+        margin = steady_state_margins(kind, ths, n, pts)
+        clear = np.abs(margin) >= 1e-7
+        assert clear.sum() > 400
+        assert np.array_equal(inside[clear], margin[clear] > 0)
+        # the Method 1 box lies inside the Method 2 region
+        in_box = box.contains_points(pts, ("K1", "K2"))
+        assert not (in_box & ~inside).any()
+
+
+class TestArrayMembership:
+    def test_grid_matches_single_points(self):
+        for reg in (and_region_m2(TH_34, TH_34, TH_34, 4),
+                    or_region_m2(TH_23, TH_34, TH_23, 5)):
+            grid = NumericGrid(axes={"K1": (-0.1, 1.0, 23), "K2": (-0.1, 1.0, 29)})
+            pts, inside, binding = sample_region(reg, grid)
+            assert isinstance(binding, list) and len(binding) == len(pts)
+            assert {b for b, ok in zip(binding, inside) if not ok} >= {"positivity"}
+            for pt, ok, why in zip(pts, inside, binding):
+                assert reg.membership(pt) == (ok, why)
+
+    def test_binding_tie_goes_to_first_constraint(self):
+        # the Method 1 box's lower corner is the corner of the AND region's
+        # rectangle piece, where the K1 and K2 lower-side slacks are both 0
+        reg = and_region_m2(TH_34, TH_34, TH_34, 4)
+        (lo1, _), (lo2, _) = and_box_m1(TH_34, TH_34, TH_34, 4).intervals.values()
+        assert reg.membership((lo1, lo2)) == (True, "K1_low_rect")
+        assert reg.membership((lo1 + 1e-3, lo2)) == (True, "K2_low_rect")
+
+
+class TestBoxSampling:
+    def test_closed_bounds_and_missing_axes(self):
+        box = ParamBox({"K1": (0.25, 0.5), "n": (3.0, np.inf)})
+        grid = NumericGrid(axes={"K1": (0.0, 1.0, 5), "K2": (0.0, 1.0, 3)})
+        pts, inside, binding = sample_region(box, grid)
+        assert inside.tolist() == [(0.25 <= k1 <= 0.5) for k1, _ in pts]
+        assert binding == ["" if ok else "box" for ok in inside]
+        for pt, ok in zip(pts, inside):
+            assert box.contains({"K1": pt[0], "K2": pt[1]}) == ok
+
+    def test_empty_box_contains_nothing(self):
+        box = ParamBox({"K1": (0.6, 0.4)})
+        grid = NumericGrid(axes={"K1": (0.0, 1.0, 11), "K2": (0.0, 1.0, 2)})
+        _, inside, binding = sample_region(box, grid)
+        assert not inside.any() and set(binding) == {"box"}
+        assert not box.contains({"K2": 0.5})
+
+
 class TestIntersect:
     def test_overlap(self):
         a = ParamBox({"K": (0.0, 1.0)})
@@ -275,6 +371,13 @@ class TestSynthesizeNumeric:
                 np.array([[k1, k2]]), 4, alpha, step=0.01)
             rhos.append(rho[0])
         assert min(rhos) < 0
+
+    @pytest.mark.parametrize("ks", [[[0.3, 0.3], [0.3, 0.0]], [[0.3, 1.2]], [[0.3, np.nan]]])
+    def test_k_outside_unit_interval_rejected(self, ks):
+        row = ExtendedTruthRow(("high", "high"), "high", delta=1.0, lam=1.0)
+        with pytest.raises(ValueError, match=r"each Hill K must lie in \(0, 1\]"):
+            worst_case_output_robustness(
+                GateKind.AND, row, (TH_34, TH_34), TH_34, np.array(ks), 4, 5.0)
 
     def test_horizon_off_the_step_grid(self):
         # lam + delta = 2.004 is not a multiple of the step; the trace must
