@@ -164,11 +164,12 @@ def gate_drive(g: GateParams, inputs) -> float:
     (u+v)/(1+u+v); NOT: repressing Hill term.
     """
     inputs = tuple(inputs)
-    if len(inputs) != g.kind.arity:
-        raise ValueError(
-            f"{g.kind.value} gate takes {g.kind.arity} input(s), got {len(inputs)}"
-        )
     n, ks = g.n, g.hill_k
+    # check_kinetics makes len(hill_k) the kind's arity
+    if len(inputs) != len(ks):
+        raise ValueError(
+            f"{g.kind.value} gate takes {len(ks)} input(s), got {len(inputs)}"
+        )
     r0 = (inputs[0] / ks[0]) ** n
     if len(inputs) == 1:
         return _DRIVE_OF_RATIOS[g.kind](r0)

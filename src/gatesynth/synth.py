@@ -29,6 +29,7 @@ boundary.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -175,9 +176,26 @@ def _pow_root(base: float, n: float) -> float:
     return base ** (1.0 / n) if base > 0 else 0.0
 
 
+def _and_share(level: float, ttC: float, n: float, k_other: float) -> float:
+    """level^n / (ttC * (k_other^n + level^n)) - 1, the radicand of the AND curves.
+
+    For large n a power can leave the normal float range, and the sum
+    then loses precision or underflows to 0.  There the ratio form
+    1 / (1 + (k/level)^n) is used, with the ratio taken at most 1 so that
+    its power cannot overflow.
+    """
+    a, b = level**n, k_other**n
+    if min(a, b) >= sys.float_info.min:
+        return a / (ttC * (b + a)) - 1.0
+    if k_other <= level:
+        return 1.0 / (ttC * (1.0 + (k_other / level) ** n)) - 1.0
+    r = (level / k_other) ** n
+    return r / (ttC * (1.0 + r)) - 1.0
+
+
 def _and_upper_curve(th_in: Thresholds, th_other: float, ttC: float, n: float, k_other: float) -> float:
     """K bound from theta_in^n/(theta~ * (k_other^n + other^n)) - 1, rooted."""
-    inner = th_other**n / (ttC * (k_other**n + th_other**n)) - 1.0
+    inner = _and_share(th_other, ttC, n, k_other)
     if inner <= 0:
         return -1.0  # no admissible K at all on an upper-bound curve
     return th_in.plus * inner ** (1.0 / n)
@@ -185,7 +203,7 @@ def _and_upper_curve(th_in: Thresholds, th_other: float, ttC: float, n: float, k
 
 def _and_lower_curve(level_a: float, level_b: float, ttC: float, n: float, k_other: float) -> float:
     """Lower-bound curve value for K_A given K_B (0 when unconstrained)."""
-    inner = level_b**n / (ttC * (k_other**n + level_b**n)) - 1.0
+    inner = _and_share(level_b, ttC, n, k_other)
     if inner <= 0:
         return 0.0
     return level_a * inner ** (1.0 / n)

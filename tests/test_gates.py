@@ -94,8 +94,11 @@ class TestGateDrive:
 
     def test_arity_mismatch(self):
         g = GateParams(GateKind.AND, n=4, alpha=1.0, hill_k=(0.4, 0.4))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^AND gate takes 2 input\(s\), got 1$"):
             gate_drive(g, (0.5,))
+        g = GateParams(GateKind.NOT, n=3, alpha=1.0, hill_k=(0.4,))
+        with pytest.raises(ValueError, match=r"^NOT gate takes 1 input\(s\), got 2$"):
+            gate_drive(g, (0.5, 0.5))
 
     @given(u=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
            k=st.lists(st.floats(0.01, 1.0), min_size=2, max_size=2),

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from gatesynth import odesim
 from gatesynth.circuit import Circuit, Gate, propagate_timing
 from gatesynth.gates import (
     GateKind, GateParams, Thresholds, closed_form, gate_drive,
@@ -8,8 +11,9 @@ from gatesynth.gates import (
 from gatesynth.monitor import robustness
 from gatesynth.odesim import (
     SimConfig, schedule_value, simulate_circuit, simulate_constant_drive,
-    simulate_gate, verify,
+    simulate_gate, time_grid, verify,
 )
+from gatesynth.signals import ConstantStimulus
 from gatesynth.synth import alpha_bound, synthesize_circuit
 
 TH = Thresholds(plus=0.75, minus=0.25, p=0.1)
@@ -28,6 +32,47 @@ class TestScheduleValue:
         assert schedule_value(sched, 1.99) == 0.1
         assert schedule_value(sched, 2.0) == 0.9
         assert schedule_value(sched, 5.0) == 0.9
+
+    def test_breakpoint_tolerance(self):
+        sched = [(0.0, 0.1), (0.3, 0.9)]
+        assert schedule_value(sched, 0.1 + 0.2) == 0.9  # 0.30000000000000004
+        assert schedule_value(sched, 0.3 - 1e-12) == 0.9  # the rule is t >= t0 - 1e-12
+        assert schedule_value(sched, 0.3 - 1e-13) == 0.9
+        assert schedule_value(sched, 0.3 - 1e-11) == 0.1
+
+    def test_unsorted_rejected(self):
+        with pytest.raises(ValueError, match="strictly increase"):
+            schedule_value([(0, .1), (5, .9), (2, .5)], 3.0)
+
+    def test_before_start_rejected(self):
+        with pytest.raises(ValueError, match="undefined"):
+            schedule_value([(0.0, 0.1)], -1.0)
+
+
+class TestSimConfigInputs:
+    @pytest.mark.parametrize("program,match", [
+        ([(0.5, 1.0)], "start at t=0"),
+        ([], "empty"),
+        ([(0.0, 0.1), (2.0, 0.9), (1.0, 0.5)], "strictly increase"),
+        ([(0.0, 0.1), (2.0, 0.9), (2.0, 0.5)], "strictly increase"),
+        ([(0.0, 0.1), (float("nan"), 0.9)], "strictly increase"),
+        ([(0.0, 0.1), (float("inf"), 0.9)], "finite"),
+        ([(0.0, 0.1), (1.0, float("nan"))], "finite"),
+        ([(0.0, float("inf"))], "finite"),
+        (float("nan"), "finite"),
+        (float("-inf"), "finite"),
+        (ConstantStimulus(float("inf"), 1.0), "finite"),
+    ])
+    def test_invalid_program_rejected(self, program, match):
+        with pytest.raises(ValueError, match=match):
+            SimConfig(horizon=1.0, inputs={"A": program})
+
+    @pytest.mark.parametrize("program", [
+        0.0, 1, 0.5, ConstantStimulus(0.7, 2.0), [(0.0, 0.2)],
+        [(0, 0.2), (0.5, 1.0), (0.75, 0)], ((0.0, 1.0), (1e-6, 0.0)),
+    ])
+    def test_valid_program_accepted(self, program):
+        SimConfig(horizon=1.0, inputs={"A": program})
 
 
 class TestSimulateGate:
@@ -62,6 +107,24 @@ class TestSimulateGate:
         cfg = SimConfig(horizon=1.0, step=0.1)
         s = simulate_gate(and_gate(), (0.6, 0.7), x0=0.0, cfg=cfg)
         assert np.all(s.values["u1"] == 0.6) and np.all(s.values["u2"] == 0.7)
+
+    @pytest.mark.parametrize("input_vars,output_var,match", [
+        (("a",), "x", "input name"),
+        (("a", "b", "c"), "x", "input name"),
+        (("a", "a"), "x", "distinct"),
+        (("u1", "u2"), "u1", "also an input"),
+    ])
+    def test_bad_names_rejected(self, input_vars, output_var, match):
+        cfg = SimConfig(horizon=1.0, step=0.1)
+        with pytest.raises(ValueError, match=match):
+            simulate_gate(and_gate(), (0.6, 0.7), 0.0, cfg,
+                          input_vars=input_vars, output_var=output_var)
+
+    def test_named_not_gate(self):
+        g = GateParams(GateKind.NOT, n=3, alpha=1.0, hill_k=(0.4,))
+        s = simulate_gate(g, (0.2,), 0.0, SimConfig(horizon=1.0, step=0.1),
+                          input_vars=["B"], output_var="xD")
+        assert set(s.values) == {"B", "xD"}
 
 
 class TestIntegrator:
@@ -209,3 +272,155 @@ class TestVerify:
         assert entry.robustness == pytest.approx(
             robustness(entry.formula, s), abs=1e-9
         )
+
+
+def _numpy_coupled_rk4(c, params, cfg):
+    """The array-state coupled RK4 loop that ``simulate_circuit`` replaced,
+    with its linear-scan ``schedule_value``, kept as a bitwise oracle."""
+
+    def level(schedule, t):
+        if isinstance(schedule, (int, float)):
+            return float(schedule)
+        value = None
+        for t0, lvl in schedule:
+            if t >= t0 - 1e-12:
+                value = lvl
+            else:
+                break
+        return float(value)
+
+    order = c.topo_order()
+    state_vars = [c.gates[gid].output for gid in order]
+    idx = {v: i for i, v in enumerate(state_vars)}
+    x = np.array([float(cfg.initial.get(v, 0.0)) for v in state_vars], dtype=float)
+    times = time_grid(cfg.horizon, cfg.step)
+    h = cfg.step
+    gate_list = [(params[gid], c.gates[gid].inputs, idx[c.gates[gid].output])
+                 for gid in order]
+    ext = set(c.external_inputs)
+
+    def deriv(y, t):
+        u = {v: level(cfg.inputs[v], t) for v in ext}
+        dy = np.empty_like(y)
+        for g, in_vars, out_i in gate_list:
+            vals = [u[v] if v in ext else y[idx[v]] for v in in_vars]
+            dy[out_i] = g.alpha * (gate_drive(g, vals) - y[out_i])
+        return dy
+
+    traj = np.empty((times.size, x.size))
+    traj[0] = x
+    for k in range(times.size - 1):
+        t = times[k]
+        k1 = deriv(x, t)
+        k2 = deriv(x + 0.5 * h * k1, t + 0.5 * h)
+        k3 = deriv(x + 0.5 * h * k2, t + 0.5 * h)
+        k4 = deriv(x + h * k3, t + h)
+        x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        traj[k + 1] = x
+    values = {v: np.array([level(cfg.inputs[v], t) for t in times])
+              for v in c.external_inputs}
+    for v, i in idx.items():
+        values[v] = traj[:, i]
+    return times, values
+
+
+def _assert_bitwise(c, params, cfg):
+    s = simulate_circuit(c, params, cfg)
+    times, values = _numpy_coupled_rk4(c, params, cfg)
+    assert np.array_equal(s.times, times)
+    assert list(s.values) == list(values)
+    for v, want in values.items():
+        assert s.values[v].tobytes() == want.tobytes(), v
+
+
+def _not_chain(stages):
+    th = Thresholds(plus=0.75, minus=0.25, p=0.1)
+    names = ["u"] + [f"x{i}" for i in range(stages)]
+    gates = {
+        f"g{i}": Gate(f"g{i}", GateKind.NOT, (names[i],), names[i + 1])
+        for i in range(stages)
+    }
+    c = Circuit(gates=gates, external_inputs=("u",),
+                outputs=((f"g{stages - 1}", "out"),),
+                thresholds={v: th for v in names}, delta=12.0, lam=4.0)
+    params = {gid: GateParams(GateKind.NOT, n=3, alpha=5.2, hill_k=(0.45,))
+              for gid in gates}
+    return c, params
+
+
+class TestCircuitMatchesArrayLoop:
+    def test_half_adder_every_combo(self, half_adder):
+        c, tb, params = half_adder
+        for a, b in itertools.product((0.0, 1.0), repeat=2):
+            cfg = SimConfig(horizon=16.0, step=0.01, inputs={"A": a, "B": b})
+            _assert_bitwise(c, params, cfg)
+
+    def test_not_chain(self):
+        c, params = _not_chain(16)
+        for u in (0.0, 1.0):
+            cfg = SimConfig(horizon=16.0, step=0.01, inputs={"u": u},
+                            initial={"x3": 0.8, "x10": 0.4})
+            _assert_bitwise(c, params, cfg)
+
+    @pytest.mark.parametrize("program", [
+        [(0.0, 0.0), (2.0, 1.0)],  # breakpoint on a grid time
+        [(0.0, 1.0), (0.005, 0.2), (3.0, 0.9)],  # at t + h/2 of step 0
+        [(0.0, 0.9), (2.015, 0.1)],  # at t + h/2 of a later step
+        [(0.0, 0.3), (1.2345, 0.8), (7.00001, 0.1)],  # off the grid
+        [(0.0, 0.3), (0.1 + 0.2, 0.6)],  # a rounding hair past a grid time
+    ])
+    def test_piecewise_programs(self, half_adder, program):
+        c, tb, params = half_adder
+        cfg = SimConfig(horizon=8.0, step=0.01,
+                        inputs={"A": program, "B": [(0.0, 1.0), (4.0, 0.0)]},
+                        initial={"xD": 0.7, "xS": 0.2})
+        _assert_bitwise(c, params, cfg)
+
+    def test_constant_stimulus_input(self, half_adder):
+        c, tb, params = half_adder
+        cfg = SimConfig(horizon=2.0, step=0.01,
+                        inputs={"A": ConstantStimulus(0.8, 2.0), "B": 0.3})
+        s = simulate_circuit(c, params, cfg)
+        assert np.all(s.values["A"] == 0.8) and np.all(s.values["B"] == 0.3)
+        _, values = _numpy_coupled_rk4(
+            c, params, SimConfig(horizon=2.0, step=0.01, inputs={"A": 0.8, "B": 0.3}))
+        for v, want in values.items():
+            assert np.array_equal(s.values[v], want), v
+
+
+class TestGateDriveCalls:
+    """One scalar ``gate_drive`` call per gate per RK4 stage, made through
+    this module's global, so a wrapper installed on it sees every call."""
+
+    def test_calls_per_stage(self, half_adder, monkeypatch):
+        c, tb, params = half_adder
+        calls = []
+        real = odesim.gate_drive
+
+        def counted(g, inputs):
+            calls.append(type(inputs[0]))
+            return real(g, inputs)
+
+        monkeypatch.setattr(odesim, "gate_drive", counted)
+        cfg = SimConfig(horizon=3.0, step=0.01, inputs={"A": 1.0, "B": 0.0})
+        s = simulate_circuit(c, params, cfg)
+        steps = s.times.size - 1
+        assert len(calls) == steps * 4 * len(c.gates) == 300 * 4 * 6
+        assert set(calls) == {float}  # Python floats, not np.float64
+
+    def test_verify_calls(self, monkeypatch):
+        c, params = _not_chain(3)
+        calls = 0
+        real = odesim.gate_drive
+
+        def counted(g, inputs):
+            nonlocal calls
+            calls += 1
+            return real(g, inputs)
+
+        monkeypatch.setattr(odesim, "gate_drive", counted)
+        tb = propagate_timing(c)
+        verify(c, params, tb, step=0.05)
+        steps = int(round((tb.network_lambda + tb.network_delta) / 0.05))
+        assert calls == 2 * steps * 4 * 3
+

@@ -1,4 +1,5 @@
 import csv
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from gatesynth.synth import (
     or_n_bound_m2, or_region_m2, sample_region, synthesize_circuit,
     synthesize_numeric, worst_case_output_robustness,
 )
+from gatesynth.synth import _and_share
 from gatesynth.gates import ExtendedTruthRow, truth_table
 from gatesynth.worstcase import worst_case
 
@@ -231,6 +233,44 @@ class TestArrayMembership:
         (lo1, _), (lo2, _) = and_box_m1(TH_34, TH_34, TH_34, 4).intervals.values()
         assert reg.membership((lo1, lo2)) == (True, "K1_low_rect")
         assert reg.membership((lo1 + 1e-3, lo2)) == (True, "K2_low_rect")
+
+
+class TestLargeHillCoefficient:
+    # plus and minus nearly coincide, so the Method 2 n bound is about 993,
+    # and at n = 994 the powers k^n and theta^n underflow
+    TH_IN = Thresholds(0.3, 0.2995)
+    TH_OUT = Thresholds(0.6, 0.3)
+    N = 994
+
+    @staticmethod
+    def exact_share(level, ttC, n, k):
+        F = Fraction
+        return float(F(level) ** n / (F(ttC) * (F(k) ** n + F(level) ** n)) - 1)
+
+    def test_sample_region_does_not_divide_by_zero(self):
+        reg = and_region_m2(self.TH_IN, self.TH_IN, self.TH_OUT, self.N)
+        assert reg.n_bound < self.N < reg.n_bound + 1
+        grid = NumericGrid(axes={"K1": (0.01, 1.0, 50), "K2": (0.01, 1.0, 50)})
+        pts, inside, binding = sample_region(reg, grid)
+        assert len(pts) == len(binding) == 2500
+        for pt, ok, why in zip(pts[::97], inside[::97], binding[::97]):
+            assert reg.membership(pt) == (ok, why)
+
+    def test_curve_radicand_matches_exact_arithmetic(self):
+        ttp, ttm = self.TH_OUT.tilde_plus, self.TH_OUT.tilde_minus
+        for level, ttC in ((0.3, ttp), (1.0, ttm), (0.2995, ttm)):
+            for k in np.linspace(0.01, 1.0, 50).tolist():
+                want = self.exact_share(level, ttC, self.N, k)
+                got = _and_share(level, ttC, self.N, k)
+                assert got == pytest.approx(want, rel=1e-14, abs=1e-300)
+
+    def test_normal_range_keeps_direct_form(self):
+        rng = np.random.default_rng(5)
+        for _ in range(2000):
+            level, k = rng.uniform(0.01, 1.0, 2).tolist()
+            ttC, n = float(rng.uniform(0.05, 0.95)), float(rng.uniform(1.0, 40.0))
+            direct = level**n / (ttC * (k**n + level**n)) - 1.0
+            assert _and_share(level, ttC, n, k) == direct
 
 
 class TestBoxSampling:
