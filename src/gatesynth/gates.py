@@ -7,6 +7,7 @@ dimensionless drive in [0, 1] determined by its inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -157,11 +158,35 @@ _DRIVE_OF_RATIOS = {
 }
 
 
+def _hill_ratio(u: float, k: float, n: float) -> float:
+    """(u/k)**n as a Python float power, or inf where it overflows."""
+    try:
+        return (u / k) ** n
+    except OverflowError:
+        return math.inf
+
+
+def _drive_at_overflow(kind: GateKind, inputs, hill_k, n: float) -> float:
+    """The drive's limit when some Hill ratio (u/K)^n overflows.
+
+    An input whose ratio is inf has activating term 1: AND keeps the
+    other input's term (1 if its ratio is inf too), OR gives 1, NOT 0.
+    """
+    if kind is GateKind.NOT:
+        return 0.0
+    if kind is GateKind.OR:
+        return 1.0
+    ratios = [_hill_ratio(u, k, n) for u, k in zip(inputs, hill_k)]
+    a, b = (1.0 if math.isinf(r) else r / (1.0 + r) for r in ratios)
+    return a * b
+
+
 def gate_drive(g: GateParams, inputs) -> float:
     """Dimensionless production term in [0, 1] for the given input levels.
 
     AND: product of activating Hill terms; OR: shared-saturation form
-    (u+v)/(1+u+v); NOT: repressing Hill term.
+    (u+v)/(1+u+v); NOT: repressing Hill term.  A Hill ratio (u/K)^n
+    beyond the float range gives the drive's limit as that ratio grows.
     """
     inputs = tuple(inputs)
     n, ks = g.n, g.hill_k
@@ -170,10 +195,15 @@ def gate_drive(g: GateParams, inputs) -> float:
         raise ValueError(
             f"{g.kind.value} gate takes {len(ks)} input(s), got {len(inputs)}"
         )
-    r0 = (inputs[0] / ks[0]) ** n
-    if len(inputs) == 1:
-        return _DRIVE_OF_RATIOS[g.kind](r0)
-    return _DRIVE_OF_RATIOS[g.kind](r0, (inputs[1] / ks[1]) ** n)
+    try:
+        r0 = (inputs[0] / ks[0]) ** n
+        if len(inputs) == 1:
+            return _DRIVE_OF_RATIOS[g.kind](r0)
+        return _DRIVE_OF_RATIOS[g.kind](r0, (inputs[1] / ks[1]) ** n)
+    except OverflowError:
+        # a helper, not a comprehension here: one would make n a cell
+        # variable and slow every call
+        return _drive_at_overflow(g.kind, inputs, ks, n)
 
 
 def gate_drives(kind: GateKind, n: float, inputs, hill_k: np.ndarray) -> np.ndarray:
@@ -185,11 +215,16 @@ def gate_drives(kind: GateKind, n: float, inputs, hill_k: np.ndarray) -> np.ndar
     float64 ``power`` is a SIMD kernel that can differ from libm ``pow``
     in the last bit.
     """
+    hill_k = np.asarray(hill_k, dtype=float)
     ratios = [
-        np.array([(u / k) ** n for k in col], dtype=float)
-        for u, col in zip(inputs, np.asarray(hill_k, dtype=float).T.tolist())
+        np.array([_hill_ratio(u, k, n) for k in col], dtype=float)
+        for u, col in zip(inputs, hill_k.T.tolist())
     ]
-    return _DRIVE_OF_RATIOS[kind](*ratios)
+    with np.errstate(invalid="ignore"):  # inf/inf where a ratio overflowed
+        drives = _DRIVE_OF_RATIOS[kind](*ratios)
+    for i in np.flatnonzero(np.isinf(ratios).any(axis=0)):
+        drives[i] = _drive_at_overflow(kind, inputs, hill_k[i].tolist(), n)
+    return drives
 
 
 def closed_form(K: float, alpha: float, x0: float, t):

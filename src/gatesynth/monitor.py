@@ -7,8 +7,9 @@ restricted to their window.  Two monitors are provided:
 
 * :func:`robustness` — array-based monitor; on uniform grids the temporal
   windows become fixed index ranges.  F/G windows use an O(T) block
-  prefix/suffix scan (van Herk; Gil & Werman) and Until an O(w) loop over
-  window offsets, each step one numpy operation over the whole trace.
+  prefix/suffix scan (van Herk; Gil & Werman), or a single reduction when
+  only one window fits, and Until an O(w) loop over window offsets, each
+  step one numpy operation over the whole trace.
 * :func:`robustness_naive` — direct recursive evaluation, O(n*w) per
   temporal operator, supporting arbitrary (non-uniform) grids.  Kept as an
   independent reference for differential testing.
@@ -18,6 +19,7 @@ Both use closed windows throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +56,8 @@ class SatVerdict:
 
 def _window_offsets(lo: float, hi: float, h: float) -> tuple[int, int]:
     """Grid-index offsets covered by a time window [lo, hi] on step h."""
-    ia = int(np.ceil(lo / h - _TOL))
-    ib = int(np.floor(hi / h + _TOL))
+    ia = math.ceil(lo / h - _TOL)
+    ib = math.floor(hi / h + _TOL)
     if ib < ia:
         raise HorizonError(
             f"window [{lo},{hi}] contains no grid point at step {h}"
@@ -70,6 +72,8 @@ def _sliding(arr: np.ndarray, ia: int, ib: int, pick: np.ufunc) -> np.ndarray:
     blocks of w = ib-ia+1 samples; a window starting at i covers the tail
     of its own block and the head of the next, so its extremum is
     pick(suffix[i], prefix[i+w-1]) of the per-block running extrema.
+    When exactly one window fits (an outermost F or G spanning the rest of
+    the trace) the result is one reduction over it.
     """
     if len(arr) < ib + 1:
         raise HorizonError("trace shorter than temporal window")
@@ -79,6 +83,8 @@ def _sliding(arr: np.ndarray, ia: int, ib: int, pick: np.ufunc) -> np.ndarray:
         return x.copy()
     m = len(x)
     n = m - w + 1
+    if n == 1:
+        return pick.reduce(x, keepdims=True)
     # pad to whole blocks; no full window reaches the padding
     blocks = np.empty(m + (-m % w))
     blocks[:m] = x

@@ -117,7 +117,7 @@ class Signal:
 
     def index_of(self, t: float, tol: float = 1e-9) -> int:
         """Index of the grid point at time ``t`` (must hit a sample)."""
-        i = int(np.searchsorted(self.times, t - tol))
+        i = int(self.times.searchsorted(t - tol))
         if i >= self.times.size or abs(self.times[i] - t) > tol:
             raise OutOfRangeError(f"t={t} is not a sample point of the trace")
         return i

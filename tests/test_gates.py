@@ -129,6 +129,47 @@ class TestGateDrives:
         assert gate_drives(GateKind.AND, 4, (0.5, 0.5), np.empty((0, 2))).shape == (0,)
 
 
+class TestHillRatioOverflow:
+    """A ratio (u/K)^n beyond the float range gives the drive's limit.
+
+    At n = 994 (the n of test_synth.py::TestLargeHillCoefficient) the
+    ratio (1/0.3)^n overflows, while (1/0.5)^n = 2^994 is finite and puts
+    the drive within 2^-994 of its limit.
+    """
+
+    N = 994
+
+    @pytest.mark.parametrize("kind,limit", [
+        (GateKind.AND, 1.0), (GateKind.OR, 1.0), (GateKind.NOT, 0.0),
+    ])
+    def test_limit_matches_saturated_neighbour(self, kind, limit):
+        u = (1.0,) * kind.arity
+        over = GateParams(kind, n=self.N, alpha=1.0, hill_k=(0.3,) * kind.arity)
+        finite = GateParams(kind, n=self.N, alpha=1.0, hill_k=(0.5,) * kind.arity)
+        assert gate_drive(over, u) == limit
+        assert gate_drive(finite, u) == pytest.approx(limit, abs=2.0**-994)
+
+    def test_and_keeps_the_finite_input_term(self):
+        g = GateParams(GateKind.AND, n=self.N, alpha=1.0, hill_k=(0.3, 0.9999))
+        assert gate_drive(g, (1.0, 1.0)) == hill_act(1.0, 0.9999, self.N)
+        assert gate_drive(g, (1.0, 0.0)) == 0.0
+
+    def test_or_with_one_ratio_overflowing(self):
+        g = GateParams(GateKind.OR, n=self.N, alpha=1.0, hill_k=(0.3, 0.9999))
+        assert gate_drive(g, (1.0, 0.2)) == 1.0
+
+    @pytest.mark.parametrize("kind", list(GateKind))
+    def test_batched_matches_scalar(self, kind):
+        rng = np.random.default_rng(11)
+        ks = rng.uniform(0.002, 1.0, (300, kind.arity))
+        ks[:3] = [0.3, 0.9999][:kind.arity]
+        for levels in ((1.0, 1.0), (1.0, 0.3), (0.3, 0.0)):
+            levels = levels[:kind.arity]
+            got = gate_drives(kind, self.N, levels, ks)
+            want = [gate_drive(GateParams(kind, self.N, 1.0, tuple(k)), levels) for k in ks]
+            assert got.tolist() == want
+
+
 class TestCheckKinetics:
     def test_scalars_and_arrays(self):
         check_kinetics(GateKind.AND, 4, 1.0, (0.4, 1.0))

@@ -3,7 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -297,8 +297,17 @@ def trace_and_window(draw):
     return arr, ia, ib
 
 
+@st.composite
+def single_window(draw, nan=True):
+    """A trace with room for exactly one window, [ia, ib] = [ia, len - 1]."""
+    values = st.floats(allow_nan=nan) | st.sampled_from([np.inf, -np.inf, 0.0, -0.0])
+    ia = draw(st.integers(0, 5))
+    arr = draw(arrays(np.float64, st.integers(ia + 1, ia + 60), elements=values))
+    return arr, ia, len(arr) - 1
+
+
 class TestSlidingKernel:
-    @given(trace_and_window())
+    @given(trace_and_window() | single_window())
     def test_matches_window_view(self, case):
         arr, ia, ib = case
         for pick, reduce in ((np.minimum, np.min), (np.maximum, np.max)):
@@ -306,6 +315,19 @@ class TestSlidingKernel:
             want = sliding_window_oracle(arr, ia, ib, reduce)
             assert got.shape == want.shape
             assert np.array_equal(got, want, equal_nan=True)
+
+    # no NaN here: the naive monitor's Python min/max skip a NaN that is
+    # not the first sample of a window
+    @given(single_window(nan=False))
+    def test_single_window_matches_naive(self, case):
+        arr, ia, ib = case
+        assume(ib > 0)  # a window [lo, hi] needs lo < hi
+        s = Signal(times=np.arange(len(arr)) * 0.1, values={"x": arr})
+        # an off-grid lower bound, rounded up to ia
+        lo = max(ia * 0.1 - 0.05, 0.0)
+        for op in (Eventually, Globally):
+            f = op(lo, ib * 0.1, Atom("x", ">=", 0.0))
+            assert robustness(f, s) == robustness_naive(f, s)
 
     def test_short_trace_raises(self):
         with pytest.raises(HorizonError):

@@ -147,20 +147,29 @@ class TestIntegrator:
             assert np.max(np.abs(out[:, j] - exact)) < 1e-9
 
     def test_stages_bitwise(self):
-        # the classic RK4 stage order with f(y) = alpha * (drive - y)
-        drive, alpha, h = np.array([0.1, 0.55, 0.97]), 1.7, 0.01
-        f = lambda y: alpha * (drive - y)
-        x = np.array([1.0, 0.0, 0.3])
-        want = [x]
-        for _ in range(250):
-            k1 = f(x)
-            k2 = f(x + 0.5 * h * k1)
-            k3 = f(x + 0.5 * h * k2)
-            k4 = f(x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            want.append(x)
-        out = simulate_constant_drive(drive, alpha, want[0], h, 250)
-        assert np.array_equal(out, np.array(want))
+        # the classic RK4 stage order with f(y) = alpha * (drive - y), on
+        # mixed drives and initial values, up to alpha*h = 2.5
+        rng = np.random.default_rng(3)
+        for n_traj, alpha, h in ((1, 1.7, 0.01), (3, 1.7, 0.01), (900, 1.7, 0.01),
+                                 (900, 0.05, 0.1), (900, 250.0, 0.01)):
+            drive, x = rng.uniform(0.0, 1.0, (2, n_traj))
+            x[::2] = rng.choice([0.0, 1.0], x[::2].shape)
+            want = [x]
+            for _ in range(250):
+                k1 = alpha * (drive - x)
+                k2 = alpha * (drive - (x + 0.5 * h * k1))
+                k3 = alpha * (drive - (x + 0.5 * h * k2))
+                k4 = alpha * (drive - (x + h * k3))
+                x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+                want.append(x)
+            out = simulate_constant_drive(drive, alpha, want[0], h, 250)
+            assert out.tobytes() == np.array(want).tobytes()
+
+    def test_scalar_initial_value_and_no_steps(self):
+        drive = np.array([0.2, 0.9])
+        out = simulate_constant_drive(drive, 1.0, 0.5, 0.01, 10)
+        assert np.array_equal(out, simulate_constant_drive(drive, 1.0, np.full(2, 0.5), 0.01, 10))
+        assert simulate_constant_drive(drive, 1.0, 0.5, 0.01, 0).tolist() == [[0.5, 0.5]]
 
     def test_determinism(self):
         g = and_gate()

@@ -1,4 +1,5 @@
 import csv
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gatesynth.circuit import Circuit, Gate, propagate_timing
-from gatesynth.gates import GateKind, GateParams, Thresholds, gate_drive
+from gatesynth.formulas import Atom, Eventually, Globally
+from gatesynth.gates import (
+    HIGH, GateKind, GateParams, Thresholds, closed_form, gate_drive, gate_drives,
+)
+from gatesynth.monitor import robustness
+from gatesynth.odesim import simulate_constant_drive, time_grid
+from gatesynth.signals import Signal
 from gatesynth.synth import (
     GATE_RULES, CurvedRegion, EmptyRegionError, NumericGrid, ParamBox,
     alpha_bound, and_box_m1, and_n_bound_m1, and_n_bound_m2, and_region_m2,
@@ -272,6 +279,19 @@ class TestLargeHillCoefficient:
             direct = level**n / (ttC * (k**n + level**n)) - 1.0
             assert _and_share(level, ttC, n, k) == direct
 
+    @pytest.mark.parametrize("kind", list(GateKind))
+    def test_worst_case_robustness_past_float_range(self, kind):
+        # at K = 0.01 every nonzero input level's ratio overflows; at K = 0.2
+        # a threshold level's ratio is finite, about e^400, which puts the
+        # drive within e^-400 of its limit
+        ths = (self.TH_IN,) * kind.arity
+        ks = np.array([[0.01] * kind.arity, [0.2] * kind.arity])
+        for row, _ in truth_table(kind, ("a", "b")[:kind.arity], "x", 1.0, 1.0,
+                                  {"a": self.TH_IN, "b": self.TH_IN, "x": self.TH_OUT}):
+            over, finite = worst_case_output_robustness(
+                kind, row, ths, self.TH_OUT, ks, self.N, 5.0)
+            assert over == pytest.approx(finite, abs=1e-15)
+
 
 class TestBoxSampling:
     def test_closed_bounds_and_missing_axes(self):
@@ -427,6 +447,88 @@ class TestSynthesizeNumeric:
             GateKind.AND, row, (TH_34, TH_34), TH_34,
             np.array([[0.3, 0.3]]), 4, 5.0, step=0.01)
         assert rho.shape == (1,) and np.isfinite(rho[0])
+
+
+def per_point_robustness(kind, row, input_ths, output_th, k_values, n, alpha,
+                         step=0.01, output_var="x"):
+    """worst_case_output_robustness as a loop with one Signal per K point,
+    kept as the reference for the one-Signal-per-row form."""
+    wc = worst_case(kind, row, input_ths)
+    k_values = np.atleast_2d(np.asarray(k_values, dtype=float))
+    drives = gate_drives(kind, n, wc.levels, k_values)
+    times = time_grid(row.lam + row.delta, step)
+    traj = simulate_constant_drive(
+        drives, alpha, np.full(len(drives), wc.x0), step, times.size - 1
+    )
+    high = row.output_level == HIGH
+    f = Eventually(0.0, row.delta, Globally(0.0, row.lam, Atom(
+        output_var, ">=" if high else "<=", output_th.plus if high else output_th.minus,
+    )))
+    rhos = np.empty(len(drives))
+    for i in range(len(drives)):
+        sig = Signal(times=times, values={output_var: traj[:, i]})
+        rhos[i] = robustness(f, sig, 0.0)
+    return rhos
+
+
+class TestWorstCaseRobustness:
+    TH_IN = Thresholds(plus=0.7, minus=0.2, p=0.1)
+    TH_OUT = Thresholds(plus=0.6, minus=0.35, p=0.1)
+
+    @pytest.mark.parametrize("kind", list(GateKind))
+    @pytest.mark.parametrize("n_points", [1, 900])
+    def test_bitwise_equal_to_per_point_signals(self, kind, n_points):
+        # lam + delta = 2.004 is off the step grid
+        rng = np.random.default_rng(n_points)
+        ks = rng.uniform(0.05, 1.0, (n_points, kind.arity))
+        ths = {"a": self.TH_IN, "b": self.TH_IN, "x": self.TH_OUT}
+        for row, _ in truth_table(kind, ("a", "b")[:kind.arity], "x", 1.0, 1.004, ths):
+            args = (kind, row, (self.TH_IN,) * kind.arity, self.TH_OUT, ks, 4.0, 3.0)
+            got = worst_case_output_robustness(*args)
+            assert got.tobytes() == per_point_robustness(*args).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(list(GateKind)), row_index=st.integers(0, 3),
+           th_in=thresholds(), th_out=thresholds(), n=st.floats(1.0, 12.0),
+           alpha_h=st.floats(0.001, 0.1) | st.floats(0.1, 2.78), step=st.sampled_from([0.01, 0.05, 0.1]),
+           delta=st.floats(0.05, 3.0), lam=st.floats(0.05, 3.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_sampled_endpoint_oracle(self, kind, row_index, th_in, th_out, n,
+                                     alpha_h, step, delta, lam, seed):
+        """The worst-case robustness is the trajectory's sample at delta.
+
+        With alpha*h <= 2.78 RK4 moves monotonically toward a constant
+        drive, so F[0,delta] G[0,lam] picks the last sample in [0, delta].
+        RK4 lags the exact solution, so the continuous-time robustness is
+        never below the sampled one (up to rounding in the closed form,
+        seen at 1e-16).  Where alpha*h <= 0.1 the RK4 error
+        stays below 1e-6 and the exact solution converges at rate at most
+        alpha, so the gap is at most alpha times the part of delta past
+        that sample, plus 1e-6.
+        """
+        alpha = alpha_h / step
+        ths = {"a": th_in, "b": th_in, "x": th_out}
+        table = truth_table(kind, ("a", "b")[:kind.arity], "x", delta, lam, ths)
+        row = table[row_index % len(table)][0]
+        ks = np.random.default_rng(seed).uniform(0.01, 1.0, (8, kind.arity))
+        rho = worst_case_output_robustness(
+            kind, row, (th_in,) * kind.arity, th_out, ks, n, alpha, step)
+
+        wc = worst_case(kind, row, (th_in,) * kind.arity)
+        drives = gate_drives(kind, n, wc.levels, ks)
+        times = time_grid(lam + delta, step)
+        traj = simulate_constant_drive(drives, alpha, np.full(8, wc.x0), step, times.size - 1)
+        j = math.floor(delta / step + 1e-9)  # the monitor's grid tolerance
+        x_cont = closed_form(drives, alpha, wc.x0, delta)
+        if row.output_level == HIGH:
+            want, rho_cont = traj[j] - th_out.plus, x_cont - th_out.plus
+        else:
+            want, rho_cont = th_out.minus - traj[j], th_out.minus - x_cont
+        assert rho.tobytes() == want.tobytes()
+        gap = rho_cont - rho
+        assert np.all(gap >= -1e-12)
+        if alpha_h <= 0.1:
+            assert np.all(gap <= alpha * max(delta - j * step, 0.0) + 1e-6)
 
 
 class TestRegionExport:
