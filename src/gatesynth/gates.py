@@ -123,22 +123,22 @@ class ExtendedTruthRow:
 
 
 def hill_act(x: float, K: float, n: float):
-    """Activating Hill term x^n / (K^n + x^n)."""
+    """Activating Hill term x^n / (K^n + x^n); 1 where (x/K)^n overflows."""
     if K <= 0 or n <= 0:
         raise ValueError("need K > 0 and n > 0")
-    r = (x / K) ** n
-    return r / (1.0 + r)
+    r = _hill_ratio(x, K, n)
+    return r / (1.0 + r) if r != math.inf else 1.0
 
 
 def hill_rep(x: float, K: float, n: float):
-    """Repressing Hill term 1 / (1 + (x/K)^n)."""
+    """Repressing Hill term 1 / (1 + (x/K)^n); 0 where (x/K)^n overflows."""
     if K <= 0 or n <= 0:
         raise ValueError("need K > 0 and n > 0")
-    return 1.0 / (1.0 + (x / K) ** n)
+    return 1.0 / (1.0 + _hill_ratio(x, K, n))
 
 
-# The drive as a function of the Hill ratios r_i = (u_i/K_i)^n.  Each
-# works elementwise on floats and on numpy arrays alike.
+# The drive as a function of arrays of Hill ratios r_i = (u_i/K_i)^n, for
+# gate_drives; gate_drive inlines the same expressions on floats.
 def _and_of_ratios(r0, r1):
     return r0 / (1.0 + r0) * (r1 / (1.0 + r1))
 
@@ -156,6 +156,7 @@ _DRIVE_OF_RATIOS = {
     GateKind.OR: _or_of_ratios,
     GateKind.NOT: _not_of_ratios,
 }
+_AND, _NOT = GateKind.AND, GateKind.NOT
 
 
 def _hill_ratio(u: float, k: float, n: float) -> float:
@@ -167,7 +168,8 @@ def _hill_ratio(u: float, k: float, n: float) -> float:
 
 
 def _drive_at_overflow(kind: GateKind, inputs, hill_k, n: float) -> float:
-    """The drive's limit when some Hill ratio (u/K)^n overflows.
+    """The drive's limit when some Hill ratio (u/K)^n, or an OR gate's sum
+    of ratios, overflows.
 
     An input whose ratio is inf has activating term 1: AND keeps the
     other input's term (1 if its ratio is inf too), OR gives 1, NOT 0.
@@ -185,25 +187,32 @@ def gate_drive(g: GateParams, inputs) -> float:
     """Dimensionless production term in [0, 1] for the given input levels.
 
     AND: product of activating Hill terms; OR: shared-saturation form
-    (u+v)/(1+u+v); NOT: repressing Hill term.  A Hill ratio (u/K)^n
-    beyond the float range gives the drive's limit as that ratio grows.
+    (u+v)/(1+u+v); NOT: repressing Hill term.  A Hill ratio (u/K)^n, or
+    an OR gate's sum of ratios, beyond the float range gives the drive's
+    limit as that ratio grows.
     """
     inputs = tuple(inputs)
-    n, ks = g.n, g.hill_k
+    n, ks, kind = g.n, g.hill_k, g.kind
     # check_kinetics makes len(hill_k) the kind's arity
     if len(inputs) != len(ks):
         raise ValueError(
-            f"{g.kind.value} gate takes {len(ks)} input(s), got {len(inputs)}"
+            f"{kind.value} gate takes {len(ks)} input(s), got {len(inputs)}"
         )
+    # identity tests on the kind, not a table lookup: hashing a str Enum
+    # member runs in Python, and this runs once per gate per RK4 stage
     try:
         r0 = (inputs[0] / ks[0]) ** n
-        if len(inputs) == 1:
-            return _DRIVE_OF_RATIOS[g.kind](r0)
-        return _DRIVE_OF_RATIOS[g.kind](r0, (inputs[1] / ks[1]) ** n)
+        if kind is _NOT:
+            return 1.0 / (1.0 + r0)
+        r1 = (inputs[1] / ks[1]) ** n
     except OverflowError:
         # a helper, not a comprehension here: one would make n a cell
         # variable and slow every call
-        return _drive_at_overflow(g.kind, inputs, ks, n)
+        return _drive_at_overflow(kind, inputs, ks, n)
+    if kind is _AND:
+        return r0 / (1.0 + r0) * (r1 / (1.0 + r1))
+    total = r0 + r1
+    return total / (1.0 + r0 + r1) if total != math.inf else 1.0
 
 
 def gate_drives(kind: GateKind, n: float, inputs, hill_k: np.ndarray) -> np.ndarray:
@@ -220,9 +229,13 @@ def gate_drives(kind: GateKind, n: float, inputs, hill_k: np.ndarray) -> np.ndar
         np.array([_hill_ratio(u, k, n) for k in col], dtype=float)
         for u, col in zip(inputs, hill_k.T.tolist())
     ]
-    with np.errstate(invalid="ignore"):  # inf/inf where a ratio overflowed
+    # inf/inf where a ratio, or an OR gate's sum of ratios, overflowed
+    with np.errstate(invalid="ignore", over="ignore"):
         drives = _DRIVE_OF_RATIOS[kind](*ratios)
-    for i in np.flatnonzero(np.isinf(ratios).any(axis=0)):
+        at_limit = np.isinf(ratios).any(axis=0)
+        if kind is GateKind.OR:
+            at_limit |= np.isinf(ratios[0] + ratios[1])
+    for i in np.flatnonzero(at_limit):
         drives[i] = _drive_at_overflow(kind, inputs, hill_k[i].tolist(), n)
     return drives
 

@@ -5,14 +5,14 @@ dx/dt = alpha * (drive(inputs) - x), with external inputs read from
 piecewise-constant schedules.  Fixed-step RK4 keeps runs deterministic
 and aligns the trace grid with the monitoring grid.
 
-:func:`simulate_circuit` builds a gate program once per call (the
-topological order; per gate its parameters and the slots of its inputs
-in one state-plus-inputs list) and reads every input program at all RK4
-stage times up front, so the coupled loop steps Python floats, not numpy
-arrays.  Each stage still makes one scalar :func:`gates.gate_drive` call
-per gate: a scalar call costs less on floats than on ``np.float64``, and
-the benchmark's traced self-check counts those calls, so batching the
-drives waits on a benchmark that counts gate-steps instead.
+:func:`simulate_circuit` integrates a circuit gate by gate in
+topological order, which the DAG permits because a gate's drive reads
+only upstream signals.  Each gate runs its own RK4 recurrence over every
+step on Python floats, fed by one scalar :func:`gates.gate_drive` call
+per RK4 stage from its inputs' recorded stage values, and records its
+own stage states for its consumers.  The per-gate recurrence is the
+piece an array scan can replace; the per-stage calls stay scalar while
+the benchmark's traced self-check counts them.
 
 :func:`simulate_constant_drive`, the batch of single-gate trajectories
 behind numeric synthesis, steps every trajectory at once in preallocated
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -217,31 +218,22 @@ def _stage_list(schedule, times: np.ndarray) -> list[float]:
     return _levels_at(schedule, times).tolist()
 
 
-def _rates(program, y: list) -> list:
-    """alpha * (drive - x) of every gate at the stage values ``y``.
-
-    ``program`` holds (params, alpha, input slots) per gate in state
-    order; ``y`` holds the gate states, then the external input levels.
-    ``gate_drive`` is looked up at call time, so a wrapper installed on
-    this module sees every call.
-    """
-    return [
-        a * (gate_drive(g, (y[s[0]],) if len(s) == 1 else (y[s[0]], y[s[1]])) - y[i])
-        for i, (g, a, s) in enumerate(program)
-    ]
-
-
 def simulate_circuit(
     c: Circuit, params: dict[str, GateParams], cfg: SimConfig
 ) -> Signal:
-    """Integrate the coupled gate ODEs of a circuit.
+    """Integrate the gate ODEs of a circuit by RK4, one gate at a time.
 
-    All gate equations advance together; external inputs are read from
-    ``cfg.inputs``.  The trace contains external inputs and every gate
-    output variable.  The state is stepped as Python floats in the order
-    of operations of the array form
-    x + (h/6) * (k1 + 2*k2 + 2*k3 + k4), so trajectories are the same to
-    the last bit.
+    External inputs are read from ``cfg.inputs``; the trace contains the
+    external inputs and every gate output variable.  A gate's drive reads
+    only upstream signals, so the gates are integrated in topological
+    order, each over every step before its consumers.  A gate's drive at
+    the four RK4 stages of each step comes from the stage values of its
+    inputs: an upstream gate's x, x + (h/2)*k1, x + (h/2)*k2 and x + h*k3,
+    an external input's level at t, t + h/2, t + h/2 and t + h.  Its own
+    recurrence runs on Python floats in the order of operations of the
+    coupled array form x + (h/6) * (k1 + 2*k2 + 2*k3 + k4), so
+    trajectories are the same to the last bit as stepping all gates
+    together.
     """
     missing = set(c.gates) - set(params)
     if missing:
@@ -250,46 +242,59 @@ def simulate_circuit(
         if var not in cfg.inputs:
             raise ValueError(f"no input program for external input {var!r}")
 
-    # the gate program: per gate in topological order, its parameters and
-    # the slots of its inputs in the state-plus-inputs list
-    order = c.topo_order()
-    ext = c.external_inputs
-    state_vars = [c.gates[gid].output for gid in order]
-    slot = {v: i for i, v in enumerate(state_vars + list(ext))}
-    program = [
-        (params[gid], params[gid].alpha, tuple(slot[v] for v in c.gates[gid].inputs))
-        for gid in order
-    ]
-
     times = time_grid(cfg.horizon, cfg.step)
     h = cfg.step
     n_steps = times.size - 1
-    at_t = {v: _levels_at(cfg.inputs[v], times) for v in ext}
-    # per input, its levels at every step's stage times t, t + h/2 and t + h
-    u_t, u_mid, u_end = (
-        [_stage_list(cfg.inputs[v], ts) for v in ext]
-        for ts in (times[:-1], times[:-1] + 0.5 * h, times[:-1] + h)
-    )
+    ext = c.external_inputs
+    values = {v: _levels_at(cfg.inputs[v], times) for v in ext}
+    # per signal still to be read, its values at the four RK4 stages of
+    # every step, n_steps each
+    stages = {}
+    for v in ext:
+        u_t, u_mid, u_end = (
+            _stage_list(cfg.inputs[v], ts)
+            for ts in (times[:-1], times[:-1] + 0.5 * h, times[:-1] + h)
+        )
+        stages[v] = (u_t, u_mid, u_mid, u_end)
+    order = c.topo_order()
+    last_reader = {v: i for i, gid in enumerate(order) for v in c.gates[gid].inputs}
 
-    x = [float(cfg.initial.get(v, 0.0)) for v in state_vars]
-    traj = np.empty((times.size, len(x)))
-    traj[0] = x
+    # a local for speed, read at each call, so a wrapper installed on this
+    # module's gate_drive before the call sees every call
+    gd = gate_drive
     half, sixth = 0.5 * h, h / 6.0
-    for k in range(n_steps):
-        mid = [u[k] for u in u_mid]
-        k1 = _rates(program, x + [u[k] for u in u_t])
-        k2 = _rates(program, [xi + half * d for xi, d in zip(x, k1)] + mid)
-        k3 = _rates(program, [xi + half * d for xi, d in zip(x, k2)] + mid)
-        k4 = _rates(program, [xi + h * d for xi, d in zip(x, k3)] + [u[k] for u in u_end])
-        x = [
-            xi + sixth * (a + 2 * b + 2 * c_ + d)
-            for xi, a, b, c_, d in zip(x, k1, k2, k3, k4)
+    for i, gid in enumerate(order):
+        gate, g = c.gates[gid], params[gid]
+        a = g.alpha
+        drives = [
+            map(gd, itertools.repeat(g), zip(*seqs))
+            for seqs in zip(*(stages[v] for v in gate.inputs))
         ]
-        traj[k + 1] = x
-
-    values = at_t
-    for i, v in enumerate(state_vars):
-        values[v] = traj[:, i]
+        x = float(cfg.initial.get(gate.output, 0.0))
+        # float64 buffers, a quarter of the memory of lists of float
+        # objects; iterating one yields Python floats
+        xs, y2s, y3s, y4s = array("d", [x]), array("d"), array("d"), array("d")
+        put_x, put2, put3, put4 = xs.append, y2s.append, y3s.append, y4s.append
+        for d1, d2, d3, d4 in zip(*drives):
+            k1 = a * (d1 - x)
+            y = x + half * k1
+            put2(y)
+            k2 = a * (d2 - y)
+            y = x + half * k2
+            put3(y)
+            k3 = a * (d3 - y)
+            y = x + h * k3
+            put4(y)
+            k4 = a * (d4 - y)
+            x = x + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+            put_x(x)
+        values[gate.output] = np.array(xs)
+        if gate.output in last_reader:
+            # stage 1 of step k is x_k, so the trajectory less its last point
+            stages[gate.output] = (memoryview(xs)[:n_steps], y2s, y3s, y4s)
+        for v in gate.inputs:  # released after their last reader
+            if last_reader[v] == i:
+                stages.pop(v, None)
     return Signal(times=times, values=values)
 
 

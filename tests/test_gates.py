@@ -105,9 +105,14 @@ class TestGateDrive:
            n=st.floats(0.5, 8.0))
     def test_hill_term_forms_bitwise(self, u, k, n):
         gand = GateParams(GateKind.AND, n=n, alpha=1.0, hill_k=k)
+        gor = GateParams(GateKind.OR, n=n, alpha=1.0, hill_k=k)
         gnot = GateParams(GateKind.NOT, n=n, alpha=1.0, hill_k=k[:1])
         assert gate_drive(gand, u) == hill_act(u[0], k[0], n) * hill_act(u[1], k[1], n)
         assert gate_drive(gnot, u[:1]) == hill_rep(u[0], k[0], n)
+        r0, r1 = (u[0] / k[0]) ** n, (u[1] / k[1]) ** n
+        assert gate_drive(gor, u) == (r0 + r1) / (1.0 + r0 + r1)
+        assert hill_act(u[0], k[0], n) == r0 / (1.0 + r0)
+        assert hill_rep(u[0], k[0], n) == 1.0 / (1.0 + r0)
 
 
 class TestGateDrives:
@@ -158,11 +163,34 @@ class TestHillRatioOverflow:
         g = GateParams(GateKind.OR, n=self.N, alpha=1.0, hill_k=(0.3, 0.9999))
         assert gate_drive(g, (1.0, 0.2)) == 1.0
 
+    def test_hill_terms_at_their_limits(self):
+        assert hill_act(1.0, 0.3, self.N) == 1.0
+        assert hill_rep(1.0, 0.3, self.N) == 0.0
+        assert hill_act(1.0, 0.5, self.N) == pytest.approx(1.0, abs=2.0**-994)
+        assert hill_rep(1.0, 0.5, self.N) == pytest.approx(0.0, abs=2.0**-994)
+
+    def test_or_sum_overflowing(self):
+        # each ratio is about 1.1e308, finite, but their sum is inf
+        k = math.exp(-709.3 / self.N)
+        g = GateParams(GateKind.OR, n=self.N, alpha=1.0, hill_k=(k, k))
+        assert math.isfinite((1.0 / k) ** self.N)
+        assert gate_drive(g, (1.0, 1.0)) == 1.0
+        assert gate_drives(GateKind.OR, self.N, (1.0, 1.0), [[k, k], [0.5, 0.5]]).tolist() == [
+            1.0, gate_drive(GateParams(GateKind.OR, self.N, 1.0, (0.5, 0.5)), (1.0, 1.0))]
+
+    @pytest.mark.parametrize("kind", list(GateKind))
+    def test_nan_input_gives_nan(self, kind):
+        g = GateParams(kind, n=4, alpha=1.0, hill_k=(0.4, 0.4)[:kind.arity])
+        levels = (math.nan, 0.5)[:kind.arity]
+        assert math.isnan(gate_drive(g, levels))
+        assert np.isnan(gate_drives(kind, 4, levels, [g.hill_k])).all()
+
     @pytest.mark.parametrize("kind", list(GateKind))
     def test_batched_matches_scalar(self, kind):
         rng = np.random.default_rng(11)
         ks = rng.uniform(0.002, 1.0, (300, kind.arity))
         ks[:3] = [0.3, 0.9999][:kind.arity]
+        ks[3:6] = math.exp(-709.3 / self.N)  # only an OR gate's sum overflows
         for levels in ((1.0, 1.0), (1.0, 0.3), (0.3, 0.0)):
             levels = levels[:kind.arity]
             got = gate_drives(kind, self.N, levels, ks)

@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from gatesynth.signals import ConstantStimulus
 from gatesynth.synth import alpha_bound, synthesize_circuit
 
 TH = Thresholds(plus=0.75, minus=0.25, p=0.1)
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def and_gate(alpha=0.9222, k=(0.40, 0.40), n=4):
@@ -397,39 +399,108 @@ class TestCircuitMatchesArrayLoop:
             assert np.array_equal(s.values[v], want), v
 
 
+@pytest.fixture
+def ripple2(monkeypatch):
+    """The benchmark's 2-bit ripple-carry adder, its gate list shuffled,
+    with a different alpha per gate."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import gencircuits
+
+    data = gencircuits.shuffled(gencircuits.ripple_carry_adder(2),
+                                np.random.default_rng(4))
+    c = Circuit.from_dict(data)
+    kinetics = {GateKind.AND: (4, (0.40, 0.45)), GateKind.OR: (3.5, (0.35, 0.4)),
+                GateKind.NOT: (3, (0.45,))}
+    params = {}
+    for i, (gid, gate) in enumerate(sorted(c.gates.items())):
+        n, k = kinetics[gate.kind]
+        params[gid] = GateParams(gate.kind, n=n, alpha=0.7 + 0.3 * i, hill_k=k)
+    return c, params
+
+
+class TestRippleCarryAdderMatchesArrayLoop:
+    """Gate-major integration of a 19-gate circuit with fan-out, bitwise
+    against the coupled array loop."""
+
+    INITIAL = {"xg0": 0.9, "xg5": 0.3, "xg11": 0.6, "xg18": 0.05}
+
+    def test_every_combo(self, ripple2):
+        c, params = ripple2
+        assert list(c.gates) != sorted(c.gates, key=lambda gid: int(gid[1:]))
+        for levels in itertools.product((0.0, 1.0), repeat=len(c.external_inputs)):
+            cfg = SimConfig(horizon=3.0, step=0.01,
+                            inputs=dict(zip(c.external_inputs, levels)),
+                            initial=self.INITIAL)
+            _assert_bitwise(c, params, cfg)
+
+    def test_piecewise_program(self, ripple2):
+        c, params = ripple2
+        inputs = {"a0": [(0.0, 0.0), (0.805, 1.0), (2.0, 0.3)], "b0": 1.0,
+                  "a1": [(0.0, 1.0), (1.2345, 0.0)], "b1": 0.6}
+        cfg = SimConfig(horizon=3.0, step=0.01, inputs=inputs, initial=self.INITIAL)
+        _assert_bitwise(c, params, cfg)
+
+
+def _record_calls(monkeypatch) -> list:
+    """Wrap odesim's gate_drive; the list gets the input types of each call."""
+    calls = []
+    real = odesim.gate_drive
+
+    def counted(g, inputs):
+        calls.append(tuple(map(type, inputs)))
+        return real(g, inputs)
+
+    monkeypatch.setattr(odesim, "gate_drive", counted)
+    return calls
+
+
 class TestGateDriveCalls:
     """One scalar ``gate_drive`` call per gate per RK4 stage, made through
     this module's global, so a wrapper installed on it sees every call."""
 
     def test_calls_per_stage(self, half_adder, monkeypatch):
         c, tb, params = half_adder
-        calls = []
-        real = odesim.gate_drive
-
-        def counted(g, inputs):
-            calls.append(type(inputs[0]))
-            return real(g, inputs)
-
-        monkeypatch.setattr(odesim, "gate_drive", counted)
+        calls = _record_calls(monkeypatch)
         cfg = SimConfig(horizon=3.0, step=0.01, inputs={"A": 1.0, "B": 0.0})
         s = simulate_circuit(c, params, cfg)
         steps = s.times.size - 1
         assert len(calls) == steps * 4 * len(c.gates) == 300 * 4 * 6
-        assert set(calls) == {float}  # Python floats, not np.float64
+        assert set(itertools.chain(*calls)) == {float}  # not np.float64
+
+    def test_calls_with_fan_out(self, monkeypatch):
+        # N feeds P and Q; Q reads two gates and R one, so a stage sequence
+        # one step too long would add calls
+        th = {v: TH for v in ("a", "b", "xN", "xP", "xQ", "xR")}
+        c = Circuit(
+            gates={
+                "N": Gate("N", GateKind.NOT, ("a",), "xN"),
+                "P": Gate("P", GateKind.AND, ("xN", "b"), "xP"),
+                "Q": Gate("Q", GateKind.OR, ("xN", "xP"), "xQ"),
+                "R": Gate("R", GateKind.NOT, ("xQ",), "xR"),
+            },
+            external_inputs=("a", "b"),
+            outputs=(("R", "out"),),
+            thresholds=th, delta=4.0, lam=4.0,
+        )
+        params = {
+            "N": GateParams(GateKind.NOT, n=3, alpha=2.0, hill_k=(0.45,)),
+            "P": and_gate(),
+            "Q": GateParams(GateKind.OR, n=3, alpha=1.3, hill_k=(0.4, 0.5)),
+            "R": GateParams(GateKind.NOT, n=2, alpha=0.8, hill_k=(0.5,)),
+        }
+        calls = _record_calls(monkeypatch)
+        cfg = SimConfig(horizon=2.0, step=0.01, initial={"xQ": 0.5},
+                        inputs={"a": 0.0, "b": [(0.0, 1.0), (1.0, 0.2)]})
+        steps = simulate_circuit(c, params, cfg).times.size - 1
+        assert len(calls) == steps * 4 * len(c.gates) == 200 * 4 * 4
+        assert set(itertools.chain(*calls)) == {float}
+        monkeypatch.undo()
+        _assert_bitwise(c, params, cfg)
 
     def test_verify_calls(self, monkeypatch):
         c, params = _not_chain(3)
-        calls = 0
-        real = odesim.gate_drive
-
-        def counted(g, inputs):
-            nonlocal calls
-            calls += 1
-            return real(g, inputs)
-
-        monkeypatch.setattr(odesim, "gate_drive", counted)
+        calls = _record_calls(monkeypatch)
         tb = propagate_timing(c)
         verify(c, params, tb, step=0.05)
         steps = int(round((tb.network_lambda + tb.network_delta) / 0.05))
-        assert calls == 2 * steps * 4 * 3
-
+        assert len(calls) == 2 * steps * 4 * 3
