@@ -210,7 +210,10 @@ def gate_drive(g: GateParams, inputs) -> float:
         # variable and slow every call
         return _drive_at_overflow(kind, inputs, ks, n)
     if kind is _AND:
-        return r0 / (1.0 + r0) * (r1 / (1.0 + r1))
+        d = r0 / (1.0 + r0) * (r1 / (1.0 + r1))
+        # an infinite input level gives ratio inf without an OverflowError,
+        # then inf/inf; NaN inputs stay NaN there too
+        return d if d == d else _drive_at_overflow(kind, inputs, ks, n)
     total = r0 + r1
     return total / (1.0 + r0 + r1) if total != math.inf else 1.0
 

@@ -123,15 +123,33 @@ class Signal:
         return i
 
 
+# rows formatted per chunk: one string for the whole trace would hold
+# every row's text at once
+_CHUNK_ROWS = 1024
+
+
 def write_trace_csv(signal: Signal, path_or_file) -> None:
-    """Write a trace as CSV with header ``t,var1,var2,...``."""
+    """Write a trace as CSV with header ``t,var1,var2,...``.
+
+    The header is written by :mod:`csv`, so a name is quoted under its
+    rules.  Each value is the shortest round-trip ``repr`` of its float
+    (``inf``, ``-inf`` and ``nan`` included) and every line ends in
+    ``\\r\\n``, the :mod:`csv` default.  Rows are formatted
+    :data:`_CHUNK_ROWS` at a time.  An empty variable name raises
+    ``ValueError`` before any file is opened.
+    """
     names = signal.variables
+    if not all(names):
+        raise ValueError(f"trace has an empty variable name: {names}")
+    columns = [signal.times] + [signal.values[v] for v in names]
+    # %r of a Python float is its repr
+    line = ",".join(["%r"] * len(columns)) + "\r\n"
 
     def _write(fh):
-        w = csv.writer(fh)
-        w.writerow(["t"] + names)
-        for i, t in enumerate(signal.times):
-            w.writerow([repr(float(t))] + [repr(float(signal.values[v][i])) for v in names])
+        csv.writer(fh).writerow(["t"] + names)
+        for start in range(0, signal.times.size, _CHUNK_ROWS):
+            chunk = [c[start:start + _CHUNK_ROWS].tolist() for c in columns]
+            fh.write("".join(map(line.__mod__, zip(*chunk))))
 
     if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
         with open(path_or_file, "w", newline="") as fh:

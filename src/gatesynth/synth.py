@@ -726,22 +726,35 @@ def export_region_csv(
     """Write a sampled 2D region to CSV.
 
     Columns: K1, K2, inside (0/1), binding_constraint, min_robustness.
-    Unknown fields are left blank.
+    Unknown fields are left blank: K2 for one-axis points, and the last
+    two columns when ``binding`` or ``min_robustness`` is not given.  Each
+    number is formatted ``%.10g``; the rows are written by :mod:`csv` in
+    one call, so a binding label is quoted under its rules and every line
+    ends in ``\\r\\n``.  A short ``inside``, ``binding`` or
+    ``min_robustness`` raises ``ValueError`` before the file is opened.
     """
     import csv
 
     points = np.atleast_2d(points)
+    blank = [""] * len(points)
+    # zip below would drop the rows past a short column
+    if any(c is not None and len(c) < len(points) for c in (inside, binding, min_robustness)):
+        raise ValueError("inside, binding and min_robustness need an entry per point")
+
+    def fmt(values):
+        return ["%.10g" % x for x in np.asarray(values).tolist()]
+
+    columns = (
+        fmt(points[:, 0]),
+        fmt(points[:, 1]) if points.shape[1] > 1 else blank,
+        [int(bool(b)) for b in inside],
+        binding if binding is not None else blank,
+        fmt(min_robustness) if min_robustness is not None else blank,
+    )
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["K1", "K2", "inside", "binding_constraint", "min_robustness"])
-        for i, pt in enumerate(points):
-            k2 = f"{pt[1]:.10g}" if pt.size > 1 else ""
-            row = [f"{pt[0]:.10g}", k2, int(bool(inside[i]))]
-            row.append(binding[i] if binding is not None else "")
-            row.append(
-                f"{min_robustness[i]:.10g}" if min_robustness is not None else ""
-            )
-            w.writerow(row)
+        w.writerows(zip(*columns))
 
 
 def sample_region(

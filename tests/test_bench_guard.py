@@ -4,8 +4,9 @@
 robustness values, admissible masks and region inside-counts) and, in a
 traced run, compares call counts with their closed forms.  The unit tests
 would not otherwise see either check.  This runs both on the half-adder
-verify job and on every synth-grid job, reading ``bench/`` without
-changing it.
+verify job, on every synth-grid job and on one monitor-traces job, whose
+set-up writes the trace CSVs that the job reads back, reading ``bench/``
+without changing it.
 """
 
 from pathlib import Path
@@ -30,6 +31,7 @@ def bench(monkeypatch):
     ("verify-circuits", {"half_adder"}),
     ("synth-grid", {"numeric.E", "numeric.S", "numeric.D",
                     "region.E.m2", "region.S.m2", "region.E.m1"}),
+    ("monitor-traces", {"trace0"}),
 ])
 def test_oracles_and_self_check(bench, tmp_path, workload, jobs):
     layers, workloads, Tracer = bench

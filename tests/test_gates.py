@@ -185,6 +185,21 @@ class TestHillRatioOverflow:
         assert math.isnan(gate_drive(g, levels))
         assert np.isnan(gate_drives(kind, 4, levels, [g.hill_k])).all()
 
+    @pytest.mark.parametrize("kind,levels,want", [
+        (GateKind.AND, (math.inf, 0.5), hill_act(0.5, 0.4, 4)),
+        (GateKind.AND, (0.5, math.inf), hill_act(0.5, 0.4, 4)),
+        (GateKind.AND, (math.inf, math.inf), 1.0),
+        (GateKind.AND, (math.inf, 0.0), 0.0),
+        (GateKind.OR, (math.inf, 0.5), 1.0),
+        (GateKind.OR, (0.0, math.inf), 1.0),
+        (GateKind.NOT, (math.inf,), 0.0),
+    ])
+    def test_infinite_input_gives_limit(self, kind, levels, want):
+        # (inf/K)^n is inf with no OverflowError raised
+        g = GateParams(kind, n=4, alpha=1.0, hill_k=(0.4, 0.4)[:kind.arity])
+        assert gate_drive(g, levels) == want
+        assert gate_drives(kind, 4, levels, [g.hill_k]).tolist() == [want]
+
     @pytest.mark.parametrize("kind", list(GateKind))
     def test_batched_matches_scalar(self, kind):
         rng = np.random.default_rng(11)

@@ -1,4 +1,6 @@
+import csv
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,40 @@ from gatesynth.signals import (
 def sig(times, vals, var="x"):
     return Signal(times=np.asarray(times, float),
                   values={var: np.asarray(vals, float)})
+
+
+def per_row_write_trace_csv(signal, path_or_file):
+    """The row-at-a-time trace writer the chunked one replaced, kept as the
+    oracle for its bytes."""
+    names = signal.variables
+
+    def _write(fh):
+        w = csv.writer(fh)
+        w.writerow(["t"] + names)
+        for i, t in enumerate(signal.times):
+            w.writerow([repr(float(t))] + [repr(float(signal.values[v][i])) for v in names])
+
+    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
+        with open(path_or_file, "w", newline="") as fh:
+            _write(fh)
+    else:
+        _write(path_or_file)
+
+
+def awkward_signal(rows, nvars):
+    """Irregular times and values over the float range, with inf, nan,
+    -0.0 and subnormals, under names that need csv quoting."""
+    rng = np.random.default_rng([rows, nvars])
+    times = np.concatenate([[0.0], np.cumsum(rng.uniform(1e-3, 1.0, rows - 1))])
+    special = [np.inf, -np.inf, np.nan, -0.0, 5e-324, 2.5e-310, 1e16]
+    names = ['q"x', "a,b", "y", "z", "w"][:nvars]
+    values = {}
+    for name in names:
+        v = rng.normal(0.0, 1.0, rows) * 10.0 ** rng.integers(-300, 300, rows)
+        at = rng.choice(rows, size=min(rows, len(special)), replace=False)
+        v[at] = special[:at.size]
+        values[name] = v
+    return Signal(times=times, values=values)
 
 
 class TestSampleAt:
@@ -149,6 +185,34 @@ class TestCsv:
         for got, want in pairs:
             assert got.dtype == np.float64
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    # either side of each 1,024-row chunk edge
+    @pytest.mark.parametrize("rows", [1, 1023, 1024, 1025, 3000])
+    @pytest.mark.parametrize("nvars", [1, 5])
+    def test_bytes_match_per_row_writer(self, tmp_path, rows, nvars):
+        s = awkward_signal(rows, nvars)
+        want, got = io.StringIO(), io.StringIO()
+        per_row_write_trace_csv(s, want)
+        write_trace_csv(s, got)
+        assert got.getvalue() == want.getvalue()
+        assert got.getvalue().count("\r\n") == rows + 1
+        oracle = tmp_path / "oracle.csv"
+        per_row_write_trace_csv(s, oracle)
+        for dest in (str(tmp_path / "str.csv"), tmp_path / "path.csv"):
+            write_trace_csv(s, dest)
+            assert Path(dest).read_bytes() == oracle.read_bytes()
+
+    def test_empty_name_rejected_before_writing(self, tmp_path):
+        s = Signal(times=np.array([0.0, 1.0]), values={"x": [0.0, 1.0], "": [1.0, 0.0]})
+        kept = tmp_path / "kept.csv"
+        kept.write_text("old contents")
+        buf = io.StringIO()
+        for dest in (kept, tmp_path / "new.csv", buf):
+            with pytest.raises(ValueError, match="empty variable name"):
+                write_trace_csv(s, dest)
+        assert kept.read_text() == "old contents"
+        assert not (tmp_path / "new.csv").exists()
+        assert buf.getvalue() == ""
 
     @pytest.mark.parametrize("text", [
         "t,x,x\n0,1,2\n",         # duplicate variable

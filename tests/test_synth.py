@@ -1,6 +1,7 @@
 import csv
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -544,6 +545,67 @@ class TestRegionExport:
                            "min_robustness"]
         assert len(rows) == 26
         assert {r[2] for r in rows[1:]} <= {"0", "1"}
+
+    @staticmethod
+    def per_row_export(path, points, inside, binding=None, min_robustness=None):
+        """The row-at-a-time region writer the column-wise one replaced,
+        kept as the oracle for its bytes."""
+        points = np.atleast_2d(points)
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["K1", "K2", "inside", "binding_constraint", "min_robustness"])
+            for i, pt in enumerate(points):
+                k2 = f"{pt[1]:.10g}" if pt.size > 1 else ""
+                row = [f"{pt[0]:.10g}", k2, int(bool(inside[i]))]
+                row.append(binding[i] if binding is not None else "")
+                row.append(
+                    f"{min_robustness[i]:.10g}" if min_robustness is not None else ""
+                )
+                w.writerow(row)
+
+    @pytest.mark.parametrize("rows", [1, 1025])
+    @pytest.mark.parametrize("axes", [1, 2])
+    @pytest.mark.parametrize("labelled", [True, False])
+    def test_bytes_match_per_row_writer(self, tmp_path, rows, axes, labelled):
+        rng = np.random.default_rng([rows, axes])
+        pts = rng.normal(0.0, 1.0, (rows, axes)) * 10.0 ** rng.integers(-300, 300, (rows, axes))
+        special = [np.inf, -np.inf, np.nan, -0.0, 5e-324, 2.5e-310, 1e16]
+        pts.flat[:len(special)] = special[:pts.size]
+        inside = rng.random(rows) < 0.5
+        if labelled:
+            labels = ["", "box", "a,b", 'q"x', "row 1"]
+            kwargs = {"binding": [labels[i % len(labels)] for i in range(rows)]}
+        else:
+            rob = rng.normal(0.0, 1e-7, rows)
+            rob[:len(special)] = special[:rows]
+            kwargs = {"min_robustness": rob}
+        oracle = tmp_path / "oracle.csv"
+        self.per_row_export(oracle, pts, inside, **kwargs)
+        for dest in (str(tmp_path / "str.csv"), tmp_path / "path.csv"):
+            export_region_csv(dest, pts, inside, **kwargs)
+            assert Path(dest).read_bytes() == oracle.read_bytes()
+
+    def test_sampled_regions_match_per_row_writer(self, tmp_path):
+        grid = NumericGrid(axes={"K1": (0.02, 1.0, 40), "K2": (0.02, 1.0, 40)})
+        cases = [
+            (and_region_m2(TH_34, TH_34, TH_34, 4), grid, ("K1", "K2")),
+            (not_bounds(TH_34, TH_34, 3)[1], NumericGrid(axes={"K1": (0.02, 1.0, 40)}), ("K1",)),
+        ]
+        for region, g, axes in cases:
+            pts, inside, binding = sample_region(region, g, axes)
+            self.per_row_export(tmp_path / "want.csv", pts, inside, binding)
+            export_region_csv(tmp_path / "got.csv", pts, inside, binding)
+            assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize("short", ["inside", "binding", "min_robustness"])
+    def test_short_column_rejected_before_writing(self, tmp_path, short):
+        cols = {"inside": np.ones(3, bool), "binding": ["a", "b", "c"],
+                "min_robustness": np.zeros(3)}
+        cols[short] = cols[short][:2]
+        path = tmp_path / "region.csv"
+        with pytest.raises(ValueError, match="an entry per point"):
+            export_region_csv(path, np.zeros((3, 2)), **cols)
+        assert not path.exists()
 
     def test_gate_box_dispatch(self):
         box = GATE_RULES[GateKind.NOT].box(TH_34, TH_34, 3)
