@@ -6,10 +6,16 @@ bounded temporal operators take sup/inf over the signal's sample grid
 restricted to their window.  Two monitors are provided:
 
 * :func:`robustness` — array-based monitor; on uniform grids the temporal
-  windows become fixed index ranges.  F/G windows use an O(T) block
-  prefix/suffix scan (van Herk; Gil & Werman), or a single reduction when
-  only one window fits, and Until an O(w) loop over window offsets, each
-  step one numpy operation over the whole trace.
+  windows become fixed index ranges.  F/G windows use a sparse table
+  (Bender & Farach-Colton, LATIN 2000), or a single reduction when only
+  one window fits, and Until doubles a two-part segment summary by
+  associative composition (the offline counterpart of Donzé, Ferrère &
+  Maler, CAV 2013).  Both take O(log w) passes of binary ``np.minimum``/
+  ``np.maximum`` over the whole trace, along axis 0 of a (T,) or (T, N)
+  array.  They are exact: min and max round nothing, so every result is
+  one of the window's own values.  (Where 0.0 and -0.0, or NaNs of both
+  signs, meet in a window, which of the equal values comes out follows
+  numpy's loops and is not specified.)
 * :func:`robustness_naive` — direct recursive evaluation, O(n*w) per
   temporal operator, supporting arbitrary (non-uniform) grids.  Kept as an
   independent reference for differential testing.
@@ -68,31 +74,74 @@ def _window_offsets(lo: float, hi: float, h: float) -> tuple[int, int]:
 def _sliding(arr: np.ndarray, ia: int, ib: int, pick: np.ufunc) -> np.ndarray:
     """pick.reduce(arr[i+ia : i+ib+1]) for every i with a full window.
 
-    ``pick`` is ``np.minimum`` or ``np.maximum``.  ``arr[ia:]`` is cut into
-    blocks of w = ib-ia+1 samples; a window starting at i covers the tail
-    of its own block and the head of the next, so its extremum is
-    pick(suffix[i], prefix[i+w-1]) of the per-block running extrema.
-    When exactly one window fits (an outermost F or G spanning the rest of
-    the trace) the result is one reduction over it.
+    ``pick`` is ``np.minimum`` or ``np.maximum``; windows run along axis 0,
+    so ``arr`` may be (T,) or (T, N).  A sparse table: after the pass for
+    p, ``cur[i]`` is the extremum of the p samples from ``arr[ia+i]``, and
+    one more binary pick doubles p.  With p the largest power of two <= w
+    (w = ib-ia+1), a window of w samples is covered by the run of p at its
+    start and the run of p at its end.  The two runs overlap, which is
+    harmless because min and max are idempotent, and the result is exact
+    because min and max round nothing: every entry is one of the window's
+    samples, found in ceil(log2 w) whole-array passes.  When exactly one
+    window fits (an outermost F or G spanning the rest of the trace) the
+    result is one reduction over it.
     """
     if len(arr) < ib + 1:
         raise HorizonError("trace shorter than temporal window")
     x = arr[ia:]
     w = ib - ia + 1
-    if w == 1:
-        return x.copy()
-    m = len(x)
-    n = m - w + 1
+    n = len(x) - w + 1
     if n == 1:
-        return pick.reduce(x, keepdims=True)
-    # pad to whole blocks; no full window reaches the padding
-    blocks = np.empty(m + (-m % w))
-    blocks[:m] = x
-    blocks[m:] = x[-1]
-    blocks = blocks.reshape(-1, w)
-    prefix = pick.accumulate(blocks, axis=1).ravel()
-    suffix = pick.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
-    return pick(suffix[:n], prefix[w - 1 : w - 1 + n])
+        return pick.reduce(x, axis=0, keepdims=True)
+    cur, p = x, 1
+    while 2 * p <= w:
+        cur = pick(cur[:-p], cur[p:])
+        p *= 2
+    if p == w:
+        return x.copy() if cur is x else cur  # n samples either way
+    return pick(cur[:n], cur[w - p : w - p + n])
+
+
+def _until(r1: np.ndarray, r2: np.ndarray, ia: int, ib: int) -> np.ndarray:
+    """max over d in [ia, ib] of min(r2[i+d], min r1[i..i+d]), for every i.
+
+    Windows run along axis 0 of (T,) or (T, N) arrays.  By monoid
+    doubling: a segment of p samples starting at j carries
+    m_p[j] = min r1[j..j+p-1] and
+    U_p[j] = max over d < p of min(r2[j+d], min r1[j..j+d]),
+    and a segment of p followed by one of q composes as
+    m = min(m_p[j], m_q[j+p]), U = max(U_p[j], min(m_p[j], U_q[j+p])).
+    Starting from single samples at offset ia, U_w with w = ib-ia+1 is
+    built from the binary digits of w in O(log w) whole-array passes.  The
+    offsets below ia only cap the result with min r1[i..i+ia-1], taken
+    from :func:`_sliding`.  Exact, because min and max round nothing and
+    distribute over each other.
+    """
+    m = min(len(r1), len(r2))
+    n = m - ib
+    if n < 1:
+        raise HorizonError("trace shorter than until window")
+    w = ib - ia + 1
+    seg_m = r1[ia:m]  # segments of p = 1 sample, from offset ia on
+    seg_u = np.minimum(r2[ia:m], seg_m)
+    a, p = 0, 1  # acc_m, acc_u: the segment of w's low digits, a samples
+    while True:
+        if w & p:
+            if a:
+                k = len(seg_u) - a
+                acc_u = np.maximum(acc_u[:k], np.minimum(acc_m[:k], seg_u[a:]))
+                acc_m = np.minimum(acc_m[:k], seg_m[a:])
+            else:
+                acc_m, acc_u = seg_m, seg_u
+            a += p
+        if a == w:
+            break
+        seg_u = np.maximum(seg_u[:-p], np.minimum(seg_m[:-p], seg_u[p:]))
+        seg_m = np.minimum(seg_m[:-p], seg_m[p:])
+        p *= 2
+    if ia == 0:
+        return acc_u
+    return np.minimum(_sliding(r1[:m], 0, ia - 1, np.minimum)[:n], acc_u)
 
 
 def robustness_signal(f: Formula, s: Signal) -> np.ndarray:
@@ -143,19 +192,7 @@ def _ev_signal(node: Formula, s: Signal, h: float) -> np.ndarray:
     if isinstance(node, Until):
         ia, ib = _window_offsets(node.lo, node.hi, h)
         r1, r2 = _ev_signal(node.left, s, h), _ev_signal(node.right, s, h)
-        n = min(len(r1), len(r2)) - ib
-        if n < 1:
-            raise HorizonError("trace shorter than until window")
-        # offset d: run[i] = min r1[i..i+d]; out[i] = max over d >= ia of
-        # min(r2[i+d], run[i])
-        run = r1[:n].copy()
-        out = np.full(n, -np.inf)
-        for d in range(ib + 1):
-            if d:
-                np.minimum(run, r1[d : d + n], out=run)
-            if d >= ia:
-                np.maximum(out, np.minimum(r2[d : d + n], run), out=out)
-        return out
+        return _until(r1, r2, ia, ib)
     raise TypeError(f"not a formula node: {node!r}")
 
 

@@ -730,15 +730,18 @@ def export_region_csv(
     two columns when ``binding`` or ``min_robustness`` is not given.  Each
     number is formatted ``%.10g``; the rows are written by :mod:`csv` in
     one call, so a binding label is quoted under its rules and every line
-    ends in ``\\r\\n``.  A short ``inside``, ``binding`` or
-    ``min_robustness`` raises ``ValueError`` before the file is opened.
+    ends in ``\\r\\n``.  ``points`` that are not an (N, 1) or (N, 2)
+    array, or an ``inside``, ``binding`` or ``min_robustness`` of another
+    length than ``points``, raise ``ValueError`` before the file is opened.
     """
     import csv
 
-    points = np.atleast_2d(points)
+    points = np.asarray(points)
+    if points.ndim != 2 or points.shape[1] not in (1, 2):
+        raise ValueError(f"points must be an (N, 1) or (N, 2) array, not shape {points.shape}")
     blank = [""] * len(points)
-    # zip below would drop the rows past a short column
-    if any(c is not None and len(c) < len(points) for c in (inside, binding, min_robustness)):
+    # zip below would drop the rows past the shortest column
+    if any(c is not None and len(c) != len(points) for c in (inside, binding, min_robustness)):
         raise ValueError("inside, binding and min_robustness need an entry per point")
 
     def fmt(values):

@@ -11,7 +11,7 @@ from gatesynth.formulas import (
     Atom, Eventually, Globally, Implies, Not, TrueFormula, Until, parse,
 )
 from gatesynth.monitor import (
-    HorizonError, _sliding, eval_boolean, robustness, robustness_naive,
+    HorizonError, _sliding, _until, eval_boolean, robustness, robustness_naive,
     robustness_signal, satisfies,
 )
 from gatesynth.signals import Signal
@@ -332,6 +332,133 @@ class TestSlidingKernel:
     def test_short_trace_raises(self):
         with pytest.raises(HorizonError):
             _sliding(np.zeros(4), 2, 4, np.minimum)
+
+
+def until_oracle(r1, r2, ia, ib):
+    """The O(T*w) Until over every full window, as a reference: the running
+    min of r1 over each window, min with r2, then the max over offsets
+    from ia on."""
+    m = min(len(r1), len(r2))
+    run = np.minimum.accumulate(sliding_window_view(r1[:m], ib + 1), axis=1)
+    both = np.minimum(sliding_window_view(r2[:m], ib + 1), run)
+    return np.max(both[:, ia:], axis=1)
+
+
+def special_floats(nan=True):
+    return st.floats(allow_nan=nan) | st.sampled_from(
+        [np.inf, -np.inf, 0.0, -0.0] + [np.nan] * nan)
+
+
+@st.composite
+def until_case(draw, nan=True):
+    # without NaN too: one NaN in a window hides every other sample of it
+    values = special_floats(nan)
+    r1 = draw(arrays(np.float64, st.integers(1, 60), elements=values))
+    r2 = draw(arrays(np.float64, st.integers(1, 60), elements=values))
+    ib = draw(st.integers(0, min(len(r1), len(r2)) - 1))
+    ia = draw(st.integers(0, ib))
+    return r1, r2, ia, ib
+
+
+class TestUntilKernel:
+    @given(until_case() | until_case(nan=False))
+    def test_matches_window_view(self, case):
+        r1, r2, ia, ib = case
+        got, want = _until(r1, r2, ia, ib), until_oracle(r1, r2, ia, ib)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("len1,len2", [(1, 1), (17, 17), (17, 20), (20, 17)])
+    @pytest.mark.parametrize("special", [True, False])
+    def test_every_window_on_short_traces(self, len1, len2, special):
+        # every [ia, ib] that fits: w = 1, ia = 0, ia = ib and the single
+        # window (n = 1) all occur, on operands of equal and unequal length,
+        # with special values or with distinct finite ones
+        rng = np.random.default_rng([len1, len2, special])
+        if special:
+            pool = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0, 2.0])
+            r1, r2 = rng.choice(pool, len1), rng.choice(pool, len2)
+        else:
+            r1, r2 = np.split(rng.permutation(len1 + len2) - 10.0, [len1])
+        for ib in range(min(len1, len2)):
+            for ia in range(ib + 1):
+                got, want = _until(r1, r2, ia, ib), until_oracle(r1, r2, ia, ib)
+                assert got.shape == want.shape == (min(len1, len2) - ib,)
+                assert np.array_equal(got, want, equal_nan=True)
+
+    def test_short_trace_raises(self):
+        with pytest.raises(HorizonError):
+            _until(np.zeros(4), np.zeros(6), 2, 4)
+
+
+@st.composite
+def block_case(draw, one_window=False):
+    """A (T, N) block, its window [ia, ib] and a second block for Until."""
+    cols = draw(st.integers(1, 4))
+    rows = draw(st.integers(1, 40))
+    values = special_floats()
+    block = draw(arrays(np.float64, (rows, cols), elements=values))
+    other = draw(arrays(np.float64, (draw(st.integers(rows, rows + 3)), cols), elements=values))
+    ib = rows - 1 if one_window else draw(st.integers(0, rows - 1))
+    ia = draw(st.integers(0, ib))
+    return block, other, ia, ib
+
+
+class TestBlockKernels:
+    """Both kernels run along axis 0: a (T, N) block gives the 1-D result
+    of each column, side by side, also on the one-window path."""
+
+    @staticmethod
+    def by_column(kernel, *blocks):
+        return np.stack([kernel(*(b[:, j] for b in blocks)) for j in range(blocks[0].shape[1])],
+                        axis=1)
+
+    @given(block_case() | block_case(one_window=True))
+    def test_columns_match_1d(self, case):
+        block, other, ia, ib = case
+        n, cols = len(block) - ib, block.shape[1]
+        for pick in (np.minimum, np.maximum):
+            got = _sliding(block, ia, ib, pick)
+            want = self.by_column(lambda x: _sliding(x, ia, ib, pick), block)
+            assert got.shape == want.shape == (n, cols)
+            assert np.array_equal(got, want, equal_nan=True)
+        for r1, r2 in ((block, other), (other, block)):
+            got = _until(r1, r2, ia, ib)
+            want = self.by_column(lambda a, b: _until(a, b, ia, ib), r1, r2)
+            assert got.shape == want.shape == (n, cols)
+            assert np.array_equal(got, want, equal_nan=True)
+
+
+# the formula shapes of the benchmark's monitor-traces workload, copied so
+# the tests do not depend on bench/
+MONITOR_TRACES_FORMULAS = (
+    "F[0,10] (x >= 0.7)",
+    "G[0,100] (y <= 0.9)",
+    "G[0,50] (x >= 0.1 | y >= 0.1)",
+    "F[0,1] G[0,1] (x >= 0.5)",
+    "G[0,1] F[0,1] (y <= 0.5)",
+    "G[0,2] (x >= 0.6 & y <= 0.4) -> F[0,1] G[0,1] (x >= 0.6)",
+    "(x >= 0.2) U[0,2] (y >= 0.6)",
+    "F[0,100] (x <= 0.1 & y >= 0.8)",
+)
+
+
+class TestMonitorTracesShapes:
+    """Fast = naive at every index for the benchmark's formula shapes.  At
+    step 0.5 their windows span 3 to 201 samples."""
+
+    @staticmethod
+    def random_walk(rng, n):
+        z = (0.5 + np.cumsum(rng.normal(0.0, 0.15, n))) % 2.0
+        return np.where(z > 1.0, 2.0 - z, z)
+
+    @pytest.mark.parametrize("text", MONITOR_TRACES_FORMULAS)
+    def test_fast_is_naive_everywhere(self, text):
+        rng = np.random.default_rng(MONITOR_TRACES_FORMULAS.index(text))
+        n = 500
+        s = Signal(times=np.arange(n) * 0.5,
+                   values={"x": self.random_walk(rng, n), "y": self.random_walk(rng, n)})
+        assert_fast_is_naive(parse(text), s)
 
 
 class TestWiringValidity:

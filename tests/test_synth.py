@@ -607,6 +607,30 @@ class TestRegionExport:
             export_region_csv(path, np.zeros((3, 2)), **cols)
         assert not path.exists()
 
+    @pytest.mark.parametrize("long", ["inside", "binding", "min_robustness"])
+    def test_long_column_rejected_before_writing(self, tmp_path, long):
+        cols = {"inside": np.ones(3, bool), "binding": ["a", "b", "c"],
+                "min_robustness": np.zeros(3)}
+        cols[long] = np.concatenate([cols[long], cols[long][:1]])
+        path = tmp_path / "region.csv"
+        with pytest.raises(ValueError, match="an entry per point"):
+            export_region_csv(path, np.zeros((3, 2)), **cols)
+        assert not path.exists()
+
+    def test_flat_points_rejected_before_writing(self, tmp_path):
+        # read as one 1x3 point before, which wrote the single row 0.1,0.2,1,,
+        path = tmp_path / "region.csv"
+        with pytest.raises(ValueError, match="points must be"):
+            export_region_csv(path, np.array([0.1, 0.2, 0.3]), np.array([True, False, True]))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("shape", [(), (3, 3), (3, 0), (3, 2, 1)])
+    def test_points_of_other_shapes_rejected_before_writing(self, tmp_path, shape):
+        path = tmp_path / "region.csv"
+        with pytest.raises(ValueError, match="points must be"):
+            export_region_csv(path, np.zeros(shape), np.ones(3, bool))
+        assert not path.exists()
+
     def test_gate_box_dispatch(self):
         box = GATE_RULES[GateKind.NOT].box(TH_34, TH_34, 3)
         assert list(box.intervals) == ["K1"]
