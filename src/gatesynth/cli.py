@@ -261,7 +261,11 @@ def cmd_verify(args) -> int:
     params = _load_params(args.params, c)
     out = _ensure_out(args.out)
     tb = propagate_timing(c)
-    report = run_verify(c, params, tb, step=args.step)
+    try:
+        report = run_verify(c, params, tb, step=args.step)
+    except ValueError as exc:  # a step <= 0 or past the RK4 stability limit
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     for e in report.entries:
         combo = " ".join(f"{v}={lvl}" for v, lvl in e.combo.items())

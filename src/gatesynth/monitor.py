@@ -20,7 +20,10 @@ restricted to their window.  Two monitors are provided:
   temporal operator, supporting arbitrary (non-uniform) grids.  Kept as an
   independent reference for differential testing.
 
-Both use closed windows throughout.
+Both use closed windows throughout, and both give NaN wherever a
+connective's operand or a window's sample is NaN: ``np.min``/``np.max``
+and ``np.minimum``/``np.maximum`` propagate it, where Python's ``min``
+and ``max`` would drop all but a leading NaN.
 """
 
 from __future__ import annotations
@@ -242,21 +245,19 @@ def robustness_naive(f: Formula, s: Signal, t: float = 0.0) -> float:
         if isinstance(node, Not):
             return -ev(node.child, at)
         if isinstance(node, And):
-            return min(ev(node.left, at), ev(node.right, at))
+            return np.min([ev(node.left, at), ev(node.right, at)])
         if isinstance(node, Or):
-            return max(ev(node.left, at), ev(node.right, at))
+            return np.max([ev(node.left, at), ev(node.right, at)])
         if isinstance(node, Implies):
-            return max(-ev(node.left, at), ev(node.right, at))
-        if isinstance(node, Globally):
-            return min(ev(node.child, u) for u in window(at + node.lo, at + node.hi))
-        if isinstance(node, Eventually):
-            return max(ev(node.child, u) for u in window(at + node.lo, at + node.hi))
+            return np.max([-ev(node.left, at), ev(node.right, at)])
+        if isinstance(node, (Globally, Eventually)):
+            pick = np.min if isinstance(node, Globally) else np.max
+            return pick([ev(node.child, u) for u in window(at + node.lo, at + node.hi)])
         if isinstance(node, Until):
-            best = -np.inf
-            for u in window(at + node.lo, at + node.hi):
-                left_min = min(ev(node.left, v) for v in window(at, u))
-                best = max(best, min(ev(node.right, u), left_min))
-            return best
+            return np.max([
+                np.min([ev(node.right, u)] + [ev(node.left, v) for v in window(at, u)])
+                for u in window(at + node.lo, at + node.hi)
+            ])
         raise TypeError(f"not a formula node: {node!r}")
 
     return float(ev(f, t))

@@ -615,16 +615,19 @@ def worst_case_output_robustness(
     pass, because the benchmark's traced self-check counts monitor calls
     (points x rows per job) until it counts monitored samples instead.
 
-    With alpha*step <= 2.78, RK4 moves each trajectory monotonically
-    toward its constant drive, so the result is exactly the sample at
-    j = floor(delta/step): x[j] - plus on a high row, minus - x[j] on a
-    low one.  RK4 lags the exact solution, so the continuous-time
-    robustness of the closed form is never below it; where alpha*step is
-    small enough for the RK4 error to vanish (below 1e-6 at
-    alpha*step <= 0.1) the gap is at most alpha*(delta - j*step).  The
-    tests check both; nothing here relies on them.  For the sampled versus
-    continuous gap in general see Fainekos & Pappas (TCS 2009) and Donzé &
-    Maler (FORMATS 2010).
+    Each trajectory is RK4's closed form x_k = d + A^k * (x0 - d) (see
+    :func:`odesim.simulate_constant_drive`), and 0 < A < 1 for every
+    alpha*step below the RK4 stability limit, about 2.7853, past which
+    the simulator refuses the step.  So each trajectory moves
+    monotonically toward its constant drive, and the result is exactly
+    the sample at j = floor(delta/step): x[j] - plus on a high row,
+    minus - x[j] on a low one.  RK4 lags the exact solution, so the
+    continuous-time robustness of the exact solution is never below it;
+    where alpha*step is small enough for the RK4 error to vanish (below
+    1e-6 at alpha*step <= 0.1) the gap is at most alpha*(delta - j*step).
+    The tests check both; nothing here relies on them.  For the sampled
+    versus continuous gap in general see Fainekos & Pappas (TCS 2009) and
+    Donzé & Maler (FORMATS 2010).
     """
     kind = GateKind(kind)
     wc = worst_case(kind, row, input_ths)

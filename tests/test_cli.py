@@ -165,6 +165,17 @@ class TestVerify:
                    "--out", str(tmp_path)])
         assert rc == 1
 
+    @pytest.mark.parametrize("step,match", [
+        ("5", "stability limit"), ("0", "step must be > 0"), ("-0.1", "step must be > 0"),
+    ])
+    def test_bad_step_exits_1(self, tmp_path, capsys, step, match):
+        params = good_params(tmp_path)
+        capsys.readouterr()
+        rc = main(["verify", HALF_ADDER, params, "--out", str(tmp_path),
+                   "--step", step])
+        assert rc == 1
+        assert match in capsys.readouterr().err
+
 
 class TestMonitor:
     def test_constant_trace(self, tmp_path, capsys):

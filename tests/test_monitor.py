@@ -140,6 +140,32 @@ class TestDifferential:
         assert robustness(f, s) == robustness_naive(f, s)
 
 
+class TestNaNSamples:
+    """A NaN operand or window sample gives NaN from both monitors."""
+
+    def test_window_holding_nan(self):
+        s = Signal(times=np.arange(5) * 0.1,
+                   values={"x": np.array([0.9, np.nan, 0.1, 0.9, 0.9])})
+        f = parse("G[0,0.2](x >= 0.5)")
+        assert np.isnan(robustness(f, s))
+        assert np.isnan(robustness_naive(f, s))
+
+    @pytest.mark.parametrize("text", [
+        "G[0,0.2](x >= 0.5)", "F[0.1,0.3](x >= 0.5)", "x >= 0.5 & y <= 0.5",
+        "x >= 0.5 | y <= 0.5", "y <= 0.5 -> x >= 0.5", "x >= 0.5 U[0,0.3] y <= 0.5",
+        "y <= 0.5 U[0.1,0.2] x >= 0.5", "F[0,0.2] G[0,0.1] (x >= 0.5)",
+    ])
+    def test_every_index_matches(self, text):
+        x = np.array([0.9, np.nan, 0.1, 0.9, 0.9, 0.3, 0.8, 0.7, np.nan, 0.2])
+        y = np.array([0.2, 0.6, 0.4, np.nan, 0.1, 0.9, 0.0, 0.5, 0.4, 0.3])
+        s = Signal(times=np.arange(10) * 0.1, values={"x": x, "y": y})
+        f = parse(text)
+        fast = robustness_signal(f, s)
+        naive = [robustness_naive(f, s, float(t)) for t in s.times[: len(fast)]]
+        assert np.isnan(fast).any()
+        assert np.array_equal(fast, naive, equal_nan=True)
+
+
 def spiked(n, x_at=(), y_at=(), x_base=0.0, level=1.0):
     """x constant at ``x_base`` and y at 0 on n samples of step 0.1, both
     set to ``level`` at the given indices."""
@@ -298,9 +324,9 @@ def trace_and_window(draw):
 
 
 @st.composite
-def single_window(draw, nan=True):
+def single_window(draw):
     """A trace with room for exactly one window, [ia, ib] = [ia, len - 1]."""
-    values = st.floats(allow_nan=nan) | st.sampled_from([np.inf, -np.inf, 0.0, -0.0])
+    values = st.floats(allow_nan=True) | st.sampled_from([np.inf, -np.inf, 0.0, -0.0])
     ia = draw(st.integers(0, 5))
     arr = draw(arrays(np.float64, st.integers(ia + 1, ia + 60), elements=values))
     return arr, ia, len(arr) - 1
@@ -316,9 +342,7 @@ class TestSlidingKernel:
             assert got.shape == want.shape
             assert np.array_equal(got, want, equal_nan=True)
 
-    # no NaN here: the naive monitor's Python min/max skip a NaN that is
-    # not the first sample of a window
-    @given(single_window(nan=False))
+    @given(single_window())
     def test_single_window_matches_naive(self, case):
         arr, ia, ib = case
         assume(ib > 0)  # a window [lo, hi] needs lo < hi
@@ -327,7 +351,8 @@ class TestSlidingKernel:
         lo = max(ia * 0.1 - 0.05, 0.0)
         for op in (Eventually, Globally):
             f = op(lo, ib * 0.1, Atom("x", ">=", 0.0))
-            assert robustness(f, s) == robustness_naive(f, s)
+            assert np.array_equal(robustness(f, s), robustness_naive(f, s),
+                                  equal_nan=True)
 
     def test_short_trace_raises(self):
         with pytest.raises(HorizonError):

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from gatesynth import odesim
 from gatesynth.circuit import Circuit, Gate, propagate_timing
@@ -11,14 +12,17 @@ from gatesynth.gates import (
 )
 from gatesynth.monitor import robustness
 from gatesynth.odesim import (
-    SimConfig, schedule_value, simulate_circuit, simulate_constant_drive,
-    simulate_gate, time_grid, verify,
+    RK4_STABILITY_LIMIT, SimConfig, schedule_value, simulate_circuit,
+    simulate_constant_drive, simulate_gate, time_grid, verify,
 )
 from gatesynth.signals import ConstantStimulus
 from gatesynth.synth import alpha_bound, synthesize_circuit
 
 TH = Thresholds(plus=0.75, minus=0.25, p=0.1)
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+# the simulators' contract with the classic stage-by-stage RK4 loop, whose
+# rounding their affine closed form and scan do not reproduce bit for bit
+TOL = 1e-12
 
 
 def and_gate(alpha=0.9222, k=(0.40, 0.40), n=4):
@@ -129,6 +133,20 @@ class TestSimulateGate:
         assert set(s.values) == {"B", "xD"}
 
 
+def _stage_loop(drive, alpha, x, h, n_steps):
+    """The classic RK4 stage order with f(y) = alpha * (drive - y), step by
+    step, as a reference for the closed form."""
+    want = [x]
+    for _ in range(n_steps):
+        k1 = alpha * (drive - x)
+        k2 = alpha * (drive - (x + 0.5 * h * k1))
+        k3 = alpha * (drive - (x + 0.5 * h * k2))
+        k4 = alpha * (drive - (x + h * k3))
+        x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        want.append(x)
+    return np.array(want)
+
+
 class TestIntegrator:
     def test_step_halving(self):
         g = and_gate(alpha=0.9222)
@@ -148,24 +166,36 @@ class TestIntegrator:
             exact = closed_form(d, 1.0, 0.0, np.arange(101) * 0.01)
             assert np.max(np.abs(out[:, j] - exact)) < 1e-9
 
-    def test_stages_bitwise(self):
-        # the classic RK4 stage order with f(y) = alpha * (drive - y), on
+    def test_matches_stage_loop(self):
         # mixed drives and initial values, up to alpha*h = 2.5
         rng = np.random.default_rng(3)
         for n_traj, alpha, h in ((1, 1.7, 0.01), (3, 1.7, 0.01), (900, 1.7, 0.01),
                                  (900, 0.05, 0.1), (900, 250.0, 0.01)):
             drive, x = rng.uniform(0.0, 1.0, (2, n_traj))
             x[::2] = rng.choice([0.0, 1.0], x[::2].shape)
-            want = [x]
-            for _ in range(250):
-                k1 = alpha * (drive - x)
-                k2 = alpha * (drive - (x + 0.5 * h * k1))
-                k3 = alpha * (drive - (x + 0.5 * h * k2))
-                k4 = alpha * (drive - (x + h * k3))
-                x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-                want.append(x)
-            out = simulate_constant_drive(drive, alpha, want[0], h, 250)
-            assert out.tobytes() == np.array(want).tobytes()
+            out = simulate_constant_drive(drive, alpha, x, h, 250)
+            assert out.shape == (251, n_traj)
+            assert np.max(np.abs(out - _stage_loop(drive, alpha, x, h, 250))) <= TOL
+
+    @given(z=st.floats(0.0, 2.785, exclude_min=True),
+           h=st.sampled_from([0.001, 0.01, 0.5]),
+           x0=st.floats(0.0, 1.0), drive=st.floats(0.0, 1.0))
+    def test_matches_stage_loop_up_to_stability_limit(self, z, h, x0, drive):
+        # x0 and drive at 0, 1 and in between, every pairing
+        x0s, drives = np.meshgrid([0.0, 1.0, x0], [0.0, 1.0, drive])
+        x0s, drives = x0s.ravel(), drives.ravel()
+        out = simulate_constant_drive(drives, z / h, x0s, h, 600)
+        assert np.max(np.abs(out - _stage_loop(drives, z / h, x0s, h, 600))) <= TOL
+
+    @pytest.mark.parametrize("alpha,h", [(2.786, 1.0), (279.0, 0.01), (1e3, 0.1)])
+    def test_unstable_step_rejected(self, alpha, h):
+        with pytest.raises(ValueError, match="stability limit"):
+            simulate_constant_drive(np.array([0.5]), alpha, np.zeros(1), h, 10)
+
+    def test_stability_limit_is_where_the_step_factor_reaches_one(self):
+        # at alpha*h on the limit, A = 1: x neither decays nor grows
+        x = simulate_constant_drive(np.zeros(1), RK4_STABILITY_LIMIT, np.ones(1), 1.0, 50)
+        assert np.max(np.abs(x - 1.0)) <= TOL
 
     def test_scalar_initial_value_and_no_steps(self):
         drive = np.array([0.2, 0.9])
@@ -287,7 +317,7 @@ class TestVerify:
 
 def _numpy_coupled_rk4(c, params, cfg):
     """The array-state coupled RK4 loop that ``simulate_circuit`` replaced,
-    with its linear-scan ``schedule_value``, kept as a bitwise oracle."""
+    with its linear-scan ``schedule_value``, kept as an independent oracle."""
 
     def level(schedule, t):
         if isinstance(schedule, (int, float)):
@@ -335,13 +365,16 @@ def _numpy_coupled_rk4(c, params, cfg):
     return times, values
 
 
-def _assert_bitwise(c, params, cfg):
+def _assert_matches_array_loop(c, params, cfg):
     s = simulate_circuit(c, params, cfg)
     times, values = _numpy_coupled_rk4(c, params, cfg)
     assert np.array_equal(s.times, times)
     assert list(s.values) == list(values)
     for v, want in values.items():
-        assert s.values[v].tobytes() == want.tobytes(), v
+        if v in c.external_inputs:
+            assert np.array_equal(s.values[v], want), v
+        else:
+            assert np.max(np.abs(s.values[v] - want)) <= TOL, v
 
 
 def _not_chain(stages):
@@ -364,14 +397,14 @@ class TestCircuitMatchesArrayLoop:
         c, tb, params = half_adder
         for a, b in itertools.product((0.0, 1.0), repeat=2):
             cfg = SimConfig(horizon=16.0, step=0.01, inputs={"A": a, "B": b})
-            _assert_bitwise(c, params, cfg)
+            _assert_matches_array_loop(c, params, cfg)
 
     def test_not_chain(self):
         c, params = _not_chain(16)
         for u in (0.0, 1.0):
             cfg = SimConfig(horizon=16.0, step=0.01, inputs={"u": u},
                             initial={"x3": 0.8, "x10": 0.4})
-            _assert_bitwise(c, params, cfg)
+            _assert_matches_array_loop(c, params, cfg)
 
     @pytest.mark.parametrize("program", [
         [(0.0, 0.0), (2.0, 1.0)],  # breakpoint on a grid time
@@ -385,7 +418,7 @@ class TestCircuitMatchesArrayLoop:
         cfg = SimConfig(horizon=8.0, step=0.01,
                         inputs={"A": program, "B": [(0.0, 1.0), (4.0, 0.0)]},
                         initial={"xD": 0.7, "xS": 0.2})
-        _assert_bitwise(c, params, cfg)
+        _assert_matches_array_loop(c, params, cfg)
 
     def test_constant_stimulus_input(self, half_adder):
         c, tb, params = half_adder
@@ -396,7 +429,7 @@ class TestCircuitMatchesArrayLoop:
         _, values = _numpy_coupled_rk4(
             c, params, SimConfig(horizon=2.0, step=0.01, inputs={"A": 0.8, "B": 0.3}))
         for v, want in values.items():
-            assert np.array_equal(s.values[v], want), v
+            assert np.max(np.abs(s.values[v] - want)) <= TOL, v
 
 
 @pytest.fixture
@@ -419,8 +452,8 @@ def ripple2(monkeypatch):
 
 
 class TestRippleCarryAdderMatchesArrayLoop:
-    """Gate-major integration of a 19-gate circuit with fan-out, bitwise
-    against the coupled array loop."""
+    """Gate-major integration of a 19-gate circuit with fan-out, within
+    1e-12 of the coupled array loop."""
 
     INITIAL = {"xg0": 0.9, "xg5": 0.3, "xg11": 0.6, "xg18": 0.05}
 
@@ -431,14 +464,55 @@ class TestRippleCarryAdderMatchesArrayLoop:
             cfg = SimConfig(horizon=3.0, step=0.01,
                             inputs=dict(zip(c.external_inputs, levels)),
                             initial=self.INITIAL)
-            _assert_bitwise(c, params, cfg)
+            _assert_matches_array_loop(c, params, cfg)
 
     def test_piecewise_program(self, ripple2):
         c, params = ripple2
         inputs = {"a0": [(0.0, 0.0), (0.805, 1.0), (2.0, 0.3)], "b0": 1.0,
                   "a1": [(0.0, 1.0), (1.2345, 0.0)], "b1": 0.6}
         cfg = SimConfig(horizon=3.0, step=0.01, inputs=inputs, initial=self.INITIAL)
-        _assert_bitwise(c, params, cfg)
+        _assert_matches_array_loop(c, params, cfg)
+
+
+def _fan_out():
+    """Four gates where N feeds P and Q, and Q reads N and P."""
+    th = {v: TH for v in ("a", "b", "xN", "xP", "xQ", "xR")}
+    c = Circuit(
+        gates={
+            "N": Gate("N", GateKind.NOT, ("a",), "xN"),
+            "P": Gate("P", GateKind.AND, ("xN", "b"), "xP"),
+            "Q": Gate("Q", GateKind.OR, ("xN", "xP"), "xQ"),
+            "R": Gate("R", GateKind.NOT, ("xQ",), "xR"),
+        },
+        external_inputs=("a", "b"),
+        outputs=(("R", "out"),),
+        thresholds=th, delta=4.0, lam=4.0,
+    )
+    params = {
+        "N": GateParams(GateKind.NOT, n=3, alpha=2.0, hill_k=(0.45,)),
+        "P": and_gate(),
+        "Q": GateParams(GateKind.OR, n=3, alpha=1.3, hill_k=(0.4, 0.5)),
+        "R": GateParams(GateKind.NOT, n=2, alpha=0.8, hill_k=(0.5,)),
+    }
+    return c, params
+
+
+class TestLongSteps:
+    """Steps up to the RK4 stability limit, where A^s of the scan falls
+    fastest, and past it."""
+
+    @pytest.mark.parametrize("step", [0.5, 1.0, 1.39])  # alpha*h up to 2.78
+    def test_matches_array_loop(self, step):
+        c, params = _fan_out()
+        cfg = SimConfig(horizon=60.0, step=step, initial={"xQ": 0.5, "xR": 1.0},
+                        inputs={"a": [(0.0, 0.0), (20.0, 1.0)], "b": 1.0})
+        _assert_matches_array_loop(c, params, cfg)
+
+    def test_unstable_gate_named(self):
+        c, params = _fan_out()
+        cfg = SimConfig(horizon=10.0, step=1.4, inputs={"a": 0.0, "b": 1.0})
+        with pytest.raises(ValueError, match="gate 'N'.*stability limit"):
+            simulate_circuit(c, params, cfg)
 
 
 def _record_calls(monkeypatch) -> list:
@@ -470,24 +544,7 @@ class TestGateDriveCalls:
     def test_calls_with_fan_out(self, monkeypatch):
         # N feeds P and Q; Q reads two gates and R one, so a stage sequence
         # one step too long would add calls
-        th = {v: TH for v in ("a", "b", "xN", "xP", "xQ", "xR")}
-        c = Circuit(
-            gates={
-                "N": Gate("N", GateKind.NOT, ("a",), "xN"),
-                "P": Gate("P", GateKind.AND, ("xN", "b"), "xP"),
-                "Q": Gate("Q", GateKind.OR, ("xN", "xP"), "xQ"),
-                "R": Gate("R", GateKind.NOT, ("xQ",), "xR"),
-            },
-            external_inputs=("a", "b"),
-            outputs=(("R", "out"),),
-            thresholds=th, delta=4.0, lam=4.0,
-        )
-        params = {
-            "N": GateParams(GateKind.NOT, n=3, alpha=2.0, hill_k=(0.45,)),
-            "P": and_gate(),
-            "Q": GateParams(GateKind.OR, n=3, alpha=1.3, hill_k=(0.4, 0.5)),
-            "R": GateParams(GateKind.NOT, n=2, alpha=0.8, hill_k=(0.5,)),
-        }
+        c, params = _fan_out()
         calls = _record_calls(monkeypatch)
         cfg = SimConfig(horizon=2.0, step=0.01, initial={"xQ": 0.5},
                         inputs={"a": 0.0, "b": [(0.0, 1.0), (1.0, 0.2)]})
@@ -495,7 +552,7 @@ class TestGateDriveCalls:
         assert len(calls) == steps * 4 * len(c.gates) == 200 * 4 * 4
         assert set(itertools.chain(*calls)) == {float}
         monkeypatch.undo()
-        _assert_bitwise(c, params, cfg)
+        _assert_matches_array_loop(c, params, cfg)
 
     def test_verify_calls(self, monkeypatch):
         c, params = _not_chain(3)
