@@ -95,12 +95,6 @@ class Circuit:
     def variables(self) -> list[str]:
         return list(self.external_inputs) + [g.output for g in self.gates.values()]
 
-    def producer_of(self, var: str) -> str | None:
-        for gid, g in self.gates.items():
-            if g.output == var:
-                return gid
-        return None
-
     def edges(self) -> list[tuple[str, str]]:
         """Internal wires as (producer gate id, consumer gate id)."""
         produced = {g.output: gid for gid, g in self.gates.items()}

@@ -137,25 +137,6 @@ def hill_rep(x: float, K: float, n: float):
     return 1.0 / (1.0 + _hill_ratio(x, K, n))
 
 
-# The drive as a function of arrays of Hill ratios r_i = (u_i/K_i)^n, for
-# gate_drives; gate_drive inlines the same expressions on floats.
-def _and_of_ratios(r0, r1):
-    return r0 / (1.0 + r0) * (r1 / (1.0 + r1))
-
-
-def _or_of_ratios(r0, r1):
-    return (r0 + r1) / (1.0 + r0 + r1)
-
-
-def _not_of_ratios(r0):
-    return 1.0 / (1.0 + r0)
-
-
-_DRIVE_OF_RATIOS = {
-    GateKind.AND: _and_of_ratios,
-    GateKind.OR: _or_of_ratios,
-    GateKind.NOT: _not_of_ratios,
-}
 _AND, _NOT = GateKind.AND, GateKind.NOT
 
 
@@ -218,29 +199,32 @@ def gate_drive(g: GateParams, inputs) -> float:
     return total / (1.0 + r0 + r1) if total != math.inf else 1.0
 
 
+def _expit(z):
+    """The logistic 1/(1 + e^-z) as 0.5*(1 + tanh(z/2)): finite for every z."""
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
+
+
 def gate_drives(kind: GateKind, n: float, inputs, hill_k: np.ndarray) -> np.ndarray:
     """:func:`gate_drive` at fixed input levels for each row of ``hill_k``.
 
     ``hill_k`` has shape (N, arity) and is not validated here (see
-    :func:`check_kinetics`).  Each ratio is a Python float power, as in
-    :func:`gate_drive`, so every drive is bit-identical to it: numpy's
-    float64 ``power`` is a SIMD kernel that can differ from libm ``pow``
-    in the last bit.
+    :func:`check_kinetics`).  A Hill term is a logistic in
+    log-concentration (Weiss, FASEB J 1997): with z = n*log(u/K),
+    (u/K)^n / (1 + (u/K)^n) = expit(z), so AND = expit(z0)*expit(z1),
+    OR = expit(logaddexp(z0, z1)) and NOT = expit(-z).  Nothing
+    overflows: u = 0 gives z = -inf and a term of 0, an infinite level or
+    ratio u/K gives the limit, and NaN stays NaN.  The ratio u/K is the
+    one :func:`gate_drive` raises to the n-th power, so the two differ
+    only in rounding after it, within 1e-13.
     """
-    hill_k = np.asarray(hill_k, dtype=float)
-    ratios = [
-        np.array([_hill_ratio(u, k, n) for k in col], dtype=float)
-        for u, col in zip(inputs, hill_k.T.tolist())
-    ]
-    # inf/inf where a ratio, or an OR gate's sum of ratios, overflowed
-    with np.errstate(invalid="ignore", over="ignore"):
-        drives = _DRIVE_OF_RATIOS[kind](*ratios)
-        at_limit = np.isinf(ratios).any(axis=0)
-        if kind is GateKind.OR:
-            at_limit |= np.isinf(ratios[0] + ratios[1])
-    for i in np.flatnonzero(at_limit):
-        drives[i] = _drive_at_overflow(kind, inputs, hill_k[i].tolist(), n)
-    return drives
+    kind = GateKind(kind)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        z = n * np.log(np.asarray(inputs, dtype=float) / np.asarray(hill_k, dtype=float))
+        if kind is _NOT:
+            return _expit(-z[:, 0])
+        if kind is _AND:
+            return _expit(z[:, 0]) * _expit(z[:, 1])
+        return _expit(np.logaddexp(z[:, 0], z[:, 1]))
 
 
 def closed_form(K: float, alpha: float, x0: float, t):

@@ -47,7 +47,9 @@ __all__ = [
 
 DEFAULT_STEP = 0.01
 # the alpha*h at which the RK4 step factor A reaches 1: the real root of
-# z^3 - 4z^2 + 12z - 24
+# z^3 - 4z^2 + 12z - 24.  Near it A - 1 loses digits to cancellation, so
+# the closed form and the scan drift from exact RK4 by about k*4e-17 over
+# k steps: within 1e-12 up to about 25,000 steps there.
 RK4_STABILITY_LIMIT = 2.785293563405282
 
 
@@ -58,7 +60,8 @@ class SimConfig:
     ``inputs`` maps an external variable to either a constant level or a
     piecewise-constant schedule [(t0, level0), (t1, level1), ...] with
     t0 = 0 and strictly increasing breakpoint times; each level holds
-    until the next breakpoint.  Every level must be finite.
+    until the next breakpoint.  Every level must be finite, and so must
+    every ``initial`` value.
     """
 
     horizon: float
@@ -73,6 +76,9 @@ class SimConfig:
             raise ValueError("horizon must be > 0")
         for var, schedule in self.inputs.items():
             _check_schedule(var, schedule)
+        for var, x0 in self.initial.items():
+            if not math.isfinite(x0):
+                raise ValueError(f"initial value of {var!r} must be finite, got {x0}")
 
 
 def _check_schedule(var, schedule) -> None:
@@ -214,8 +220,10 @@ def simulate_constant_drive(
     under a constant drive d every step is x' = A*x + (1 - A)*d, so
     x_k = d + A^k * (x0 - d), one ``exp`` per step and one outer product.
     It agrees with stepping RK4 stage by stage within 1e-12, and moves
-    monotonically toward d.  Raises ``ValueError`` if alpha*h exceeds
-    :data:`RK4_STABILITY_LIMIT`.
+    monotonically toward d.  Near :data:`RK4_STABILITY_LIMIT` it drifts
+    from exact RK4 by about k*4e-17 at step k, so that bound holds up to
+    about 25,000 steps there.  Raises ``ValueError`` if alpha*h exceeds
+    the limit.
     """
     drive = np.asarray(drive, dtype=float)
     log_a = _log_step_factor(alpha, h)
@@ -242,8 +250,11 @@ def simulate_circuit(
     recurrence in ceil(log2(steps + 1)) array passes: after the pass for
     s, x_k holds the sum of A^(k-j) * B_j over the last 2s terms.  It has
     no division, so it stays accurate where A^s underflows.  Trajectories
-    agree with stepping all gates together within 1e-12.  Raises
-    ``ValueError`` if a gate's alpha*h exceeds :data:`RK4_STABILITY_LIMIT`.
+    agree with stepping all gates together within 1e-12; near
+    :data:`RK4_STABILITY_LIMIT` they drift from exact RK4 by about k*4e-17
+    at step k, so up to about 25,000 steps there.  Raises ``ValueError``
+    if a gate's alpha*h exceeds the limit, or if ``cfg.initial`` names a
+    variable that is no gate output.
     """
     missing = set(c.gates) - set(params)
     if missing:
@@ -251,6 +262,9 @@ def simulate_circuit(
     for var in c.external_inputs:
         if var not in cfg.inputs:
             raise ValueError(f"no input program for external input {var!r}")
+    unknown = set(cfg.initial) - {g.output for g in c.gates.values()}
+    if unknown:
+        raise ValueError(f"initial values for no gate output: {sorted(unknown)}")
 
     times = time_grid(cfg.horizon, cfg.step)
     h = cfg.step

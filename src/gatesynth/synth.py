@@ -16,14 +16,16 @@ Natural logarithms throughout.  A grid-search fallback
 (:func:`synthesize_numeric`) checks admissibility by worst-case
 simulation plus monitoring instead of the analytic bounds.
 
-Region membership and the worst-case drives are evaluated on whole K
-arrays, with results bit-identical to a point-by-point evaluation.  Only
-``+ - * /``, comparisons and min/max run as numpy array operations; every
-power ``x ** n`` is taken on Python floats (libm ``pow``), one per
-distinct K value.  numpy's float64 ``power`` is a SIMD kernel on AVX-512
-hosts and differs from libm in the last bit on about 5% of random
-(x, n) pairs, enough to move a grid point that sits on a region
-boundary.
+Region membership is evaluated on whole K arrays, with results
+bit-identical to a point-by-point evaluation.  Only ``+ - * /``,
+comparisons and min/max run as numpy array operations; every power
+``x ** n`` is taken on Python floats (libm ``pow``), one per distinct K
+value.  numpy's float64 ``power`` is a SIMD kernel on AVX-512 hosts and
+differs from libm in the last bit on about 5% of random (x, n) pairs,
+enough to move a grid point that sits on a region boundary.  The
+worst-case drives of numeric synthesis are evaluated on whole K arrays
+too, by the log-space Hill kernel :func:`gates.gate_drives`, within
+1e-13 of the scalar :func:`gates.gate_drive`.
 
 Numeric synthesis builds one :class:`Signal` per truth-table row, whose
 variables are views of that row's trajectories, and monitors it once per
@@ -577,18 +579,6 @@ class NumericGateResult:
     points: np.ndarray  # all grid points, shape (N, n_axes)
     admissible: np.ndarray  # boolean mask, shape (N,)
     min_robustness: np.ndarray  # per point, shape (N,)
-
-    @property
-    def bounding_box(self) -> ParamBox:
-        if not self.admissible.any():
-            return ParamBox(intervals={a: (1.0, 0.0) for a in self.axis_names})
-        pts = self.points[self.admissible]
-        return ParamBox(
-            intervals={
-                a: (float(pts[:, i].min()), float(pts[:, i].max()))
-                for i, a in enumerate(self.axis_names)
-            }
-        )
 
 
 def worst_case_output_robustness(

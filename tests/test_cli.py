@@ -165,6 +165,18 @@ class TestVerify:
                    "--out", str(tmp_path)])
         assert rc == 1
 
+    def test_nan_initial_value_exits_1(self, tmp_path, capsys):
+        with open(HALF_ADDER) as fh:
+            data = json.load(fh)
+        data["sim"]["initial"] = {"xS": float("nan")}
+        circuit = tmp_path / "nan_initial.json"
+        circuit.write_text(json.dumps(data))
+        params = good_params(tmp_path)
+        capsys.readouterr()
+        rc = main(["verify", str(circuit), params, "--out", str(tmp_path)])
+        assert rc == 1
+        assert "initial value of 'xS' must be finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("step,match", [
         ("5", "stability limit"), ("0", "step must be > 0"), ("-0.1", "step must be > 0"),
     ])

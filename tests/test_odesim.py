@@ -1,4 +1,6 @@
+import decimal
 import itertools
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +81,11 @@ class TestSimConfigInputs:
     ])
     def test_valid_program_accepted(self, program):
         SimConfig(horizon=1.0, inputs={"A": program})
+
+    @pytest.mark.parametrize("x0", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_initial_value_rejected(self, x0):
+        with pytest.raises(ValueError, match="initial value of 'xD' must be finite"):
+            SimConfig(horizon=1.0, initial={"xD": x0})
 
 
 class TestSimulateGate:
@@ -191,6 +198,28 @@ class TestIntegrator:
     def test_unstable_step_rejected(self, alpha, h):
         with pytest.raises(ValueError, match="stability limit"):
             simulate_constant_drive(np.array([0.5]), alpha, np.zeros(1), h, 10)
+
+    def test_drift_from_exact_rk4_near_the_limit(self):
+        # A - 1 loses digits to cancellation near the limit, so A^k drifts
+        # by about k*4e-17: within the 1e-12 contract at 2,000 steps
+        z, n_steps = 2.785, 2000
+        x0s, drives = (a.ravel() for a in np.meshgrid([0.0, 1.0, 0.3], [0.0, 1.0, 0.7]))
+        exact = np.empty((n_steps + 1, drives.size))
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50  # the stage loop in 50 digits, h = 1
+            alpha, half, sixth = Decimal(z), Decimal("0.5"), 1 / Decimal(6)
+            for j, (x0, d) in enumerate(zip(x0s, drives)):
+                x, d = Decimal(x0), Decimal(d)
+                exact[0, j] = x
+                for k in range(1, n_steps + 1):
+                    k1 = alpha * (d - x)
+                    k2 = alpha * (d - (x + half * k1))
+                    k3 = alpha * (d - (x + half * k2))
+                    k4 = alpha * (d - (x + k3))
+                    x += sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+                    exact[k, j] = x
+        out = simulate_constant_drive(drives, z, x0s, 1.0, n_steps)
+        assert np.max(np.abs(out - exact)) <= TOL
 
     def test_stability_limit_is_where_the_step_factor_reaches_one(self):
         # at alpha*h on the limit, A = 1: x neither decays nor grows
@@ -512,6 +541,22 @@ class TestLongSteps:
         c, params = _fan_out()
         cfg = SimConfig(horizon=10.0, step=1.4, inputs={"a": 0.0, "b": 1.0})
         with pytest.raises(ValueError, match="gate 'N'.*stability limit"):
+            simulate_circuit(c, params, cfg)
+
+
+class TestInitialValues:
+    def test_nan_rejected(self):
+        # a NaN initial value would turn every downstream trajectory into NaN
+        with pytest.raises(ValueError, match="'xN' must be finite"):
+            SimConfig(horizon=1.0, step=0.1, initial={"xZZ": 0.9, "xN": float("nan")},
+                      inputs={"a": 0.0, "b": 1.0})
+
+    @pytest.mark.parametrize("var", ["xZZ", "a"])  # unknown, an external input
+    def test_name_of_no_gate_output_rejected(self, var):
+        c, params = _fan_out()
+        cfg = SimConfig(horizon=1.0, step=0.1, initial={var: 0.9, "xN": 0.5},
+                        inputs={"a": 0.0, "b": 1.0})
+        with pytest.raises(ValueError, match=rf"no gate output: \['{var}'\]"):
             simulate_circuit(c, params, cfg)
 
 
