@@ -35,8 +35,8 @@ from .synth import (
     CurvedRegion, EmptyRegionError, GateSynthesis, NumericGateResult,
     NumericGrid, ParamBox, SynthesisResult, alpha_bound, and_box_m1,
     and_n_bound_m1, and_n_bound_m2, and_region_m2, export_region_csv,
-    intersect, not_bounds, or_bounds_m1, or_n_bound_m2, or_region_m2,
-    sample_region, synthesize_circuit, synthesize_numeric,
+    intersect, k_box, n_bound, not_bounds, or_bounds_m1, or_n_bound_m2,
+    or_region_m2, sample_region, synthesize_circuit, synthesize_numeric,
     worst_case_output_robustness,
 )
 from .worstcase import MAX_LEVEL, WorstCaseAssignment, worst_case

@@ -34,7 +34,7 @@ from .odesim import verify as run_verify
 from .signals import read_trace_csv, write_trace_csv
 from .synth import (
     GATE_RULES, CurvedRegion, EmptyRegionError, NumericGrid, check_n_bound,
-    export_region_csv, sample_region, synthesize_circuit,
+    export_region_csv, k_box, sample_region, synthesize_circuit,
 )
 
 EXIT_OK = 0
@@ -200,13 +200,12 @@ def cmd_region(args) -> int:
     ths = (th,) * (kind.arity + 1)
     out = _ensure_out(args.out)
 
-    rule = GATE_RULES[kind]
-    method = args.method if rule.membership else "m1"
+    method = args.method if GATE_RULES[kind].membership else "m1"
     nb = check_n_bound(kind, ths, args.n, method)
     region = (
         CurvedRegion(kind=kind, thresholds=ths, n=args.n)
         if method == "m2"
-        else rule.box(*ths, args.n)
+        else k_box(kind, ths, args.n)
     )
     grid = _k_grid(args.grid, kind.arity)
     pts, inside, binding = sample_region(region, grid, tuple(grid.axes))
@@ -263,7 +262,7 @@ def cmd_verify(args) -> int:
     tb = propagate_timing(c)
     try:
         report = run_verify(c, params, tb, step=args.step)
-    except ValueError as exc:  # a step <= 0 or past the RK4 stability limit
+    except ValueError as exc:  # a bad step or initial value, or a complex drive
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

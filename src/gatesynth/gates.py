@@ -7,6 +7,7 @@ dimensionless drive in [0, 1] determined by its inputs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -34,6 +35,11 @@ class GateKind(str, Enum):
     def arity(self) -> int:
         return 1 if self is GateKind.NOT else 2
 
+    @property
+    def activating(self) -> bool:
+        """Whether a higher input raises the output; NOT is a repressor."""
+        return self is not GateKind.NOT
+
     def output_level(self, input_levels: tuple[str, ...]) -> str:
         if self is GateKind.AND:
             return HIGH if all(v == HIGH for v in input_levels) else LOW
@@ -47,7 +53,8 @@ class Thresholds:
     """Activation/deactivation thresholds with a safety margin p.
 
     The margined ("tilded") thresholds (1+p)*plus and (1-p)*minus are used
-    in steady-state inequalities; they must stay inside (0, 1).
+    in steady-state inequalities; they must stay inside (0, 1), so p lies
+    in (0, 1) too.
     """
 
     plus: float
@@ -59,8 +66,8 @@ class Thresholds:
             raise ValueError(
                 f"need 0 < minus < plus < 1, got minus={self.minus}, plus={self.plus}"
             )
-        if self.p <= 0:
-            raise ValueError("safety margin p must be > 0")
+        if not 0 < self.p < 1:
+            raise ValueError(f"safety margin p must lie in (0, 1), got {self.p}")
         if (1 + self.p) * self.plus >= 1:
             raise ValueError("(1+p)*plus must stay below 1")
 
@@ -283,13 +290,8 @@ def truth_table(
     input_vars = tuple(input_vars)
     if len(input_vars) != kind.arity:
         raise ValueError(f"{kind.value} gate takes {kind.arity} input(s)")
-    combos = (
-        [(LOW,), (HIGH,)]
-        if kind.arity == 1
-        else [(LOW, LOW), (LOW, HIGH), (HIGH, LOW), (HIGH, HIGH)]
-    )
     rows = []
-    for levels in combos:
+    for levels in itertools.product((LOW, HIGH), repeat=kind.arity):
         row = ExtendedTruthRow(levels, kind.output_level(levels), delta, lam)
         rows.append((row, row_formula(row, input_vars, output_var, thresholds)))
     return rows

@@ -60,8 +60,8 @@ class SimConfig:
     ``inputs`` maps an external variable to either a constant level or a
     piecewise-constant schedule [(t0, level0), (t1, level1), ...] with
     t0 = 0 and strictly increasing breakpoint times; each level holds
-    until the next breakpoint.  Every level must be finite, and so must
-    every ``initial`` value.
+    until the next breakpoint.  Every level must be finite and >= 0, and
+    so must every ``initial`` value.
     """
 
     horizon: float
@@ -77,8 +77,8 @@ class SimConfig:
         for var, schedule in self.inputs.items():
             _check_schedule(var, schedule)
         for var, x0 in self.initial.items():
-            if not math.isfinite(x0):
-                raise ValueError(f"initial value of {var!r} must be finite, got {x0}")
+            if not (math.isfinite(x0) and x0 >= 0):
+                raise ValueError(f"initial value of {var!r} must be finite and >= 0, got {x0}")
 
 
 def _check_schedule(var, schedule) -> None:
@@ -103,8 +103,8 @@ def _check_schedule(var, schedule) -> None:
             )
         if not math.isfinite(starts[-1]):
             raise ValueError(f"breakpoint times of {var!r} must be finite")
-    if not all(math.isfinite(lvl) for lvl in levels):
-        raise ValueError(f"input levels of {var!r} must be finite")
+    if not all(math.isfinite(lvl) and lvl >= 0 for lvl in levels):
+        raise ValueError(f"input levels of {var!r} must be finite and >= 0")
 
 
 def _levels_at(schedule, times: np.ndarray) -> np.ndarray:
@@ -253,8 +253,10 @@ def simulate_circuit(
     agree with stepping all gates together within 1e-12; near
     :data:`RK4_STABILITY_LIMIT` they drift from exact RK4 by about k*4e-17
     at step k, so up to about 25,000 steps there.  Raises ``ValueError``
-    if a gate's alpha*h exceeds the limit, or if ``cfg.initial`` names a
-    variable that is no gate output.
+    if a gate's alpha*h exceeds the limit, if ``cfg.initial`` names a
+    variable that is no gate output, or if a gate with non-integer n reads
+    a stage value below 0 (an upstream overshoot at alpha*h > 2, or an
+    input breakpoint inside a step), whose Hill term is complex.
     """
     missing = set(c.gates) - set(params)
     if missing:
@@ -288,10 +290,17 @@ def simulate_circuit(
     for i, gid in enumerate(order):
         gate, g = c.gates[gid], params[gid]
         log_a = _log_step_factor(g.alpha, h, f"gate {gid!r}: ")
-        drives = [
-            np.fromiter(map(gd, itertools.repeat(g), zip(*seqs)), float, n_steps)
-            for seqs in zip(*(stages[v] for v in gate.inputs))
-        ]
+        try:
+            drives = [
+                np.fromiter(map(gd, itertools.repeat(g), zip(*seqs)), float, n_steps)
+                for seqs in zip(*(stages[v] for v in gate.inputs))
+            ]
+        except TypeError:  # a complex Hill term: a stage value below 0 to a non-integer n
+            low = [v for v in gate.inputs if min(map(min, stages[v])) < 0]
+            if not low:
+                raise
+            raise ValueError(f"gate {gid!r}: RK4 stage values of {low} fall below 0, where "
+                             f"a Hill term with n = {g.n:g} is complex; shorten the step") from None
         x = np.empty(n_steps + 1)
         x[0] = cfg.initial.get(gate.output, 0.0)
         x[1:] = _rk4_step(0.0, drives, g.alpha, h)[0]

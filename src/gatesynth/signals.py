@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Signal", "ConstantStimulus", "read_trace_csv", "write_trace_csv"]
+__all__ = ["Signal", "ConstantStimulus", "UnknownVariableError", "OutOfRangeError",
+           "read_trace_csv", "write_trace_csv"]
 
 
 class UnknownVariableError(KeyError):

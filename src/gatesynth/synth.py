@@ -12,6 +12,11 @@ output thresholds) to closed-form bounds:
 * Method 2: a larger curve-bounded region with an exact membership
   predicate.
 
+The Hill bound and the K intervals of every kind and method follow from
+one output target (high, share) through :func:`n_bound` and
+:func:`k_box`; a repressor's intervals are an activator's with reciprocal
+bases.
+
 Natural logarithms throughout.  A grid-search fallback
 (:func:`synthesize_numeric`) checks admissibility by worst-case
 simulation plus monitoring instead of the analytic bounds.
@@ -42,10 +47,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import Circuit, TimingBudget, propagate_timing
-from .formulas import Atom, Eventually, Globally
+from .formulas import Eventually, Globally
 from .gates import (
-    HIGH, ExtendedTruthRow, GateKind, GateParams, Thresholds, check_kinetics,
-    gate_drives, truth_table,
+    ExtendedTruthRow, GateKind, GateParams, Thresholds, _level_atom,
+    check_kinetics, gate_drives, truth_table,
 )
 from .monitor import robustness
 from .odesim import simulate_constant_drive, time_grid
@@ -59,7 +64,7 @@ __all__ = [
     "or_region_m2", "or_n_bound_m2", "intersect", "synthesize_circuit",
     "synthesize_numeric", "GateRule", "GATE_RULES", "check_n_bound",
     "NumericGrid", "NumericGateResult", "worst_case_output_robustness",
-    "export_region_csv", "sample_region",
+    "export_region_csv", "sample_region", "n_bound", "k_box",
 ]
 
 
@@ -128,58 +133,105 @@ def alpha_bound(th: Thresholds, delta: float) -> float:
     return math.log(1.0 / (th.p * th.minus)) / delta
 
 
-def _hill_bound(ths, high: float, share: int = 1) -> float:
-    """Smallest n for which every input's K interval is nonempty.
+def _target(kind: GateKind, out: Thresholds, method: str) -> tuple[float, int]:
+    """The output target (high, share) that ``kind``'s K intervals meet.
 
-    ``ths`` is (inputs..., output).  The bound is
-    log(high/t~- * share*(1-t~-)/(1-high)) / min_i log(theta_i+/theta_i-).
-    Method 1 splits the output targets over the inputs (AND: high =
-    sqrt(t~+); OR: share = 2); the exact conditions of Method 2 and of the
-    NOT interval use high = t~+ and share = 1.
+    Method 2 and NOT ask the exact conditions, (t~+, 1).  Method 1 splits
+    them over two inputs as the kind's ``m1_target`` says: AND asks
+    sqrt(t~+) of each input's Hill term, OR gives each input's Hill ratio
+    half the low output's budget (share 2).
+    """
+    if method not in ("m1", "m2"):
+        raise ValueError("method must be 'm1' or 'm2'")
+    if method == "m2":
+        return out.tilde_plus, 1
+    return GATE_RULES[kind].m1_target(out.tilde_plus)
+
+
+def n_bound(kind: GateKind, ths, method: str) -> float:
+    """Smallest n for which every K interval of :func:`k_box` is nonempty.
+
+    ``ths`` is (inputs..., output).  With the output target (high, share)
+    the bound is
+    log(high/t~- * (share - share*t~-)/(1 - high)) / min_i log(theta_i+/theta_i-),
+    for a repressing kind too, whose bases are the reciprocals.
     """
     *ins, out = ths
+    high, share = _target(kind, out, method)
     ttm = out.tilde_minus
     ratio = high / ttm * (share - share * ttm) / (1 - high)
     return math.log(ratio) / min(math.log(th.plus / th.minus) for th in ins)
 
 
-def _exact_bound(*ths: Thresholds) -> float:
-    """Hill bound of the exact conditions: Method 2 AND/OR and NOT."""
-    return _hill_bound(ths, ths[-1].tilde_plus)
+def k_box(kind: GateKind, ths, n: float, method: str = "m1") -> ParamBox:
+    """K_i in [theta_i- * lo**(1/n), theta_i+ * hi**(1/n)] for each input i.
+
+    ``ths`` is (inputs..., output); the box is empty when n is below
+    :func:`n_bound`.  An activating kind keeps a low input's Hill ratio
+    within the low output's share, lo = (share - share*t~-)/t~-, and lifts
+    a high input's to the high target, hi = (1 - high)/high.  A repressor
+    is the mirror image (Weiss, FASEB J 1997), with the reciprocal bases
+    lo = high/(1 - high) and hi = t~-/(share - share*t~-).  Under Method 2
+    this is the rectangle the curved AND and OR regions lie in.
+    """
+    *ins, out = ths
+    high, share = _target(kind, out, method)
+    ttm = out.tilde_minus
+    if GateKind(kind).activating:
+        lo, hi = (share - share * ttm) / ttm, (1 - high) / high
+    else:
+        lo, hi = high / (1 - high), ttm / (share - share * ttm)
+    lo_f, hi_f = lo ** (1.0 / n), hi ** (1.0 / n)
+    return ParamBox({f"K{i}": (th.minus * lo_f, th.plus * hi_f) for i, th in enumerate(ins, 1)})
 
 
-def _k_box(input_ths, n: float, lo_base: float, hi_base: float) -> ParamBox:
-    """K_i in [theta_i- * lo_base**(1/n), theta_i+ * hi_base**(1/n)]."""
-    lo_f, hi_f = lo_base ** (1.0 / n), hi_base ** (1.0 / n)
-    return ParamBox(
-        intervals={
-            f"K{i}": (th.minus * lo_f, th.plus * hi_f)
-            for i, th in enumerate(input_ths, 1)
-        }
-    )
+# the paper's per-kind bounds and regions, each one call of the above
 
 
 def and_n_bound_m1(thA: Thresholds, thB: Thresholds, thC: Thresholds) -> float:
     """Hill-coefficient bound for a nonempty Method 1 AND box."""
-    return _hill_bound((thA, thB, thC), math.sqrt(thC.tilde_plus))
+    return n_bound(GateKind.AND, (thA, thB, thC), "m1")
 
 
 def and_n_bound_m2(thA: Thresholds, thB: Thresholds, thC: Thresholds) -> float:
     """Hill-coefficient bound for a nonempty Method 2 AND region."""
-    return _exact_bound(thA, thB, thC)
+    return n_bound(GateKind.AND, (thA, thB, thC), "m2")
 
 
-def and_box_m1(
-    thA: Thresholds, thB: Thresholds, thC: Thresholds, n: float
-) -> ParamBox:
+def and_box_m1(thA: Thresholds, thB: Thresholds, thC: Thresholds, n: float) -> ParamBox:
     """Method 1 intervals for (K_A, K_B) of an AND gate; empty if n too small."""
-    s, ttm = math.sqrt(thC.tilde_plus), thC.tilde_minus
-    return _k_box((thA, thB), n, (1 - ttm) / ttm, (1 - s) / s)
+    return k_box(GateKind.AND, (thA, thB, thC), n)
 
 
-def _pow_root(base: float, n: float) -> float:
-    """base**(1/n) for base >= 0; negative base means no real constraint."""
-    return base ** (1.0 / n) if base > 0 else 0.0
+def not_bounds(thB: Thresholds, thD: Thresholds, n: float) -> tuple[float, ParamBox]:
+    """NOT gate: Hill-coefficient bound and K interval at the given n."""
+    ths = (thB, thD)
+    return n_bound(GateKind.NOT, ths, "m1"), k_box(GateKind.NOT, ths, n)
+
+
+def or_bounds_m1(
+    thE: Thresholds, thG: Thresholds, thS: Thresholds, n: float
+) -> tuple[float, ParamBox]:
+    """OR gate Method 1: Hill bound and (K1, K2) hyperbox."""
+    ths = (thE, thG, thS)
+    return n_bound(GateKind.OR, ths, "m1"), k_box(GateKind.OR, ths, n)
+
+
+def or_n_bound_m2(thE: Thresholds, thG: Thresholds, thS: Thresholds) -> float:
+    """Hill-coefficient bound for a Method 2 OR region; n must exceed it."""
+    return n_bound(GateKind.OR, (thE, thG, thS), "m2")
+
+
+def or_region_m2(thE: Thresholds, thG: Thresholds, thS: Thresholds, n: float) -> CurvedRegion:
+    return CurvedRegion(kind=GateKind.OR, thresholds=(thE, thG, thS), n=n)
+
+
+def and_region_m2(thA: Thresholds, thB: Thresholds, thC: Thresholds, n: float) -> CurvedRegion:
+    return CurvedRegion(kind=GateKind.AND, thresholds=(thA, thB, thC), n=n)
+
+
+# ---------------------------------------------------------------------------
+# Method 2 curves and membership
 
 
 def _and_share(level: float, ttC: float, n: float, k_other: float) -> float:
@@ -199,20 +251,14 @@ def _and_share(level: float, ttC: float, n: float, k_other: float) -> float:
     return r / (ttC * (1.0 + r)) - 1.0
 
 
-def _and_upper_curve(th_in: Thresholds, th_other: float, ttC: float, n: float, k_other: float) -> float:
-    """K bound from theta_in^n/(theta~ * (k_other^n + other^n)) - 1, rooted."""
-    inner = _and_share(th_other, ttC, n, k_other)
+def _and_curve(level: float, level_other: float, ttC: float, n: float, k_other: float,
+               unconstrained: float) -> float:
+    """K bound level * (level_other^n/(ttC * (k_other^n + level_other^n)) - 1)^(1/n)
+    of an AND curve given the other K; ``unconstrained`` where the radicand is <= 0."""
+    inner = _and_share(level_other, ttC, n, k_other)
     if inner <= 0:
-        return -1.0  # no admissible K at all on an upper-bound curve
-    return th_in.plus * inner ** (1.0 / n)
-
-
-def _and_lower_curve(level_a: float, level_b: float, ttC: float, n: float, k_other: float) -> float:
-    """Lower-bound curve value for K_A given K_B (0 when unconstrained)."""
-    inner = _and_share(level_b, ttC, n, k_other)
-    if inner <= 0:
-        return 0.0
-    return level_a * inner ** (1.0 / n)
+        return unconstrained
+    return level * inner ** (1.0 / n)
 
 
 @dataclass(frozen=True)
@@ -277,19 +323,17 @@ def _tightest(binding: np.ndarray, piece: np.ndarray, **slacks: np.ndarray) -> N
 def _and_membership(ths, n, k1, k2) -> tuple[np.ndarray, list[str]]:
     thA, thB, thC = ths
     ttp, ttm = thC.tilde_plus, thC.tilde_minus
-    lo_f = _pow_root((1 - ttm) / ttm, n)
-    hi_f = _pow_root((1 - ttp) / ttp, n)
-    a_lo, a_hi = thA.minus * lo_f, thA.plus * hi_f
-    b_lo, b_hi = thB.minus * lo_f, thB.plus * hi_f
+    (a_lo, a_hi), (b_lo, b_hi) = k_box(GateKind.AND, ths, n, "m2").intervals.values()
     gA = gB = 1.0  # rescaled maximum input level
 
     pos = (k1 > 0) & (k2 > 0)
     c1, c2, c3 = (np.full(k1.shape, np.nan) for _ in range(3))
     c1[pos], c2[pos], c3[pos] = _by_value(
         k2[pos],
-        lambda k: _and_upper_curve(thA, thB.plus, ttp, n, k),  # output-high curve
-        lambda k: _and_lower_curve(thA.minus, gB, ttm, n, k),  # row (low, high)
-        lambda k: _and_lower_curve(gA, thB.minus, ttm, n, k),  # row (high, low)
+        # output-high curve; -1 where no K1 at all is admissible
+        lambda k: _and_curve(thA.plus, thB.plus, ttp, n, k, -1.0),
+        lambda k: _and_curve(thA.minus, gB, ttm, n, k, 0.0),  # row (low, high)
+        lambda k: _and_curve(gA, thB.minus, ttm, n, k, 0.0),  # row (high, low)
     )
 
     tol = _EDGE_TOL
@@ -320,39 +364,6 @@ def _and_membership(ths, n, k1, k2) -> tuple[np.ndarray, list[str]]:
     return p1 | p2 | p3, binding.tolist()
 
 
-def _not_box(thB: Thresholds, thD: Thresholds, n: float) -> ParamBox:
-    ttp, ttm = thD.tilde_plus, thD.tilde_minus
-    return _k_box((thB,), n, ttp / (1 - ttp), ttm / (1 - ttm))
-
-
-def not_bounds(thB: Thresholds, thD: Thresholds, n: float) -> tuple[float, ParamBox]:
-    """NOT gate: Hill-coefficient bound and K interval at the given n."""
-    return _exact_bound(thB, thD), _not_box(thB, thD, n)
-
-
-def _or_n_bound_m1(thE: Thresholds, thG: Thresholds, thS: Thresholds) -> float:
-    return _hill_bound((thE, thG, thS), thS.tilde_plus, share=2)
-
-
-def _or_box_m1(
-    thE: Thresholds, thG: Thresholds, thS: Thresholds, n: float
-) -> ParamBox:
-    ttp, ttm = thS.tilde_plus, thS.tilde_minus
-    return _k_box((thE, thG), n, (2 - 2 * ttm) / ttm, (1 - ttp) / ttp)
-
-
-def or_bounds_m1(
-    thE: Thresholds, thG: Thresholds, thS: Thresholds, n: float
-) -> tuple[float, ParamBox]:
-    """OR gate Method 1: Hill bound and (K1, K2) hyperbox."""
-    return _or_n_bound_m1(thE, thG, thS), _or_box_m1(thE, thG, thS, n)
-
-
-def or_n_bound_m2(thE: Thresholds, thG: Thresholds, thS: Thresholds) -> float:
-    """Hill-coefficient bound for a Method 2 OR region; n must exceed it."""
-    return _exact_bound(thE, thG, thS)
-
-
 def _or_low_curve(thE: Thresholds, thG: Thresholds, ttm: float, n: float, k2: float) -> float:
     """Smallest K1 keeping the (low, low) row low, given K2."""
     den = ttm / (1 - ttm) - (thG.minus / k2) ** n
@@ -361,11 +372,8 @@ def _or_low_curve(thE: Thresholds, thG: Thresholds, ttm: float, n: float, k2: fl
 
 def _or_membership(ths, n, k1, k2) -> tuple[np.ndarray, list[str]]:
     thE, thG, thS = ths
-    ttp, ttm = thS.tilde_plus, thS.tilde_minus
-    lo_f = _pow_root((1 - ttm) / ttm, n)
-    hi_f = _pow_root((1 - ttp) / ttp, n)
-    e_lo, e_hi = thE.minus * lo_f, thE.plus * hi_f
-    g_lo, g_hi = thG.minus * lo_f, thG.plus * hi_f
+    ttm = thS.tilde_minus
+    (e_lo, e_hi), (g_lo, g_hi) = k_box(GateKind.OR, ths, n, "m2").intervals.values()
     tol = _EDGE_TOL
     pos = (k1 > 0) & (k2 > 0)
     in_k1 = (e_lo < k1) & (k1 <= e_hi + tol)
@@ -385,18 +393,6 @@ def _or_membership(ths, n, k1, k2) -> tuple[np.ndarray, list[str]]:
     return inside, binding.tolist()
 
 
-def or_region_m2(
-    thE: Thresholds, thG: Thresholds, thS: Thresholds, n: float
-) -> CurvedRegion:
-    return CurvedRegion(kind=GateKind.OR, thresholds=(thE, thG, thS), n=n)
-
-
-def and_region_m2(
-    thA: Thresholds, thB: Thresholds, thC: Thresholds, n: float
-) -> CurvedRegion:
-    return CurvedRegion(kind=GateKind.AND, thresholds=(thA, thB, thC), n=n)
-
-
 # ---------------------------------------------------------------------------
 # per-gate-kind rule table
 
@@ -405,17 +401,16 @@ def and_region_m2(
 class GateRule:
     """Synthesis rules of one gate kind.
 
-    The bound and box callables take the gate's thresholds unpacked as
-    (inputs..., output), the box also n.  ``membership`` is the Method 2
-    predicate ``(thresholds, n, k1, k2) -> (inside, binding)`` on float
-    arrays of K1 and K2, giving a boolean mask and one binding-constraint
-    name per point; None for a kind without a Method 2 region.
-    ``strict_m2`` marks a Method 2 bound that n must exceed rather than
-    reach.
+    ``m1_target`` maps the output's t~+ to the kind's Method 1 output
+    target (high, share), from which :func:`n_bound` and :func:`k_box`
+    take its bound and box.  ``membership`` is the Method 2 predicate
+    ``(thresholds, n, k1, k2) -> (inside, binding)`` on float arrays of K1
+    and K2, giving a boolean mask and one binding-constraint name per
+    point; None for a kind without a Method 2 region.  ``strict_m2``
+    marks a Method 2 bound that n must exceed rather than reach.
     """
 
-    n_bound: dict[str, Callable[..., float]]  # method -> Hill bound
-    box: Callable[..., ParamBox]  # Method 1 K-box at n
+    m1_target: Callable[[float], tuple[float, int]]
     membership: Callable[..., tuple[np.ndarray, list[str]]] | None
     default_n: float
     strict_m2: bool = False
@@ -423,18 +418,16 @@ class GateRule:
 
 GATE_RULES: dict[GateKind, GateRule] = {
     GateKind.AND: GateRule(
-        n_bound={"m1": and_n_bound_m1, "m2": and_n_bound_m2},
-        box=and_box_m1, membership=_and_membership, default_n=4.0,
+        m1_target=lambda ttp: (math.sqrt(ttp), 1),
+        membership=_and_membership, default_n=4.0,
     ),
     GateKind.OR: GateRule(
-        n_bound={"m1": _or_n_bound_m1, "m2": or_n_bound_m2},
-        box=_or_box_m1, membership=_or_membership, default_n=4.0,
-        strict_m2=True,
+        m1_target=lambda ttp: (ttp, 2),
+        membership=_or_membership, default_n=4.0, strict_m2=True,
     ),
+    # the NOT interval is exact, so both methods share its target
     GateKind.NOT: GateRule(
-        # the NOT interval is exact, so both methods share its bound
-        n_bound={"m1": _exact_bound, "m2": _exact_bound},
-        box=_not_box, membership=None, default_n=3.0,
+        m1_target=lambda ttp: (ttp, 1), membership=None, default_n=3.0,
     ),
 }
 
@@ -447,9 +440,8 @@ def check_n_bound(
     Raises :class:`EmptyRegionError` (named after ``gate_id``, else the
     kind) unless n reaches the bound, or exceeds it where it is strict.
     """
-    rule = GATE_RULES[kind]
-    nb = rule.n_bound[method](*ths)
-    strict = method == "m2" and rule.strict_m2
+    nb = n_bound(kind, ths, method)
+    strict = method == "m2" and GATE_RULES[kind].strict_m2
     if n < nb or (strict and n == nb):
         raise EmptyRegionError(
             gate_id or kind.value,
@@ -474,10 +466,6 @@ class GateSynthesis:
     box: ParamBox | None
     region: CurvedRegion | None
     binding: str
-
-    @property
-    def empty(self) -> bool:
-        return self.box is not None and self.box.empty
 
     def to_dict(self) -> dict:
         d = {
@@ -537,7 +525,7 @@ def synthesize_circuit(
         n_g = float(n.get(gid, rule.default_n))
         nb = check_n_bound(g.kind, ths, n_g, method, gid)
         a_min = alpha_bound(c.thresholds[g.output], tb.delta[gid])
-        box = rule.box(*ths, n_g)
+        box = k_box(g.kind, ths, n_g)
         region = None
         if method == "m2" and rule.membership:
             region = CurvedRegion(kind=g.kind, thresholds=ths, n=n_g)
@@ -632,12 +620,10 @@ def worst_case_output_robustness(
     # column of ``traj``, so the time grid is validated once per row
     names = [f"{output_var}_{i}" for i in range(len(drives))]
     sig = Signal(times=times, values=dict(zip(names, traj.T)))
-    op, threshold = (
-        (">=", output_th.plus) if row.output_level == HIGH else ("<=", output_th.minus)
-    )
     rhos = np.empty(len(drives))
     for i, name in enumerate(names):
-        f = Eventually(0.0, row.delta, Globally(0.0, row.lam, Atom(name, op, threshold)))
+        atom = _level_atom(name, row.output_level, output_th)
+        f = Eventually(0.0, row.delta, Globally(0.0, row.lam, atom))
         rhos[i] = robustness(f, sig, 0.0)
     return rhos
 

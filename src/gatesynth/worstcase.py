@@ -3,16 +3,17 @@
 For each truth-table row there is a constant input assignment such that
 satisfying the row's output formula under it implies satisfaction under
 every input trace meeting the row's antecedent.  The levels come from the
-monotone dependence of the gate output on its inputs: activating inputs
-are set to their least favourable admissible constant, the initial output
-to its least favourable extreme.
+monotone dependence of the gate output on its inputs (rising for an
+activating kind, falling for NOT): each input is set to its least
+favourable admissible constant, the initial output to its least
+favourable extreme.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gates import HIGH, LOW, ExtendedTruthRow, GateKind, Thresholds
+from .gates import HIGH, ExtendedTruthRow, GateKind
 
 __all__ = ["WorstCaseAssignment", "worst_case", "MAX_LEVEL"]
 
@@ -52,15 +53,14 @@ def worst_case(
         )
 
     out_high = row.output_level == HIGH
+    # each input sits at the end of its admissible range, [0, minus] or
+    # [plus, MAX_LEVEL], that pushes the output away from its level: the
+    # top end when a higher input lowers a high output or raises a low one
+    top = out_high != kind.activating
     levels = []
     for lvl, th in zip(row.input_levels, input_thresholds):
-        if kind is GateKind.NOT:
-            # repressor input: low input drives the output high
-            levels.append(th.minus if lvl == LOW else th.plus)
-        elif out_high:
-            levels.append(th.plus if lvl == HIGH else 0.0)
-        else:
-            levels.append(MAX_LEVEL if lvl == HIGH else th.minus)
+        lo, hi = (th.plus, MAX_LEVEL) if lvl == HIGH else (0.0, th.minus)
+        levels.append(hi if top else lo)
     # output must rise from empty when required high, fall from full when low
     x0 = 0.0 if out_high else MAX_LEVEL
     return WorstCaseAssignment(levels=tuple(levels), x0=x0, row=row)

@@ -129,6 +129,14 @@ class TestRegion:
                    "--minus", "0.25", "--n", "2", "--out", str(tmp_path)])
         assert rc == 3
 
+    @pytest.mark.parametrize("p", ["1.0", "1.5"])
+    def test_margin_of_one_or_more_exits_1(self, tmp_path, capsys, p):
+        # (1-p)*minus <= 0: a traceback from the n bound before
+        rc = main(["region", "--kind", "AND", "--plus", "0.3", "--minus", "0.1",
+                   "--p", p, "--n", "4", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "p must lie in (0, 1)" in capsys.readouterr().err
+
     def test_bad_thresholds_exit_1(self, tmp_path):
         rc = main(["region", "--kind", "AND", "--plus", "0.2",
                    "--minus", "0.5", "--n", "4", "--out", str(tmp_path)])
@@ -176,6 +184,32 @@ class TestVerify:
         rc = main(["verify", str(circuit), params, "--out", str(tmp_path)])
         assert rc == 1
         assert "initial value of 'xS' must be finite" in capsys.readouterr().err
+
+    def test_negative_initial_value_exits_1(self, tmp_path, capsys):
+        with open(HALF_ADDER) as fh:
+            data = json.load(fh)
+        data["sim"]["initial"] = {"xS": -0.2}
+        circuit = tmp_path / "negative_initial.json"
+        circuit.write_text(json.dumps(data))
+        params = good_params(tmp_path)
+        capsys.readouterr()
+        rc = main(["verify", str(circuit), params, "--out", str(tmp_path)])
+        assert rc == 1
+        assert "initial value of 'xS' must be finite and >= 0" in capsys.readouterr().err
+
+    def test_negative_stage_at_non_integer_n_exits_1(self, tmp_path, capsys):
+        # D at alpha*h = 2.5 overshoots below 0 on its way up from 0, and E
+        # reads it with n = 4.5: a traceback from a complex drive before
+        params = json.loads(Path(good_params(tmp_path)).read_text())
+        params["D"]["alpha"] = 2.5
+        params["E"]["n"] = 4.5
+        path = tmp_path / "long_step.json"
+        path.write_text(json.dumps(params))
+        capsys.readouterr()
+        rc = main(["verify", HALF_ADDER, str(path), "--out", str(tmp_path), "--step", "1.0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: gate 'E': RK4 stage values of ['xD'] fall below 0")
 
     @pytest.mark.parametrize("step,match", [
         ("5", "stability limit"), ("0", "step must be > 0"), ("-0.1", "step must be > 0"),

@@ -296,6 +296,14 @@ class TestTruthTable:
         assert "G[0,16]" in text and "F[0,4]" in text and "G[0,12]" in text
         assert "xC >= 0.75" in text
 
+    def test_rows_in_binary_order(self):
+        th = {"u1": TH, "u2": TH, "x": TH}
+        rows = truth_table(GateKind.OR, ("u1", "u2"), "x", 4.0, 12.0, th)
+        assert [r.input_levels for r, _ in rows] == [
+            (LOW, LOW), (LOW, HIGH), (HIGH, LOW), (HIGH, HIGH)]
+        rows = truth_table(GateKind.NOT, ("u",), "x", 4.0, 12.0, {"u": TH, "x": TH})
+        assert [r.input_levels for r, _ in rows] == [(LOW,), (HIGH,)]
+
     def test_low_row_uses_deactivation_threshold(self):
         th = {"xA": TH, "xB": TH, "xC": TH}
         rows = truth_table(GateKind.AND, ("xA", "xB"), "xC", 4.0, 12.0, th)
@@ -311,6 +319,15 @@ class TestValidation:
             Thresholds(plus=0.95, minus=0.2, p=0.1)  # (1+p) plus >= 1
         with pytest.raises(ValueError):
             Thresholds(plus=0.75, minus=0.25, p=0.0)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5])
+    def test_margin_below_one(self, p):
+        # (1+p)*plus < 1 holds, but (1-p)*minus <= 0 would leave no low target
+        with pytest.raises(ValueError, match=r"p must lie in \(0, 1\)"):
+            Thresholds(plus=0.3, minus=0.1, p=p)
+
+    def test_only_not_represses(self):
+        assert [k for k in GateKind if not k.activating] == [GateKind.NOT]
 
     def test_tilded(self):
         assert TH.tilde_plus == pytest.approx(0.825)

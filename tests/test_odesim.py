@@ -76,6 +76,13 @@ class TestSimConfigInputs:
             SimConfig(horizon=1.0, inputs={"A": program})
 
     @pytest.mark.parametrize("program", [
+        -0.5, -1e-12, [(0.0, 0.2), (1.0, -0.1)],
+    ])
+    def test_negative_level_rejected(self, program):
+        with pytest.raises(ValueError, match="'A' must be finite and >= 0"):
+            SimConfig(horizon=1.0, inputs={"A": program})
+
+    @pytest.mark.parametrize("program", [
         0.0, 1, 0.5, ConstantStimulus(0.7, 2.0), [(0.0, 0.2)],
         [(0, 0.2), (0.5, 1.0), (0.75, 0)], ((0.0, 1.0), (1e-6, 0.0)),
     ])
@@ -545,6 +552,10 @@ class TestLongSteps:
 
 
 class TestInitialValues:
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError, match="'xN' must be finite and >= 0, got -0.2"):
+            SimConfig(horizon=1.0, step=0.1, initial={"xN": -0.2}, inputs={"a": 0.0, "b": 1.0})
+
     def test_nan_rejected(self):
         # a NaN initial value would turn every downstream trajectory into NaN
         with pytest.raises(ValueError, match="'xN' must be finite"):
@@ -558,6 +569,46 @@ class TestInitialValues:
                         inputs={"a": 0.0, "b": 1.0})
         with pytest.raises(ValueError, match=rf"no gate output: \['{var}'\]"):
             simulate_circuit(c, params, cfg)
+
+
+class TestNegativeStages:
+    """An RK4 stage value below 0 reaching a gate with non-integer n, whose
+    Hill term there is complex, is a ValueError naming the gate."""
+
+    def _not_pair(self, alpha_n):
+        th = {v: TH for v in ("a", "xN", "xP")}
+        c = Circuit(
+            gates={"N": Gate("N", GateKind.NOT, ("a",), "xN"),
+                   "P": Gate("P", GateKind.NOT, ("xN",), "xP")},
+            external_inputs=("a",), outputs=(("P", "out"),),
+            thresholds=th, delta=4.0, lam=4.0,
+        )
+        params = {"N": GateParams(GateKind.NOT, n=3, alpha=alpha_n, hill_k=(0.45,)),
+                  "P": GateParams(GateKind.NOT, n=2.5, alpha=1.0, hill_k=(0.45,))}
+        return c, params
+
+    def test_overshoot_past_alpha_h_two(self):
+        # from x = 1 toward d = 0.08, y2 = x + (alpha*h/2)*(d - x) overshoots
+        # d and 0 at alpha*h = 2.78
+        c, params = self._not_pair(2.0)
+        cfg = SimConfig(horizon=5.0, step=1.39, initial={"xN": 1.0}, inputs={"a": 1.0})
+        with pytest.raises(ValueError, match=r"gate 'P': RK4 stage values of \['xN'\]"):
+            simulate_circuit(c, params, cfg)
+
+    def test_breakpoint_inside_a_step(self):
+        # alpha*h = 0.2, but a switches at the half step of the first one
+        c, params = self._not_pair(20.0)
+        cfg = SimConfig(horizon=1.0, step=0.01, inputs={"a": [(0.0, 0.0), (0.005, 1.0)]})
+        with pytest.raises(ValueError, match="gate 'P'.*below 0.*n = 2.5 is complex"):
+            simulate_circuit(c, params, cfg)
+
+    def test_integer_n_keeps_its_drive(self):
+        # an integer power of a negative stage value is real, and the
+        # long-step results stay pinned to the coupled loop (TestLongSteps)
+        c, params = self._not_pair(20.0)
+        params["P"] = GateParams(GateKind.NOT, n=3, alpha=1.0, hill_k=(0.45,))
+        cfg = SimConfig(horizon=1.0, step=0.01, inputs={"a": [(0.0, 0.0), (0.005, 1.0)]})
+        _assert_matches_array_loop(c, params, cfg)
 
 
 def _record_calls(monkeypatch) -> list:

@@ -18,9 +18,9 @@ from gatesynth.signals import Signal
 from gatesynth.synth import (
     GATE_RULES, CurvedRegion, EmptyRegionError, NumericGrid, ParamBox,
     alpha_bound, and_box_m1, and_n_bound_m1, and_n_bound_m2, and_region_m2,
-    check_n_bound, export_region_csv, intersect, not_bounds, or_bounds_m1,
-    or_n_bound_m2, or_region_m2, sample_region, synthesize_circuit,
-    synthesize_numeric, worst_case_output_robustness,
+    check_n_bound, export_region_csv, intersect, k_box, n_bound, not_bounds,
+    or_bounds_m1, or_n_bound_m2, or_region_m2, sample_region,
+    synthesize_circuit, synthesize_numeric, worst_case_output_robustness,
 )
 from gatesynth.synth import _and_share
 from gatesynth.gates import ExtendedTruthRow, truth_table
@@ -203,11 +203,11 @@ class TestMethod2Oracle:
            dn=st.floats(0.01, 4.0), seed=st.integers(0, 2**32 - 1))
     def test_inside_iff_every_row_holds(self, kind, ths, dn, seed):
         rule = GATE_RULES[kind]
-        n = max(rule.n_bound["m2"](*ths), 0.5) + dn
+        n = max(n_bound(kind, ths, "m2"), 0.5) + dn
         rng = np.random.default_rng(seed)
         # uniform points, plus points around the Method 1 box where the
         # region boundary is
-        box = rule.box(*ths, n)
+        box = k_box(kind, ths, n)
         near = [
             rng.uniform(*np.clip([min(lo, hi) - 0.1, max(lo, hi) + 0.1], 1e-3, 1.0), 250)
             for lo, hi in box.intervals.values()
@@ -632,9 +632,37 @@ class TestRegionExport:
         assert not path.exists()
 
     def test_gate_box_dispatch(self):
-        box = GATE_RULES[GateKind.NOT].box(TH_34, TH_34, 3)
+        box = k_box(GateKind.NOT, (TH_34, TH_34), 3)
         assert list(box.intervals) == ["K1"]
         assert box == not_bounds(TH_34, TH_34, 3)[1]
+
+
+class TestOneBoundFormula:
+    """:func:`n_bound` is exactly where :func:`k_box` becomes nonempty, for
+    every kind and method."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(list(GateKind)), method=st.sampled_from(["m1", "m2"]),
+           ths=st.tuples(thresholds(), thresholds(), thresholds()))
+    def test_box_nonempty_from_the_bound(self, kind, method, ths):
+        ths = ths[: kind.arity] + ths[-1:]
+        nb = n_bound(kind, ths, method)
+        if nb <= 0:
+            return
+        assert not k_box(kind, ths, nb * (1 + 1e-9), method).empty
+        assert k_box(kind, ths, nb * (1 - 1e-9), method).empty
+
+    def test_repressor_bases_are_reciprocals(self):
+        # the NOT interval is the activator's of the exact target, mirrored
+        n = 3.0
+        act_lo, act_hi = k_box(GateKind.AND, (TH_34, TH_34, TH_34), n, "m2").intervals["K1"]
+        rep_lo, rep_hi = k_box(GateKind.NOT, (TH_34, TH_34), n).intervals["K1"]
+        assert rep_lo / TH_34.minus == pytest.approx(TH_34.plus / act_hi)
+        assert rep_hi / TH_34.plus == pytest.approx(TH_34.minus / act_lo)
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="method"):
+            n_bound(GateKind.AND, (TH_34, TH_34, TH_34), "m3")
 
 
 class TestRuleTable:
@@ -653,7 +681,7 @@ class TestRuleTable:
         assert check_n_bound(GateKind.AND, ths, nb, "m2") == nb
         with pytest.raises(EmptyRegionError, match="OR"):
             check_n_bound(GateKind.OR, ths, nb, "m2")
-        m1 = GATE_RULES[GateKind.OR].n_bound["m1"](*ths)
+        m1 = n_bound(GateKind.OR, ths, "m1")
         assert check_n_bound(GateKind.OR, ths, m1, "m1") == m1
 
     def test_not_has_no_method2_region(self):

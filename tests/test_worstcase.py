@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gatesynth.circuit import Circuit, Gate, propagate_timing
 from gatesynth.gates import (
-    HIGH, LOW, ExtendedTruthRow, GateKind, GateParams, Thresholds, row_formula,
+    HIGH, LOW, ExtendedTruthRow, GateKind, GateParams, Thresholds, gate_drive,
+    row_formula, truth_table,
 )
 from gatesynth.monitor import robustness
 from gatesynth.odesim import SimConfig, simulate_circuit
@@ -59,6 +61,39 @@ class TestWorstCaseLevels:
                 wc = worst_case(kind, row(kind, levels), (THA, THB)[: kind.arity])
                 for lvl, th in zip(wc.levels, (THA, THB)):
                     assert lvl in (0.0, th.minus, th.plus, MAX_LEVEL)
+
+
+@st.composite
+def thresholds(draw):
+    minus = draw(st.floats(0.05, 0.45))
+    p = draw(st.floats(0.01, 0.25))
+    return Thresholds(plus=draw(st.floats(1.25 * minus, 0.95 / (1 + p))), minus=minus, p=p)
+
+
+class TestLeastFavourableEnd:
+    """Each worst-case level is the end of the input's admissible range,
+    [0, minus] or [plus, MAX_LEVEL], at which the drive is least
+    favourable to the row's output, the other inputs held at theirs."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(list(GateKind)), ths=st.tuples(thresholds(), thresholds()),
+           n=st.floats(1.0, 10.0), ks=st.tuples(st.floats(0.05, 1.0), st.floats(0.05, 1.0)))
+    def test_chosen_end_least_favourable(self, kind, ths, n, ks):
+        ths, g = ths[: kind.arity], GateParams(kind, n=n, alpha=1.0, hill_k=ks[: kind.arity])
+        names = ("u1", "u2")[: kind.arity]
+        table = dict(zip(names, ths), x=THA)
+        for r, _ in truth_table(kind, names, "x", 4.0, 12.0, table):
+            wc = worst_case(kind, r, ths)
+            for i, (lvl, th) in enumerate(zip(r.input_levels, ths)):
+                ends = (th.plus, MAX_LEVEL) if lvl == HIGH else (0.0, th.minus)
+                assert wc.levels[i] in ends
+                other = ends[1] if wc.levels[i] == ends[0] else ends[0]
+                moved = list(wc.levels)
+                moved[i] = other
+                chosen, alt = gate_drive(g, wc.levels), gate_drive(g, moved)
+                if chosen == alt:
+                    continue  # a tie, e.g. an AND whose other input is at 0
+                assert (chosen < alt) == (r.output_level == HIGH)
 
 
 class TestErrors:
