@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from . import __version__
 from .circuit import Circuit, GraphError, propagate_timing, wiring_formulas
 from .formulas import StlSyntaxError, parse
-from .gates import GateKind, GateParams, Thresholds
+from .gates import GateKind, GateParams, Thresholds, _check_finite_positive
 from .monitor import HorizonError, robustness
 from .odesim import verify as run_verify
 from .signals import read_trace_csv, write_trace_csv
@@ -96,6 +96,27 @@ def _k_grid(resolution: int, arity: int) -> NumericGrid:
     return NumericGrid(axes={f"K{i}": axis for i in range(1, arity + 1)})
 
 
+def _grid_resolution(text: str) -> int:
+    """argparse type of ``--grid``: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"grid resolution must be >= 1, got {value}")
+    return value
+
+
+def _hill_n(text: str) -> float:
+    """argparse type of a Hill coefficient: a finite number > 0."""
+    try:
+        value = float(text)
+        _check_finite_positive("Hill coefficient n", value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
 def _parse_n_flags(pairs) -> dict[str, float]:
     out = {}
     for item in pairs or ():
@@ -104,9 +125,9 @@ def _parse_n_flags(pairs) -> dict[str, float]:
             raise SystemExit(EXIT_USAGE)
         gid, _, val = item.partition("=")
         try:
-            out[gid] = float(val)
-        except ValueError:
-            print(f"error: --n value not a number: {item!r}", file=sys.stderr)
+            out[gid] = _hill_n(val)
+        except argparse.ArgumentTypeError as exc:
+            print(f"error: --n {item!r}: {exc}", file=sys.stderr)
             raise SystemExit(EXIT_USAGE)
     return out
 
@@ -349,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--method", choices=("m1", "m2"), default="m1")
     s.add_argument("--n", action="append", metavar="GATE=VALUE",
                    help="Hill coefficient for a gate (repeatable)")
-    s.add_argument("--grid", type=int, default=100,
+    s.add_argument("--grid", type=_grid_resolution, default=100,
                    help="grid resolution for m2 region exports")
     s.add_argument("--out", default=".")
     s.set_defaults(func=cmd_synth)
@@ -359,9 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--plus", type=float, required=True)
     r.add_argument("--minus", type=float, required=True)
     r.add_argument("--p", type=float, default=0.1)
-    r.add_argument("--n", type=float, required=True)
+    r.add_argument("--n", type=_hill_n, required=True)
     r.add_argument("--method", choices=("m1", "m2"), default="m2")
-    r.add_argument("--grid", type=int, default=50, metavar="R")
+    r.add_argument("--grid", type=_grid_resolution, default=50, metavar="R")
     r.add_argument("--out", default=".")
     r.set_defaults(func=cmd_region)
 

@@ -95,14 +95,19 @@ class GateParams:
         check_kinetics(self.kind, self.n, self.alpha, self.hill_k)
 
 
+def _check_finite_positive(what: str, value: float) -> None:
+    """Raise ``ValueError`` unless ``value`` is finite and > 0: NaN passes
+    a bare ``value <= 0`` test."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{what} must be finite and > 0, got {value}")
+
+
 def check_kinetics(kind: GateKind, n: float, alpha: float, hill_k) -> None:
-    """Raise ``ValueError`` unless n > 0, alpha > 0 and ``hill_k`` holds one
-    K per input, each in (0, 1].  An entry of ``hill_k`` may be an array of
-    K values, one per parameter point."""
-    if n <= 0:
-        raise ValueError("Hill coefficient n must be > 0")
-    if alpha <= 0:
-        raise ValueError("degradation rate alpha must be > 0")
+    """Raise ``ValueError`` unless n and alpha are finite and > 0 and
+    ``hill_k`` holds one K per input, each in (0, 1].  An entry of
+    ``hill_k`` may be an array of K values, one per parameter point."""
+    _check_finite_positive("Hill coefficient n", n)
+    _check_finite_positive("degradation rate alpha", alpha)
     if len(hill_k) != kind.arity:
         raise ValueError(
             f"{kind.value} gate needs {kind.arity} K value(s), got {len(hill_k)}"

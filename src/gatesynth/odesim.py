@@ -77,8 +77,13 @@ class SimConfig:
         for var, schedule in self.inputs.items():
             _check_schedule(var, schedule)
         for var, x0 in self.initial.items():
-            if not (math.isfinite(x0) and x0 >= 0):
-                raise ValueError(f"initial value of {var!r} must be finite and >= 0, got {x0}")
+            _check_initial(var, x0)
+
+
+def _check_initial(var, x0) -> None:
+    """Raise ``ValueError`` unless the initial value ``x0`` is finite and >= 0."""
+    if not (math.isfinite(x0) and x0 >= 0):
+        raise ValueError(f"initial value of {var!r} must be finite and >= 0, got {x0}")
 
 
 def _check_schedule(var, schedule) -> None:
@@ -151,8 +156,9 @@ def simulate_gate(
 
     ``inputs`` is one constant level (or :class:`ConstantStimulus`) per
     gate input, and ``input_vars`` names them, one distinct name each,
-    none equal to ``output_var``.  The returned trace contains the inputs
-    and the output.
+    none equal to ``output_var``.  Every level and ``x0`` must be finite
+    and >= 0, as in :class:`SimConfig`; otherwise ``ValueError``.  The
+    returned trace contains the inputs and the output.
     """
     levels = tuple(
         u.level if isinstance(u, ConstantStimulus) else float(u) for u in inputs
@@ -171,6 +177,9 @@ def simulate_gate(
         raise ValueError(f"input names must be distinct, got {input_vars}")
     if output_var in input_vars:
         raise ValueError(f"output name {output_var!r} is also an input name")
+    for var, lvl in zip(input_vars, levels):
+        _check_schedule(var, lvl)
+    _check_initial(output_var, x0)
     times = time_grid(cfg.horizon, cfg.step)
     drive = float(gate_drive(g, levels))
     x = simulate_constant_drive(

@@ -32,9 +32,13 @@ worst-case drives of numeric synthesis are evaluated on whole K arrays
 too, by the log-space Hill kernel :func:`gates.gate_drives`, within
 1e-13 of the scalar :func:`gates.gate_drive`.
 
-Numeric synthesis builds one :class:`Signal` per truth-table row, whose
-variables are views of that row's trajectories, and monitors it once per
-K point.
+Both grid layers take K points in fixed-size blocks, so memory stays
+flat as the grid grows.  Numeric synthesis simulates each truth-table
+row one block of points at a time, a trajectory array of about 1 MiB,
+builds one :class:`Signal` per block, whose variables are views of that
+block's trajectories, and monitors it once per K point.  Region sampling
+judges blocks of about 16k points.  The results do not depend on the
+block size.
 """
 
 from __future__ import annotations
@@ -49,8 +53,8 @@ import numpy as np
 from .circuit import Circuit, TimingBudget, propagate_timing
 from .formulas import Eventually, Globally
 from .gates import (
-    ExtendedTruthRow, GateKind, GateParams, Thresholds, _level_atom,
-    check_kinetics, gate_drives, truth_table,
+    ExtendedTruthRow, GateKind, GateParams, Thresholds, _check_finite_positive,
+    _level_atom, check_kinetics, gate_drives, truth_table,
 )
 from .monitor import robustness
 from .odesim import simulate_constant_drive, time_grid
@@ -237,14 +241,17 @@ def and_region_m2(thA: Thresholds, thB: Thresholds, thC: Thresholds, n: float) -
 def _and_share(level: float, ttC: float, n: float, k_other: float) -> float:
     """level^n / (ttC * (k_other^n + level^n)) - 1, the radicand of the AND curves.
 
-    For large n a power can leave the normal float range, and the sum
-    then loses precision or underflows to 0.  There the ratio form
-    1 / (1 + (k/level)^n) is used, with the ratio taken at most 1 so that
-    its power cannot overflow.
+    For large n a power can leave the normal float range: the sum then
+    loses precision or underflows to 0, or the power of a K above 1
+    overflows.  There the ratio form 1 / (1 + (k/level)^n) is used, with
+    the ratio taken at most 1 so that its power cannot overflow.
     """
-    a, b = level**n, k_other**n
-    if min(a, b) >= sys.float_info.min:
-        return a / (ttC * (b + a)) - 1.0
+    try:
+        a, b = level**n, k_other**n
+        if min(a, b) >= sys.float_info.min:
+            return a / (ttC * (b + a)) - 1.0
+    except OverflowError:
+        pass
     if k_other <= level:
         return 1.0 / (ttC * (1.0 + (k_other / level) ** n)) - 1.0
     r = (level / k_other) ** n
@@ -437,9 +444,11 @@ def check_n_bound(
 ) -> float:
     """The kind's Hill-coefficient bound under ``method``.
 
-    Raises :class:`EmptyRegionError` (named after ``gate_id``, else the
-    kind) unless n reaches the bound, or exceeds it where it is strict.
+    Raises ``ValueError`` unless n is finite and > 0, and
+    :class:`EmptyRegionError` (named after ``gate_id``, else the kind)
+    unless n reaches the bound, or exceeds it where it is strict.
     """
+    _check_finite_positive("Hill coefficient n", n)
     nb = n_bound(kind, ths, method)
     strict = method == "m2" and GATE_RULES[kind].strict_m2
     if n < nb or (strict and n == nb):
@@ -548,6 +557,19 @@ def synthesize_circuit(
 # numeric (grid search) fallback
 
 
+# the bytes of per-point arrays one block of K points may hold: numeric
+# synthesis simulates and monitors, and region sampling judges, one block
+# at a time, so memory stays flat as the grid grows
+_BLOCK_BYTES = 1 << 20
+
+
+def _blocks(count: int, point_bytes: int) -> list[slice]:
+    """Consecutive slices covering ``range(count)``, each of at most
+    max(1, _BLOCK_BYTES // point_bytes) points."""
+    size = max(1, _BLOCK_BYTES // point_bytes)
+    return [slice(i, min(i + size, count)) for i in range(0, count, size)]
+
+
 @dataclass(frozen=True)
 class NumericGrid:
     """Per-axis grid specification (lo, hi, count) for the K parameters."""
@@ -586,12 +608,16 @@ def worst_case_output_robustness(
     The antecedent is marginal by construction under worst-case inputs, so
     admissibility is judged on the output formula alone.
 
-    The row's trajectories share one :class:`Signal`, one variable per
-    point named ``f"{output_var}_{i}"``, and each point makes one
-    :func:`monitor.robustness` call on F[0,delta] G[0,lam] of its own
-    variable.  The per-point call stays, rather than one batched monitor
-    pass, because the benchmark's traced self-check counts monitor calls
-    (points x rows per job) until it counts monitored samples instead.
+    The points are simulated and monitored in blocks whose trajectory
+    array, T samples by the block's points, stays within about 1 MiB:
+    max(1, 2**20 // (8*T)) points to a block.  A block's trajectories
+    share one :class:`Signal`, one variable per point named
+    ``f"{output_var}_{i}"`` with i the point's index in ``k_values``, and
+    each point makes one :func:`monitor.robustness` call on
+    F[0,delta] G[0,lam] of its own variable.  The per-point call stays,
+    rather than one batched monitor pass, because the benchmark's traced
+    self-check counts monitor calls (points x rows per job) until it
+    counts monitored samples instead.
 
     Each trajectory is RK4's closed form x_k = d + A^k * (x0 - d) (see
     :func:`odesim.simulate_constant_drive`), and 0 < A < 1 for every
@@ -613,18 +639,21 @@ def worst_case_output_robustness(
     check_kinetics(kind, n, alpha, k_values.T)
     drives = gate_drives(kind, n, wc.levels, k_values)
     times = time_grid(row.lam + row.delta, step)
-    traj = simulate_constant_drive(
-        drives, alpha, np.full(len(drives), wc.x0), step, times.size - 1
-    )
-    # one Signal for the row: a variable per point, each a view of its
-    # column of ``traj``, so the time grid is validated once per row
-    names = [f"{output_var}_{i}" for i in range(len(drives))]
-    sig = Signal(times=times, values=dict(zip(names, traj.T)))
-    rhos = np.empty(len(drives))
-    for i, name in enumerate(names):
-        atom = _level_atom(name, row.output_level, output_th)
-        f = Eventually(0.0, row.delta, Globally(0.0, row.lam, atom))
-        rhos[i] = robustness(f, sig, 0.0)
+    count = len(drives)
+    rhos = np.empty(count)
+    for block in _blocks(count, 8 * times.size):
+        points = range(count)[block]
+        traj = simulate_constant_drive(
+            drives[block], alpha, np.full(len(points), wc.x0), step, times.size - 1
+        )
+        # one Signal for the block: a variable per point, each a view of
+        # its column of ``traj``, so the time grid is validated once per block
+        names = [f"{output_var}_{i}" for i in points]
+        sig = Signal(times=times, values=dict(zip(names, traj.T)))
+        for i, name in zip(points, names):
+            atom = _level_atom(name, row.output_level, output_th)
+            f = Eventually(0.0, row.delta, Globally(0.0, row.lam, atom))
+            rhos[i] = robustness(f, sig, 0.0)
     return rhos
 
 
@@ -744,12 +773,27 @@ def sample_region(
     grid: NumericGrid,
     axis_names=("K1", "K2"),
 ) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Evaluate region membership on a grid: (points, inside, binding)."""
+    """Evaluate region membership on a grid: (points, inside, binding).
+
+    A box labels each point outside it ``"box"``, one shared string.  A
+    curved region is judged one block of points at a time, about 16k
+    points to a block, so the membership predicate's temporaries stay
+    under 2 MiB whatever the grid size; the masks and labels are joined
+    in grid order, identical to one call on the whole grid.
+    """
     pts = grid.points(list(axis_names))
     if isinstance(region, ParamBox):
         inside = region.contains_points(pts, axis_names)
-        return pts, inside, np.where(inside, "", "box").tolist()
-    inside, binding = GATE_RULES[region.kind].membership(
-        region.thresholds, region.n, pts[:, 0], pts[:, 1]
-    )
+        labels = np.array(["box", ""], dtype=object)
+        return pts, inside, labels[inside.view(np.uint8)].tolist()
+    membership = GATE_RULES[region.kind].membership
+    inside = np.empty(len(pts), dtype=bool)
+    binding: list[str] = []
+    # 16k points to a block: the predicates peak at about 100 bytes a
+    # point (float and boolean temporaries, a label pointer), under 2 MiB
+    for block in _blocks(len(pts), 64):
+        inside[block], labels = membership(
+            region.thresholds, region.n, pts[block, 0], pts[block, 1]
+        )
+        binding += labels
     return pts, inside, binding

@@ -98,6 +98,21 @@ class TestSynth:
         assert main(["synth", HALF_ADDER, "--n", "S=abc",
                      "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_non_finite_or_non_positive_n_exits_1(self, tmp_path, capsys, value):
+        # nan would print K1=[nan,nan], inf write the invalid JSON "n": Infinity
+        rc = main(["synth", HALF_ADDER, "--n", f"E={value}", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "Hill coefficient n must be finite and > 0" in capsys.readouterr().err
+        assert not (tmp_path / "synthesis.json").exists()
+
+    @pytest.mark.parametrize("grid", ["0", "-3"])
+    def test_grid_below_one_exits_1(self, tmp_path, capsys, grid):
+        rc = main(["synth", HALF_ADDER, "--method", "m2", "--grid", grid,
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert "grid resolution must be >= 1" in capsys.readouterr().err
+
 
 class TestRegion:
     def test_and_grid(self, tmp_path, capsys):
@@ -128,6 +143,22 @@ class TestRegion:
         rc = main(["region", "--kind", "AND", "--plus", "0.75",
                    "--minus", "0.25", "--n", "2", "--out", str(tmp_path)])
         assert rc == 3
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    def test_non_finite_or_non_positive_n_exits_1(self, tmp_path, capsys, value):
+        # nan would judge every point outside
+        rc = main(["region", "--kind", "and", "--plus", "0.6", "--minus", "0.3",
+                   "--n", value, "--out", str(tmp_path)])
+        assert rc == 1
+        assert "Hill coefficient n must be finite and > 0" in capsys.readouterr().err
+        assert not (tmp_path / "region.csv").exists()
+
+    @pytest.mark.parametrize("grid", ["0", "-3"])
+    def test_grid_below_one_exits_1(self, tmp_path, capsys, grid):
+        rc = main(["region", "--kind", "AND", "--plus", "0.75", "--minus", "0.25",
+                   "--n", "4", "--grid", grid, "--out", str(tmp_path)])
+        assert rc == 1
+        assert "grid resolution must be >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("p", ["1.0", "1.5"])
     def test_margin_of_one_or_more_exits_1(self, tmp_path, capsys, p):

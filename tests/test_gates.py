@@ -246,6 +246,18 @@ class TestCheckKinetics:
         with pytest.raises(ValueError, match=match):
             check_kinetics(GateKind.AND, n, alpha, hill_k)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_n_and_alpha(self, bad):
+        # NaN passes a bare n <= 0 or alpha <= 0 test
+        with pytest.raises(ValueError, match="Hill coefficient n must be finite and > 0"):
+            check_kinetics(GateKind.AND, bad, 1.0, (0.4, 0.4))
+        with pytest.raises(ValueError, match="degradation rate alpha must be finite and > 0"):
+            check_kinetics(GateKind.AND, 4, bad, (0.4, 0.4))
+        with pytest.raises(ValueError, match="Hill coefficient n"):
+            GateParams(GateKind.NOT, n=bad, alpha=1.0, hill_k=(0.4,))
+        with pytest.raises(ValueError, match="degradation rate alpha"):
+            GateParams(GateKind.NOT, n=3, alpha=bad, hill_k=(0.4,))
+
 
 class TestClosedForm:
     def test_half_life(self):

@@ -146,6 +146,23 @@ class TestSimulateGate:
                           input_vars=["B"], output_var="xD")
         assert set(s.values) == {"B", "xD"}
 
+    @pytest.mark.parametrize("level", [-0.5, float("nan"), float("inf")])
+    def test_bad_input_level_rejected(self, level):
+        # a negative level to a non-integer n makes a complex drive
+        g = GateParams(GateKind.NOT, n=2.5, alpha=1.0, hill_k=(0.4,))
+        cfg = SimConfig(horizon=1.0, step=0.1)
+        with pytest.raises(ValueError, match="input levels of 'u'"):
+            simulate_gate(g, (level,), 0.0, cfg)
+        with pytest.raises(ValueError, match="input levels of 'u2'"):
+            simulate_gate(and_gate(), (0.5, level), 0.0, cfg)
+
+    @pytest.mark.parametrize("x0", [-0.3, float("nan"), float("inf")])
+    def test_bad_initial_value_rejected(self, x0):
+        # x0 = -0.3 would start the trajectory below 0
+        cfg = SimConfig(horizon=1.0, step=0.1)
+        with pytest.raises(ValueError, match="initial value of 'x'"):
+            simulate_gate(and_gate(), (0.6, 0.7), x0, cfg)
+
 
 def _stage_loop(drive, alpha, x, h, n_steps):
     """The classic RK4 stage order with f(y) = alpha * (drive - y), step by

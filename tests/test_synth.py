@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gatesynth import synth
 from gatesynth.circuit import Circuit, Gate, propagate_timing
 from gatesynth.formulas import Atom, Eventually, Globally
 from gatesynth.gates import (
@@ -292,6 +295,22 @@ class TestLargeHillCoefficient:
             over, finite = worst_case_output_robustness(
                 kind, row, ths, self.TH_OUT, ks, self.N, 5.0)
             assert over == pytest.approx(finite, abs=1e-15)
+
+
+    def test_k_above_one_does_not_overflow(self):
+        # 3.0**700 overflows as a float power in the AND curves
+        th = Thresholds(0.75, 0.25, 0.1)
+        and_reg, or_reg = and_region_m2(th, th, th, 700), or_region_m2(th, th, th, 700)
+        assert or_reg.membership((0.5, 3.0)) == (False, "K2_rect")
+        assert and_reg.membership((0.5, 3.0))[0] is False
+        assert _and_share(th.plus, th.tilde_plus, 700, 3.0) == pytest.approx(
+            self.exact_share(th.plus, th.tilde_plus, 700, 3.0), rel=1e-14, abs=1e-300)
+        grid = NumericGrid(axes={"K1": (0.05, 3.0, 40), "K2": (0.05, 3.0, 40)})
+        for reg in (and_reg, or_reg):
+            pts, inside, binding = sample_region(reg, grid)
+            assert inside.any() and not inside[(pts > 1).any(axis=1)].any()
+            for pt, ok, why in zip(pts, inside, binding):
+                assert reg.membership(pt) == (ok, why)
 
 
 class TestBoxSampling:
@@ -675,6 +694,18 @@ class TestRuleTable:
         assert and_n_bound_m2(TH_34, TH_34, TH_34) == nb
         assert or_n_bound_m2(TH_34, TH_34, TH_34) == nb
 
+    @pytest.mark.parametrize("n", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_n_bound_check_rejects_non_finite_or_non_positive_n(self, n):
+        # NaN passes an n < bound test, and inf reaches every bound
+        for method in ("m1", "m2"):
+            with pytest.raises(ValueError, match="Hill coefficient n must be finite"):
+                check_n_bound(GateKind.AND, (TH_34, TH_34, TH_34), n, method)
+        with pytest.raises(ValueError, match="Hill coefficient n must be finite"):
+            and_region_m2(TH_34, TH_34, TH_34, n)
+        c = Circuit.from_json("circuits/half_adder.json")
+        with pytest.raises(ValueError, match="Hill coefficient n must be finite"):
+            synthesize_circuit(c, n={"E": n})
+
     def test_only_or_method2_bound_is_strict(self):
         ths = (TH_34, TH_34, TH_34)
         nb = or_n_bound_m2(*ths)
@@ -693,3 +724,96 @@ class TestRuleTable:
         res = synthesize_circuit(c, method="m1")
         for gid, gs in res.gates.items():
             assert gs.n == GATE_RULES[gs.kind].default_n
+
+
+class TestBlockedEvaluation:
+    """Numeric synthesis and region sampling evaluate K points in blocks of
+    about ``_BLOCK_BYTES``; the block size never changes a result."""
+
+    HALF_ADDER = Circuit.from_json(
+        Path(__file__).resolve().parent.parent / "circuits" / "half_adder.json")
+    NUMERIC = {
+        "E": NumericGrid(axes={"K1": (0.1, 0.6, 6), "K2": (0.1, 0.6, 5)}),
+        "S": NumericGrid(axes={"K1": (0.1, 0.6, 5), "K2": (0.1, 0.6, 6)}),
+        "D": NumericGrid(axes={"K1": (0.002, 1.0, 31)}),
+    }
+    REGION_GRID = NumericGrid(axes={"K1": (0.01, 1.0, 23), "K2": (0.01, 1.0, 19)})
+
+    @staticmethod
+    def numeric(gid):
+        res = synthesize_numeric(TestBlockedEvaluation.HALF_ADDER,
+                                 grid={gid: TestBlockedEvaluation.NUMERIC[gid]})[gid]
+        return res.admissible.tobytes(), res.min_robustness.tobytes()
+
+    @pytest.mark.parametrize("gid", ["E", "S", "D"])
+    @pytest.mark.parametrize("per_block", [1, 7, 10**9])
+    def test_numeric_block_size_changes_nothing(self, monkeypatch, gid, per_block):
+        want = self.numeric(gid)
+        tb = propagate_timing(self.HALF_ADDER)
+        samples = time_grid(tb.lam[gid] + tb.delta[gid], 0.01).size
+        sizes = []
+
+        def recording(drive, *args):
+            sizes.append(len(drive))
+            return simulate_constant_drive(drive, *args)
+
+        monkeypatch.setattr(synth, "simulate_constant_drive", recording)
+        monkeypatch.setattr(synth, "_BLOCK_BYTES", per_block * 8 * samples)
+        assert self.numeric(gid) == want
+        points = len(self.NUMERIC[gid].points(sorted(self.NUMERIC[gid].axes)))
+        assert max(sizes) == min(per_block, points)
+
+    @pytest.mark.parametrize("region", [
+        and_region_m2(TH_34, TH_34, TH_34, 4), or_region_m2(TH_23, TH_34, TH_23, 5),
+        and_box_m1(TH_34, TH_34, TH_34, 4),
+    ], ids=["and", "or", "box"])
+    @pytest.mark.parametrize("per_block", [1, 7, 10**9])
+    def test_region_block_size_changes_nothing(self, monkeypatch, region, per_block):
+        _, want_inside, want_binding = sample_region(region, self.REGION_GRID)
+        monkeypatch.setattr(synth, "_BLOCK_BYTES", per_block * 64)
+        _, inside, binding = sample_region(region, self.REGION_GRID)
+        assert inside.tobytes() == want_inside.tobytes()
+        assert binding == want_binding
+
+    def test_region_blocks_joined_in_grid_order(self, monkeypatch):
+        region = and_region_m2(TH_34, TH_34, TH_34, 4)
+        rule = GATE_RULES[GateKind.AND]
+        sizes = []
+
+        def recording(ths, n, k1, k2):
+            sizes.append(len(k1))
+            return rule.membership(ths, n, k1, k2)
+
+        monkeypatch.setitem(synth.GATE_RULES, GateKind.AND,
+                            dataclasses.replace(rule, membership=recording))
+        monkeypatch.setattr(synth, "_BLOCK_BYTES", 7 * 64)
+        pts, inside, binding = sample_region(region, self.REGION_GRID)
+        assert sizes == [7] * 62 + [3]
+        for pt, ok, why in zip(pts, inside, binding):
+            assert region.membership(pt) == (ok, why)
+
+    @staticmethod
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_numeric_memory_does_not_grow_with_the_grid(self):
+        # a (T, N) trajectory array for all N points would be 34 MiB at 60x60
+        def run(side):
+            axis = (0.1, 0.6, side)
+            grid = {"E": NumericGrid(axes={"K1": axis, "K2": axis})}
+            return self.traced_peak(lambda: synthesize_numeric(self.HALF_ADDER, grid=grid))
+
+        small, large = run(30), run(60)
+        assert large <= 8 * 2**20
+        assert large - small <= 2**20
+
+    def test_region_sampling_memory_at_300x300(self):
+        grid = NumericGrid(axes={"K1": (1 / 300, 1.0, 300), "K2": (1 / 300, 1.0, 300)})
+        syn = synthesize_circuit(self.HALF_ADDER, method="m2")
+        for region in (syn.gates["E"].region, syn.gates["E"].box):
+            assert self.traced_peak(lambda: sample_region(region, grid)) <= 5 * 2**20
