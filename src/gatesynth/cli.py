@@ -8,12 +8,19 @@ region   sampled admissible region for a single gate kind
 verify   simulate all input combinations and monitor the network contracts
 monitor  robustness of an STL formula on a trace CSV
 
-Exit codes: 0 success, 1 usage or input error, 2 graph error (cycles,
-undefined variables, gates off every input-to-output path), 3 empty
-parameter region, 4 verification failure.
+Exit codes.  :func:`main` maps each error's type to its code and prints
+one ``error: ...`` line on stderr:
 
-Every command writes a run manifest next to its outputs so a run can be
-reproduced from the files alone.
+0  success
+1  a bad argument (argparse), or a ``ValueError``, ``OSError`` or
+   ``UnknownVariableError`` from the library or a file loader
+2  a ``GraphError``: a cycle, an undefined variable, a gate off every
+   input-to-output path
+3  an ``EmptyRegionError``: a Hill coefficient below its bound
+4  ``verify`` ran and some row failed its contract
+
+Every command but ``monitor`` writes a run manifest next to its outputs
+so a run can be reproduced from the files alone.
 """
 
 from __future__ import annotations
@@ -27,11 +34,11 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .circuit import Circuit, GraphError, propagate_timing, wiring_formulas
-from .formulas import StlSyntaxError, parse
+from .formulas import parse
 from .gates import GateKind, GateParams, Thresholds, _check_finite_positive
-from .monitor import HorizonError, robustness
+from .monitor import robustness
 from .odesim import verify as run_verify
-from .signals import read_trace_csv, write_trace_csv
+from .signals import Signal, UnknownVariableError, read_trace_csv, write_trace_csv
 from .synth import (
     GATE_RULES, CurvedRegion, EmptyRegionError, NumericGrid, check_n_bound,
     export_region_csv, k_box, sample_region, synthesize_circuit,
@@ -58,11 +65,14 @@ class RunManifest:
     )
 
     def write(self) -> str:
-        path = os.path.join(self.out_dir, "manifest.json")
-        with open(path, "w") as fh:
-            json.dump(self.__dict__, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return path
+        return _write_json(os.path.join(self.out_dir, "manifest.json"), self.__dict__)
+
+
+def _write_json(path: str, data) -> str:
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return path
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,14 +90,10 @@ def _ensure_out(path: str) -> str:
 def _load_circuit(path: str) -> Circuit:
     try:
         return Circuit.from_json(path)
-    except FileNotFoundError:
-        print(f"error: circuit file not found: {path}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-    except GraphError:
-        raise  # exit code 2, mapped in main
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        print(f"error: bad circuit file {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        if isinstance(exc, GraphError):
+            raise  # exit code 2, mapped in main
+        raise ValueError(f"bad circuit file {path}: {exc}") from None
 
 
 def _k_grid(resolution: int, arity: int) -> NumericGrid:
@@ -117,19 +123,12 @@ def _hill_n(text: str) -> float:
     return value
 
 
-def _parse_n_flags(pairs) -> dict[str, float]:
-    out = {}
-    for item in pairs or ():
-        if "=" not in item:
-            print(f"error: --n expects GATE=VALUE, got {item!r}", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
-        gid, _, val = item.partition("=")
-        try:
-            out[gid] = _hill_n(val)
-        except argparse.ArgumentTypeError as exc:
-            print(f"error: --n {item!r}: {exc}", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
-    return out
+def _gate_n(text: str) -> tuple[str, float]:
+    """argparse type of ``synth --n``: ``GATE=VALUE`` as a (gate id, n) pair."""
+    gid, sep, value = text.partition("=")
+    if not sep:
+        raise argparse.ArgumentTypeError(f"expected GATE=VALUE, got {text!r}")
+    return gid, _hill_n(value)
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +162,7 @@ def cmd_timing(args) -> int:
             for edge, w in wiring_formulas(c, tb)
         ],
     }
-    with open(os.path.join(out, "timing.json"), "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out, "timing.json"), data)
     RunManifest("timing", args.circuit, {"out": out}, out).write()
     return EXIT_OK
 
@@ -173,7 +170,7 @@ def cmd_timing(args) -> int:
 def cmd_synth(args) -> int:
     c = _load_circuit(args.circuit)
     out = _ensure_out(args.out)
-    n_map = _parse_n_flags(args.n)
+    n_map = dict(args.n or ())
     result = synthesize_circuit(c, method=args.method, n=n_map)
 
     payload = result.to_dict()
@@ -196,9 +193,7 @@ def cmd_synth(args) -> int:
         print(f"{gid:<10}{gs.kind.value:<6}n={gs.n:g} (bound {gs.n_bound:.4f})  "
               f"alpha>={gs.alpha_min:.4f}  {box}")
 
-    with open(os.path.join(out, "synthesis.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out, "synthesis.json"), payload)
     RunManifest(
         "synth", args.circuit,
         {"method": args.method, "n": n_map, "grid": args.grid, "out": out},
@@ -208,16 +203,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_region(args) -> int:
-    try:
-        kind = GateKind(args.kind.upper())
-    except ValueError:
-        print(f"error: unknown gate kind {args.kind!r}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        th = Thresholds(plus=args.plus, minus=args.minus, p=args.p)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    kind = GateKind(args.kind)
+    th = Thresholds(plus=args.plus, minus=args.minus, p=args.p)
     ths = (th,) * (kind.arity + 1)
     out = _ensure_out(args.out)
 
@@ -248,31 +235,26 @@ def cmd_region(args) -> int:
 
 
 def _load_params(path: str, c: Circuit) -> dict[str, GateParams]:
+    """Read a JSON object of gate id -> {n, alpha, k: [...]} for every gate."""
+    params = {}
+    where = ""
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except FileNotFoundError:
-        print(f"error: params file not found: {path}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-    except json.JSONDecodeError as exc:
-        print(f"error: bad params file {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-    params = {}
-    for gid, g in c.gates.items():
-        if gid not in raw:
-            print(f"error: no parameters for gate {gid!r}", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
-        spec = raw[gid]
-        try:
+        if not isinstance(raw, dict):
+            raise ValueError(f"expected a JSON object, got {type(raw).__name__}")
+        for gid, g in c.gates.items():
+            if gid not in raw:
+                raise ValueError(f"no parameters for gate {gid!r}")
+            where, spec = f" gate {gid!r}:", raw[gid]
             params[gid] = GateParams(
                 kind=g.kind,
                 n=float(spec["n"]),
                 alpha=float(spec["alpha"]),
                 hill_k=tuple(float(k) for k in spec["k"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            print(f"error: bad parameters for gate {gid!r}: {exc}", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"bad params file {path}:{where} {exc}") from None
     return params
 
 
@@ -281,11 +263,7 @@ def cmd_verify(args) -> int:
     params = _load_params(args.params, c)
     out = _ensure_out(args.out)
     tb = propagate_timing(c)
-    try:
-        report = run_verify(c, params, tb, step=args.step)
-    except ValueError as exc:  # a bad step or initial value, or a complex drive
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    report = run_verify(c, params, tb, step=args.step)
 
     for e in report.entries:
         combo = " ".join(f"{v}={lvl}" for v, lvl in e.combo.items())
@@ -295,25 +273,20 @@ def cmd_verify(args) -> int:
     for key, trace in report.traces.items():
         fname = "trace_" + key.replace(",", "_").replace("=", "-") + ".csv"
         write_trace_csv(trace, os.path.join(out, fname))
-    with open(os.path.join(out, "verify.json"), "w") as fh:
-        json.dump(
+    _write_json(os.path.join(out, "verify.json"), {
+        "all_pass": report.all_pass,
+        "entries": [
             {
-                "all_pass": report.all_pass,
-                "entries": [
-                    {
-                        "combo": e.combo,
-                        "output": e.output,
-                        "expected": e.expected,
-                        "formula": str(e.formula),
-                        "robustness": e.robustness,
-                        "passed": e.passed,
-                    }
-                    for e in report.entries
-                ],
-            },
-            fh, indent=2, sort_keys=True,
-        )
-        fh.write("\n")
+                "combo": e.combo,
+                "output": e.output,
+                "expected": e.expected,
+                "formula": str(e.formula),
+                "robustness": e.robustness,
+                "passed": e.passed,
+            }
+            for e in report.entries
+        ],
+    })
     RunManifest(
         "verify", args.circuit,
         {"params": args.params, "step": args.step, "out": out}, out,
@@ -325,28 +298,16 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def cmd_monitor(args) -> int:
+def _load_trace(path: str) -> Signal:
     try:
-        sig = read_trace_csv(args.trace)
-    except FileNotFoundError:
-        print(f"error: trace file not found: {args.trace}", file=sys.stderr)
-        return EXIT_USAGE
+        return read_trace_csv(path)
     except ValueError as exc:
-        print(f"error: bad trace file: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        f = parse(args.formula)
-    except StlSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        rho = robustness(f, sig, args.t)
-    except HorizonError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"bad trace file {path}: {exc}") from None
+
+
+def cmd_monitor(args) -> int:
+    sig = _load_trace(args.trace)
+    rho = robustness(parse(args.formula), sig, args.t)
     print(f"{rho:.6g}")
     return EXIT_OK
 
@@ -368,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("synth", help="analytic parameter regions per gate")
     s.add_argument("circuit")
     s.add_argument("--method", choices=("m1", "m2"), default="m1")
-    s.add_argument("--n", action="append", metavar="GATE=VALUE",
+    s.add_argument("--n", type=_gate_n, action="append", metavar="GATE=VALUE",
                    help="Hill coefficient for a gate (repeatable)")
     s.add_argument("--grid", type=_grid_resolution, default=100,
                    help="grid resolution for m2 region exports")
@@ -376,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_synth)
 
     r = sub.add_parser("region", help="sampled region for a single gate")
-    r.add_argument("--kind", required=True, help="AND, OR or NOT")
+    r.add_argument("--kind", type=str.upper, choices=[k.value for k in GateKind],
+                   required=True, help="gate kind, in any case")
     r.add_argument("--plus", type=float, required=True)
     r.add_argument("--minus", type=float, required=True)
     r.add_argument("--p", type=float, default=0.1)
@@ -402,18 +364,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command and return its exit code (see the module docstring)."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except GraphError as exc:
+    except SystemExit as exc:  # argparse: usage errors, --help, --version
+        return exc.code
+    except (ValueError, OSError, UnknownVariableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GRAPH
-    except EmptyRegionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        if isinstance(exc, GraphError):
+            return EXIT_GRAPH
+        if isinstance(exc, EmptyRegionError):
+            return EXIT_EMPTY
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -518,14 +518,18 @@ def synthesize_circuit(
     """Analytic per-gate synthesis over the whole circuit.
 
     ``n`` maps gate id to its fixed Hill coefficient (default: the
-    kind's ``default_n`` in :data:`GATE_RULES`).  Raises
+    kind's ``default_n`` in :data:`GATE_RULES`).  Raises ``ValueError``
+    for a gate id in ``n`` that is not in the circuit, and
     :class:`EmptyRegionError` when a gate's n misses its method bound.
     """
     if method not in ("m1", "m2"):
         raise ValueError("method must be 'm1' or 'm2'")
+    n = dict(n or {})
+    unknown = sorted(n.keys() - c.gates.keys())
+    if unknown:
+        raise ValueError(f"n names gate ids not in the circuit: {unknown}")
     if tb is None:
         tb = propagate_timing(c)
-    n = dict(n or {})
     results = {}
     for gid in c.topo_order():
         g = c.gates[gid]
@@ -779,13 +783,17 @@ def sample_region(
     curved region is judged one block of points at a time, about 16k
     points to a block, so the membership predicate's temporaries stay
     under 2 MiB whatever the grid size; the masks and labels are joined
-    in grid order, identical to one call on the whole grid.
+    in grid order, identical to one call on the whole grid.  A curved
+    region takes exactly two axis names, (K1, K2); others raise
+    ``ValueError``.
     """
     pts = grid.points(list(axis_names))
     if isinstance(region, ParamBox):
         inside = region.contains_points(pts, axis_names)
         labels = np.array(["box", ""], dtype=object)
         return pts, inside, labels[inside.view(np.uint8)].tolist()
+    if len(axis_names) != 2:
+        raise ValueError("a Method 2 region needs two K axes")
     membership = GATE_RULES[region.kind].membership
     inside = np.empty(len(pts), dtype=bool)
     binding: list[str] = []

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import gatesynth
 from gatesynth.cli import main
 
 HALF_ADDER = "circuits/half_adder.json"
@@ -112,6 +115,13 @@ class TestSynth:
                    "--out", str(tmp_path)])
         assert rc == 1
         assert "grid resolution must be >= 1" in capsys.readouterr().err
+
+    def test_unknown_gate_in_n_exits_1(self, tmp_path, capsys):
+        # exited 0 with every gate at its default n before
+        rc = main(["synth", HALF_ADDER, "--n", "ZZ=4", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "not in the circuit: ['ZZ']" in capsys.readouterr().err
+        assert not (tmp_path / "synthesis.json").exists()
 
 
 class TestRegion:
@@ -325,3 +335,59 @@ class TestUsage:
         before = dict(os.environ)
         assert main(["timing", HALF_ADDER, "--out", str(tmp_path)]) == 0
         assert dict(os.environ) == before
+
+
+def assert_one_error_line(rc, capsys):
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    return err
+
+
+class TestErrorPath:
+    """Inputs that ended in a traceback before: exit 1 and one error line."""
+
+    @pytest.mark.parametrize("command", ["timing", "synth", "region", "verify"])
+    def test_out_under_a_regular_file_exits_1(self, tmp_path, capsys, command):
+        if command == "region":
+            argv = ["region", "--kind", "AND", "--plus", "0.75", "--minus", "0.25",
+                    "--n", "4"]
+        elif command == "verify":
+            argv = ["verify", HALF_ADDER, good_params(tmp_path)]
+        else:
+            argv = [command, HALF_ADDER]
+        capsys.readouterr()
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        rc = main(argv + ["--out", str(blocker / "out")])
+        assert "Not a directory" in assert_one_error_line(rc, capsys)
+
+    def test_monitor_on_a_directory_exits_1(self, tmp_path, capsys):
+        rc = main(["monitor", str(tmp_path), "x >= 0.5"])
+        assert str(tmp_path) in assert_one_error_line(rc, capsys)
+
+    @pytest.mark.parametrize("body,kind", [("5", "int"), ('["C", "D"]', "list")],
+                             ids=["number", "list"])
+    def test_params_not_an_object_exits_1(self, tmp_path, capsys, body, kind):
+        path = tmp_path / "params.json"
+        path.write_text(body)
+        rc = main(["verify", HALF_ADDER, str(path), "--out", str(tmp_path)])
+        err = assert_one_error_line(rc, capsys)
+        assert f"bad params file {path}: expected a JSON object, got {kind}" in err
+
+
+def test_module_exit_status_and_stderr():
+    """``python -m gatesynth.cli`` passes main's exit code to the process."""
+    src = str(Path(gatesynth.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gatesynth.cli", "region", "--kind", "foo",
+         "--plus", "0.75", "--minus", "0.25", "--n", "4"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "error: argument --kind: invalid choice: 'FOO'" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -245,6 +245,12 @@ class TestArrayMembership:
         assert reg.membership((lo1, lo2)) == (True, "K1_low_rect")
         assert reg.membership((lo1 + 1e-3, lo2)) == (True, "K2_low_rect")
 
+    def test_curved_region_needs_two_axes(self):
+        # one axis gave an IndexError from pts[block, 1] before
+        reg = and_region_m2(TH_34, TH_34, TH_34, 4)
+        with pytest.raises(ValueError, match="needs two K axes"):
+            sample_region(reg, NumericGrid({"K1": (0.1, 1.0, 5)}), ("K1",))
+
 
 class TestLargeHillCoefficient:
     # plus and minus nearly coincide, so the Method 2 n bound is about 993,
@@ -381,6 +387,12 @@ class TestSynthesizeCircuit:
         c = Circuit.from_json("circuits/half_adder.json")
         with pytest.raises(EmptyRegionError, match="S"):
             synthesize_circuit(c, method="m1", n={"S": 2.0})
+
+    def test_unknown_gate_in_n_rejected(self):
+        # a mistyped gate id was ignored and every gate kept its default n
+        c = Circuit.from_json("circuits/half_adder.json")
+        with pytest.raises(ValueError, match=r"not in the circuit: \['Y', 'ZZ'\]"):
+            synthesize_circuit(c, n={"ZZ": 4.0, "S": 4.0, "Y": 4.0})
 
     def test_single_and_gate_composition(self):
         th = {"a": TH_34, "b": TH_34, "x": TH_34}
