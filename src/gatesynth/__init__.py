@@ -28,8 +28,7 @@ from .odesim import (
     simulate_constant_drive, simulate_gate, verify,
 )
 from .signals import (
-    ConstantStimulus, OutOfRangeError, Signal, UnknownVariableError,
-    read_trace_csv, write_trace_csv,
+    OutOfRangeError, Signal, UnknownVariableError, read_trace_csv, write_trace_csv,
 )
 from .synth import (
     CurvedRegion, EmptyRegionError, GateSynthesis, NumericGateResult,

@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, field
 
 from .formulas import Atom, Eventually, Formula, Globally, Implies
-from .gates import GateKind, Thresholds
+from .gates import GateKind, Thresholds, _check_finite_positive
 
 __all__ = [
     "Gate", "Circuit", "TimingBudget", "WiringCheck", "GraphError", "CycleError",
@@ -30,8 +30,9 @@ __all__ = [
 
 
 class GraphError(ValueError):
-    """Malformed wiring: a cycle, an undefined variable, or a gate off
-    every input-to-output path."""
+    """Malformed wiring: a cycle, an undefined variable, a variable that
+    two gates write, a repeated external input, or a gate off every
+    input-to-output path."""
 
 
 class CycleError(GraphError):
@@ -68,13 +69,22 @@ class Circuit:
     delta: float
     lam: float
     sim: dict = field(default_factory=dict, compare=False)
+    # gate output variable -> id of the gate that writes it
+    _producer: dict[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "external_inputs", tuple(self.external_inputs))
         object.__setattr__(self, "outputs", tuple((g, n) for g, n in self.outputs))
-        if self.delta <= 0 or self.lam <= 0:
-            raise ValueError("network delta and lambda must be > 0")
-        produced = {g.output: gid for gid, g in self.gates.items()}
+        _check_finite_positive("network delta", self.delta)
+        _check_finite_positive("network lambda", self.lam)
+        if len(set(self.external_inputs)) != len(self.external_inputs):
+            raise GraphError(f"repeated external input: {list(self.external_inputs)}")
+        produced: dict[str, str] = {}
+        for gid, g in self.gates.items():
+            other = produced.setdefault(g.output, gid)
+            if other != gid:
+                raise GraphError(f"variable {g.output!r} is written by gates {other!r} and {gid!r}")
+        object.__setattr__(self, "_producer", produced)
         dup = set(produced) & set(self.external_inputs)
         if dup:
             raise ValueError(f"variables produced by gates shadow external inputs: {sorted(dup)}")
@@ -97,13 +107,9 @@ class Circuit:
 
     def edges(self) -> list[tuple[str, str]]:
         """Internal wires as (producer gate id, consumer gate id)."""
-        produced = {g.output: gid for gid, g in self.gates.items()}
-        out = []
-        for gid, g in self.gates.items():
-            for v in g.inputs:
-                if v in produced:
-                    out.append((produced[v], gid))
-        return out
+        produced = self._producer
+        return [(produced[v], gid) for gid, g in self.gates.items()
+                for v in g.inputs if v in produced]
 
     def output_gate_ids(self) -> set[str]:
         return {gid for gid, _ in self.outputs}
@@ -265,12 +271,9 @@ def longest_paths(c: Circuit) -> tuple[dict[str, int], dict[str, int]]:
     return lf, lb
 
 
-def propagate_timing(c: Circuit, delta: float | None = None, lam: float | None = None) -> TimingBudget:
-    """Per-gate (delta, lambda) budgets from the network-level targets."""
-    delta = c.delta if delta is None else delta
-    lam = c.lam if lam is None else lam
-    if delta <= 0 or lam <= 0:
-        raise ValueError("delta and lambda must be > 0")
+def propagate_timing(c: Circuit) -> TimingBudget:
+    """Per-gate (delta, lambda) budgets from the circuit's network targets."""
+    delta, lam = c.delta, c.lam
     lf, lb = longest_paths(c)
     d = {gid: delta / (lf[gid] + lb[gid] + 1) for gid in c.gates}
 
@@ -296,14 +299,12 @@ def propagate_timing(c: Circuit, delta: float | None = None, lam: float | None =
     )
 
 
-def wiring_formulas(
-    c: Circuit, tb: TimingBudget, nu1: float = 0.0
-) -> list[tuple[tuple[str, str], WiringCheck]]:
-    """One consistency check per internal wire (M, M').
+def wiring_formulas(c: Circuit, tb: TimingBudget) -> list[tuple[tuple[str, str], WiringCheck]]:
+    """One consistency check per internal wire (M, M'), from nu1 = 0.
 
     The producer promises its output eventually holds for mu1 =
     lam(M)+delta(M) starting within gamma1 = delta(M); the consumer needs
-    it held for mu2 = lam(M') from nu2 = nu1 + delta(M) on.  Since
+    it held for mu2 = lam(M') from nu2 = delta(M) on.  Since
     lam(M) >= lam(M'), every instantiation is a valid formula.
     """
     checks = []
@@ -313,10 +314,10 @@ def wiring_formulas(
             (
                 (a, b),
                 WiringCheck(
-                    nu1=nu1,
+                    nu1=0.0,
                     gamma1=tb.delta[a],
                     mu1=tb.lam[a] + tb.delta[a],
-                    nu2=nu1 + tb.delta[a],
+                    nu2=tb.delta[a],
                     mu2=tb.lam[b],
                     threshold=c.thresholds[var].plus,
                     var=var,

@@ -14,7 +14,8 @@ one ``error: ...`` line on stderr:
 0  success
 1  a bad argument (argparse), or a ``ValueError``, ``OSError`` or
    ``UnknownVariableError`` from the library or a file loader
-2  a ``GraphError``: a cycle, an undefined variable, a gate off every
+2  a ``GraphError``: a cycle, an undefined variable, a variable written
+   by two gates, a repeated external input, a gate off every
    input-to-output path
 3  an ``EmptyRegionError``: a Hill coefficient below its bound
 4  ``verify`` ran and some row failed its contract
@@ -187,11 +188,13 @@ def cmd_synth(args) -> int:
         payload["region_grids"] = grids
 
     for gid, gs in sorted(result.gates.items()):
-        box = " ".join(
-            f"{a}=[{lo:.4f},{hi:.4f}]" for a, (lo, hi) in gs.box.intervals.items()
-        )
-        print(f"{gid:<10}{gs.kind.value:<6}n={gs.n:g} (bound {gs.n_bound:.4f})  "
-              f"alpha>={gs.alpha_min:.4f}  {box}")
+        line = (f"{gid:<10}{gs.kind.value:<6}n={gs.n:g} (bound {gs.n_bound:.4f})  "
+                f"alpha>={gs.alpha_min:.4f}")
+        if gs.box is not None:  # None under m2 below the Method 1 bound
+            line += "  " + " ".join(
+                f"{a}=[{lo:.4f},{hi:.4f}]" for a, (lo, hi) in gs.box.intervals.items()
+            )
+        print(line)
 
     _write_json(os.path.join(out, "synthesis.json"), payload)
     RunManifest(

@@ -38,15 +38,6 @@ class StlSyntaxError(ValueError):
 class Formula:
     """Base class for STL AST nodes."""
 
-    def __and__(self, other: "Formula") -> "Formula":
-        return And(self, other)
-
-    def __or__(self, other: "Formula") -> "Formula":
-        return Or(self, other)
-
-    def __invert__(self) -> "Formula":
-        return Not(self)
-
 
 def _check_interval(lo: float, hi: float) -> None:
     if lo < 0:

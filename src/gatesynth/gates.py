@@ -126,8 +126,8 @@ class ExtendedTruthRow:
     lam: float
 
     def __post_init__(self):
-        if self.delta <= 0 or self.lam <= 0:
-            raise ValueError("delta and lambda must be > 0")
+        _check_finite_positive("delta", self.delta)
+        _check_finite_positive("lambda", self.lam)
         if self.output_level not in (HIGH, LOW):
             raise ValueError("output_level must be 'high' or 'low'")
         if any(v not in (HIGH, LOW) for v in self.input_levels):
@@ -244,8 +244,7 @@ def closed_form(K: float, alpha: float, x0: float, t):
 
     ``t`` may be a scalar or an array.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
+    _check_finite_positive("alpha", alpha)
     return K + (x0 - K) * np.exp(-alpha * np.asarray(t, dtype=float))
 
 

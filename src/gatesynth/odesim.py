@@ -34,10 +34,11 @@ import numpy as np
 from .circuit import Circuit, TimingBudget, propagate_timing
 from .formulas import Formula
 from .gates import (
-    HIGH, LOW, ExtendedTruthRow, GateKind, GateParams, gate_drive, row_formula,
+    HIGH, LOW, ExtendedTruthRow, GateParams, _check_finite_positive, gate_drive,
+    row_formula,
 )
 from .monitor import robustness
-from .signals import ConstantStimulus, Signal
+from .signals import Signal
 
 __all__ = [
     "SimConfig", "schedule_value", "time_grid", "simulate_gate", "simulate_circuit",
@@ -57,25 +58,26 @@ RK4_STABILITY_LIMIT = 2.785293563405282
 class SimConfig:
     """Integration settings: step, horizon, initial values, input program.
 
-    ``inputs`` maps an external variable to either a constant level or a
-    piecewise-constant schedule [(t0, level0), (t1, level1), ...] with
-    t0 = 0 and strictly increasing breakpoint times; each level holds
-    until the next breakpoint.  Every level must be finite and >= 0, and
-    so must every ``initial`` value.
+    ``inputs`` maps an external variable to its input program, in one of
+    two forms: a constant level, or a piecewise-constant breakpoint list
+    [(t0, level0), (t1, level1), ...] with t0 = 0 and strictly increasing
+    finite times, each level holding until the next breakpoint.  Every
+    level must be finite and >= 0, and so must every ``initial`` value;
+    step and horizon must be finite and > 0.
     """
 
     horizon: float
     step: float = DEFAULT_STEP
     initial: dict[str, float] = field(default_factory=dict)
     inputs: dict = field(default_factory=dict)
+    # each input program as (start times, levels) arrays, from _program
+    _programs: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("step must be > 0")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be > 0")
-        for var, schedule in self.inputs.items():
-            _check_schedule(var, schedule)
+        _check_finite_positive("step", self.step)
+        _check_finite_positive("horizon", self.horizon)
+        programs = {var: _program(var, schedule) for var, schedule in self.inputs.items()}
+        object.__setattr__(self, "_programs", programs)
         for var, x0 in self.initial.items():
             _check_initial(var, x0)
 
@@ -86,54 +88,49 @@ def _check_initial(var, x0) -> None:
         raise ValueError(f"initial value of {var!r} must be finite and >= 0, got {x0}")
 
 
-def _check_schedule(var, schedule) -> None:
-    """Raise ``ValueError`` unless ``schedule`` is a valid input program."""
-    if isinstance(schedule, ConstantStimulus):
-        schedule = schedule.level
+def _program(var, schedule) -> tuple[np.ndarray, np.ndarray]:
+    """An input program as (start times, levels) arrays; ``ValueError``
+    unless it is a valid constant level or breakpoint list (see
+    :class:`SimConfig`).  A constant level holds from t = 0."""
     if isinstance(schedule, (int, float)):
-        levels = [schedule]
+        starts, levels = np.zeros(1), np.array([float(schedule)])
     else:
         points = list(schedule)
         if not points:
             raise ValueError(f"input program of {var!r} is empty")
-        starts = [float(t0) for t0, _ in points]
-        levels = [lvl for _, lvl in points]
+        starts = np.array([float(t0) for t0, _ in points])
+        levels = np.array([float(lvl) for _, lvl in points])
         if starts[0] != 0.0:
             raise ValueError(
                 f"input program of {var!r} must start at t=0, not t={starts[0]}"
             )
-        if not all(a < b for a, b in zip(starts, starts[1:])):
+        if not np.all(starts[:-1] < starts[1:]):
             raise ValueError(
-                f"breakpoint times of {var!r} must strictly increase: {starts}"
+                f"breakpoint times of {var!r} must strictly increase: {starts.tolist()}"
             )
         if not math.isfinite(starts[-1]):
             raise ValueError(f"breakpoint times of {var!r} must be finite")
-    if not all(math.isfinite(lvl) and lvl >= 0 for lvl in levels):
+    if not np.all(np.isfinite(levels) & (levels >= 0)):
         raise ValueError(f"input levels of {var!r} must be finite and >= 0")
+    return starts, levels
 
 
-def _levels_at(schedule, times: np.ndarray) -> np.ndarray:
-    """Levels of an input program at each of ``times``.
+def _levels_at(program: tuple[np.ndarray, np.ndarray], times: np.ndarray) -> np.ndarray:
+    """Levels of a :func:`_program` at each of ``times``.
 
     A level starts to hold at t >= t0 - 1e-12, so a time that misses its
     breakpoint by rounding still sees the new level.
     """
-    if isinstance(schedule, ConstantStimulus):
-        schedule = schedule.level
-    if isinstance(schedule, (int, float)):
-        return np.full(times.shape, float(schedule))
-    starts = np.array([float(t0) for t0, _ in schedule])
-    levels = np.array([float(lvl) for _, lvl in schedule])
+    starts, levels = program
     i = np.searchsorted(starts - 1e-12, times, side="right") - 1
     if np.any(i < 0):
-        raise ValueError(f"schedule {schedule!r} undefined at t={times[i < 0][0]}")
+        raise ValueError(f"input program undefined at t={times[i < 0][0]}")
     return levels[i]
 
 
 def schedule_value(schedule, t: float) -> float:
-    """Level of a constant or piecewise-constant input program at time t."""
-    _check_schedule("schedule", schedule)
-    return float(_levels_at(schedule, np.array([float(t)]))[0])
+    """Level of an input program (see :class:`SimConfig`) at time t."""
+    return float(_levels_at(_program("schedule", schedule), np.array([float(t)]))[0])
 
 
 def time_grid(horizon: float, step: float) -> np.ndarray:
@@ -152,17 +149,16 @@ def simulate_gate(
     input_vars=None,
     output_var: str = "x",
 ) -> Signal:
-    """Integrate a single gate driven by constant input stimuli.
+    """Integrate a single gate driven by constant input levels.
 
-    ``inputs`` is one constant level (or :class:`ConstantStimulus`) per
-    gate input, and ``input_vars`` names them, one distinct name each,
-    none equal to ``output_var``.  Every level and ``x0`` must be finite
-    and >= 0, as in :class:`SimConfig`; otherwise ``ValueError``.  The
-    returned trace contains the inputs and the output.
+    ``inputs`` is one constant level per gate input, the first of the two
+    input-program forms of :class:`SimConfig`; a breakpoint list needs
+    :func:`simulate_circuit`.  ``input_vars`` names the inputs, one
+    distinct name each, none equal to ``output_var``.  Every level and
+    ``x0`` must be finite and >= 0, as in :class:`SimConfig`; otherwise
+    ``ValueError``.  The returned trace contains the inputs and the output.
     """
-    levels = tuple(
-        u.level if isinstance(u, ConstantStimulus) else float(u) for u in inputs
-    )
+    levels = tuple(float(u) for u in inputs)
     arity = g.kind.arity
     if len(levels) != arity:
         raise ValueError(f"{g.kind.value} gate takes {arity} input(s)")
@@ -178,7 +174,7 @@ def simulate_gate(
     if output_var in input_vars:
         raise ValueError(f"output name {output_var!r} is also an input name")
     for var, lvl in zip(input_vars, levels):
-        _check_schedule(var, lvl)
+        _program(var, lvl)
     _check_initial(output_var, x0)
     times = time_grid(cfg.horizon, cfg.step)
     drive = float(gate_drive(g, levels))
@@ -281,13 +277,14 @@ def simulate_circuit(
     h = cfg.step
     n_steps = times.size - 1
     ext = c.external_inputs
-    values = {v: _levels_at(cfg.inputs[v], times) for v in ext}
+    programs = cfg._programs
+    values = {v: _levels_at(programs[v], times) for v in ext}
     # per signal still to be read, its values at the four RK4 stages of
     # every step, n_steps Python floats each
     stages = {}
     for v in ext:
         u_mid, u_end = (
-            _levels_at(cfg.inputs[v], times[:-1] + dt).tolist() for dt in (0.5 * h, h)
+            _levels_at(programs[v], times[:-1] + dt).tolist() for dt in (0.5 * h, h)
         )
         stages[v] = (values[v][:-1].tolist(), u_mid, u_mid, u_end)
     order = c.topo_order()

@@ -8,30 +8,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Signal", "ConstantStimulus", "UnknownVariableError", "OutOfRangeError",
-           "read_trace_csv", "write_trace_csv"]
+__all__ = ["Signal", "UnknownVariableError", "OutOfRangeError", "read_trace_csv",
+           "write_trace_csv"]
 
 
 class UnknownVariableError(KeyError):
     """Requested variable is not present in the signal."""
 
+    def __str__(self):
+        # the message itself: a KeyError's str() is its repr, in quotes
+        return self.args[0]
+
 
 class OutOfRangeError(ValueError):
     """Requested time lies outside the sampled interval."""
-
-
-@dataclass(frozen=True)
-class ConstantStimulus:
-    """A constant input level held for a fixed duration."""
-
-    level: float
-    hold_duration: float
-
-    def __post_init__(self):
-        if self.level < 0:
-            raise ValueError("stimulus level must be >= 0")
-        if self.hold_duration <= 0:
-            raise ValueError("hold_duration must be > 0")
 
 
 @dataclass(frozen=True)
@@ -116,10 +106,10 @@ class Signal:
             raise ValueError("signal is not uniformly sampled")
         return self._step
 
-    def index_of(self, t: float, tol: float = 1e-9) -> int:
-        """Index of the grid point at time ``t`` (must hit a sample)."""
-        i = int(self.times.searchsorted(t - tol))
-        if i >= self.times.size or abs(self.times[i] - t) > tol:
+    def index_of(self, t: float) -> int:
+        """Index of the grid point within 1e-9 of time ``t``."""
+        i = int(self.times.searchsorted(t - 1e-9))
+        if i >= self.times.size or abs(self.times[i] - t) > 1e-9:
             raise OutOfRangeError(f"t={t} is not a sample point of the trace")
         return i
 

@@ -132,8 +132,7 @@ def intersect(boxes) -> ParamBox:
 
 def alpha_bound(th: Thresholds, delta: float) -> float:
     """Smallest degradation rate meeting the response-time budget delta."""
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
+    _check_finite_positive("delta", delta)
     return math.log(1.0 / (th.p * th.minus)) / delta
 
 
@@ -518,9 +517,12 @@ def synthesize_circuit(
     """Analytic per-gate synthesis over the whole circuit.
 
     ``n`` maps gate id to its fixed Hill coefficient (default: the
-    kind's ``default_n`` in :data:`GATE_RULES`).  Raises ``ValueError``
-    for a gate id in ``n`` that is not in the circuit, and
-    :class:`EmptyRegionError` when a gate's n misses its method bound.
+    kind's ``default_n`` in :data:`GATE_RULES`).  Each gate gets its
+    Method 1 box; under m2 a gate whose n lies between its Method 2 and
+    Method 1 bounds has only its Method 2 region, and ``box`` None.
+    Raises ``ValueError`` for a gate id in ``n`` that is not in the
+    circuit, and :class:`EmptyRegionError` when a gate's n misses its
+    method bound.
     """
     if method not in ("m1", "m2"):
         raise ValueError("method must be 'm1' or 'm2'")
@@ -543,7 +545,9 @@ def synthesize_circuit(
         if method == "m2" and rule.membership:
             region = CurvedRegion(kind=g.kind, thresholds=ths, n=n_g)
         if box.empty:
-            raise EmptyRegionError(gid, "Method 1 K intervals cross")
+            if method == "m1":
+                raise EmptyRegionError(gid, "Method 1 K intervals cross")
+            box = None
         results[gid] = GateSynthesis(
             gate_id=gid,
             kind=g.kind,
@@ -604,7 +608,6 @@ def worst_case_output_robustness(
     n: float,
     alpha: float,
     step: float = 0.01,
-    output_var: str = "x",
 ) -> np.ndarray:
     """Output-formula robustness under the row's worst-case constant inputs.
 
@@ -616,7 +619,7 @@ def worst_case_output_robustness(
     array, T samples by the block's points, stays within about 1 MiB:
     max(1, 2**20 // (8*T)) points to a block.  A block's trajectories
     share one :class:`Signal`, one variable per point named
-    ``f"{output_var}_{i}"`` with i the point's index in ``k_values``, and
+    ``f"x_{i}"`` with i the point's index in ``k_values``, and
     each point makes one :func:`monitor.robustness` call on
     F[0,delta] G[0,lam] of its own variable.  The per-point call stays,
     rather than one batched monitor pass, because the benchmark's traced
@@ -652,7 +655,7 @@ def worst_case_output_robustness(
         )
         # one Signal for the block: a variable per point, each a view of
         # its column of ``traj``, so the time grid is validated once per block
-        names = [f"{output_var}_{i}" for i in points]
+        names = [f"x_{i}" for i in points]
         sig = Signal(times=times, values=dict(zip(names, traj.T)))
         for i, name in zip(points, names):
             atom = _level_atom(name, row.output_level, output_th)

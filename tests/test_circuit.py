@@ -124,7 +124,8 @@ class TestTiming:
         assert t1.delta == t2.delta and t1.lam == t2.lam
 
     def test_override_network_values(self):
-        tb = propagate_timing(single_gate(), delta=6.0, lam=2.0)
+        tb = propagate_timing(single_gate(delta=6.0, lam=2.0))
+        assert (tb.network_delta, tb.network_lambda) == (6.0, 2.0)
         assert tb.delta["M"] == 6.0 and tb.input_hold == 8.0
 
 
@@ -204,6 +205,30 @@ class TestValidation:
                 external_inputs=("u",),
                 outputs=(("M", "out"),),
                 thresholds=thresholds("u", "x", "ghost"),
+                delta=4.0,
+                lam=4.0,
+            )
+
+    def test_variable_written_by_two_gates_rejected(self):
+        # both gates are network outputs, so no wire would reveal the clash
+        with pytest.raises(GraphError, match="'x' is written by gates 'M' and 'N'"):
+            Circuit(
+                gates={"M": Gate("M", GateKind.NOT, ("u",), "x"),
+                       "N": Gate("N", GateKind.NOT, ("u",), "x")},
+                external_inputs=("u",),
+                outputs=(("M", "out1"), ("N", "out2")),
+                thresholds=thresholds("u", "x"),
+                delta=4.0,
+                lam=4.0,
+            )
+
+    def test_repeated_external_input_rejected(self):
+        with pytest.raises(GraphError, match="repeated external input"):
+            Circuit(
+                gates={"M": Gate("M", GateKind.AND, ("a", "a"), "x")},
+                external_inputs=("a", "a"),
+                outputs=(("M", "out"),),
+                thresholds=thresholds("a", "x"),
                 delta=4.0,
                 lam=4.0,
             )

@@ -92,6 +92,17 @@ class TestSynth:
         assert "region_grids" in res
         assert (tmp_path / "region_C.csv").exists()
 
+    def test_m2_between_the_two_bounds(self, tmp_path, capsys):
+        # E's Method 2 bound is 2.537, its Method 1 bound 3.213
+        rc = main(["synth", HALF_ADDER, "--method", "m2", "--n", "E=2.9",
+                   "--grid", "20", "--out", str(tmp_path)])
+        assert rc == 0
+        assert (tmp_path / "region_E.csv").exists()
+        line = next(ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("E "))
+        assert line.endswith("alpha>=0.9222") and "K1=" not in line
+        res = json.loads((tmp_path / "synthesis.json").read_text())
+        assert "k_box" not in res["gates"]["E"] and "k_box" in res["gates"]["S"]
+
     def test_low_n_exits_3(self, tmp_path, capsys):
         rc = main(["synth", HALF_ADDER, "--n", "S=2", "--out", str(tmp_path)])
         assert rc == 3
@@ -253,7 +264,8 @@ class TestVerify:
         assert err.startswith("error: gate 'E': RK4 stage values of ['xD'] fall below 0")
 
     @pytest.mark.parametrize("step,match", [
-        ("5", "stability limit"), ("0", "step must be > 0"), ("-0.1", "step must be > 0"),
+        ("5", "stability limit"), ("0", "step must be finite and > 0"),
+        ("-0.1", "step must be finite and > 0"),
     ])
     def test_bad_step_exits_1(self, tmp_path, capsys, step, match):
         params = good_params(tmp_path)
@@ -289,6 +301,12 @@ class TestMonitor:
         err = capsys.readouterr().err
         assert "bad trace file" in err and "Traceback" not in err
 
+    def test_unknown_variable_exits_1(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("t,x\n0.0,0.8\n")
+        assert main(["monitor", str(trace), "y >= 0.5"]) == 1
+        assert capsys.readouterr().err == "error: unknown variable 'y'; trace has ['x']\n"
+
     def test_bad_formula_exits_1(self, tmp_path):
         trace = tmp_path / "trace.csv"
         trace.write_text("t,x\n0.0,0.8\n")
@@ -321,6 +339,15 @@ class TestGraphErrors:
         path = tmp_path / "ghost.json"
         path.write_text(json.dumps(data))
         assert main(["synth", str(path), "--out", str(tmp_path)]) == 2
+
+    def test_variable_written_twice_exits_2(self, tmp_path, capsys):
+        with open(HALF_ADDER) as fh:
+            data = json.load(fh)
+        data["gates"][5]["output"] = "xS"  # C writes S's output
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps(data))
+        assert main(["timing", str(path), "--out", str(tmp_path)]) == 2
+        assert "'xS' is written by gates 'S' and 'C'" in capsys.readouterr().err
 
 
 class TestUsage:

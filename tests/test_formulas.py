@@ -121,12 +121,6 @@ class TestAst:
         with pytest.raises(ValueError):
             Atom("x", ">", 0.5)
 
-    def test_operator_sugar(self):
-        a, b = Atom("x", ">=", 0.1), Atom("y", "<=", 0.9)
-        assert (a & b) == And(a, b)
-        assert (a | b) == Or(a, b)
-        assert (~a) == Not(a)
-
 
 class TestRequiredHorizon:
     def test_atom(self):

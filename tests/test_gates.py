@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from gatesynth.circuit import Circuit, Gate
 from gatesynth.formulas import parse
 from gatesynth.gates import (
     HIGH, LOW, ExtendedTruthRow, GateKind, GateParams, Thresholds,
     check_kinetics, closed_form, gate_drive, gate_drives, hill_act, hill_rep,
     row_formula, truth_table,
 )
+from gatesynth.odesim import SimConfig
+from gatesynth.synth import alpha_bound
 
 TH = Thresholds(plus=0.75, minus=0.25, p=0.1)
 
@@ -358,3 +361,25 @@ class TestValidation:
             ExtendedTruthRow((HIGH,), "mid", 4.0, 12.0)
         with pytest.raises(ValueError):
             ExtendedTruthRow((HIGH,), LOW, -1.0, 12.0)
+
+
+
+# every check of a positive quantity, each of which a NaN passed as a bare
+# ``value <= 0`` test
+@pytest.mark.parametrize("make,match", [
+    (lambda v: SimConfig(horizon=v), "horizon must be finite and > 0"),
+    (lambda v: SimConfig(horizon=1.0, step=v), "step must be finite and > 0"),
+    (lambda v: ExtendedTruthRow((HIGH,), LOW, v, 12.0), "delta must be finite and > 0"),
+    (lambda v: ExtendedTruthRow((HIGH,), LOW, 4.0, v), "lambda must be finite and > 0"),
+    (lambda v: alpha_bound(TH, v), "delta must be finite and > 0"),
+    (lambda v: closed_form(0.5, v, 0.0, 1.0), "alpha must be finite and > 0"),
+    (lambda v: Circuit(gates={"M": Gate("M", GateKind.NOT, ("u",), "x")},
+                       external_inputs=("u",), outputs=(("M", "out"),),
+                       thresholds={"u": TH, "x": TH}, delta=v, lam=4.0),
+     "network delta must be finite and > 0"),
+], ids=["SimConfig.horizon", "SimConfig.step", "ExtendedTruthRow.delta",
+        "ExtendedTruthRow.lam", "alpha_bound", "closed_form", "Circuit.delta"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+def test_positive_quantity_must_be_finite(make, match, value):
+    with pytest.raises(ValueError, match=match):
+        make(value)

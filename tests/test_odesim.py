@@ -17,7 +17,6 @@ from gatesynth.odesim import (
     RK4_STABILITY_LIMIT, SimConfig, schedule_value, simulate_circuit,
     simulate_constant_drive, simulate_gate, time_grid, verify,
 )
-from gatesynth.signals import ConstantStimulus
 from gatesynth.synth import alpha_bound, synthesize_circuit
 
 TH = Thresholds(plus=0.75, minus=0.25, p=0.1)
@@ -29,6 +28,20 @@ TOL = 1e-12
 
 def and_gate(alpha=0.9222, k=(0.40, 0.40), n=4):
     return GateParams(GateKind.AND, n=n, alpha=alpha, hill_k=k)
+
+
+def _scan_level(schedule, t):
+    """The linear-scan ``schedule_value`` that the ``searchsorted`` lookup
+    replaced, kept as an independent oracle: a level holds from t0 - 1e-12."""
+    if isinstance(schedule, (int, float)):
+        return float(schedule)
+    value = None
+    for t0, lvl in schedule:
+        if t >= t0 - 1e-12:
+            value = lvl
+        else:
+            break
+    return float(value)
 
 
 class TestScheduleValue:
@@ -56,6 +69,21 @@ class TestScheduleValue:
         with pytest.raises(ValueError, match="undefined"):
             schedule_value([(0.0, 0.1)], -1.0)
 
+    @given(
+        gaps=st.lists(st.floats(1e-12, 10.0), max_size=6),
+        levels=st.lists(st.floats(0.0, 1e3), min_size=7, max_size=7),
+        t=st.floats(0.0, 70.0),
+    )
+    def test_matches_linear_scan(self, gaps, levels, t):
+        starts = [0.0, *itertools.accumulate(gaps)]
+        program = list(zip(starts, levels))
+        assert schedule_value(levels[0], t) == _scan_level(levels[0], t)
+        # a level holds from t0 - 1e-12: probe both sides of that edge
+        probes = [t] + [t0 + dt for t0 in starts for dt in (0.0, 1e-13, -1e-13, 1e-11, -1e-11)]
+        for when in probes:
+            if when >= -1e-12:  # earlier, before t = 0, the program is undefined
+                assert schedule_value(program, when) == _scan_level(program, when), when
+
 
 class TestSimConfigInputs:
     @pytest.mark.parametrize("program,match", [
@@ -69,7 +97,6 @@ class TestSimConfigInputs:
         ([(0.0, float("inf"))], "finite"),
         (float("nan"), "finite"),
         (float("-inf"), "finite"),
-        (ConstantStimulus(float("inf"), 1.0), "finite"),
     ])
     def test_invalid_program_rejected(self, program, match):
         with pytest.raises(ValueError, match=match):
@@ -83,7 +110,7 @@ class TestSimConfigInputs:
             SimConfig(horizon=1.0, inputs={"A": program})
 
     @pytest.mark.parametrize("program", [
-        0.0, 1, 0.5, ConstantStimulus(0.7, 2.0), [(0.0, 0.2)],
+        0.0, 1, 0.5, np.float64(0.7), [(0.0, 0.2)],
         [(0, 0.2), (0.5, 1.0), (0.75, 0)], ((0.0, 1.0), (1e-6, 0.0)),
     ])
     def test_valid_program_accepted(self, program):
@@ -370,18 +397,7 @@ class TestVerify:
 
 def _numpy_coupled_rk4(c, params, cfg):
     """The array-state coupled RK4 loop that ``simulate_circuit`` replaced,
-    with its linear-scan ``schedule_value``, kept as an independent oracle."""
-
-    def level(schedule, t):
-        if isinstance(schedule, (int, float)):
-            return float(schedule)
-        value = None
-        for t0, lvl in schedule:
-            if t >= t0 - 1e-12:
-                value = lvl
-            else:
-                break
-        return float(value)
+    kept as an independent oracle."""
 
     order = c.topo_order()
     state_vars = [c.gates[gid].output for gid in order]
@@ -394,7 +410,7 @@ def _numpy_coupled_rk4(c, params, cfg):
     ext = set(c.external_inputs)
 
     def deriv(y, t):
-        u = {v: level(cfg.inputs[v], t) for v in ext}
+        u = {v: _scan_level(cfg.inputs[v], t) for v in ext}
         dy = np.empty_like(y)
         for g, in_vars, out_i in gate_list:
             vals = [u[v] if v in ext else y[idx[v]] for v in in_vars]
@@ -411,7 +427,7 @@ def _numpy_coupled_rk4(c, params, cfg):
         k4 = deriv(x + h * k3, t + h)
         x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         traj[k + 1] = x
-    values = {v: np.array([level(cfg.inputs[v], t) for t in times])
+    values = {v: np.array([_scan_level(cfg.inputs[v], t) for t in times])
               for v in c.external_inputs}
     for v, i in idx.items():
         values[v] = traj[:, i]
@@ -472,17 +488,6 @@ class TestCircuitMatchesArrayLoop:
                         inputs={"A": program, "B": [(0.0, 1.0), (4.0, 0.0)]},
                         initial={"xD": 0.7, "xS": 0.2})
         _assert_matches_array_loop(c, params, cfg)
-
-    def test_constant_stimulus_input(self, half_adder):
-        c, tb, params = half_adder
-        cfg = SimConfig(horizon=2.0, step=0.01,
-                        inputs={"A": ConstantStimulus(0.8, 2.0), "B": 0.3})
-        s = simulate_circuit(c, params, cfg)
-        assert np.all(s.values["A"] == 0.8) and np.all(s.values["B"] == 0.3)
-        _, values = _numpy_coupled_rk4(
-            c, params, SimConfig(horizon=2.0, step=0.01, inputs={"A": 0.8, "B": 0.3}))
-        for v, want in values.items():
-            assert np.max(np.abs(s.values[v] - want)) <= TOL, v
 
 
 @pytest.fixture

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from gatesynth.signals import (
-    ConstantStimulus, OutOfRangeError, Signal, UnknownVariableError,
-    read_trace_csv, write_trace_csv,
+    OutOfRangeError, Signal, UnknownVariableError, read_trace_csv, write_trace_csv,
 )
 
 
@@ -103,14 +102,6 @@ class TestInvariants:
     def test_no_variables_rejected(self):
         with pytest.raises(ValueError):
             Signal(times=np.array([0.0]), values={})
-
-
-class TestFromConstant:
-    def test_stimulus_validation(self):
-        with pytest.raises(ValueError):
-            ConstantStimulus(-0.1, 1.0)
-        with pytest.raises(ValueError):
-            ConstantStimulus(0.5, 0.0)
 
 
 class TestUniformity:

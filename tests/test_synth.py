@@ -383,6 +383,16 @@ class TestSynthesizeCircuit:
         res = synthesize_circuit(c, method="m1")
         assert res.gates["E"].box == res.gates["G"].box
 
+    def test_m2_between_the_two_bounds_has_no_box(self):
+        # E's Method 2 bound is 2.537, its Method 1 bound 3.213
+        c = Circuit.from_json("circuits/half_adder.json")
+        e = synthesize_circuit(c, method="m2", n={"E": 2.9}).gates["E"]
+        assert e.box is None and e.region.n == 2.9
+        assert e.n_bound == pytest.approx(2.5372, abs=5e-4)
+        assert "k_box" not in e.to_dict()
+        with pytest.raises(EmptyRegionError, match="'E'"):
+            synthesize_circuit(c, method="m1", n={"E": 2.9})
+
     def test_low_n_names_gate(self):
         c = Circuit.from_json("circuits/half_adder.json")
         with pytest.raises(EmptyRegionError, match="S"):
