@@ -7,7 +7,7 @@ agree exactly.
 
 import numpy as np
 
-from gatesynth import Signal, parse, robustness, robustness_naive, satisfies
+from gatesynth import Signal, parse, robustness, robustness_naive
 
 # a ramp x(t) = t sampled at 0.1 over [0, 3]
 times = np.arange(0, 3.001, 0.1)
@@ -21,8 +21,7 @@ for text in [
 ]:
     f = parse(text)
     rho = robustness(f, ramp)
-    verdict = satisfies(f, ramp)
-    print(f"{text:32s} rho = {rho:+.3f}  satisfied = {verdict.satisfied}")
+    print(f"{text:32s} rho = {rho:+.3f}  satisfied = {rho >= 0}")
 
 # differential check against the O(n*w) reference monitor
 f = parse("F[0,1] (G[0,0.5] (x >= 0.4) & x <= 2.5)")

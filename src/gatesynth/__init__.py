@@ -20,8 +20,7 @@ from .gates import (
     gate_drive, hill_act, hill_rep, row_formula, truth_table,
 )
 from .monitor import (
-    HorizonError, SatVerdict, eval_boolean, robustness, robustness_naive,
-    robustness_signal, satisfies,
+    HorizonError, eval_boolean, robustness, robustness_naive, robustness_signal,
 )
 from .odesim import (
     SimConfig, VerifyEntry, VerifyReport, simulate_circuit,
@@ -32,10 +31,8 @@ from .signals import (
 )
 from .synth import (
     CurvedRegion, EmptyRegionError, GateSynthesis, NumericGateResult,
-    NumericGrid, ParamBox, SynthesisResult, alpha_bound, and_box_m1,
-    and_n_bound_m1, and_n_bound_m2, and_region_m2, export_region_csv,
-    intersect, k_box, n_bound, not_bounds, or_bounds_m1, or_n_bound_m2,
-    or_region_m2, sample_region, synthesize_circuit, synthesize_numeric,
+    NumericGrid, ParamBox, SynthesisResult, alpha_bound, export_region_csv,
+    k_box, n_bound, sample_region, synthesize_circuit, synthesize_numeric,
     worst_case_output_robustness,
 )
 from .worstcase import MAX_LEVEL, WorstCaseAssignment, worst_case

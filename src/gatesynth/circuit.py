@@ -31,8 +31,8 @@ __all__ = [
 
 class GraphError(ValueError):
     """Malformed wiring: a cycle, an undefined variable, a variable that
-    two gates write, a repeated external input, or a gate off every
-    input-to-output path."""
+    two gates write, a gate output that shadows an external input, a
+    repeated external input, or a gate off every input-to-output path."""
 
 
 class CycleError(GraphError):
@@ -87,7 +87,7 @@ class Circuit:
         object.__setattr__(self, "_producer", produced)
         dup = set(produced) & set(self.external_inputs)
         if dup:
-            raise ValueError(f"variables produced by gates shadow external inputs: {sorted(dup)}")
+            raise GraphError(f"variables produced by gates shadow external inputs: {sorted(dup)}")
         for gid, g in self.gates.items():
             for v in g.inputs:
                 if v not in produced and v not in self.external_inputs:

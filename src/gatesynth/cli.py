@@ -15,8 +15,8 @@ one ``error: ...`` line on stderr:
 1  a bad argument (argparse), or a ``ValueError``, ``OSError`` or
    ``UnknownVariableError`` from the library or a file loader
 2  a ``GraphError``: a cycle, an undefined variable, a variable written
-   by two gates, a repeated external input, a gate off every
-   input-to-output path
+   by two gates, a gate output that shadows an external input, a
+   repeated external input, a gate off every input-to-output path
 3  an ``EmptyRegionError``: a Hill coefficient below its bound
 4  ``verify`` ran and some row failed its contract
 

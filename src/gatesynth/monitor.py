@@ -29,7 +29,6 @@ and ``max`` would drop all but a leading NaN.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,8 +39,8 @@ from .formulas import (
 from .signals import Signal
 
 __all__ = [
-    "robustness", "robustness_naive", "robustness_signal", "satisfies",
-    "eval_boolean", "SatVerdict", "HorizonError",
+    "robustness", "robustness_naive", "robustness_signal", "eval_boolean",
+    "HorizonError",
 ]
 
 _TOL = 1e-9
@@ -49,18 +48,6 @@ _TOL = 1e-9
 
 class HorizonError(ValueError):
     """Signal too short for the formula's temporal windows."""
-
-
-@dataclass(frozen=True)
-class SatVerdict:
-    """Boolean verdict derived from the sign of the robustness."""
-
-    satisfied: bool
-    marginal: bool
-    value: float
-
-    def __bool__(self):
-        return self.satisfied
 
 
 def _window_offsets(lo: float, hi: float, h: float) -> tuple[int, int]:
@@ -261,12 +248,6 @@ def robustness_naive(f: Formula, s: Signal, t: float = 0.0) -> float:
         raise TypeError(f"not a formula node: {node!r}")
 
     return float(ev(f, t))
-
-
-def satisfies(f: Formula, s: Signal, t: float = 0.0) -> SatVerdict:
-    """Boolean verdict from the robustness sign; zero is marked marginal."""
-    rho = robustness(f, s, t)
-    return SatVerdict(satisfied=rho >= 0.0, marginal=rho == 0.0, value=rho)
 
 
 def eval_boolean(f: Formula, s: Signal, t: float = 0.0) -> bool:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,7 +93,7 @@ def _program(var, schedule) -> tuple[np.ndarray, np.ndarray]:
     """An input program as (start times, levels) arrays; ``ValueError``
     unless it is a valid constant level or breakpoint list (see
     :class:`SimConfig`).  A constant level holds from t = 0."""
-    if isinstance(schedule, (int, float)):
+    if isinstance(schedule, numbers.Real):
         starts, levels = np.zeros(1), np.array([float(schedule)])
     else:
         points = list(schedule)

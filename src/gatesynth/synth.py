@@ -63,9 +63,7 @@ from .worstcase import worst_case
 
 __all__ = [
     "ParamBox", "CurvedRegion", "GateSynthesis", "SynthesisResult",
-    "EmptyRegionError", "alpha_bound", "and_n_bound_m1", "and_n_bound_m2",
-    "and_box_m1", "and_region_m2", "not_bounds", "or_bounds_m1",
-    "or_region_m2", "or_n_bound_m2", "intersect", "synthesize_circuit",
+    "EmptyRegionError", "alpha_bound", "synthesize_circuit",
     "synthesize_numeric", "GateRule", "GATE_RULES", "check_n_bound",
     "NumericGrid", "NumericGateResult", "worst_case_output_robustness",
     "export_region_csv", "sample_region", "n_bound", "k_box",
@@ -111,19 +109,6 @@ class ParamBox:
             a: [lo, None if math.isinf(hi) else hi]
             for a, (lo, hi) in self.intervals.items()
         }
-
-
-def intersect(boxes) -> ParamBox:
-    """Axis-wise interval intersection; missing axes count as unconstrained."""
-    axes: dict[str, tuple[float, float]] = {}
-    for box in boxes:
-        for a, (lo, hi) in box.intervals.items():
-            if a in axes:
-                plo, phi = axes[a]
-                axes[a] = (max(plo, lo), min(phi, hi))
-            else:
-                axes[a] = (lo, hi)
-    return ParamBox(intervals=axes)
 
 
 # ---------------------------------------------------------------------------
@@ -186,51 +171,6 @@ def k_box(kind: GateKind, ths, n: float, method: str = "m1") -> ParamBox:
         lo, hi = high / (1 - high), ttm / (share - share * ttm)
     lo_f, hi_f = lo ** (1.0 / n), hi ** (1.0 / n)
     return ParamBox({f"K{i}": (th.minus * lo_f, th.plus * hi_f) for i, th in enumerate(ins, 1)})
-
-
-# the paper's per-kind bounds and regions, each one call of the above
-
-
-def and_n_bound_m1(thA: Thresholds, thB: Thresholds, thC: Thresholds) -> float:
-    """Hill-coefficient bound for a nonempty Method 1 AND box."""
-    return n_bound(GateKind.AND, (thA, thB, thC), "m1")
-
-
-def and_n_bound_m2(thA: Thresholds, thB: Thresholds, thC: Thresholds) -> float:
-    """Hill-coefficient bound for a nonempty Method 2 AND region."""
-    return n_bound(GateKind.AND, (thA, thB, thC), "m2")
-
-
-def and_box_m1(thA: Thresholds, thB: Thresholds, thC: Thresholds, n: float) -> ParamBox:
-    """Method 1 intervals for (K_A, K_B) of an AND gate; empty if n too small."""
-    return k_box(GateKind.AND, (thA, thB, thC), n)
-
-
-def not_bounds(thB: Thresholds, thD: Thresholds, n: float) -> tuple[float, ParamBox]:
-    """NOT gate: Hill-coefficient bound and K interval at the given n."""
-    ths = (thB, thD)
-    return n_bound(GateKind.NOT, ths, "m1"), k_box(GateKind.NOT, ths, n)
-
-
-def or_bounds_m1(
-    thE: Thresholds, thG: Thresholds, thS: Thresholds, n: float
-) -> tuple[float, ParamBox]:
-    """OR gate Method 1: Hill bound and (K1, K2) hyperbox."""
-    ths = (thE, thG, thS)
-    return n_bound(GateKind.OR, ths, "m1"), k_box(GateKind.OR, ths, n)
-
-
-def or_n_bound_m2(thE: Thresholds, thG: Thresholds, thS: Thresholds) -> float:
-    """Hill-coefficient bound for a Method 2 OR region; n must exceed it."""
-    return n_bound(GateKind.OR, (thE, thG, thS), "m2")
-
-
-def or_region_m2(thE: Thresholds, thG: Thresholds, thS: Thresholds, n: float) -> CurvedRegion:
-    return CurvedRegion(kind=GateKind.OR, thresholds=(thE, thG, thS), n=n)
-
-
-def and_region_m2(thA: Thresholds, thB: Thresholds, thC: Thresholds, n: float) -> CurvedRegion:
-    return CurvedRegion(kind=GateKind.AND, thresholds=(thA, thB, thC), n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -677,12 +617,16 @@ def synthesize_numeric(
     ``grid`` maps gate id to its K-axis grid; ``params`` supplies the
     fixed n and alpha per gate (alpha defaults to its analytic bound, n
     to the kind's ``default_n``).  Grid points are independent; results
-    are merged in grid order.
+    are merged in grid order.  Raises ``ValueError`` for a gate id in
+    ``grid`` that is not in the circuit.
     """
     if tb is None:
         tb = propagate_timing(c)
     if not grid:
         raise ValueError("empty grid specification")
+    unknown = sorted(grid.keys() - c.gates.keys())
+    if unknown:
+        raise ValueError(f"grid names gate ids not in the circuit: {unknown}")
     results = {}
     for gid, gspec in grid.items():
         g = c.gates[gid]

@@ -27,7 +27,6 @@ class WorstCaseAssignment:
 
     levels: tuple[float, ...]
     x0: float
-    row: ExtendedTruthRow
 
 
 def worst_case(
@@ -63,4 +62,4 @@ def worst_case(
         levels.append(hi if top else lo)
     # output must rise from empty when required high, fall from full when low
     x0 = 0.0 if out_high else MAX_LEVEL
-    return WorstCaseAssignment(levels=tuple(levels), x0=x0, row=row)
+    return WorstCaseAssignment(levels=tuple(levels), x0=x0)

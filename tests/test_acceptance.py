@@ -21,8 +21,7 @@ from gatesynth.monitor import (
 from gatesynth.odesim import SimConfig, simulate_constant_drive, simulate_gate, verify
 from gatesynth.formulas import parse
 from gatesynth.synth import (
-    alpha_bound, and_box_m1, and_n_bound_m1, and_n_bound_m2, and_region_m2,
-    not_bounds, or_bounds_m1, or_region_m2, synthesize_circuit,
+    CurvedRegion, alpha_bound, k_box, n_bound, synthesize_circuit,
     worst_case_output_robustness,
 )
 
@@ -45,20 +44,21 @@ def criterion(num, title):
 
 def test_criterion_1_golden_numbers():
     with criterion(1, "golden number suite"):
-        assert and_n_bound_m1(TH_23, TH_23, TH_23) == pytest.approx(3.798, abs=GOLDEN_TOL)
-        assert and_n_bound_m1(TH_34, TH_34, TH_34) == pytest.approx(3.2129, abs=GOLDEN_TOL)
-        assert and_n_bound_m2(TH_23, TH_23, TH_23) == pytest.approx(2.6818, abs=GOLDEN_TOL)
+        AND, NOT, OR = GateKind.AND, GateKind.NOT, GateKind.OR
+        assert n_bound(AND, (TH_23,) * 3, "m1") == pytest.approx(3.798, abs=GOLDEN_TOL)
+        assert n_bound(AND, (TH_34,) * 3, "m1") == pytest.approx(3.2129, abs=GOLDEN_TOL)
+        assert n_bound(AND, (TH_23,) * 3, "m2") == pytest.approx(2.6818, abs=GOLDEN_TOL)
 
-        box = and_box_m1(TH_23, TH_23, TH_23, 4)
+        box = k_box(AND, (TH_23,) * 3, 4)
         assert box.intervals["K1"] == pytest.approx((0.4120, 0.4267), abs=GOLDEN_TOL)
-        box = and_box_m1(TH_34, TH_34, TH_34, 4)
+        box = k_box(AND, (TH_34,) * 3, 4)
         assert box.intervals["K1"] == pytest.approx((0.3406, 0.4228), abs=GOLDEN_TOL)
 
-        nb, box = not_bounds(TH_34, TH_34, 3)
+        nb, box = n_bound(NOT, (TH_34,) * 2, "m1"), k_box(NOT, (TH_34,) * 2, 3)
         assert nb == pytest.approx(2.5372, abs=GOLDEN_TOL)
         assert box.intervals["K1"] == pytest.approx((0.4192, 0.4966), abs=GOLDEN_TOL)
 
-        nb, box = or_bounds_m1(TH_34, TH_34, TH_34, 4)
+        nb, box = n_bound(OR, (TH_34,) * 3, "m1"), k_box(OR, (TH_34,) * 3, 4)
         assert nb == pytest.approx(3.1681, abs=GOLDEN_TOL)
         assert box.intervals["K1"] == pytest.approx((0.4050, 0.5090), abs=GOLDEN_TOL)
 
@@ -119,16 +119,8 @@ def test_criterion_4_region_soundness():
         for th in (TH_23, TH_34):
             alpha = alpha_bound(th, delta)
             for kind in (GateKind.AND, GateKind.OR):
-                region = (
-                    and_region_m2(th, th, th, 4)
-                    if kind is GateKind.AND
-                    else or_region_m2(th, th, th, 4)
-                )
-                box = (
-                    and_box_m1(th, th, th, 4)
-                    if kind is GateKind.AND
-                    else or_bounds_m1(th, th, th, 4)[1]
-                )
+                region = CurvedRegion(kind, (th, th, th), 4)
+                box = k_box(kind, (th, th, th), 4)
                 # one 50x50 grid over the whole K domain and one zoomed
                 # around the Method 1 box, for dense interior coverage
                 lo = min(v[0] for v in box.intervals.values())

@@ -233,6 +233,17 @@ class TestValidation:
                 lam=4.0,
             )
 
+    def test_output_shadowing_external_input_rejected(self):
+        with pytest.raises(GraphError, match=r"shadow external inputs: \['u'\]"):
+            Circuit(
+                gates={"M": Gate("M", GateKind.NOT, ("u",), "u")},
+                external_inputs=("u",),
+                outputs=(("M", "out"),),
+                thresholds=thresholds("u"),
+                delta=4.0,
+                lam=4.0,
+            )
+
     def test_missing_threshold_rejected(self):
         with pytest.raises(ValueError, match="thresholds"):
             Circuit(

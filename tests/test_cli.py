@@ -349,6 +349,15 @@ class TestGraphErrors:
         assert main(["timing", str(path), "--out", str(tmp_path)]) == 2
         assert "'xS' is written by gates 'S' and 'C'" in capsys.readouterr().err
 
+    def test_output_shadowing_external_input_exits_2(self, tmp_path, capsys):
+        with open(HALF_ADDER) as fh:
+            data = json.load(fh)
+        data["gates"][5]["output"] = "B"  # C writes the external input B
+        path = tmp_path / "shadow.json"
+        path.write_text(json.dumps(data))
+        assert main(["timing", str(path), "--out", str(tmp_path)]) == 2
+        assert "shadow external inputs: ['B']" in capsys.readouterr().err
+
 
 class TestUsage:
     def test_unknown_subcommand(self):

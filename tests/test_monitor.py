@@ -12,7 +12,7 @@ from gatesynth.formulas import (
 )
 from gatesynth.monitor import (
     HorizonError, _sliding, _until, eval_boolean, robustness, robustness_naive,
-    robustness_signal, satisfies,
+    robustness_signal,
 )
 from gatesynth.signals import Signal
 
@@ -59,19 +59,6 @@ class TestRobustnessExamples:
     def test_evaluation_at_later_time(self):
         rho = robustness(parse("G[0,1](x >= 0.5)"), ramp(), t=2.0)
         assert rho == pytest.approx(1.5)
-
-
-class TestSatisfies:
-    def test_true_verdict(self):
-        v = satisfies(parse("x >= 0.5"), const(0.8))
-        assert v.satisfied and not v.marginal
-
-    def test_marginal(self):
-        v = satisfies(parse("x >= 0.75"), const(0.75))
-        assert v.satisfied and v.marginal and v.value == 0.0
-
-    def test_false(self):
-        assert not satisfies(parse("G[0,2](x >= 0.5)"), ramp()).satisfied
 
 
 class TestProperties:

@@ -47,6 +47,7 @@ def _scan_level(schedule, t):
 class TestScheduleValue:
     def test_constant(self):
         assert schedule_value(0.7, 3.0) == 0.7
+        assert schedule_value(np.int64(2), 0.3) == 2.0
 
     def test_piecewise(self):
         sched = [(0.0, 0.1), (2.0, 0.9)]
@@ -112,6 +113,7 @@ class TestSimConfigInputs:
     @pytest.mark.parametrize("program", [
         0.0, 1, 0.5, np.float64(0.7), [(0.0, 0.2)],
         [(0, 0.2), (0.5, 1.0), (0.75, 0)], ((0.0, 1.0), (1e-6, 0.0)),
+        np.int64(1), np.float32(0.5),
     ])
     def test_valid_program_accepted(self, program):
         SimConfig(horizon=1.0, inputs={"A": program})

@@ -20,10 +20,9 @@ from gatesynth.odesim import simulate_constant_drive, time_grid
 from gatesynth.signals import Signal
 from gatesynth.synth import (
     GATE_RULES, CurvedRegion, EmptyRegionError, NumericGrid, ParamBox,
-    alpha_bound, and_box_m1, and_n_bound_m1, and_n_bound_m2, and_region_m2,
-    check_n_bound, export_region_csv, intersect, k_box, n_bound, not_bounds,
-    or_bounds_m1, or_n_bound_m2, or_region_m2, sample_region,
-    synthesize_circuit, synthesize_numeric, worst_case_output_robustness,
+    alpha_bound, check_n_bound, export_region_csv, k_box, n_bound,
+    sample_region, synthesize_circuit, synthesize_numeric,
+    worst_case_output_robustness,
 )
 from gatesynth.synth import _and_share
 from gatesynth.gates import ExtendedTruthRow, truth_table
@@ -31,6 +30,7 @@ from gatesynth.worstcase import worst_case
 
 TH_23 = Thresholds(plus=2 / 3, minus=1 / 3, p=0.1)
 TH_34 = Thresholds(plus=3 / 4, minus=1 / 4, p=0.1)
+AND, NOT, OR = GateKind.AND, GateKind.NOT, GateKind.OR
 
 
 class TestAlphaBound:
@@ -48,87 +48,87 @@ class TestAlphaBound:
 
 class TestAndBounds:
     def test_m1_n_bounds(self):
-        assert and_n_bound_m1(TH_23, TH_23, TH_23) == pytest.approx(3.798, abs=5e-4)
-        assert and_n_bound_m1(TH_34, TH_34, TH_34) == pytest.approx(3.2129, abs=5e-4)
+        assert n_bound(AND, (TH_23,) * 3, "m1") == pytest.approx(3.798, abs=5e-4)
+        assert n_bound(AND, (TH_34,) * 3, "m1") == pytest.approx(3.2129, abs=5e-4)
 
     def test_m2_n_bound(self):
-        assert and_n_bound_m2(TH_23, TH_23, TH_23) == pytest.approx(2.6818, abs=5e-4)
-        assert and_n_bound_m2(TH_34, TH_34, TH_34) < 3.2129
+        assert n_bound(AND, (TH_23,) * 3, "m2") == pytest.approx(2.6818, abs=5e-4)
+        assert n_bound(AND, (TH_34,) * 3, "m2") < 3.2129
 
     def test_m2_never_above_m1(self):
         for th in (TH_23, TH_34, Thresholds(0.7, 0.2, 0.05)):
-            assert and_n_bound_m2(th, th, th) <= and_n_bound_m1(th, th, th)
+            assert n_bound(AND, (th,) * 3, "m2") <= n_bound(AND, (th,) * 3, "m1")
 
     def test_m1_bound_decreases_with_p(self):
         vals = [
-            and_n_bound_m1(*(Thresholds(2 / 3, 1 / 3, p),) * 3)
+            n_bound(AND, (Thresholds(2 / 3, 1 / 3, p),) * 3, "m1")
             for p in (0.1, 0.05, 0.01)
         ]
         assert vals[0] > vals[1] > vals[2]
 
     def test_m1_boxes(self):
-        box = and_box_m1(TH_23, TH_23, TH_23, 4)
+        box = k_box(AND, (TH_23,) * 3, 4)
         lo, hi = box.intervals["K1"]
         assert lo == pytest.approx(0.4120, abs=5e-4)
         assert hi == pytest.approx(0.4267, abs=5e-4)
-        box = and_box_m1(TH_34, TH_34, TH_34, 4)
+        box = k_box(AND, (TH_34,) * 3, 4)
         lo, hi = box.intervals["K2"]
         assert lo == pytest.approx(0.3406, abs=5e-4)
         assert hi == pytest.approx(0.4228, abs=5e-4)
 
     def test_low_n_gives_empty_box(self):
-        assert and_box_m1(TH_23, TH_23, TH_23, 3).empty
-        assert not and_box_m1(TH_23, TH_23, TH_23, 4).empty
+        assert k_box(AND, (TH_23,) * 3, 3).empty
+        assert not k_box(AND, (TH_23,) * 3, 4).empty
 
 
 class TestNotBounds:
     def test_published(self):
-        nb, box = not_bounds(TH_34, TH_34, 3)
+        nb, box = n_bound(NOT, (TH_34,) * 2, "m1"), k_box(NOT, (TH_34,) * 2, 3)
         assert nb == pytest.approx(2.5372, abs=5e-4)
         lo, hi = box.intervals["K1"]
         assert lo == pytest.approx(0.4192, abs=5e-4)
         assert hi == pytest.approx(0.4966, abs=5e-4)
 
     def test_low_n_empty(self):
-        _, box = not_bounds(TH_34, TH_34, 2)
+        box = k_box(NOT, (TH_34,) * 2, 2)
         assert box.empty
 
 
 class TestOrBounds:
     def test_published_m1(self):
-        nb, box = or_bounds_m1(TH_34, TH_34, TH_34, 4)
+        nb, box = n_bound(OR, (TH_34,) * 3, "m1"), k_box(OR, (TH_34,) * 3, 4)
         assert nb == pytest.approx(3.1681, abs=5e-4)
         lo, hi = box.intervals["K1"]
         assert lo == pytest.approx(0.4050, abs=5e-4)
         assert hi == pytest.approx(0.5090, abs=5e-4)
 
     def test_low_n_empty(self):
-        _, box = or_bounds_m1(TH_34, TH_34, TH_34, 3)
+        box = k_box(OR, (TH_34,) * 3, 3)
         assert box.empty
 
     def test_m2_bound_below_m1(self):
-        assert or_n_bound_m2(TH_34, TH_34, TH_34) < 3.1681
+        assert n_bound(OR, (TH_34,) * 3, "m2") < 3.1681
 
 
 class TestRegionM2:
     def test_and_inside_outside(self):
-        reg = and_region_m2(TH_23, TH_23, TH_23, 4)
+        reg = CurvedRegion(AND, (TH_23,) * 3, 4)
         assert reg.contains((0.42, 0.42))
         inside, binding = reg.membership((0.9, 0.9))
         assert not inside
 
     def test_and_box_contained(self):
         for th in (TH_23, TH_34):
-            reg = and_region_m2(th, th, th, 4)
-            box = and_box_m1(th, th, th, 4)
+            reg = CurvedRegion(AND, (th,) * 3, 4)
+            box = k_box(AND, (th,) * 3, 4)
             (l1, h1), (l2, h2) = box.intervals["K1"], box.intervals["K2"]
             for k1 in np.linspace(l1, h1, 15):
                 for k2 in np.linspace(l2, h2, 15):
                     assert reg.contains((k1, k2)), (th.plus, k1, k2)
 
     def test_and_region_strictly_larger(self):
-        reg = and_region_m2(TH_23, TH_23, TH_23, 4)
-        box = and_box_m1(TH_23, TH_23, TH_23, 4)
+        reg = CurvedRegion(AND, (TH_23,) * 3, 4)
+        box = k_box(AND, (TH_23,) * 3, 4)
         grid = np.linspace(0.01, 1.0, 60)
         extra = sum(
             1
@@ -140,18 +140,18 @@ class TestRegionM2:
 
     def test_and_requires_n_above_bound(self):
         with pytest.raises(ValueError):
-            and_region_m2(TH_23, TH_23, TH_23, 2.0)
+            CurvedRegion(AND, (TH_23,) * 3, 2.0)
 
     def test_or_box_contained(self):
-        reg = or_region_m2(TH_34, TH_34, TH_34, 4)
-        _, box = or_bounds_m1(TH_34, TH_34, TH_34, 4)
+        reg = CurvedRegion(OR, (TH_34,) * 3, 4)
+        box = k_box(OR, (TH_34,) * 3, 4)
         (l1, h1), (l2, h2) = box.intervals["K1"], box.intervals["K2"]
         for k1 in np.linspace(l1, h1, 15):
             for k2 in np.linspace(l2, h2, 15):
                 assert reg.contains((k1, k2)), (k1, k2)
 
     def test_or_rectangle_violation(self):
-        reg = or_region_m2(TH_34, TH_34, TH_34, 3)
+        reg = CurvedRegion(OR, (TH_34,) * 3, 3)
         hi = TH_34.plus * ((1 - TH_34.tilde_plus) / TH_34.tilde_plus) ** (1 / 3)
         inside, binding = reg.membership((hi + 0.05, hi + 0.05))
         assert not inside and "rect" in binding
@@ -159,14 +159,14 @@ class TestRegionM2:
     def test_or_undefined_curve_points_outside(self):
         # tiny K2 makes the lower-curve denominator nonpositive; the
         # rectangle side must already exclude such points
-        reg = or_region_m2(TH_34, TH_34, TH_34, 4)
+        reg = CurvedRegion(OR, (TH_34,) * 3, 4)
         inside, binding = reg.membership((0.45, 0.05))
         assert not inside and binding == "K2_rect"
 
     def test_or_strict_n_bound(self):
-        nb = or_n_bound_m2(TH_34, TH_34, TH_34)
+        nb = n_bound(OR, (TH_34,) * 3, "m2")
         with pytest.raises(ValueError):
-            or_region_m2(TH_34, TH_34, TH_34, nb)
+            CurvedRegion(OR, (TH_34,) * 3, nb)
 
 
 @st.composite
@@ -228,8 +228,8 @@ class TestMethod2Oracle:
 
 class TestArrayMembership:
     def test_grid_matches_single_points(self):
-        for reg in (and_region_m2(TH_34, TH_34, TH_34, 4),
-                    or_region_m2(TH_23, TH_34, TH_23, 5)):
+        for reg in (CurvedRegion(AND, (TH_34,) * 3, 4),
+                    CurvedRegion(OR, (TH_23, TH_34, TH_23), 5)):
             grid = NumericGrid(axes={"K1": (-0.1, 1.0, 23), "K2": (-0.1, 1.0, 29)})
             pts, inside, binding = sample_region(reg, grid)
             assert isinstance(binding, list) and len(binding) == len(pts)
@@ -240,14 +240,14 @@ class TestArrayMembership:
     def test_binding_tie_goes_to_first_constraint(self):
         # the Method 1 box's lower corner is the corner of the AND region's
         # rectangle piece, where the K1 and K2 lower-side slacks are both 0
-        reg = and_region_m2(TH_34, TH_34, TH_34, 4)
-        (lo1, _), (lo2, _) = and_box_m1(TH_34, TH_34, TH_34, 4).intervals.values()
+        reg = CurvedRegion(AND, (TH_34,) * 3, 4)
+        (lo1, _), (lo2, _) = k_box(AND, (TH_34,) * 3, 4).intervals.values()
         assert reg.membership((lo1, lo2)) == (True, "K1_low_rect")
         assert reg.membership((lo1 + 1e-3, lo2)) == (True, "K2_low_rect")
 
     def test_curved_region_needs_two_axes(self):
         # one axis gave an IndexError from pts[block, 1] before
-        reg = and_region_m2(TH_34, TH_34, TH_34, 4)
+        reg = CurvedRegion(AND, (TH_34,) * 3, 4)
         with pytest.raises(ValueError, match="needs two K axes"):
             sample_region(reg, NumericGrid({"K1": (0.1, 1.0, 5)}), ("K1",))
 
@@ -265,7 +265,7 @@ class TestLargeHillCoefficient:
         return float(F(level) ** n / (F(ttC) * (F(k) ** n + F(level) ** n)) - 1)
 
     def test_sample_region_does_not_divide_by_zero(self):
-        reg = and_region_m2(self.TH_IN, self.TH_IN, self.TH_OUT, self.N)
+        reg = CurvedRegion(AND, (self.TH_IN, self.TH_IN, self.TH_OUT), self.N)
         assert reg.n_bound < self.N < reg.n_bound + 1
         grid = NumericGrid(axes={"K1": (0.01, 1.0, 50), "K2": (0.01, 1.0, 50)})
         pts, inside, binding = sample_region(reg, grid)
@@ -306,7 +306,7 @@ class TestLargeHillCoefficient:
     def test_k_above_one_does_not_overflow(self):
         # 3.0**700 overflows as a float power in the AND curves
         th = Thresholds(0.75, 0.25, 0.1)
-        and_reg, or_reg = and_region_m2(th, th, th, 700), or_region_m2(th, th, th, 700)
+        and_reg, or_reg = CurvedRegion(AND, (th,) * 3, 700), CurvedRegion(OR, (th,) * 3, 700)
         assert or_reg.membership((0.5, 3.0)) == (False, "K2_rect")
         assert and_reg.membership((0.5, 3.0))[0] is False
         assert _and_share(th.plus, th.tilde_plus, 700, 3.0) == pytest.approx(
@@ -335,25 +335,6 @@ class TestBoxSampling:
         _, inside, binding = sample_region(box, grid)
         assert not inside.any() and set(binding) == {"box"}
         assert not box.contains({"K2": 0.5})
-
-
-class TestIntersect:
-    def test_overlap(self):
-        a = ParamBox({"K": (0.0, 1.0)})
-        b = ParamBox({"K": (0.5, 2.0)})
-        assert intersect([a, b]).intervals["K"] == (0.5, 1.0)
-
-    def test_disjoint_flagged(self):
-        a = ParamBox({"K": (0.0, 0.4)})
-        b = ParamBox({"K": (0.5, 1.0)})
-        assert intersect([a, b]).empty
-
-    def test_absent_axis_is_whole_domain(self):
-        a = ParamBox({"K": (0.2, 0.8)})
-        b = ParamBox({"n": (3.0, np.inf)})
-        out = intersect([a, b])
-        assert out.intervals["n"] == (3.0, np.inf)
-        assert out.intervals["K"] == (0.2, 0.8)
 
 
 class TestSynthesizeCircuit:
@@ -415,7 +396,7 @@ class TestSynthesizeCircuit:
         res = synthesize_circuit(c, method="m1")
         s = res.gates["M"]
         assert s.alpha_min == pytest.approx(np.log(1 / (0.1 * 0.25)), abs=1e-9)
-        assert s.box == and_box_m1(TH_34, TH_34, TH_34, 4)
+        assert s.box == k_box(AND, (TH_34,) * 3, 4)
 
 
 class TestSynthesizeNumeric:
@@ -435,7 +416,7 @@ class TestSynthesizeNumeric:
         grid = {"M": NumericGrid(axes={"K1": (0.3, 0.45, 7), "K2": (0.3, 0.45, 7)})}
         params = {"M": GateParams(GateKind.AND, n=4, alpha=alpha, hill_k=(0.4, 0.4))}
         res = synthesize_numeric(c, tb, grid, params, step=0.01)["M"]
-        box = and_box_m1(TH_34, TH_34, TH_34, 4)
+        box = k_box(AND, (TH_34,) * 3, 4)
         for pt, ok in zip(res.points, res.admissible):
             if box.contains({"K1": pt[0], "K2": pt[1]}):
                 assert ok
@@ -444,6 +425,16 @@ class TestSynthesizeNumeric:
         c = self._single_and()
         with pytest.raises(ValueError, match="grid"):
             synthesize_numeric(c, grid={})
+
+    def test_unknown_gate_in_grid_rejected_before_simulating(self, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before checking the gate ids")
+
+        monkeypatch.setattr(synth, "simulate_constant_drive", no_simulation)
+        axes = NumericGrid(axes={"K1": (0.3, 0.45, 3), "K2": (0.3, 0.45, 3)})
+        grid = {"M": axes, "ZZ": axes, "Y": axes}
+        with pytest.raises(ValueError, match=r"not in the circuit: \['Y', 'ZZ'\]"):
+            synthesize_numeric(self._single_and(), None, grid)
 
     def test_no_admissible_point_distinct_error(self):
         c = self._single_and()
@@ -456,7 +447,7 @@ class TestSynthesizeNumeric:
         # with the raw steady-state condition, so stepping outside must
         # push some row's worst-case robustness negative
         th = Thresholds(plus=0.75, minus=0.25, p=1e-6)
-        reg = and_region_m2(th, th, th, 4)
+        reg = CurvedRegion(AND, (th,) * 3, 4)
         k2 = 0.40
         k1 = 0.40
         while reg.contains((k1, k2)):
@@ -575,7 +566,7 @@ class TestWorstCaseRobustness:
 
 class TestRegionExport:
     def test_csv_format(self, tmp_path):
-        reg = and_region_m2(TH_34, TH_34, TH_34, 4)
+        reg = CurvedRegion(AND, (TH_34,) * 3, 4)
         grid = NumericGrid(axes={"K1": (0.1, 0.9, 5), "K2": (0.1, 0.9, 5)})
         pts, inside, binding = sample_region(reg, grid)
         path = tmp_path / "region.csv"
@@ -629,8 +620,8 @@ class TestRegionExport:
     def test_sampled_regions_match_per_row_writer(self, tmp_path):
         grid = NumericGrid(axes={"K1": (0.02, 1.0, 40), "K2": (0.02, 1.0, 40)})
         cases = [
-            (and_region_m2(TH_34, TH_34, TH_34, 4), grid, ("K1", "K2")),
-            (not_bounds(TH_34, TH_34, 3)[1], NumericGrid(axes={"K1": (0.02, 1.0, 40)}), ("K1",)),
+            (CurvedRegion(AND, (TH_34,) * 3, 4), grid, ("K1", "K2")),
+            (k_box(NOT, (TH_34,) * 2, 3), NumericGrid(axes={"K1": (0.02, 1.0, 40)}), ("K1",)),
         ]
         for region, g, axes in cases:
             pts, inside, binding = sample_region(region, g, axes)
@@ -675,7 +666,7 @@ class TestRegionExport:
     def test_gate_box_dispatch(self):
         box = k_box(GateKind.NOT, (TH_34, TH_34), 3)
         assert list(box.intervals) == ["K1"]
-        assert box == not_bounds(TH_34, TH_34, 3)[1]
+        assert box == k_box(NOT, (TH_34,) * 2, 3)
 
 
 class TestOneBoundFormula:
@@ -711,10 +702,10 @@ class TestRuleTable:
         assert set(GATE_RULES) == set(GateKind)
 
     def test_exact_bound_shared_by_m2_and_not(self):
-        nb = not_bounds(TH_34, TH_34, 3)[0]
+        nb = n_bound(NOT, (TH_34,) * 2, "m1")
         assert nb == pytest.approx(2.5372, abs=5e-4)
-        assert and_n_bound_m2(TH_34, TH_34, TH_34) == nb
-        assert or_n_bound_m2(TH_34, TH_34, TH_34) == nb
+        assert n_bound(AND, (TH_34,) * 3, "m2") == nb
+        assert n_bound(OR, (TH_34,) * 3, "m2") == nb
 
     @pytest.mark.parametrize("n", [float("nan"), float("inf"), 0.0, -1.0])
     def test_n_bound_check_rejects_non_finite_or_non_positive_n(self, n):
@@ -723,14 +714,14 @@ class TestRuleTable:
             with pytest.raises(ValueError, match="Hill coefficient n must be finite"):
                 check_n_bound(GateKind.AND, (TH_34, TH_34, TH_34), n, method)
         with pytest.raises(ValueError, match="Hill coefficient n must be finite"):
-            and_region_m2(TH_34, TH_34, TH_34, n)
+            CurvedRegion(AND, (TH_34,) * 3, n)
         c = Circuit.from_json("circuits/half_adder.json")
         with pytest.raises(ValueError, match="Hill coefficient n must be finite"):
             synthesize_circuit(c, n={"E": n})
 
     def test_only_or_method2_bound_is_strict(self):
         ths = (TH_34, TH_34, TH_34)
-        nb = or_n_bound_m2(*ths)
+        nb = n_bound(OR, ths, "m2")
         assert check_n_bound(GateKind.AND, ths, nb, "m2") == nb
         with pytest.raises(EmptyRegionError, match="OR"):
             check_n_bound(GateKind.OR, ths, nb, "m2")
@@ -786,8 +777,8 @@ class TestBlockedEvaluation:
         assert max(sizes) == min(per_block, points)
 
     @pytest.mark.parametrize("region", [
-        and_region_m2(TH_34, TH_34, TH_34, 4), or_region_m2(TH_23, TH_34, TH_23, 5),
-        and_box_m1(TH_34, TH_34, TH_34, 4),
+        CurvedRegion(AND, (TH_34,) * 3, 4), CurvedRegion(OR, (TH_23, TH_34, TH_23), 5),
+        k_box(AND, (TH_34,) * 3, 4),
     ], ids=["and", "or", "box"])
     @pytest.mark.parametrize("per_block", [1, 7, 10**9])
     def test_region_block_size_changes_nothing(self, monkeypatch, region, per_block):
@@ -798,7 +789,7 @@ class TestBlockedEvaluation:
         assert binding == want_binding
 
     def test_region_blocks_joined_in_grid_order(self, monkeypatch):
-        region = and_region_m2(TH_34, TH_34, TH_34, 4)
+        region = CurvedRegion(AND, (TH_34,) * 3, 4)
         rule = GATE_RULES[GateKind.AND]
         sizes = []
 
