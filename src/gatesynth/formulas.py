@@ -17,6 +17,7 @@ Operator precedence is ! > U > & > | > ->.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -40,6 +41,8 @@ class Formula:
 
 
 def _check_interval(lo: float, hi: float) -> None:
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"interval bounds must be finite, got [{lo},{hi}]")
     if lo < 0:
         raise ValueError(f"interval lower bound must be >= 0, got {lo}")
     if not lo < hi:
@@ -69,6 +72,8 @@ class Atom(Formula):
     def __post_init__(self):
         if self.op not in (">=", "<="):
             raise ValueError(f"atom operator must be '>=' or '<=', got {self.op!r}")
+        if not math.isfinite(self.threshold):
+            raise ValueError(f"atom threshold must be finite, got {self.threshold}")
 
     def __str__(self):
         return f"{self.var} {self.op} {_fmt(self.threshold)}"
@@ -262,7 +267,10 @@ class _Parser:
         if kind != "num":
             raise StlSyntaxError(f"expected number, found {val or 'end of input'!r}", pos)
         self.next()
-        return float(val)
+        x = float(val)
+        if not math.isfinite(x):  # a literal beyond the float range
+            raise StlSyntaxError(f"number {val!r} is not finite", pos)
+        return x
 
     def unary(self) -> Formula:
         kind, val, pos = self.peek()

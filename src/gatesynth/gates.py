@@ -183,32 +183,48 @@ def gate_drive(g: GateParams, inputs) -> float:
     (u+v)/(1+u+v); NOT: repressing Hill term.  A Hill ratio (u/K)^n, or
     an OR gate's sum of ratios, beyond the float range gives the drive's
     limit as that ratio grows.
+
+    ``inputs`` is any iterable of exactly the kind's arity of levels; an
+    ndarray of levels gives a numpy scalar.  Another count raises
+    ``ValueError``.
     """
-    inputs = tuple(inputs)
     n, ks, kind = g.n, g.hill_k, g.kind
-    # check_kinetics makes len(hill_k) the kind's arity
-    if len(inputs) != len(ks):
-        raise ValueError(
-            f"{kind.value} gate takes {len(ks)} input(s), got {len(inputs)}"
-        )
     # identity tests on the kind, not a table lookup: hashing a str Enum
     # member runs in Python, and this runs once per gate per RK4 stage
+    if kind is _NOT:
+        try:
+            (u,) = inputs
+        except ValueError:
+            raise _arity_error(kind, inputs) from None
+        try:
+            return 1.0 / (1.0 + (u / ks[0]) ** n)
+        except OverflowError:
+            return _drive_at_overflow(kind, (u,), ks, n)
     try:
-        r0 = (inputs[0] / ks[0]) ** n
-        if kind is _NOT:
-            return 1.0 / (1.0 + r0)
-        r1 = (inputs[1] / ks[1]) ** n
+        u, v = inputs
+    except ValueError:
+        raise _arity_error(kind, inputs) from None
+    try:
+        r0 = (u / ks[0]) ** n
+        r1 = (v / ks[1]) ** n
     except OverflowError:
         # a helper, not a comprehension here: one would make n a cell
         # variable and slow every call
-        return _drive_at_overflow(kind, inputs, ks, n)
+        return _drive_at_overflow(kind, (u, v), ks, n)
     if kind is _AND:
         d = r0 / (1.0 + r0) * (r1 / (1.0 + r1))
         # an infinite input level gives ratio inf without an OverflowError,
         # then inf/inf; NaN inputs stay NaN there too
-        return d if d == d else _drive_at_overflow(kind, inputs, ks, n)
+        return d if d == d else _drive_at_overflow(kind, (u, v), ks, n)
     total = r0 + r1
     return total / (1.0 + r0 + r1) if total != math.inf else 1.0
+
+
+def _arity_error(kind: GateKind, inputs) -> ValueError:
+    """The wrong-arity error of :func:`gate_drive`; an iterable with no
+    length, such as a generator, is spent by the failed unpacking."""
+    got = len(inputs) if hasattr(inputs, "__len__") else "another number"
+    return ValueError(f"{kind.value} gate takes {kind.arity} input(s), got {got}")
 
 
 def _expit(z):

@@ -4,9 +4,10 @@
 robustness values, admissible masks and region inside-counts) and, in a
 traced run, compares call counts with their closed forms.  The unit tests
 would not otherwise see either check.  This runs both on the half-adder
-verify job, on every synth-grid job and on one monitor-traces job, whose
-set-up writes the trace CSVs that the job reads back, reading ``bench/``
-without changing it.
+and 16-stage NOT chain verify jobs (the NOT-only drive, at alpha about
+5.2), on every synth-grid job and on one monitor-traces job, whose set-up
+writes the trace CSVs that the job reads back, reading ``bench/`` without
+changing it.
 """
 
 from pathlib import Path
@@ -28,7 +29,7 @@ def bench(monkeypatch):
 
 
 @pytest.mark.parametrize("workload,jobs", [
-    ("verify-circuits", {"half_adder"}),
+    ("verify-circuits", {"half_adder", "not16"}),
     ("synth-grid", {"numeric.E", "numeric.S", "numeric.D",
                     "region.E.m2", "region.S.m2", "region.E.m1"}),
     ("monitor-traces", {"trace0"}),

@@ -312,6 +312,14 @@ class TestMonitor:
         trace.write_text("t,x\n0.0,0.8\n")
         assert main(["monitor", str(trace), "x >= "]) == 1
 
+    @pytest.mark.parametrize("formula", ["x >= 1e400", "F[0,1e400] x >= 0.5"])
+    def test_non_finite_number_exits_1(self, tmp_path, capsys, formula):
+        trace = tmp_path / "trace.csv"
+        rows = ["t,x"] + [f"{0.1 * i:.1f},0.8" for i in range(11)]
+        trace.write_text("\n".join(rows) + "\n")
+        rc = main(["monitor", str(trace), formula])
+        assert "'1e400' is not finite" in assert_one_error_line(rc, capsys)
+
 
 class TestGraphErrors:
     @pytest.mark.parametrize("command", ["timing", "synth"])

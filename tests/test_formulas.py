@@ -107,6 +107,16 @@ class TestParseErrors:
         with pytest.raises(StlSyntaxError):
             parse("x >= 0.5 @")
 
+    @pytest.mark.parametrize("text,position", [
+        ("x >= 1e400", 5), ("F[0,1e400] x >= 0.5", 4), ("(x >= 1) U[1e999,2e999] (y <= 1)", 11),
+    ])
+    def test_number_beyond_float_range(self, text, position):
+        # float() rounds such a literal to inf instead of failing
+        with pytest.raises(StlSyntaxError, match="not finite") as exc:
+            parse(text)
+        assert exc.value.position == position
+        assert parse("x >= 1e308").threshold == 1e308
+
 
 class TestAst:
     def test_interval_validation(self):
@@ -120,6 +130,19 @@ class TestAst:
     def test_atom_op_validation(self):
         with pytest.raises(ValueError):
             Atom("x", ">", 0.5)
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -float("inf")])
+    def test_atom_threshold_must_be_finite(self, threshold):
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            Atom("x", ">=", threshold)
+
+    @pytest.mark.parametrize("node", [Globally, Eventually, Until])
+    @pytest.mark.parametrize("lo,hi", [(0.0, float("inf")), (float("nan"), 1.0),
+                                       (0.0, float("nan"))])
+    def test_interval_bounds_must_be_finite(self, node, lo, hi):
+        children = (TrueFormula(),) * (2 if node is Until else 1)
+        with pytest.raises(ValueError, match="bounds must be finite"):
+            node(lo, hi, *children)
 
 
 class TestRequiredHorizon:

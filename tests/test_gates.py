@@ -96,12 +96,33 @@ class TestGateDrive:
             prev_and, prev_or, prev_not = a, o, r
 
     def test_arity_mismatch(self):
-        g = GateParams(GateKind.AND, n=4, alpha=1.0, hill_k=(0.4, 0.4))
-        with pytest.raises(ValueError, match=r"^AND gate takes 2 input\(s\), got 1$"):
-            gate_drive(g, (0.5,))
-        g = GateParams(GateKind.NOT, n=3, alpha=1.0, hill_k=(0.4,))
-        with pytest.raises(ValueError, match=r"^NOT gate takes 1 input\(s\), got 2$"):
-            gate_drive(g, (0.5, 0.5))
+        gand = GateParams(GateKind.AND, n=4, alpha=1.0, hill_k=(0.4, 0.4))
+        gnot = GateParams(GateKind.NOT, n=3, alpha=1.0, hill_k=(0.4,))
+        for form in (tuple, list, np.array):
+            with pytest.raises(ValueError, match=r"^AND gate takes 2 input\(s\), got 1$"):
+                gate_drive(gand, form((0.5,)))
+            with pytest.raises(ValueError, match=r"^AND gate takes 2 input\(s\), got 3$"):
+                gate_drive(gand, form((0.5, 0.5, 0.5)))
+            with pytest.raises(ValueError, match=r"^NOT gate takes 1 input\(s\), got 2$"):
+                gate_drive(gnot, form((0.5, 0.5)))
+
+    @pytest.mark.parametrize("kind,count", [
+        (GateKind.AND, 1), (GateKind.OR, 3), (GateKind.NOT, 0), (GateKind.NOT, 2),
+    ])
+    def test_arity_mismatch_from_generator(self, kind, count):
+        g = GateParams(kind, n=4, alpha=1.0, hill_k=(0.4, 0.4)[:kind.arity])
+        with pytest.raises(ValueError, match=rf"^{kind.value} gate takes {kind.arity} input"):
+            gate_drive(g, (0.5 for _ in range(count)))
+
+    @pytest.mark.parametrize("kind", list(GateKind))
+    def test_any_iterable_of_levels(self, kind):
+        g = GateParams(kind, n=2.5, alpha=1.0, hill_k=(0.4, 0.7)[:kind.arity])
+        levels = (0.3, 0.9)[:kind.arity]
+        want = gate_drive(g, levels)
+        assert gate_drive(g, list(levels)) == want
+        assert gate_drive(g, iter(levels)) == want
+        got = gate_drive(g, np.array(levels))
+        assert isinstance(got, np.floating) and got == want
 
     @given(u=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
            k=st.lists(st.floats(0.01, 1.0), min_size=2, max_size=2),
