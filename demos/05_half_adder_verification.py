@@ -6,8 +6,8 @@ for the sum and carry outputs.
 """
 
 from gatesynth import (
-    Circuit, GateParams, propagate_timing, synthesize_circuit, verify,
-    write_trace_csv,
+    Circuit, GateParams, VerifyReport, propagate_timing, synthesize_circuit,
+    verify_combos, write_trace_csv,
 )
 
 c = Circuit.from_json("circuits/half_adder.json")
@@ -23,14 +23,19 @@ for gid, s in sorted(result.gates.items()):
     print(f"  {gid}: n={s.n:g} alpha={1.05 * s.alpha_min:.4f} "
           f"K={tuple(round(k, 4) for k in ks)}")
 
-report = verify(c, params, tb)
+# one combination at a time: keep every entry, write one trace to disk
+key = "A=high,B=high"
+entries = []
+for combo, trace, combo_entries in verify_combos(c, params, tb):
+    entries += combo_entries
+    if combo == key:
+        write_trace_csv(trace, "half_adder_high_high.csv")
+report = VerifyReport(entries=tuple(entries))
+
 print("\nverification of the 8 network contracts:")
 for e in report.entries:
     combo = " ".join(f"{v}={lvl}" for v, lvl in e.combo.items())
     print(f"  {combo:22s} {e.output}={e.expected:5s} "
           f"rho={e.robustness:+.4f} {'PASS' if e.passed else 'FAIL'}")
 print(f"\nall pass: {report.all_pass}")
-
-key = "A=high,B=high"
-write_trace_csv(report.traces[key], "half_adder_high_high.csv")
 print(f"wrote trace for {key} to half_adder_high_high.csv")

@@ -24,7 +24,7 @@ from .monitor import (
 )
 from .odesim import (
     SimConfig, VerifyEntry, VerifyReport, simulate_circuit,
-    simulate_constant_drive, simulate_gate, verify,
+    simulate_constant_drive, simulate_gate, verify, verify_combos,
 )
 from .signals import (
     OutOfRangeError, Signal, UnknownVariableError, read_trace_csv, write_trace_csv,

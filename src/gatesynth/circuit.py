@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .formulas import Atom, Eventually, Formula, Globally, Implies
+from .formulas import Atom, Eventually, Formula, Globally, Implies, _is_variable
 from .gates import GateKind, Thresholds, _check_finite_positive
 
 __all__ = [
@@ -98,6 +98,10 @@ class Circuit:
         if not self.outputs:
             raise ValueError("circuit needs at least one network output")
         for var in self.variables():
+            if not _is_variable(var):
+                raise ValueError(
+                    f"variable {var!r} is not a name the STL parser reads as a variable"
+                )
             if var not in self.thresholds:
                 raise ValueError(f"no thresholds given for variable {var!r}")
         self.topo_order()  # raises CycleError on cyclic wiring

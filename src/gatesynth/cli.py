@@ -38,7 +38,7 @@ from .circuit import Circuit, GraphError, propagate_timing, wiring_formulas
 from .formulas import parse
 from .gates import GateKind, GateParams, Thresholds, _check_finite_positive
 from .monitor import robustness
-from .odesim import verify as run_verify
+from .odesim import VerifyReport, verify_combos
 from .signals import Signal, UnknownVariableError, read_trace_csv, write_trace_csv
 from .synth import (
     GATE_RULES, CurvedRegion, EmptyRegionError, NumericGrid, check_n_bound,
@@ -262,20 +262,30 @@ def _load_params(path: str, c: Circuit) -> dict[str, GateParams]:
 
 
 def cmd_verify(args) -> int:
+    """Simulate and monitor every input combination of a circuit.
+
+    Each combination's ``trace_*.csv`` is written as soon as it has been
+    simulated, so memory does not grow with the number of combinations.
+    If a later combination raises (a negative RK4 stage value at a
+    non-integer n, say), the traces of the earlier ones stay on disk and
+    neither ``verify.json`` nor the manifest is written.
+    """
     c = _load_circuit(args.circuit)
     params = _load_params(args.params, c)
     out = _ensure_out(args.out)
     tb = propagate_timing(c)
-    report = run_verify(c, params, tb, step=args.step)
+    entries = []
+    for key, trace, combo_entries in verify_combos(c, params, tb, step=args.step):
+        fname = "trace_" + key.replace(",", "_").replace("=", "-") + ".csv"
+        write_trace_csv(trace, os.path.join(out, fname))
+        entries += combo_entries
+    report = VerifyReport(entries=tuple(entries))
 
     for e in report.entries:
         combo = " ".join(f"{v}={lvl}" for v, lvl in e.combo.items())
         mark = "PASS" if e.passed else "FAIL"
         print(f"{mark}  {combo}  {e.output}={e.expected}  rho={e.robustness:+.4f}")
 
-    for key, trace in report.traces.items():
-        fname = "trace_" + key.replace(",", "_").replace("=", "-") + ".csv"
-        write_trace_csv(trace, os.path.join(out, fname))
     _write_json(os.path.join(out, "verify.json"), {
         "all_pass": report.all_pass,
         "entries": [

@@ -303,3 +303,13 @@ class _Parser:
 def parse(text: str) -> Formula:
     """Parse formula text into an AST; raises :class:`StlSyntaxError`."""
     return _Parser(text).parse()
+
+
+def _is_variable(name) -> bool:
+    """Whether the parser reads ``name`` as a variable: ``name >= 0`` must
+    parse to an atom on ``name`` itself.  Keywords (``G``, ``F``, ``true``)
+    and text that is no single identifier (``../A``, ``x y``) are not."""
+    try:
+        return _Parser(f"{name} >= 0").parse() == Atom(name, ">=", 0.0)
+    except StlSyntaxError:
+        return False

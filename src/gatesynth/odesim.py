@@ -21,6 +21,10 @@ benchmark's traced self-check counts them), forms every B_k at once and
 solves the recurrence by a doubling scan (Blelloch, "Prefix sums and
 their applications", 1990).  Neither reproduces the classic
 stage-by-stage loop to the last bit; both agree with it within 1e-12.
+
+:func:`verify_combos` simulates and monitors one input combination at a
+time and keeps no trace it has yielded; :func:`verify` keeps only the
+monitoring entries, so neither holds more than one trace at a time.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import operator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +49,7 @@ from .signals import Signal
 
 __all__ = [
     "SimConfig", "schedule_value", "time_grid", "simulate_gate", "simulate_circuit",
-    "simulate_constant_drive", "verify", "VerifyReport", "VerifyEntry",
+    "simulate_constant_drive", "verify", "verify_combos", "VerifyReport", "VerifyEntry",
     "RK4_STABILITY_LIMIT",
 ]
 
@@ -341,8 +347,11 @@ class VerifyEntry:
 
 @dataclass(frozen=True)
 class VerifyReport:
+    """The :class:`VerifyEntry` of every input combination and network
+    output, in :func:`verify_combos` order.  It holds no trace:
+    :func:`verify_combos` yields each combination's trace once."""
+
     entries: tuple[VerifyEntry, ...]
-    traces: dict[str, Signal] = field(compare=False, default_factory=dict)
 
     @property
     def all_pass(self) -> bool:
@@ -361,55 +370,88 @@ def _network_levels(c: Circuit, input_levels: dict[str, str]) -> dict[str, str]:
     return levels
 
 
+def verify_combos(
+    c: Circuit,
+    params: dict[str, GateParams],
+    tb: TimingBudget | None = None,
+    step: float | None = None,
+) -> Iterator[tuple[str, Signal, tuple[VerifyEntry, ...]]]:
+    """Simulate and monitor one input combination at a time.
+
+    For each combination of low/high external inputs, in
+    ``itertools.product((LOW, HIGH), ...)`` order over
+    ``c.external_inputs``, yields ``(key, trace, entries)``: ``key`` names
+    the combination as ``"A=high,B=low"``, ``trace`` is its
+    :func:`simulate_circuit` run and ``entries`` its :class:`VerifyEntry`
+    per network output.  Inputs are driven at 1 (high) / 0 (low) and held
+    for lambda+delta; each network output is checked against its expected
+    level with the network-level timing contract.  ``step`` defaults to
+    the circuit's ``sim.h``, then to 0.01; ``tb`` to
+    :func:`propagate_timing`.
+
+    The generator keeps no reference to a trace it has yielded, so memory
+    stays at one trace whatever the number of combinations, as long as
+    the caller drops each trace before asking for the next.
+    """
+    if tb is None:
+        tb = propagate_timing(c)
+    h = step if step is not None else float(c.sim.get("h", DEFAULT_STEP))
+    initial = {v: float(v0) for v, v0 in c.sim.get("initial", {}).items()}
+    for combo_bits in itertools.product((LOW, HIGH), repeat=len(c.external_inputs)):
+        # built by a call, so that no local of this frame holds the trace
+        yield _verify_combo(c, params, tb, h, initial, combo_bits)
+
+
+def _verify_combo(c, params, tb, h, initial, combo_bits):
+    """The ``(key, trace, entries)`` of one combination of :func:`verify_combos`."""
+    lam, delta = tb.network_lambda, tb.network_delta
+    combo = dict(zip(c.external_inputs, combo_bits))
+    cfg = SimConfig(
+        horizon=lam + delta,
+        step=h,
+        initial=initial,
+        inputs={v: (1.0 if combo[v] == HIGH else 0.0) for v in c.external_inputs},
+    )
+    trace = simulate_circuit(c, params, cfg)
+    key = ",".join(f"{v}={combo[v]}" for v in c.external_inputs)
+    levels = _network_levels(c, combo)
+    entries = []
+    for gid, name in c.outputs:
+        out_var = c.gates[gid].output
+        expected = levels[out_var]
+        row = ExtendedTruthRow(
+            input_levels=combo_bits, output_level=expected, delta=delta, lam=lam
+        )
+        formula = row_formula(
+            row, tuple(c.external_inputs), out_var, c.thresholds
+        )
+        rho = robustness(formula, trace, 0.0)
+        entries.append(
+            VerifyEntry(
+                combo=combo,
+                output=name,
+                expected=expected,
+                formula=formula,
+                robustness=rho,
+            )
+        )
+    return key, trace, tuple(entries)
+
+
 def verify(
     c: Circuit,
     params: dict[str, GateParams],
     tb: TimingBudget | None = None,
     step: float | None = None,
 ) -> VerifyReport:
-    """Simulate every input combination and monitor the network rows.
+    """Every :class:`VerifyEntry` of :func:`verify_combos`, in its order.
 
-    Inputs are driven at 1 (high) / 0 (low) and held for lambda+delta;
-    each network output is checked against its expected level with the
-    network-level timing contract.
+    Only the entries are kept: each combination's trace is freed once it
+    has been monitored.  A caller that wants the traces iterates
+    :func:`verify_combos` itself.
     """
-    if tb is None:
-        tb = propagate_timing(c)
-    h = step if step is not None else float(c.sim.get("h", DEFAULT_STEP))
-    lam, delta = tb.network_lambda, tb.network_delta
-    horizon = lam + delta
-
-    entries = []
-    traces = {}
-    for combo_bits in itertools.product((LOW, HIGH), repeat=len(c.external_inputs)):
-        combo = dict(zip(c.external_inputs, combo_bits))
-        cfg = SimConfig(
-            horizon=horizon,
-            step=h,
-            initial={v: float(v0) for v, v0 in c.sim.get("initial", {}).items()},
-            inputs={v: (1.0 if combo[v] == HIGH else 0.0) for v in c.external_inputs},
-        )
-        trace = simulate_circuit(c, params, cfg)
-        key = ",".join(f"{v}={combo[v]}" for v in c.external_inputs)
-        traces[key] = trace
-        levels = _network_levels(c, combo)
-        for gid, name in c.outputs:
-            out_var = c.gates[gid].output
-            expected = levels[out_var]
-            row = ExtendedTruthRow(
-                input_levels=combo_bits, output_level=expected, delta=delta, lam=lam
-            )
-            formula = row_formula(
-                row, tuple(c.external_inputs), out_var, c.thresholds
-            )
-            rho = robustness(formula, trace, 0.0)
-            entries.append(
-                VerifyEntry(
-                    combo=combo,
-                    output=name,
-                    expected=expected,
-                    formula=formula,
-                    robustness=rho,
-                )
-            )
-    return VerifyReport(entries=tuple(entries), traces=traces)
+    # itemgetter drops each (key, trace, entries) as soon as it has taken
+    # the entries, so no trace is alive while the next one is simulated;
+    # a for loop's target would keep the last one
+    per_combo = map(operator.itemgetter(2), verify_combos(c, params, tb, step))
+    return VerifyReport(entries=tuple(itertools.chain.from_iterable(per_combo)))

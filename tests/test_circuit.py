@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -6,6 +7,7 @@ from gatesynth.circuit import (
     Circuit, CycleError, Gate, GraphError, WiringCheck, longest_paths,
     propagate_timing, wiring_formulas,
 )
+from gatesynth.formulas import Atom, parse
 from gatesynth.gates import GateKind, Thresholds
 from gatesynth.monitor import robustness
 
@@ -258,6 +260,40 @@ class TestValidation:
     def test_arity_checked(self):
         with pytest.raises(ValueError):
             Gate("M", GateKind.NOT, ("a", "b"), "x")
+
+    @pytest.mark.parametrize("role", ["input", "output"])
+    @pytest.mark.parametrize("name", ["../A", "G", "F", "true", "x y", " u", "5", "a-b", ""])
+    def test_variable_the_parser_cannot_read_rejected(self, name, role):
+        # a trace file name or a formula written from such a name could not
+        # be read back: "../A" escapes the output directory, "G" parses as
+        # the operator
+        u, x = (name, "x") if role == "input" else ("u", name)
+        with pytest.raises(ValueError, match=re.escape(repr(name))) as info:
+            Circuit(
+                gates={"M": Gate("M", GateKind.NOT, (u,), x)},
+                external_inputs=(u,),
+                outputs=(("M", "out"),),
+                thresholds=thresholds(u, x),
+                delta=4.0,
+                lam=4.0,
+            )
+        assert not isinstance(info.value, GraphError)
+
+    def test_keyword_gate_ids_and_readable_variables_accepted(self):
+        # gate ids are not variables, so F and G stay valid ids
+        c = Circuit(
+            gates={
+                "F": Gate("F", GateKind.NOT, ("U",), "Gx"),
+                "G": Gate("G", GateKind.AND, ("Gx", "_b"), "true_1"),
+            },
+            external_inputs=("U", "_b"),
+            outputs=(("G", "out"),),
+            thresholds=thresholds("U", "_b", "Gx", "true_1"),
+            delta=4.0,
+            lam=4.0,
+        )
+        for var in c.variables():
+            assert parse(f"{var} >= 0.5") == Atom(var, ">=", 0.5)
 
 
 class TestSerialization:

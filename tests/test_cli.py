@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -7,7 +8,10 @@ from pathlib import Path
 import pytest
 
 import gatesynth
-from gatesynth.cli import main
+from gatesynth.circuit import Circuit, propagate_timing
+from gatesynth.cli import _load_params, main
+from gatesynth.odesim import SimConfig, simulate_circuit
+from gatesynth.signals import write_trace_csv
 
 HALF_ADDER = "circuits/half_adder.json"
 
@@ -206,15 +210,59 @@ class TestVerify:
         assert report["all_pass"] and len(report["entries"]) == 8
         assert (tmp_path / "trace_A-high_B-high.csv").exists()
 
+    def test_one_trace_per_combination_bit_for_bit(self, tmp_path):
+        params = good_params(tmp_path)
+        out = tmp_path / "out"
+        assert main(["verify", HALF_ADDER, params, "--out", str(out)]) == 0
+        written = sorted(p.name for p in out.glob("trace_*.csv"))
+        want = {}
+        c = Circuit.from_json(HALF_ADDER)
+        tb = propagate_timing(c)
+        gate_params = _load_params(params, c)
+        for a, b in itertools.product(("low", "high"), repeat=2):
+            cfg = SimConfig(horizon=tb.network_lambda + tb.network_delta, step=0.01,
+                            inputs={"A": float(a == "high"), "B": float(b == "high")})
+            path = tmp_path / f"want_{a}_{b}.csv"
+            write_trace_csv(simulate_circuit(c, gate_params, cfg), path)
+            want[f"trace_A-{a}_B-{b}.csv"] = path.read_bytes()
+        assert written == sorted(want)  # 2^inputs files, no more
+        for name, data in want.items():
+            assert (out / name).read_bytes() == data, name
+
     def test_broken_alpha_exits_4(self, tmp_path, capsys):
         params_path = good_params(tmp_path)
         params = json.loads(Path(params_path).read_text())
         params["C"]["alpha"] = 0.06
         (tmp_path / "broken.json").write_text(json.dumps(params))
+        out = tmp_path / "out"
         rc = main(["verify", HALF_ADDER, str(tmp_path / "broken.json"),
-                   "--out", str(tmp_path)])
+                   "--out", str(out)])
         assert rc == 4
         assert "FAIL" in capsys.readouterr().out
+        assert len(list(out.glob("trace_*.csv"))) == 4
+        assert not json.loads((out / "verify.json").read_text())["all_pass"]
+
+    def test_traces_before_a_failing_combination_stay(self, tmp_path, capsys):
+        # D starts at 1 and, at alpha*h = 2.5, overshoots below 0 only when
+        # B is high and it falls; E reads it with n = 4.5.  The first
+        # combination (A, B low) is simulated and written before that
+        with open(HALF_ADDER) as fh:
+            data = json.load(fh)
+        data["sim"]["initial"] = {"xD": 1.0}
+        circuit = tmp_path / "d_high.json"
+        circuit.write_text(json.dumps(data))
+        params = json.loads(Path(good_params(tmp_path)).read_text())
+        params["D"]["alpha"] = 2.5
+        params["E"]["n"] = 4.5
+        path = tmp_path / "long_step.json"
+        path.write_text(json.dumps(params))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        rc = main(["verify", str(circuit), str(path), "--out", str(out), "--step", "1.0"])
+        err = assert_one_error_line(rc, capsys)
+        assert err.startswith("error: gate 'E': RK4 stage values of ['xD'] fall below 0")
+        assert capsys.readouterr().out == ""
+        assert sorted(p.name for p in out.iterdir()) == ["trace_A-low_B-low.csv"]
 
     def test_missing_param_exits_1(self, tmp_path):
         params_path = good_params(tmp_path)
@@ -365,6 +413,23 @@ class TestGraphErrors:
         path.write_text(json.dumps(data))
         assert main(["timing", str(path), "--out", str(tmp_path)]) == 2
         assert "shadow external inputs: ['B']" in capsys.readouterr().err
+
+
+class TestVariableNames:
+    @pytest.mark.parametrize("name", ["../A", "G"])
+    def test_name_the_parser_cannot_read_exits_1(self, tmp_path, capsys, name):
+        # "../A" was simulated in full, then failed to write its first
+        # trace; "G" wrote a verify.json whose formulas do not parse back
+        text = Path(HALF_ADDER).read_text().replace('"A"', json.dumps(name))
+        circuit = tmp_path / "renamed.json"
+        circuit.write_text(text)
+        params = good_params(tmp_path)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        rc = main(["verify", str(circuit), params, "--out", str(out)])
+        err = assert_one_error_line(rc, capsys)
+        assert f"variable {name!r} is not a name the STL parser reads" in err
+        assert not out.exists()  # refused before anything is simulated
 
 
 class TestUsage:

@@ -1,5 +1,7 @@
+import dataclasses
 import decimal
 import itertools
+import weakref
 from decimal import Decimal
 from pathlib import Path
 
@@ -12,10 +14,11 @@ from gatesynth.circuit import Circuit, Gate, propagate_timing
 from gatesynth.gates import (
     GateKind, GateParams, Thresholds, closed_form, gate_drive,
 )
+from gatesynth.formulas import parse
 from gatesynth.monitor import robustness
 from gatesynth.odesim import (
     RK4_STABILITY_LIMIT, SimConfig, schedule_value, simulate_circuit,
-    simulate_constant_drive, simulate_gate, time_grid, verify,
+    simulate_constant_drive, simulate_gate, time_grid, verify, verify_combos,
 )
 from gatesynth.synth import alpha_bound, synthesize_circuit
 
@@ -395,6 +398,85 @@ class TestVerify:
         assert entry.robustness == pytest.approx(
             robustness(entry.formula, s), abs=1e-9
         )
+
+
+def _combo_config(c, tb, key, step=0.01):
+    """The ``SimConfig`` that ``verify_combos`` simulates for ``key``."""
+    combo = dict(item.split("=") for item in key.split(","))
+    return combo, SimConfig(
+        horizon=tb.network_lambda + tb.network_delta, step=step,
+        inputs={v: 1.0 if combo[v] == "high" else 0.0 for v in c.external_inputs},
+    )
+
+
+class TestVerifyCombos:
+    def test_entries_equal_verify(self, half_adder):
+        c, tb, params = half_adder
+        streamed = [e for _, _, entries in verify_combos(c, params, tb) for e in entries]
+        assert tuple(streamed) == verify(c, params, tb).entries
+
+    def test_keys_in_product_order(self, half_adder):
+        c, tb, params = half_adder
+        keys = [key for key, _, _ in verify_combos(c, params, tb)]
+        assert keys == ["A=low,B=low", "A=low,B=high", "A=high,B=low", "A=high,B=high"]
+
+    @pytest.mark.parametrize("step", [None, 0.05])
+    def test_trace_is_simulate_circuit_bit_for_bit(self, half_adder, step):
+        c, tb, params = half_adder
+        for key, trace, entries in verify_combos(c, params, tb, step):
+            combo, cfg = _combo_config(c, tb, key, step or c.sim["h"])
+            assert [e.combo for e in entries] == [combo] * len(c.outputs)
+            want = simulate_circuit(c, params, cfg)
+            assert trace.times.tobytes() == want.times.tobytes()
+            assert list(trace.values) == list(want.values)
+            for v, x in want.values.items():
+                assert trace.values[v].tobytes() == x.tobytes(), (key, v)
+
+    def test_no_trace_outlives_its_consumer(self, half_adder):
+        c, tb, params = half_adder
+        combos = verify_combos(c, params, tb)
+        refs = []
+        for _ in range(2 ** len(c.external_inputs)):
+            _, trace, _ = next(combos)
+            refs.append(weakref.ref(trace))
+            del trace
+            # the generator holds no reference to a trace it has yielded
+            assert refs[-1]() is None
+        assert next(combos, None) is None
+        assert all(ref() is None for ref in refs)
+
+    def test_verify_holds_one_trace_at_a_time(self, half_adder, monkeypatch):
+        c, tb, params = half_adder
+        signals, alive = [], []
+        real = odesim.simulate_circuit
+
+        def recorded(*args):
+            alive.append(sum(ref() is not None for ref in signals))
+            s = real(*args)
+            signals.append(weakref.ref(s))
+            return s
+
+        # through the module global, as the benchmark's hooks see it
+        monkeypatch.setattr(odesim, "simulate_circuit", recorded)
+        report = verify(c, params, tb)
+        assert report.all_pass
+        # no earlier trace is alive when the next combination is simulated
+        assert alive == [0, 0, 0, 0]
+        assert all(ref() is None for ref in signals)
+        assert [f.name for f in dataclasses.fields(report)] == ["entries"]
+
+    def test_formulas_of_readable_names_parse_back(self):
+        # U is a variable the parser reads, though U[a,b] is an operator
+        c = Circuit(
+            gates={"M": Gate("M", GateKind.AND, ("U", "b"), "x")},
+            external_inputs=("U", "b"),
+            outputs=(("M", "out"),),
+            thresholds={v: TH for v in ("U", "b", "x")}, delta=4.0, lam=4.0,
+        )
+        report = verify(c, {"M": and_gate()})
+        assert report.all_pass
+        for e in report.entries:
+            assert parse(str(e.formula)) == e.formula
 
 
 def _numpy_coupled_rk4(c, params, cfg):
