@@ -30,9 +30,9 @@ from .signals import (
     OutOfRangeError, Signal, UnknownVariableError, read_trace_csv, write_trace_csv,
 )
 from .synth import (
-    CurvedRegion, EmptyRegionError, GateSynthesis, NumericGateResult,
+    CurvedRegion, EmptyRegionError, GateContract, GateSynthesis, NumericGateResult,
     NumericGrid, ParamBox, SynthesisResult, alpha_bound, export_region_csv,
     k_box, n_bound, sample_region, synthesize_circuit, synthesize_numeric,
     worst_case_output_robustness,
 )
-from .worstcase import MAX_LEVEL, WorstCaseAssignment, worst_case
+from .worstcase import worst_case

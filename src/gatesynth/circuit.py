@@ -81,6 +81,9 @@ class Circuit:
             raise GraphError(f"repeated external input: {list(self.external_inputs)}")
         produced: dict[str, str] = {}
         for gid, g in self.gates.items():
+            # a gate id names output files and is a `synth --n` key
+            if not (isinstance(gid, str) and gid.isidentifier()):
+                raise ValueError(f"gate id {gid!r} is not an identifier")
             other = produced.setdefault(g.output, gid)
             if other != gid:
                 raise GraphError(f"variable {g.output!r} is written by gates {other!r} and {gid!r}")

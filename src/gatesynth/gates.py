@@ -47,6 +47,13 @@ class GateKind(str, Enum):
             return HIGH if any(v == HIGH for v in input_levels) else LOW
         return HIGH if input_levels[0] == LOW else LOW
 
+    def rows(self, delta: float, lam: float) -> list[ExtendedTruthRow]:
+        """The extended truth table's rows, low before high, first input slowest."""
+        return [
+            ExtendedTruthRow(levels, self.output_level(levels), delta, lam)
+            for levels in itertools.product((LOW, HIGH), repeat=self.arity)
+        ]
+
 
 @dataclass(frozen=True)
 class Thresholds:
@@ -305,13 +312,12 @@ def truth_table(
     lam: float,
     thresholds: dict[str, Thresholds],
 ) -> list[tuple[ExtendedTruthRow, Formula]]:
-    """Extended truth table: all input combinations with their STL rows."""
+    """Extended truth table: :meth:`GateKind.rows` with their STL rows."""
     kind = GateKind(kind)
     input_vars = tuple(input_vars)
     if len(input_vars) != kind.arity:
         raise ValueError(f"{kind.value} gate takes {kind.arity} input(s)")
-    rows = []
-    for levels in itertools.product((LOW, HIGH), repeat=kind.arity):
-        row = ExtendedTruthRow(levels, kind.output_level(levels), delta, lam)
-        rows.append((row, row_formula(row, input_vars, output_var, thresholds)))
-    return rows
+    return [
+        (row, row_formula(row, input_vars, output_var, thresholds))
+        for row in kind.rows(delta, lam)
+    ]

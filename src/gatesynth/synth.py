@@ -18,8 +18,9 @@ one output target (high, share) through :func:`n_bound` and
 bases.
 
 Natural logarithms throughout.  A grid-search fallback
-(:func:`synthesize_numeric`) checks admissibility by worst-case
-simulation plus monitoring instead of the analytic bounds.
+(:func:`synthesize_numeric`) checks admissibility instead by a gate's
+:meth:`GateContract.margins`: one worst-case simulation plus monitoring,
+``worst_case_output_robustness(contract, row, n, alpha, k_values)``, per row.
 
 Region membership is evaluated on whole K arrays, with results
 bit-identical to a point-by-point evaluation.  Only ``+ - * /``,
@@ -54,7 +55,7 @@ from .circuit import Circuit, TimingBudget, propagate_timing
 from .formulas import Eventually, Globally
 from .gates import (
     ExtendedTruthRow, GateKind, GateParams, Thresholds, _check_finite_positive,
-    _level_atom, check_kinetics, gate_drives, truth_table,
+    _level_atom, check_kinetics, gate_drives,
 )
 from .monitor import robustness
 from .odesim import simulate_constant_drive, time_grid
@@ -63,7 +64,7 @@ from .worstcase import worst_case
 
 __all__ = [
     "ParamBox", "CurvedRegion", "GateSynthesis", "SynthesisResult",
-    "EmptyRegionError", "alpha_bound", "synthesize_circuit",
+    "EmptyRegionError", "alpha_bound", "GateContract", "synthesize_circuit",
     "synthesize_numeric", "GateRule", "GATE_RULES", "check_n_bound",
     "NumericGrid", "NumericGateResult", "worst_case_output_robustness",
     "export_region_csv", "sample_region", "n_bound", "k_box",
@@ -403,6 +404,33 @@ def check_n_bound(
 
 
 @dataclass(frozen=True)
+class GateContract:
+    """One gate's timed STL contract: its kind's truth-table rows under the
+    thresholds of its variables and its budgets delta and lam."""
+
+    kind: GateKind
+    thresholds: tuple[Thresholds, ...]  # inputs..., output
+    delta: float
+    lam: float
+
+    @classmethod
+    def of(cls, c: Circuit, tb: TimingBudget, gid: str) -> GateContract:
+        g = c.gates[gid]
+        ths = tuple(c.thresholds[v] for v in (*g.inputs, g.output))
+        return cls(g.kind, ths, tb.delta[gid], tb.lam[gid])
+
+    @property
+    def alpha_min(self) -> float:
+        return alpha_bound(self.thresholds[-1], self.delta)
+
+    def margins(self, k_values, n: float, alpha: float, step: float = 0.01) -> np.ndarray:
+        """Each row's worst-case output robustness at each K point, shape
+        (rows, N), rows in :meth:`GateKind.rows` order."""
+        return np.stack([worst_case_output_robustness(self, r, n, alpha, k_values, step)
+                         for r in GateKind(self.kind).rows(self.delta, self.lam)])
+
+
+@dataclass(frozen=True)
 class GateSynthesis:
     """Synthesis outcome for one gate."""
 
@@ -413,7 +441,6 @@ class GateSynthesis:
     alpha_min: float
     box: ParamBox | None
     region: CurvedRegion | None
-    binding: str
 
     def to_dict(self) -> dict:
         d = {
@@ -422,7 +449,7 @@ class GateSynthesis:
             "n": self.n,
             "n_bound": self.n_bound,
             "alpha_min": self.alpha_min,
-            "binding": self.binding,
+            "binding": f"n_bound={self.n_bound:.4f}",
         }
         if self.box is not None:
             d["k_box"] = self.box.to_dict()
@@ -443,11 +470,6 @@ class SynthesisResult:
         }
 
 
-def _gate_thresholds(c: Circuit, gid: str):
-    g = c.gates[gid]
-    return tuple(c.thresholds[v] for v in g.inputs) + (c.thresholds[g.output],)
-
-
 def synthesize_circuit(
     c: Circuit,
     tb: TimingBudget | None = None,
@@ -464,8 +486,6 @@ def synthesize_circuit(
     circuit, and :class:`EmptyRegionError` when a gate's n misses its
     method bound.
     """
-    if method not in ("m1", "m2"):
-        raise ValueError("method must be 'm1' or 'm2'")
     n = dict(n or {})
     unknown = sorted(n.keys() - c.gates.keys())
     if unknown:
@@ -474,29 +494,26 @@ def synthesize_circuit(
         tb = propagate_timing(c)
     results = {}
     for gid in c.topo_order():
-        g = c.gates[gid]
-        ths = _gate_thresholds(c, gid)
-        rule = GATE_RULES[g.kind]
+        gc = GateContract.of(c, tb, gid)
+        rule = GATE_RULES[gc.kind]
         n_g = float(n.get(gid, rule.default_n))
-        nb = check_n_bound(g.kind, ths, n_g, method, gid)
-        a_min = alpha_bound(c.thresholds[g.output], tb.delta[gid])
-        box = k_box(g.kind, ths, n_g)
+        nb = check_n_bound(gc.kind, gc.thresholds, n_g, method, gid)
+        box = k_box(gc.kind, gc.thresholds, n_g)
         region = None
         if method == "m2" and rule.membership:
-            region = CurvedRegion(kind=g.kind, thresholds=ths, n=n_g)
+            region = CurvedRegion(kind=gc.kind, thresholds=gc.thresholds, n=n_g)
         if box.empty:
             if method == "m1":
                 raise EmptyRegionError(gid, "Method 1 K intervals cross")
             box = None
         results[gid] = GateSynthesis(
             gate_id=gid,
-            kind=g.kind,
+            kind=gc.kind,
             n=n_g,
             n_bound=nb,
-            alpha_min=a_min,
+            alpha_min=gc.alpha_min,
             box=box,
             region=region,
-            binding=f"n_bound={nb:.4f}",
         )
     return SynthesisResult(method=method, gates=results)
 
@@ -540,16 +557,15 @@ class NumericGateResult:
 
 
 def worst_case_output_robustness(
-    kind: GateKind,
+    contract: GateContract,
     row: ExtendedTruthRow,
-    input_ths,
-    output_th: Thresholds,
-    k_values: np.ndarray,
     n: float,
     alpha: float,
+    k_values: np.ndarray,
     step: float = 0.01,
 ) -> np.ndarray:
-    """Output-formula robustness under the row's worst-case constant inputs.
+    """Output-formula robustness of ``row``, one of ``contract``'s rows,
+    under the row's worst-case constant inputs.
 
     Vectorised over K parameter points (``k_values`` of shape (N, arity)).
     The antecedent is marginal by construction under worst-case inputs, so
@@ -580,18 +596,19 @@ def worst_case_output_robustness(
     versus continuous gap in general see Fainekos & Pappas (TCS 2009) and
     Donzé & Maler (FORMATS 2010).
     """
-    kind = GateKind(kind)
-    wc = worst_case(kind, row, input_ths)
+    kind = GateKind(contract.kind)
+    *input_ths, output_th = contract.thresholds
+    levels, x0 = worst_case(kind, row, input_ths)
     k_values = np.atleast_2d(np.asarray(k_values, dtype=float))
     check_kinetics(kind, n, alpha, k_values.T)
-    drives = gate_drives(kind, n, wc.levels, k_values)
+    drives = gate_drives(kind, n, levels, k_values)
     times = time_grid(row.lam + row.delta, step)
     count = len(drives)
     rhos = np.empty(count)
     for block in _blocks(count, 8 * times.size):
         points = range(count)[block]
         traj = simulate_constant_drive(
-            drives[block], alpha, np.full(len(points), wc.x0), step, times.size - 1
+            drives[block], alpha, np.full(len(points), x0), step, times.size - 1
         )
         # one Signal for the block: a variable per point, each a view of
         # its column of ``traj``, so the time grid is validated once per block
@@ -629,38 +646,20 @@ def synthesize_numeric(
         raise ValueError(f"grid names gate ids not in the circuit: {unknown}")
     results = {}
     for gid, gspec in grid.items():
-        g = c.gates[gid]
+        gc = GateContract.of(c, tb, gid)
         names = tuple(sorted(gspec.axes))
-        if len(names) != g.kind.arity:
+        if len(names) != gc.kind.arity:
             raise ValueError(
-                f"gate {gid!r} needs {g.kind.arity} grid axis(es), got {len(names)}"
+                f"gate {gid!r} needs {gc.kind.arity} grid axis(es), got {len(names)}"
             )
         pts = gspec.points(names)
         base = params.get(gid) if params else None
-        n_g = base.n if base else GATE_RULES[g.kind].default_n
-        alpha = base.alpha if base else alpha_bound(
-            c.thresholds[g.output], tb.delta[gid]
-        )
-        input_ths = tuple(c.thresholds[v] for v in g.inputs)
-        out_th = c.thresholds[g.output]
-        rows = [
-            row
-            for row, _ in truth_table(
-                g.kind, g.inputs, g.output, tb.delta[gid], tb.lam[gid],
-                c.thresholds,
-            )
-        ]
+        n_g = base.n if base else GATE_RULES[gc.kind].default_n
+        alpha = base.alpha if base else gc.alpha_min
         valid = (pts > 0).all(axis=1) & (pts <= 1).all(axis=1)
-        min_rho = np.full(len(pts), np.inf)
-        min_rho[~valid] = -np.inf
-        for row in rows:
-            if not valid.any():
-                break
-            rhos = worst_case_output_robustness(
-                g.kind, row, input_ths, out_th, pts[valid], n_g, alpha, step
-            )
-            cur = min_rho[valid]
-            min_rho[valid] = np.minimum(cur, rhos)
+        min_rho = np.full(len(pts), -np.inf)
+        if valid.any():
+            min_rho[valid] = gc.margins(pts[valid], n_g, alpha, step).min(axis=0)
         results[gid] = NumericGateResult(
             gate_id=gid,
             axis_names=names,

@@ -11,30 +11,21 @@ favourable extreme.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .gates import HIGH, ExtendedTruthRow, GateKind
 
-__all__ = ["WorstCaseAssignment", "worst_case", "MAX_LEVEL"]
+__all__ = ["worst_case"]
 
 # maximum rescaled concentration (steady state for full drive)
-MAX_LEVEL = 1.0
-
-
-@dataclass(frozen=True)
-class WorstCaseAssignment:
-    """Constant input levels and pessimistic initial output for one row."""
-
-    levels: tuple[float, ...]
-    x0: float
+_MAX_LEVEL = 1.0
 
 
 def worst_case(
     kind: GateKind,
     row: ExtendedTruthRow,
     input_thresholds,
-) -> WorstCaseAssignment:
-    """Worst-case constant levels for ``row`` of a gate of ``kind``.
+) -> tuple[tuple[float, ...], float]:
+    """Worst-case constant input levels and pessimistic initial output,
+    ``(levels, x0)``, for ``row`` of a gate of ``kind``.
 
     ``input_thresholds`` gives one :class:`Thresholds` per input, in order.
     Raises ``ValueError`` if the row's output level contradicts the gate's
@@ -53,13 +44,13 @@ def worst_case(
 
     out_high = row.output_level == HIGH
     # each input sits at the end of its admissible range, [0, minus] or
-    # [plus, MAX_LEVEL], that pushes the output away from its level: the
+    # [plus, _MAX_LEVEL], that pushes the output away from its level: the
     # top end when a higher input lowers a high output or raises a low one
     top = out_high != kind.activating
     levels = []
     for lvl, th in zip(row.input_levels, input_thresholds):
-        lo, hi = (th.plus, MAX_LEVEL) if lvl == HIGH else (0.0, th.minus)
+        lo, hi = (th.plus, _MAX_LEVEL) if lvl == HIGH else (0.0, th.minus)
         levels.append(hi if top else lo)
     # output must rise from empty when required high, fall from full when low
-    x0 = 0.0 if out_high else MAX_LEVEL
-    return WorstCaseAssignment(levels=tuple(levels), x0=x0)
+    x0 = 0.0 if out_high else _MAX_LEVEL
+    return tuple(levels), x0

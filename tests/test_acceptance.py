@@ -12,7 +12,7 @@ import pytest
 
 from gatesynth.circuit import Circuit, propagate_timing
 from gatesynth.gates import (
-    ExtendedTruthRow, GateKind, GateParams, Thresholds, closed_form,
+    GateKind, GateParams, Thresholds, closed_form,
     gate_drive,
 )
 from gatesynth.monitor import (
@@ -21,8 +21,7 @@ from gatesynth.monitor import (
 from gatesynth.odesim import SimConfig, simulate_constant_drive, simulate_gate, verify
 from gatesynth.formulas import parse
 from gatesynth.synth import (
-    CurvedRegion, alpha_bound, k_box, n_bound, synthesize_circuit,
-    worst_case_output_robustness,
+    CurvedRegion, GateContract, alpha_bound, k_box, n_bound, synthesize_circuit,
 )
 
 from conftest import random_formula, random_signal
@@ -140,15 +139,12 @@ def test_criterion_4_region_soundness():
                             if box.contains({"K1": k1, "K2": k2}):
                                 assert in_region, (kind, th.plus, k1, k2)
                 assert len(inside) > 50, "too few interior grid points"
-                pts = np.array(inside)
-                for levels in ((("high", "high")), ("high", "low"),
-                               ("low", "high"), ("low", "low")):
-                    row = ExtendedTruthRow(
-                        levels, kind.output_level(levels), delta, lam)
-                    rhos = worst_case_output_robustness(
-                        kind, row, (th, th), th, pts, 4, alpha, step=0.01)
+                contract = GateContract(kind, (th, th, th), delta, lam)
+                margins = contract.margins(np.array(inside), 4, alpha, step=0.01)
+                assert margins.shape == (4, len(inside))
+                for row, rhos in zip(kind.rows(delta, lam), margins):
                     worst = float(rhos.min())
-                    assert worst >= -1e-3, (kind, th.plus, levels, worst)
+                    assert worst >= -1e-3, (kind, th.plus, row.input_levels, worst)
 
 
 def test_criterion_5_monitor_correctness(rng):

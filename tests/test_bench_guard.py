@@ -7,7 +7,7 @@ would not otherwise see either check.  This runs both on the half-adder
 and 16-stage NOT chain verify jobs (the NOT-only drive, at alpha about
 5.2), on every synth-grid job and on one monitor-traces job, whose set-up
 writes the trace CSVs that the job reads back, reading ``bench/`` without
-changing it.
+changing it.  It also pins the work counts of the synth-grid numeric jobs.
 """
 
 from pathlib import Path
@@ -59,3 +59,15 @@ def test_oracles_and_self_check(bench, tmp_path, workload, jobs):
         tracer.unpatch()
     assert ran == jobs
     assert problems == []
+    if workload == "synth-grid":
+        # numeric synthesis's work, the same for every seed: per truth-table
+        # row (4 for E and S, 2 for D) one worst case and one kernel call,
+        # per row and grid point one monitor call and one row evaluation,
+        # of which 4,571 are on points that no earlier row had failed; the
+        # last count reads the kernel's k_values by position
+        calls, counters = tracer.calls_since(0), tracer.counters
+        assert calls["worstcase.worst_case"] == 10
+        assert calls["synth.worst_case_output_robustness"] == 10
+        assert calls["monitor.robustness"] == 8_200
+        assert counters["synth.numeric.row_evals"] == 8_200
+        assert counters["synth.numeric.useful_row_evals"] == 4_571

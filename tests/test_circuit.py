@@ -279,6 +279,20 @@ class TestValidation:
             )
         assert not isinstance(info.value, GraphError)
 
+    @pytest.mark.parametrize("gid", ["../E", "a/b", "a=b", ""])
+    def test_gate_id_not_an_identifier_rejected(self, gid):
+        # a gate id names region_{id}.csv and is a `synth --n ID=VALUE` key
+        with pytest.raises(ValueError, match=re.escape(f"gate id {gid!r}")) as info:
+            Circuit(
+                gates={gid: Gate(gid, GateKind.NOT, ("u",), "x")},
+                external_inputs=("u",),
+                outputs=((gid, "out"),),
+                thresholds=thresholds("u", "x"),
+                delta=4.0,
+                lam=4.0,
+            )
+        assert not isinstance(info.value, GraphError)
+
     def test_keyword_gate_ids_and_readable_variables_accepted(self):
         # gate ids are not variables, so F and G stay valid ids
         c = Circuit(

@@ -432,6 +432,22 @@ class TestVariableNames:
         assert not out.exists()  # refused before anything is simulated
 
 
+class TestGateIds:
+    @pytest.mark.parametrize("gid", ["../E", "a/b", "a=b", ""])
+    def test_gate_id_not_an_identifier_exits_1(self, tmp_path, capsys, gid):
+        # "../E" wrote region_../E.csv outside --out, or failed after the
+        # region files of the gates before it were written
+        data = json.loads(Path(HALF_ADDER).read_text())
+        data["gates"][2]["id"] = gid
+        circuit = tmp_path / "renamed.json"
+        circuit.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        rc = main(["synth", str(circuit), "--method", "m2", "--out", str(out)])
+        assert f"gate id {gid!r} is not an identifier" in assert_one_error_line(rc, capsys)
+        assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["renamed.json"]
+
+
 class TestUsage:
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 1

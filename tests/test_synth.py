@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -19,7 +20,7 @@ from gatesynth.monitor import robustness
 from gatesynth.odesim import simulate_constant_drive, time_grid
 from gatesynth.signals import Signal
 from gatesynth.synth import (
-    GATE_RULES, CurvedRegion, EmptyRegionError, NumericGrid, ParamBox,
+    GATE_RULES, CurvedRegion, EmptyRegionError, GateContract, NumericGrid, ParamBox,
     alpha_bound, check_n_bound, export_region_csv, k_box, n_bound,
     sample_region, synthesize_circuit, synthesize_numeric,
     worst_case_output_robustness,
@@ -183,9 +184,8 @@ def steady_state_margins(kind, ths, n, pts):
     worst-case steady-state drive: drive - t~+ on rows with a high
     output, t~- - drive on rows with a low one."""
     *ins, out = ths
-    rows = [(worst_case(kind, row, ins).levels, row.output_level == "high")
-            for row, _ in truth_table(kind, ("a", "b"), "x", 1.0, 1.0,
-                                      {"a": ins[0], "b": ins[1], "x": out})]
+    rows = [(worst_case(kind, row, ins)[0], row.output_level == "high")
+            for row in kind.rows(1.0, 1.0)]
     margins = []
     for ks in pts.tolist():
         g = GateParams(kind, n=n, alpha=1.0, hill_k=ks)
@@ -294,12 +294,10 @@ class TestLargeHillCoefficient:
         # at K = 0.01 every nonzero input level's ratio overflows; at K = 0.2
         # a threshold level's ratio is finite, about e^400, which puts the
         # drive within e^-400 of its limit
-        ths = (self.TH_IN,) * kind.arity
+        gc = GateContract(kind, (self.TH_IN,) * kind.arity + (self.TH_OUT,), 1.0, 1.0)
         ks = np.array([[0.01] * kind.arity, [0.2] * kind.arity])
-        for row, _ in truth_table(kind, ("a", "b")[:kind.arity], "x", 1.0, 1.0,
-                                  {"a": self.TH_IN, "b": self.TH_IN, "x": self.TH_OUT}):
-            over, finite = worst_case_output_robustness(
-                kind, row, ths, self.TH_OUT, ks, self.N, 5.0)
+        for row in kind.rows(1.0, 1.0):
+            over, finite = worst_case_output_robustness(gc, row, self.N, 5.0, ks)
             assert over == pytest.approx(finite, abs=1e-15)
 
 
@@ -399,6 +397,65 @@ class TestSynthesizeCircuit:
         assert s.box == k_box(AND, (TH_34,) * 3, 4)
 
 
+class TestGateContract:
+    # the half-adder's gates with their variables, inputs first
+    VARS = {"D": ("B", "xD"), "F": ("A", "xF"), "E": ("A", "xD", "xE"),
+            "G": ("xF", "B", "xG"), "S": ("xE", "xG", "xS"), "C": ("A", "B", "xC")}
+
+    @staticmethod
+    def half_adder(distinct=False):
+        """The half-adder, each variable given its own thresholds if
+        ``distinct``, so that their order shows."""
+        data = json.loads(Path("circuits/half_adder.json").read_text())
+        if distinct:
+            for i, var in enumerate(sorted(data["thresholds"])):
+                data["thresholds"][var] = {"plus": 0.6 + 0.02 * i, "minus": 0.1 + 0.02 * i}
+        return Circuit.from_dict(data)
+
+    def test_of_half_adder(self):
+        c = self.half_adder(distinct=True)
+        tb = propagate_timing(c)
+        assert set(self.VARS) == set(c.gates)
+        for gid, names in self.VARS.items():
+            gc = GateContract.of(c, tb, gid)
+            assert gc.kind is c.gates[gid].kind
+            assert gc.thresholds == tuple(c.thresholds[v] for v in names)
+            assert (gc.delta, gc.lam) == (tb.delta[gid], tb.lam[gid])
+            assert gc.alpha_min == alpha_bound(c.thresholds[names[-1]], tb.delta[gid])
+
+    @pytest.mark.parametrize("gid", ["E", "S", "D"])
+    def test_margins_are_the_kernel_per_truth_table_row(self, gid):
+        c = self.half_adder(distinct=True)
+        tb = propagate_timing(c)
+        gc, g = GateContract.of(c, tb, gid), c.gates[gid]
+        ks = np.random.default_rng(7).uniform(0.05, 1.0, (40, g.kind.arity))
+        alpha = 1.5 * gc.alpha_min
+        got = gc.margins(ks, 4.0, alpha)
+        table = truth_table(g.kind, g.inputs, g.output, gc.delta, gc.lam, c.thresholds)
+        assert got.shape == (len(table), 40)
+        for margin, (row, _) in zip(got, table):
+            want = worst_case_output_robustness(gc, row, 4.0, alpha, ks)
+            assert margin.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("gid,axes", [
+        ("E", {"K1": (-0.1, 0.6, 15), "K2": (0.1, 1.2, 12)}),
+        ("S", {"K1": (0.1, 1.2, 12), "K2": (-0.1, 0.6, 15)}),
+        ("D", {"K1": (-0.5, 1.5, 41)}),
+    ])
+    def test_numeric_min_robustness_is_the_margins_minimum(self, gid, axes):
+        c = self.half_adder()
+        tb = propagate_timing(c)
+        res = synthesize_numeric(c, tb, {gid: NumericGrid(axes)})[gid]
+        gc = GateContract.of(c, tb, gid)
+        valid = ((res.points > 0) & (res.points <= 1)).all(axis=1)
+        assert valid.any() and not valid.all()
+        want = np.full(len(res.points), -np.inf)
+        want[valid] = gc.margins(res.points[valid], GATE_RULES[gc.kind].default_n,
+                                 gc.alpha_min).min(axis=0)
+        assert res.min_robustness.tobytes() == want.tobytes()
+        assert np.array_equal(res.admissible, want >= 0.0) and res.admissible.any()
+
+
 class TestSynthesizeNumeric:
     def _single_and(self):
         th = {"a": TH_34, "b": TH_34, "x": TH_34}
@@ -454,44 +511,38 @@ class TestSynthesizeNumeric:
             k1 += 0.01
         k1 += 0.05
         alpha = 2 * alpha_bound(th, 4.0)
-        rhos = []
-        for levels in (("high", "high"), ("high", "low"),
-                       ("low", "high"), ("low", "low")):
-            row = ExtendedTruthRow(
-                levels, GateKind.AND.output_level(levels), 4.0, 4.0)
-            rho = worst_case_output_robustness(
-                GateKind.AND, row, (th, th), th,
-                np.array([[k1, k2]]), 4, alpha, step=0.01)
-            rhos.append(rho[0])
-        assert min(rhos) < 0
+        rhos = GateContract(AND, (th,) * 3, 4.0, 4.0).margins(
+            np.array([[k1, k2]]), 4, alpha, step=0.01)
+        assert rhos.shape == (4, 1) and rhos.min() < 0
 
     @pytest.mark.parametrize("ks", [[[0.3, 0.3], [0.3, 0.0]], [[0.3, 1.2]], [[0.3, np.nan]]])
     def test_k_outside_unit_interval_rejected(self, ks):
         row = ExtendedTruthRow(("high", "high"), "high", delta=1.0, lam=1.0)
         with pytest.raises(ValueError, match=r"each Hill K must lie in \(0, 1\]"):
             worst_case_output_robustness(
-                GateKind.AND, row, (TH_34, TH_34), TH_34, np.array(ks), 4, 5.0)
+                GateContract(AND, (TH_34,) * 3, 1.0, 1.0), row, 4, 5.0, np.array(ks))
 
     def test_horizon_off_the_step_grid(self):
         # lam + delta = 2.004 is not a multiple of the step; the trace must
         # reach past it, as the simulators' grid does
         row = ExtendedTruthRow(("high", "high"), "high", delta=1.0, lam=1.004)
         rho = worst_case_output_robustness(
-            GateKind.AND, row, (TH_34, TH_34), TH_34,
-            np.array([[0.3, 0.3]]), 4, 5.0, step=0.01)
+            GateContract(AND, (TH_34,) * 3, 1.0, 1.004), row, 4, 5.0,
+            np.array([[0.3, 0.3]]), step=0.01)
         assert rho.shape == (1,) and np.isfinite(rho[0])
 
 
-def per_point_robustness(kind, row, input_ths, output_th, k_values, n, alpha,
-                         step=0.01, output_var="x"):
+def per_point_robustness(contract, row, n, alpha, k_values, step=0.01,
+                         output_var="x"):
     """worst_case_output_robustness as a loop with one Signal per K point,
     kept as the reference for the one-Signal-per-row form."""
-    wc = worst_case(kind, row, input_ths)
+    kind, (*input_ths, output_th) = contract.kind, contract.thresholds
+    levels, x0 = worst_case(kind, row, input_ths)
     k_values = np.atleast_2d(np.asarray(k_values, dtype=float))
-    drives = gate_drives(kind, n, wc.levels, k_values)
+    drives = gate_drives(kind, n, levels, k_values)
     times = time_grid(row.lam + row.delta, step)
     traj = simulate_constant_drive(
-        drives, alpha, np.full(len(drives), wc.x0), step, times.size - 1
+        drives, alpha, np.full(len(drives), x0), step, times.size - 1
     )
     high = row.output_level == HIGH
     f = Eventually(0.0, row.delta, Globally(0.0, row.lam, Atom(
@@ -514,9 +565,9 @@ class TestWorstCaseRobustness:
         # lam + delta = 2.004 is off the step grid
         rng = np.random.default_rng(n_points)
         ks = rng.uniform(0.05, 1.0, (n_points, kind.arity))
-        ths = {"a": self.TH_IN, "b": self.TH_IN, "x": self.TH_OUT}
-        for row, _ in truth_table(kind, ("a", "b")[:kind.arity], "x", 1.0, 1.004, ths):
-            args = (kind, row, (self.TH_IN,) * kind.arity, self.TH_OUT, ks, 4.0, 3.0)
+        gc = GateContract(kind, (self.TH_IN,) * kind.arity + (self.TH_OUT,), 1.0, 1.004)
+        for row in kind.rows(1.0, 1.004):
+            args = (gc, row, 4.0, 3.0, ks)
             got = worst_case_output_robustness(*args)
             assert got.tobytes() == per_point_robustness(*args).tobytes()
 
@@ -540,19 +591,18 @@ class TestWorstCaseRobustness:
         that sample, plus 1e-6.
         """
         alpha = alpha_h / step
-        ths = {"a": th_in, "b": th_in, "x": th_out}
-        table = truth_table(kind, ("a", "b")[:kind.arity], "x", delta, lam, ths)
-        row = table[row_index % len(table)][0]
+        gc = GateContract(kind, (th_in,) * kind.arity + (th_out,), delta, lam)
+        rows = kind.rows(delta, lam)
+        row = rows[row_index % len(rows)]
         ks = np.random.default_rng(seed).uniform(0.01, 1.0, (8, kind.arity))
-        rho = worst_case_output_robustness(
-            kind, row, (th_in,) * kind.arity, th_out, ks, n, alpha, step)
+        rho = worst_case_output_robustness(gc, row, n, alpha, ks, step)
 
-        wc = worst_case(kind, row, (th_in,) * kind.arity)
-        drives = gate_drives(kind, n, wc.levels, ks)
+        levels, x0 = worst_case(kind, row, (th_in,) * kind.arity)
+        drives = gate_drives(kind, n, levels, ks)
         times = time_grid(lam + delta, step)
-        traj = simulate_constant_drive(drives, alpha, np.full(8, wc.x0), step, times.size - 1)
+        traj = simulate_constant_drive(drives, alpha, np.full(8, x0), step, times.size - 1)
         j = math.floor(delta / step + 1e-9)  # the monitor's grid tolerance
-        x_cont = closed_form(drives, alpha, wc.x0, delta)
+        x_cont = closed_form(drives, alpha, x0, delta)
         if row.output_level == HIGH:
             want, rho_cont = traj[j] - th_out.plus, x_cont - th_out.plus
         else:

@@ -9,7 +9,7 @@ from gatesynth.gates import (
 )
 from gatesynth.monitor import robustness
 from gatesynth.odesim import SimConfig, simulate_circuit
-from gatesynth.worstcase import MAX_LEVEL, worst_case
+from gatesynth.worstcase import worst_case
 
 THA = Thresholds(plus=0.75, minus=0.25, p=0.1)
 THB = Thresholds(plus=0.7, minus=0.3, p=0.1)
@@ -25,14 +25,14 @@ class TestWorstCaseLevels:
     def test_and_rows(self):
         cases = {
             (HIGH, HIGH): ((THA.plus, THB.plus), 0.0),
-            (HIGH, LOW): ((MAX_LEVEL, THB.minus), 1.0),
-            (LOW, HIGH): ((THA.minus, MAX_LEVEL), 1.0),
+            (HIGH, LOW): ((1.0, THB.minus), 1.0),
+            (LOW, HIGH): ((THA.minus, 1.0), 1.0),
             (LOW, LOW): ((THA.minus, THB.minus), 1.0),
         }
         for levels, (want, x0) in cases.items():
-            wc = worst_case(GateKind.AND, row(GateKind.AND, levels), (THA, THB))
-            assert wc.levels == pytest.approx(want)
-            assert wc.x0 == x0
+            got, got_x0 = worst_case(GateKind.AND, row(GateKind.AND, levels), (THA, THB))
+            assert got == pytest.approx(want)
+            assert got_x0 == x0
 
     def test_or_rows(self):
         cases = {
@@ -42,15 +42,13 @@ class TestWorstCaseLevels:
             (LOW, LOW): ((THA.minus, THB.minus), 1.0),
         }
         for levels, (want, x0) in cases.items():
-            wc = worst_case(GateKind.OR, row(GateKind.OR, levels), (THA, THB))
-            assert wc.levels == pytest.approx(want)
-            assert wc.x0 == x0
+            got, got_x0 = worst_case(GateKind.OR, row(GateKind.OR, levels), (THA, THB))
+            assert got == pytest.approx(want)
+            assert got_x0 == x0
 
     def test_not_rows(self):
-        wc = worst_case(GateKind.NOT, row(GateKind.NOT, (LOW,)), (THA,))
-        assert wc.levels == (THA.minus,) and wc.x0 == 0.0
-        wc = worst_case(GateKind.NOT, row(GateKind.NOT, (HIGH,)), (THA,))
-        assert wc.levels == (THA.plus,) and wc.x0 == 1.0
+        assert worst_case(GateKind.NOT, row(GateKind.NOT, (LOW,)), (THA,)) == ((THA.minus,), 0.0)
+        assert worst_case(GateKind.NOT, row(GateKind.NOT, (HIGH,)), (THA,)) == ((THA.plus,), 1.0)
 
     def test_levels_are_propositions_constants(self):
         # every emitted level is one of the four admissible constants
@@ -58,9 +56,9 @@ class TestWorstCaseLevels:
             combos = [(LOW,), (HIGH,)] if kind.arity == 1 else [
                 (LOW, LOW), (LOW, HIGH), (HIGH, LOW), (HIGH, HIGH)]
             for levels in combos:
-                wc = worst_case(kind, row(kind, levels), (THA, THB)[: kind.arity])
-                for lvl, th in zip(wc.levels, (THA, THB)):
-                    assert lvl in (0.0, th.minus, th.plus, MAX_LEVEL)
+                got, _ = worst_case(kind, row(kind, levels), (THA, THB)[: kind.arity])
+                for lvl, th in zip(got, (THA, THB)):
+                    assert lvl in (0.0, th.minus, th.plus, 1.0)
 
 
 @st.composite
@@ -72,7 +70,7 @@ def thresholds(draw):
 
 class TestLeastFavourableEnd:
     """Each worst-case level is the end of the input's admissible range,
-    [0, minus] or [plus, MAX_LEVEL], at which the drive is least
+    [0, minus] or [plus, 1.0], at which the drive is least
     favourable to the row's output, the other inputs held at theirs."""
 
     @settings(max_examples=300, deadline=None)
@@ -83,14 +81,14 @@ class TestLeastFavourableEnd:
         names = ("u1", "u2")[: kind.arity]
         table = dict(zip(names, ths), x=THA)
         for r, _ in truth_table(kind, names, "x", 4.0, 12.0, table):
-            wc = worst_case(kind, r, ths)
+            levels, _ = worst_case(kind, r, ths)
             for i, (lvl, th) in enumerate(zip(r.input_levels, ths)):
-                ends = (th.plus, MAX_LEVEL) if lvl == HIGH else (0.0, th.minus)
-                assert wc.levels[i] in ends
-                other = ends[1] if wc.levels[i] == ends[0] else ends[0]
-                moved = list(wc.levels)
+                ends = (th.plus, 1.0) if lvl == HIGH else (0.0, th.minus)
+                assert levels[i] in ends
+                other = ends[1] if levels[i] == ends[0] else ends[0]
+                moved = list(levels)
                 moved[i] = other
-                chosen, alt = gate_drive(g, wc.levels), gate_drive(g, moved)
+                chosen, alt = gate_drive(g, levels), gate_drive(g, moved)
                 if chosen == alt:
                     continue  # a tie, e.g. an AND whose other input is at 0
                 assert (chosen < alt) == (r.output_level == HIGH)
@@ -130,7 +128,7 @@ class TestDomination:
         params = {"M": GateParams(GateKind.AND, n=4, alpha=1.0, hill_k=(0.38, 0.38))}
         r = row(GateKind.AND, (HIGH, HIGH), tb.delta["M"], tb.lam["M"])
         formula = row_formula(r, ("u1", "u2"), "x", c.thresholds)
-        wc = worst_case(GateKind.AND, r, (THA, THA))
+        levels, x0 = worst_case(GateKind.AND, r, (THA, THA))
         horizon = r.lam + r.delta
 
         def run(inputs, x0):
@@ -138,7 +136,7 @@ class TestDomination:
                             initial={"x": x0}, inputs=inputs)
             return robustness(formula, simulate_circuit(c, params, cfg))
 
-        base = run({"u1": wc.levels[0], "u2": wc.levels[1]}, wc.x0)
+        base = run({"u1": levels[0], "u2": levels[1]}, x0)
         for _ in range(60):
             # piecewise-constant inputs that stay at or above theta+
             sched = {}
