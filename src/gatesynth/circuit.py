@@ -11,17 +11,20 @@ Network timing works on two quantities per gate M:
   consumer's own response time, giving the reverse-topological recursion
   ``lam(M) = max over consumers M' of (lam(M') + delta(M'))``.
 
-External inputs must be held for ``lam(entry) + delta(entry)`` time units,
-which works out to ``lambda + delta`` for every entry gate.
+External inputs must be held for the largest ``lam(entry) + delta(entry)``
+over the entry gates.  That maximum is ``lambda + delta``: the gates on a
+longest input-to-output path split delta evenly.  An entry gate off every
+longest path may need less.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 from .formulas import Atom, Eventually, Formula, Globally, Implies, _is_variable
-from .gates import GateKind, Thresholds, _check_finite_positive
+from .gates import GateKind, Thresholds, _check_finite_positive, _check_initial
 
 __all__ = [
     "Gate", "Circuit", "TimingBudget", "WiringCheck", "GraphError", "CycleError",
@@ -108,6 +111,17 @@ class Circuit:
             if var not in self.thresholds:
                 raise ValueError(f"no thresholds given for variable {var!r}")
         self.topo_order()  # raises CycleError on cyclic wiring
+        if "h" in self.sim:  # verify's default step when absent
+            h = self.sim["h"]
+            if not isinstance(h, numbers.Real):
+                raise ValueError(f"sim step h must be a number, got {h!r}")
+            _check_finite_positive("sim step h", h)
+        initial = self.sim.get("initial", {})
+        if not (isinstance(initial, dict)
+                and all(isinstance(x0, numbers.Real) for x0 in initial.values())):
+            raise ValueError(f"sim initial must be an object of numbers, got {initial!r}")
+        for var, x0 in initial.items():
+            _check_initial(var, x0)
 
     def variables(self) -> list[str]:
         return list(self.external_inputs) + [g.output for g in self.gates.values()]
@@ -144,19 +158,22 @@ class Circuit:
                     ready.append(nxt)
                     ready.sort()
         if len(order) < len(self.gates):
-            raise CycleError(self._find_cycle(succ, set(self.gates) - set(order)))
+            raise CycleError(self._find_cycle(set(self.gates) - set(order)))
         return order
 
-    @staticmethod
-    def _find_cycle(succ, remaining):
-        start = sorted(remaining)[0]
+    def _find_cycle(self, remaining):
+        """A cycle among the gates Kahn's pass left over, in producer ->
+        consumer order from its smallest id.  Every leftover gate reads a
+        leftover gate, so walking producers always closes a cycle."""
         seen: list[str] = []
-        node = start
+        node = min(remaining)
         while node not in seen:
             seen.append(node)
-            node = next(n for n in succ[node] if n in remaining)
-        i = seen.index(node)
-        return seen[i:] + [node]
+            node = next(p for v in self.gates[node].inputs
+                        if (p := self._producer.get(v)) in remaining)
+        cycle = seen[seen.index(node):][::-1]
+        i = cycle.index(min(cycle))
+        return cycle[i:] + cycle[:i + 1]
 
     @classmethod
     def from_dict(cls, data: dict) -> "Circuit":

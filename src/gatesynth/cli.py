@@ -21,7 +21,9 @@ one ``error: ...`` line on stderr:
 4  ``verify`` ran and some row failed its contract
 
 Every command but ``monitor`` writes a run manifest next to its outputs
-so a run can be reproduced from the files alone.
+so a run can be reproduced from the files alone.  :func:`main` writes it
+from the parsed command line once the command has returned (exit 0 or
+4); a command that raises leaves none.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import datetime
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 from . import __version__
 from .circuit import Circuit, GraphError, propagate_timing, wiring_formulas
@@ -52,28 +53,10 @@ EXIT_EMPTY = 3
 EXIT_VERIFY = 4
 
 
-@dataclass
-class RunManifest:
-    """Reproducibility record written next to every command's outputs."""
-
-    command: str
-    circuit: str | None
-    options: dict
-    out_dir: str
-    version: str = __version__
-    timestamp: str = field(
-        default_factory=lambda: datetime.datetime.now(datetime.timezone.utc).isoformat()
-    )
-
-    def write(self) -> str:
-        return _write_json(os.path.join(self.out_dir, "manifest.json"), self.__dict__)
-
-
-def _write_json(path: str, data) -> str:
+def _write_json(path: str, data) -> None:
     with open(path, "w") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
 
 
 class _Parser(argparse.ArgumentParser):
@@ -164,15 +147,13 @@ def cmd_timing(args) -> int:
         ],
     }
     _write_json(os.path.join(out, "timing.json"), data)
-    RunManifest("timing", args.circuit, {"out": out}, out).write()
     return EXIT_OK
 
 
 def cmd_synth(args) -> int:
     c = _load_circuit(args.circuit)
     out = _ensure_out(args.out)
-    n_map = dict(args.n or ())
-    result = synthesize_circuit(c, method=args.method, n=n_map)
+    result = synthesize_circuit(c, method=args.method, n=dict(args.n or ()))
 
     payload = result.to_dict()
     grids = {}
@@ -197,11 +178,6 @@ def cmd_synth(args) -> int:
         print(line)
 
     _write_json(os.path.join(out, "synthesis.json"), payload)
-    RunManifest(
-        "synth", args.circuit,
-        {"method": args.method, "n": n_map, "grid": args.grid, "out": out},
-        out,
-    ).write()
     return EXIT_OK
 
 
@@ -225,15 +201,6 @@ def cmd_region(args) -> int:
     print(f"{int(inside.sum())} of {len(pts)} grid points inside "
           f"(n bound {nb:.4f})")
     print(f"wrote {path}")
-    RunManifest(
-        "region", None,
-        {
-            "kind": kind.value, "plus": args.plus, "minus": args.minus,
-            "p": args.p, "n": args.n, "method": method, "grid": args.grid,
-            "out": out,
-        },
-        out,
-    ).write()
     return EXIT_OK
 
 
@@ -300,10 +267,6 @@ def cmd_verify(args) -> int:
             for e in report.entries
         ],
     })
-    RunManifest(
-        "verify", args.circuit,
-        {"params": args.params, "step": args.step, "out": out}, out,
-    ).write()
     if not report.all_pass:
         fails = report.failures()
         print(f"{len(fails)} row(s) failed", file=sys.stderr)
@@ -376,11 +339,28 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _write_manifest(args) -> None:
+    """Record a finished run in ``--out``: every parsed argument but the
+    command, its handler and the circuit path goes into ``options``."""
+    options = {k: v for k, v in vars(args).items() if k not in ("command", "func", "circuit")}
+    _write_json(os.path.join(args.out, "manifest.json"), {
+        "command": args.command,
+        "circuit": getattr(args, "circuit", None),
+        "options": options,
+        "out_dir": args.out,
+        "version": __version__,
+        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+    })
+
+
 def main(argv=None) -> int:
     """Run one command and return its exit code (see the module docstring)."""
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        if "out" in vars(args):
+            _write_manifest(args)
+        return code
     except SystemExit as exc:  # argparse: usage errors, --help, --version
         return exc.code
     except (ValueError, OSError, UnknownVariableError) as exc:

@@ -258,8 +258,6 @@ class _Parser:
         kind, val, pos = self.expect("]")
         if not lo < hi:
             raise StlSyntaxError(f"interval needs a < b, got [{lo},{hi}]", pos)
-        if lo < 0:
-            raise StlSyntaxError("interval bounds must be >= 0", pos)
         return lo, hi
 
     def number(self) -> float:

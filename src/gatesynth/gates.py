@@ -109,6 +109,12 @@ def _check_finite_positive(what: str, value: float) -> None:
         raise ValueError(f"{what} must be finite and > 0, got {value}")
 
 
+def _check_initial(var, x0) -> None:
+    """Raise ``ValueError`` unless the initial value ``x0`` is finite and >= 0."""
+    if not (math.isfinite(x0) and x0 >= 0):
+        raise ValueError(f"initial value of {var!r} must be finite and >= 0, got {x0}")
+
+
 def check_kinetics(kind: GateKind, n: float, alpha: float, hill_k) -> None:
     """Raise ``ValueError`` unless n and alpha are finite and > 0 and
     ``hill_k`` holds one K per input, each in (0, 1].  An entry of

@@ -41,8 +41,8 @@ import numpy as np
 from .circuit import Circuit, TimingBudget, propagate_timing
 from .formulas import Formula
 from .gates import (
-    HIGH, LOW, ExtendedTruthRow, GateParams, _check_finite_positive, gate_drive,
-    row_formula,
+    HIGH, LOW, ExtendedTruthRow, GateParams, _check_finite_positive, _check_initial,
+    gate_drive, row_formula,
 )
 from .monitor import robustness
 from .signals import Signal
@@ -87,12 +87,6 @@ class SimConfig:
         object.__setattr__(self, "_programs", programs)
         for var, x0 in self.initial.items():
             _check_initial(var, x0)
-
-
-def _check_initial(var, x0) -> None:
-    """Raise ``ValueError`` unless the initial value ``x0`` is finite and >= 0."""
-    if not (math.isfinite(x0) and x0 >= 0):
-        raise ValueError(f"initial value of {var!r} must be finite and >= 0, got {x0}")
 
 
 def _program(var, schedule) -> tuple[np.ndarray, np.ndarray]:

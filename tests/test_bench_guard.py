@@ -10,6 +10,7 @@ writes the trace CSVs that the job reads back, reading ``bench/`` without
 changing it.  It also pins the work counts of the synth-grid numeric jobs.
 """
 
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -71,3 +72,13 @@ def test_oracles_and_self_check(bench, tmp_path, workload, jobs):
         assert calls["monitor.robustness"] == 8_200
         assert counters["synth.numeric.row_evals"] == 8_200
         assert counters["synth.numeric.useful_row_evals"] == 4_571
+
+
+def test_kernel_parameters_match_the_row_hook():
+    # layers._RowEvals takes k_values by position (index 4); a kernel that
+    # moved it would leave the count pins above passing, since n and alpha
+    # are the same for every row of one synthesize_numeric call
+    from gatesynth.synth import worst_case_output_robustness
+
+    names = list(inspect.signature(worst_case_output_robustness).parameters)
+    assert names[:5] == ["contract", "row", "n", "alpha", "k_values"]

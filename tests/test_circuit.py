@@ -1,5 +1,7 @@
 import json
+import math
 import re
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,7 @@ from gatesynth.monitor import robustness
 
 from conftest import random_signal
 
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 TH = Thresholds(plus=0.75, minus=0.25, p=0.1)
 
 
@@ -130,6 +133,24 @@ class TestTiming:
         assert (tb.network_delta, tb.network_lambda) == (6.0, 2.0)
         assert tb.delta["M"] == 6.0 and tb.input_hold == 8.0
 
+    @pytest.mark.parametrize("name", ["half_adder", "ripple2", "ripple3", "not16"])
+    def test_input_hold_is_the_largest_entry_need(self, monkeypatch, name):
+        # the hold is lambda + delta, but an entry gate off every longest
+        # path needs less: 12 of 16 for one half-adder gate
+        monkeypatch.syspath_prepend(str(BENCH))
+        import gencircuits
+
+        if name == "half_adder":
+            c = Circuit.from_json("circuits/half_adder.json")
+        elif name == "not16":
+            c = Circuit.from_dict(gencircuits.not_chain(16))
+        else:
+            c = Circuit.from_dict(gencircuits.ripple_carry_adder(int(name[-1])))
+        tb = propagate_timing(c)
+        assert tb.input_hold == pytest.approx(c.lam + c.delta, abs=1e-9)
+        for gid in c.entry_gate_ids():
+            assert tb.lam[gid] + tb.delta[gid] <= c.lam + c.delta + 1e-9
+
 
 class TestWiring:
     def test_instance_text(self):
@@ -183,7 +204,70 @@ class TestValidation:
                 delta=4.0,
                 lam=4.0,
             )
-        assert set(exc.value.cycle) >= {"a", "b"}
+        assert exc.value.cycle == ["a", "b", "a"]
+
+    def test_cycle_with_a_gate_downstream(self):
+        # A only reads the B/C cycle, so it has no leftover successor: the
+        # walk over successors raised StopIteration
+        with pytest.raises(CycleError) as exc:
+            Circuit(
+                gates={
+                    "A": Gate("A", GateKind.NOT, ("xc",), "xa"),
+                    "B": Gate("B", GateKind.AND, ("u", "xc"), "xb"),
+                    "C": Gate("C", GateKind.NOT, ("xb",), "xc"),
+                },
+                external_inputs=("u",),
+                outputs=(("A", "out"),),
+                thresholds=thresholds("u", "xa", "xb", "xc"),
+                delta=4.0,
+                lam=4.0,
+            )
+        assert exc.value.cycle == ["B", "C", "B"]
+        assert str(exc.value) == "circuit contains a cycle: B -> C -> B"
+
+    @pytest.mark.parametrize("outputs,match", [
+        ((("Z", "out"),), "network output references unknown gate 'Z'"),
+        ((), "needs at least one network output"),
+    ])
+    def test_bad_outputs_rejected(self, outputs, match):
+        with pytest.raises(ValueError, match=match) as info:
+            Circuit(
+                gates={"M": Gate("M", GateKind.NOT, ("u",), "x")},
+                external_inputs=("u",),
+                outputs=outputs,
+                thresholds=thresholds("u", "x"),
+                delta=4.0,
+                lam=4.0,
+            )
+        assert not isinstance(info.value, GraphError)
+
+    @pytest.mark.parametrize("sim,match", [
+        ({"h": None}, "sim step h must be a number, got None"),
+        ({"h": [0.01]}, r"sim step h must be a number, got \[0.01\]"),
+        ({"h": "0.01"}, "sim step h must be a number"),
+        ({"h": 0}, "sim step h must be finite and > 0, got 0"),
+        ({"initial": [1, 2]}, "sim initial must be an object of numbers"),
+        ({"initial": {"x": None}}, "sim initial must be an object of numbers"),
+        ({"initial": {"x": -0.2}}, "initial value of 'x' must be finite and >= 0, got -0.2"),
+        ({"initial": {"x": math.nan}}, "initial value of 'x' must be finite and >= 0"),
+    ], ids=["h-null", "h-list", "h-string", "h-zero", "initial-list", "initial-null",
+            "initial-negative", "initial-nan"])
+    def test_bad_sim_section_rejected(self, sim, match):
+        with pytest.raises(ValueError, match=match) as info:
+            Circuit(
+                gates={"M": Gate("M", GateKind.NOT, ("u",), "x")},
+                external_inputs=("u",),
+                outputs=(("M", "out"),),
+                thresholds=thresholds("u", "x"),
+                delta=4.0,
+                lam=4.0,
+                sim=sim,
+            )
+        assert not isinstance(info.value, GraphError)
+
+    def test_good_sim_section_accepted(self):
+        sim = {"h": 0.05, "initial": {"x": 0}}
+        assert Circuit.from_dict({**single_gate().to_dict(), "sim": sim}).sim == sim
 
     def test_gate_off_every_path_is_a_graph_error(self):
         c = Circuit(

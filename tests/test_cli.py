@@ -79,6 +79,26 @@ class TestTiming:
     def test_missing_file_exits_1(self, tmp_path):
         assert main(["timing", "nope.json", "--out", str(tmp_path)]) == 1
 
+    def test_gate_downstream_of_a_cycle_exits_2(self, tmp_path, capsys):
+        # A reads the B/C cycle and feeds no gate: a StopIteration traceback
+        # and exit 1 before
+        data = {
+            "gates": [
+                {"id": "A", "kind": "NOT", "inputs": ["xc"], "output": "xa"},
+                {"id": "B", "kind": "AND", "inputs": ["u", "xc"], "output": "xb"},
+                {"id": "C", "kind": "NOT", "inputs": ["xb"], "output": "xc"},
+            ],
+            "external_inputs": ["u"],
+            "outputs": [{"gate": "A", "name": "out"}],
+            "thresholds": {v: {"plus": 0.75, "minus": 0.25} for v in ("u", "xa", "xb", "xc")},
+            "timing": {"delta": 4, "lambda": 4},
+        }
+        path = tmp_path / "downstream.json"
+        path.write_text(json.dumps(data))
+        rc = main(["timing", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: circuit contains a cycle: B -> C -> B\n"
+
 
 class TestSynth:
     def test_m1_bounds(self, tmp_path):
@@ -115,6 +135,16 @@ class TestSynth:
     def test_bad_n_flag_exits_1(self, tmp_path):
         assert main(["synth", HALF_ADDER, "--n", "S=abc",
                      "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("flag,value,match", [
+        ("--n", "E3", "expected GATE=VALUE, got 'E3'"),
+        ("--grid", "abc", "not an integer: 'abc'"),
+    ])
+    def test_malformed_flag_exits_1(self, tmp_path, capsys, flag, value, match):
+        rc = main(["synth", HALF_ADDER, flag, value, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert match in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
     def test_non_finite_or_non_positive_n_exits_1(self, tmp_path, capsys, value):
@@ -297,6 +327,23 @@ class TestVerify:
         assert rc == 1
         assert "initial value of 'xS' must be finite and >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sim", [
+        {"initial": [1, 2]}, {"h": None}, {"h": [0.01]}, {"h": 0},
+    ], ids=["initial-list", "h-null", "h-list", "h-zero"])
+    def test_malformed_sim_section_exits_1(self, tmp_path, capsys, sim):
+        # refused when the circuit is read: the first three were tracebacks
+        # from the middle of verify before
+        data = json.loads(Path(HALF_ADDER).read_text())
+        data["sim"] = sim
+        circuit = tmp_path / "bad_sim.json"
+        circuit.write_text(json.dumps(data))
+        params = good_params(tmp_path)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        rc = main(["verify", str(circuit), params, "--out", str(out)])
+        assert assert_one_error_line(rc, capsys).startswith(f"error: bad circuit file {circuit}")
+        assert not out.exists()
+
     def test_negative_stage_at_non_integer_n_exits_1(self, tmp_path, capsys):
         # D at alpha*h = 2.5 overshoots below 0 on its way up from 0, and E
         # reads it with n = 4.5: a traceback from a complex drive before
@@ -348,6 +395,13 @@ class TestMonitor:
         assert main(["monitor", str(trace), "x >= 0.5"]) == 1
         err = capsys.readouterr().err
         assert "bad trace file" in err and "Traceback" not in err
+
+    def test_window_between_grid_points_exits_1(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        rows = ["t,x"] + [f"{0.01 * i:.2f},0.8" for i in range(11)]
+        trace.write_text("\n".join(rows) + "\n")
+        rc = main(["monitor", str(trace), "F[0.003,0.006](x >= 0.5)"])
+        assert "contains no grid point at step 0.01" in assert_one_error_line(rc, capsys)
 
     def test_unknown_variable_exits_1(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
@@ -460,6 +514,74 @@ class TestUsage:
         before = dict(os.environ)
         assert main(["timing", HALF_ADDER, "--out", str(tmp_path)]) == 0
         assert dict(os.environ) == before
+
+
+class TestManifest:
+    """``main`` records every finished run with ``--out`` from its parsed
+    command line, and no run that raised."""
+
+    def read(self, out):
+        data = json.loads((out / "manifest.json").read_text())
+        assert set(data) == {"command", "circuit", "options", "out_dir", "version",
+                             "timestamp"}
+        assert data["out_dir"] == str(out) and data["version"] == gatesynth.__version__
+        return data
+
+    @pytest.mark.parametrize("argv,options", [
+        (["timing", HALF_ADDER], {}),
+        (["synth", HALF_ADDER], {"method": "m1", "n": None, "grid": 100}),
+        (["synth", HALF_ADDER, "--method", "m2", "--n", "E=4", "--n", "S=5", "--grid", "5"],
+         {"method": "m2", "n": [["E", 4.0], ["S", 5.0]], "grid": 5}),
+        (["region", "--kind", "and", "--plus", "0.75", "--minus", "0.25", "--n", "4",
+          "--grid", "5"],
+         {"kind": "AND", "plus": 0.75, "minus": 0.25, "p": 0.1, "n": 4.0,
+          "method": "m2", "grid": 5}),
+        # recorded as given: NOT has no Method 2 region, so m1 is used
+        (["region", "--kind", "NOT", "--plus", "0.75", "--minus", "0.25", "--n", "3",
+          "--method", "m2", "--grid", "5"],
+         {"kind": "NOT", "plus": 0.75, "minus": 0.25, "p": 0.1, "n": 3.0,
+          "method": "m2", "grid": 5}),
+    ], ids=["timing", "synth", "synth-n", "region-and", "region-not"])
+    def test_options_are_the_parsed_arguments(self, tmp_path, argv, options):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 0
+        data = self.read(out)
+        assert data["command"] == argv[0]
+        assert data["circuit"] == (None if argv[0] == "region" else HALF_ADDER)
+        assert data["options"] == {**options, "out": str(out)}
+
+    @pytest.mark.parametrize("alpha_c,rc", [(None, 0), (0.06, 4)], ids=["pass", "fail"])
+    def test_verify(self, tmp_path, alpha_c, rc):
+        params = json.loads(Path(good_params(tmp_path)).read_text())
+        if alpha_c is not None:
+            params["C"]["alpha"] = alpha_c
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(params))
+        out = tmp_path / "out"
+        assert main(["verify", HALF_ADDER, str(path), "--out", str(out), "--step", "0.02"]) == rc
+        data = self.read(out)
+        assert (data["command"], data["circuit"]) == ("verify", HALF_ADDER)
+        assert data["options"] == {"params": str(path), "step": 0.02, "out": str(out)}
+
+    def test_none_from_monitor(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "trace.csv").write_text("t,x\n0.0,0.8\n")
+        assert main(["monitor", "trace.csv", "x >= 0.5"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.csv"]
+
+    @pytest.mark.parametrize("argv,rc", [
+        (["synth", HALF_ADDER, "--n", "ZZ=4"], 1),
+        (["region", "--kind", "AND", "--plus", "0.2", "--minus", "0.5", "--n", "4"], 1),
+        (["timing", "cycle"], 2),
+        (["synth", HALF_ADDER, "--n", "S=2"], 3),
+        (["region", "--kind", "AND", "--plus", "0.75", "--minus", "0.25", "--n", "2"], 3),
+    ], ids=["synth-1", "region-1", "timing-2", "synth-3", "region-3"])
+    def test_none_from_a_failed_run(self, tmp_path, argv, rc):
+        argv = [write_cycle_circuit(tmp_path) if a == "cycle" else a for a in argv]
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(argv + ["--out", str(out)]) == rc
+        assert not (out / "manifest.json").exists()
 
 
 def assert_one_error_line(rc, capsys):

@@ -99,6 +99,10 @@ class TestParseErrors:
         with pytest.raises(StlSyntaxError):
             parse("G[1,1](x >= 0.5)")
 
+    def test_negative_bound_stops_at_the_tokenizer(self):
+        with pytest.raises(StlSyntaxError, match=r"unexpected character '-' \(at position 2\)"):
+            parse("F[-1,2] (x >= 0)")
+
     def test_trailing_garbage(self):
         with pytest.raises(StlSyntaxError):
             parse("x >= 0.5 )")

@@ -383,6 +383,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             ExtendedTruthRow((HIGH,), LOW, -1.0, 12.0)
 
+    @pytest.mark.parametrize("levels", [("mid",), (HIGH, 1)])
+    def test_row_input_levels_are_high_or_low(self, levels):
+        with pytest.raises(ValueError, match="input levels must be 'high' or 'low'"):
+            ExtendedTruthRow(levels, LOW, 4.0, 12.0)
+
+    @pytest.mark.parametrize("kind,input_vars", [
+        (GateKind.AND, ("u1",)), (GateKind.NOT, ("u1", "u2")),
+    ])
+    def test_truth_table_arity_checked(self, kind, input_vars):
+        th = {"u1": TH, "u2": TH, "x": TH}
+        with pytest.raises(ValueError, match=rf"{kind.value} gate takes {kind.arity} input"):
+            truth_table(kind, input_vars, "x", 4.0, 12.0, th)
+
 
 
 # every check of a positive quantity, each of which a NaN passed as a bare
@@ -398,8 +411,13 @@ class TestValidation:
                        external_inputs=("u",), outputs=(("M", "out"),),
                        thresholds={"u": TH, "x": TH}, delta=v, lam=4.0),
      "network delta must be finite and > 0"),
+    (lambda v: Circuit(gates={"M": Gate("M", GateKind.NOT, ("u",), "x")},
+                       external_inputs=("u",), outputs=(("M", "out"),),
+                       thresholds={"u": TH, "x": TH}, delta=4.0, lam=4.0, sim={"h": v}),
+     "sim step h must be finite and > 0"),
 ], ids=["SimConfig.horizon", "SimConfig.step", "ExtendedTruthRow.delta",
-        "ExtendedTruthRow.lam", "alpha_bound", "closed_form", "Circuit.delta"])
+        "ExtendedTruthRow.lam", "alpha_bound", "closed_form", "Circuit.delta",
+        "Circuit.sim.h"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
 def test_positive_quantity_must_be_finite(make, match, value):
     with pytest.raises(ValueError, match=match):

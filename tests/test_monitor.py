@@ -508,6 +508,13 @@ class TestErrors:
         with pytest.raises(HorizonError, match="10"):
             robustness(parse("G[0,10](x >= 0.5)"), const(0.8, t_end=3.0))
 
+    @pytest.mark.parametrize("monitor", [robustness, robustness_signal])
+    @pytest.mark.parametrize("text", ["F[0.003,0.006](x >= 0.5)",
+                                      "(x >= 0.5) U[0.003,0.006] (x >= 0.9)"])
+    def test_window_between_grid_points(self, monitor, text):
+        with pytest.raises(HorizonError, match=r"\[0.003,0.006\] contains no grid point"):
+            monitor(parse(text), const(0.8, t_end=1.0, h=0.01))
+
     def test_unknown_variable(self):
         with pytest.raises(KeyError):
             robustness(parse("zz >= 0.5"), const(0.8))

@@ -178,6 +178,12 @@ class TestSimulateGate:
                           input_vars=["B"], output_var="xD")
         assert set(s.values) == {"B", "xD"}
 
+    @pytest.mark.parametrize("levels", [(0.6,), (0.6, 0.7, 0.8)])
+    def test_wrong_number_of_levels_rejected(self, levels):
+        cfg = SimConfig(horizon=1.0, step=0.1)
+        with pytest.raises(ValueError, match=r"AND gate takes 2 input\(s\)$"):
+            simulate_gate(and_gate(), levels, 0.0, cfg)
+
     @pytest.mark.parametrize("level", [-0.5, float("nan"), float("inf")])
     def test_bad_input_level_rejected(self, level):
         # a negative level to a non-integer n makes a complex drive
@@ -358,6 +364,12 @@ class TestSimulateCircuit:
         cfg = SimConfig(horizon=4.0, step=0.01, inputs={"A": 0.0, "B": 0.0})
         with pytest.raises(ValueError, match="S"):
             simulate_circuit(c, partial, cfg)
+
+    def test_missing_input_program_rejected(self, half_adder):
+        c, tb, params = half_adder
+        cfg = SimConfig(horizon=4.0, step=0.01, inputs={"A": 0.0})
+        with pytest.raises(ValueError, match="no input program for external input 'B'"):
+            simulate_circuit(c, params, cfg)
 
 
 class TestVerify:

@@ -99,6 +99,11 @@ class TestInvariants:
         with pytest.raises(ValueError):
             Signal(times=np.array([0.0, 1.0]), values={"x": np.array([1.0])})
 
+    @pytest.mark.parametrize("times", [[], [[0.0, 0.1]]], ids=["empty", "2-d"])
+    def test_times_must_be_nonempty_1d(self, times):
+        with pytest.raises(ValueError, match="times must be a nonempty 1-d array"):
+            Signal(times=times, values={"x": np.zeros(np.shape(times))})
+
     def test_no_variables_rejected(self):
         with pytest.raises(ValueError):
             Signal(times=np.array([0.0]), values={})

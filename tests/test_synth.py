@@ -493,6 +493,12 @@ class TestSynthesizeNumeric:
         with pytest.raises(ValueError, match=r"not in the circuit: \['Y', 'ZZ'\]"):
             synthesize_numeric(self._single_and(), None, grid)
 
+    @pytest.mark.parametrize("axes", [{"K1": (0.3, 0.45, 3)},
+                                      {f"K{i}": (0.3, 0.45, 3) for i in (1, 2, 3)}])
+    def test_wrong_number_of_axes_rejected(self, axes):
+        with pytest.raises(ValueError, match=r"gate 'M' needs 2 grid axis\(es\), got"):
+            synthesize_numeric(self._single_and(), grid={"M": NumericGrid(axes=axes)})
+
     def test_no_admissible_point_distinct_error(self):
         c = self._single_and()
         grid = {"M": NumericGrid(axes={"K1": (0.9, 1.0, 2), "K2": (0.9, 1.0, 2)})}
