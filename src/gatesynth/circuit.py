@@ -15,10 +15,14 @@ External inputs must be held for the largest ``lam(entry) + delta(entry)``
 over the entry gates.  That maximum is ``lambda + delta``: the gates on a
 longest input-to-output path split delta evenly.  An entry gate off every
 longest path may need less.
+
+A :class:`Circuit` runs every check of a circuit file, off-path and
+``sim`` rules included, and finds its gate order, lf and lb, once, when built.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import numbers
 from dataclasses import dataclass, field
@@ -30,6 +34,10 @@ __all__ = [
     "Gate", "Circuit", "TimingBudget", "WiringCheck", "GraphError", "CycleError",
     "longest_paths", "propagate_timing", "wiring_formulas",
 ]
+
+
+def _is_number(x) -> bool:  # JSON's true and false load as bools
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 class GraphError(ValueError):
@@ -65,6 +73,11 @@ class Gate:
 
 @dataclass(frozen=True)
 class Circuit:
+    """A gate DAG; construction raises ``GraphError`` for bad wiring and
+    ``ValueError`` for any other fault.  ``sim`` holds at most ``h``, a
+    number > 0, and ``initial``, gate output -> number >= 0 (a boolean
+    is no number)."""
+
     gates: dict[str, Gate]
     external_inputs: tuple[str, ...]
     outputs: tuple[tuple[str, str], ...]  # (gate id, network output name)
@@ -74,6 +87,12 @@ class Circuit:
     sim: dict = field(default_factory=dict, compare=False)
     # gate output variable -> id of the gate that writes it
     _producer: dict[str, str] = field(init=False, repr=False, compare=False)
+    # the graph index of _index: gate ids in topological order, each
+    # gate's consumers (once per wire) and the longest paths lf, lb
+    _order: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _consumers: dict[str, list[str]] = field(init=False, repr=False, compare=False)
+    _lf: dict[str, int] = field(init=False, repr=False, compare=False)
+    _lb: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "external_inputs", tuple(self.external_inputs))
@@ -110,16 +129,22 @@ class Circuit:
                 )
             if var not in self.thresholds:
                 raise ValueError(f"no thresholds given for variable {var!r}")
-        self.topo_order()  # raises CycleError on cyclic wiring
+        for name, value in zip(("_order", "_consumers", "_lf", "_lb"), self._index()):
+            object.__setattr__(self, name, value)
+        unknown = set(self.sim) - {"h", "initial"}
+        if unknown:
+            raise ValueError(f"unknown sim keys {sorted(unknown)}: only 'h' and 'initial'")
         if "h" in self.sim:  # verify's default step when absent
             h = self.sim["h"]
-            if not isinstance(h, numbers.Real):
+            if not _is_number(h):
                 raise ValueError(f"sim step h must be a number, got {h!r}")
             _check_finite_positive("sim step h", h)
         initial = self.sim.get("initial", {})
-        if not (isinstance(initial, dict)
-                and all(isinstance(x0, numbers.Real) for x0 in initial.values())):
+        if not (isinstance(initial, dict) and all(map(_is_number, initial.values()))):
             raise ValueError(f"sim initial must be an object of numbers, got {initial!r}")
+        unknown = set(initial) - set(produced)
+        if unknown:
+            raise ValueError(f"initial values for no gate output: {sorted(unknown)}")
         for var, x0 in initial.items():
             _check_initial(var, x0)
 
@@ -140,26 +165,43 @@ class Circuit:
         return {gid for gid, g in self.gates.items() if ext & set(g.inputs)}
 
     def topo_order(self) -> list[str]:
-        """Gate ids in topological order (inputs before consumers)."""
-        succ: dict[str, list[str]] = {gid: [] for gid in self.gates}
-        indeg = {gid: 0 for gid in self.gates}
+        """Gate ids in topological order (inputs before consumers), the
+        smallest ready id first."""
+        return list(self._order)
+
+    def _index(self):
+        """The graph index (order, consumers, lf, lb) by Kahn's algorithm;
+        ``CycleError`` on cyclic wiring, ``GraphError`` for a gate off
+        every input-to-output path."""
+        consumers: dict[str, list[str]] = {gid: [] for gid in self.gates}
+        indeg = dict.fromkeys(self.gates, 0)
         for a, b in self.edges():
-            succ[a].append(b)
+            consumers[a].append(b)
             indeg[b] += 1
-        ready = sorted(gid for gid, d in indeg.items() if d == 0)
+        ready = sorted(gid for gid, d in indeg.items() if d == 0)  # sorted, so a heap
         order = []
+        # every gate reads a variable, so one with no external input has
+        # a producer that raises its lb above 0
+        lb = dict.fromkeys(self.gates, 0)
         while ready:
-            gid = ready.pop(0)
+            gid = heapq.heappop(ready)
             order.append(gid)
-            for nxt in succ[gid]:
+            for nxt in consumers[gid]:
+                lb[nxt] = max(lb[nxt], lb[gid] + 1)
                 indeg[nxt] -= 1
                 if indeg[nxt] == 0:
-                    # insertion sort keeps the traversal deterministic
-                    ready.append(nxt)
-                    ready.sort()
+                    heapq.heappush(ready, nxt)
         if len(order) < len(self.gates):
             raise CycleError(self._find_cycle(set(self.gates) - set(order)))
-        return order
+        outputs = self.output_gate_ids()
+        lf = {gid: (0 if gid in outputs else -(10**9)) for gid in self.gates}
+        for gid in reversed(order):
+            for nxt in consumers[gid]:
+                lf[gid] = max(lf[gid], lf[nxt] + 1)
+        for gid in self.gates:
+            if lf[gid] < 0:
+                raise GraphError(f"gate {gid!r} is not on any input-to-output path")
+        return tuple(order), consumers, lf, lb
 
     def _find_cycle(self, remaining):
         """A cycle among the gates Kahn's pass left over, in producer ->
@@ -265,49 +307,22 @@ def longest_paths(c: Circuit) -> tuple[dict[str, int], dict[str, int]]:
 
     ``lf[g]``: longest path from g to any output gate (0 if g is one).
     ``lb[g]``: longest path from g back to any gate with an external input
-    (0 if g has one itself).
+    (0 if no gate feeds g).  Both are copies of the maps the circuit built
+    when it was constructed.
     """
-    order = c.topo_order()
-    succ: dict[str, list[str]] = {gid: [] for gid in c.gates}
-    pred: dict[str, list[str]] = {gid: [] for gid in c.gates}
-    for a, b in c.edges():
-        succ[a].append(b)
-        pred[b].append(a)
-
-    neg = -(10**9)
-    outputs = c.output_gate_ids()
-    lf = {gid: (0 if gid in outputs else neg) for gid in c.gates}
-    for gid in reversed(order):
-        for nxt in succ[gid]:
-            lf[gid] = max(lf[gid], lf[nxt] + 1)
-
-    entries = c.entry_gate_ids()
-    lb = {gid: (0 if gid in entries else neg) for gid in c.gates}
-    for gid in order:
-        for prv in pred[gid]:
-            lb[gid] = max(lb[gid], lb[prv] + 1)
-
-    for gid in c.gates:
-        if lf[gid] < 0 or lb[gid] < 0:
-            raise GraphError(
-                f"gate {gid!r} is not on any input-to-output path"
-            )
-    return lf, lb
+    return dict(c._lf), dict(c._lb)
 
 
 def propagate_timing(c: Circuit) -> TimingBudget:
     """Per-gate (delta, lambda) budgets from the circuit's network targets."""
     delta, lam = c.delta, c.lam
-    lf, lb = longest_paths(c)
+    lf, lb = c._lf, c._lb
     d = {gid: delta / (lf[gid] + lb[gid] + 1) for gid in c.gates}
 
-    succ: dict[str, list[str]] = {gid: [] for gid in c.gates}
-    for a, b in c.edges():
-        succ[a].append(b)
     outputs = c.output_gate_ids()
     lam_of: dict[str, float] = {}
-    for gid in reversed(c.topo_order()):
-        need = [lam_of[nxt] + d[nxt] for nxt in succ[gid]]
+    for gid in reversed(c._order):
+        need = [lam_of[nxt] + d[nxt] for nxt in c._consumers[gid]]
         if gid in outputs:
             need.append(lam)
         lam_of[gid] = max(need)

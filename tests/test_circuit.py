@@ -250,8 +250,15 @@ class TestValidation:
         ({"initial": {"x": None}}, "sim initial must be an object of numbers"),
         ({"initial": {"x": -0.2}}, "initial value of 'x' must be finite and >= 0, got -0.2"),
         ({"initial": {"x": math.nan}}, "initial value of 'x' must be finite and >= 0"),
+        # JSON's true loads as a bool, which Python counts as a number
+        ({"h": True}, "sim step h must be a number, got True"),
+        ({"initial": {"x": False}}, "sim initial must be an object of numbers"),
+        ({"initial": {"nope": 0.5}}, r"initial values for no gate output: \['nope'\]"),
+        ({"initial": {"u": 0.5}}, r"initial values for no gate output: \['u'\]"),
+        ({"H": 1.0, "h": 0.01}, r"unknown sim keys \['H'\]"),
     ], ids=["h-null", "h-list", "h-string", "h-zero", "initial-list", "initial-null",
-            "initial-negative", "initial-nan"])
+            "initial-negative", "initial-nan", "h-bool", "initial-bool",
+            "initial-unknown", "initial-external-input", "unknown-key"])
     def test_bad_sim_section_rejected(self, sim, match):
         with pytest.raises(ValueError, match=match) as info:
             Circuit(
@@ -270,19 +277,18 @@ class TestValidation:
         assert Circuit.from_dict({**single_gate().to_dict(), "sim": sim}).sim == sim
 
     def test_gate_off_every_path_is_a_graph_error(self):
-        c = Circuit(
-            gates={
-                "M": Gate("M", GateKind.NOT, ("u",), "x"),
-                "Z": Gate("Z", GateKind.NOT, ("u",), "z"),
-            },
-            external_inputs=("u",),
-            outputs=(("M", "out"),),
-            thresholds=thresholds("u", "x", "z"),
-            delta=4.0,
-            lam=4.0,
-        )
         with pytest.raises(GraphError, match="'Z' is not on any"):
-            propagate_timing(c)
+            Circuit(
+                gates={
+                    "M": Gate("M", GateKind.NOT, ("u",), "x"),
+                    "Z": Gate("Z", GateKind.NOT, ("u",), "z"),
+                },
+                external_inputs=("u",),
+                outputs=(("M", "out"),),
+                thresholds=thresholds("u", "x", "z"),
+                delta=4.0,
+                lam=4.0,
+            )
 
     def test_undefined_input_rejected(self):
         with pytest.raises(GraphError, match="undefined"):
@@ -392,6 +398,30 @@ class TestValidation:
         )
         for var in c.variables():
             assert parse(f"{var} >= 0.5") == Atom(var, ">=", 0.5)
+
+
+class TestIndex:
+    """The order and longest paths a circuit builds once, at construction."""
+
+    def test_built_once(self, monkeypatch):
+        calls = []
+        build = Circuit._index
+        monkeypatch.setattr(Circuit, "_index", lambda c: calls.append(c) or build(c))
+        c = xor_circuit()
+        for _ in range(2):
+            c.topo_order(), longest_paths(c), wiring_formulas(c, propagate_timing(c))
+        assert calls == [c]
+
+    def test_cannot_be_changed_from_outside(self):
+        c = xor_circuit()
+        order, paths, tb = c.topo_order(), longest_paths(c), propagate_timing(c)
+        c.topo_order().reverse()
+        for lengths in longest_paths(c):
+            for gid in lengths:
+                lengths[gid] += 5
+        assert c.topo_order() == order
+        assert longest_paths(c) == paths
+        assert propagate_timing(c) == tb
 
 
 class TestSerialization:

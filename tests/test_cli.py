@@ -46,6 +46,17 @@ def write_dangling_circuit(tmp_path):
     return str(path)
 
 
+def edited_half_adder(edit):
+    """A writer of the half-adder file after ``edit`` of its JSON data."""
+    def write(tmp_path):
+        data = json.loads(Path(HALF_ADDER).read_text())
+        edit(data)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+    return write
+
+
 def good_params(tmp_path):
     rc = main(["synth", HALF_ADDER, "--out", str(tmp_path)])
     assert rc == 0
@@ -467,6 +478,43 @@ class TestGraphErrors:
         path.write_text(json.dumps(data))
         assert main(["timing", str(path), "--out", str(tmp_path)]) == 2
         assert "shadow external inputs: ['B']" in capsys.readouterr().err
+
+
+# case -> (circuit file writer, exit code, the error line's message)
+BAD_CIRCUITS = {
+    "cycle": (write_cycle_circuit, 2, "circuit contains a cycle: a -> b -> a"),
+    "undefined-variable": (
+        edited_half_adder(lambda d: d["gates"][0].update(inputs=["ghost"])),
+        2, "gate 'D' reads undefined variable 'ghost'"),
+    "dangling-gate": (write_dangling_circuit, 2, "gate 'Z' is not on any input-to-output path"),
+    "h-true": (edited_half_adder(lambda d: d["sim"].update(h=True)),
+               1, "sim step h must be a number, got True"),
+    "initial-no-gate-output": (
+        edited_half_adder(lambda d: d["sim"].update(initial={"nope": 0.5})),
+        1, "initial values for no gate output: ['nope']"),
+    "unknown-sim-key": (edited_half_adder(lambda d: d.update(sim={"H": 1.0})),
+                        1, "unknown sim keys ['H']: only 'h' and 'initial'"),
+}
+
+
+class TestBadCircuitFiles:
+    """Every check of a circuit file runs when the file is read, so a bad
+    circuit is refused before its command makes the --out directory."""
+
+    @pytest.mark.parametrize("command", ["timing", "synth", "verify"])
+    @pytest.mark.parametrize("case", list(BAD_CIRCUITS))
+    def test_refused_before_out_is_made(self, tmp_path, capsys, case, command):
+        write, code, message = BAD_CIRCUITS[case]
+        circuit = write(tmp_path)
+        params = [good_params(tmp_path)] if command == "verify" else []
+        out = tmp_path / "out"
+        capsys.readouterr()
+        rc = main([command, circuit, *params, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == code
+        prefix = "error: " if code == 2 else f"error: bad circuit file {circuit}: "
+        assert err == prefix + message + "\n"
+        assert not out.exists()
 
 
 class TestVariableNames:
