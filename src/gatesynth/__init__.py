@@ -17,7 +17,7 @@ from .formulas import (
 )
 from .gates import (
     ExtendedTruthRow, GateKind, GateParams, Thresholds, closed_form,
-    gate_drive, hill_act, hill_rep, row_formula, truth_table,
+    gate_drive, row_formula, truth_table,
 )
 from .monitor import (
     HorizonError, eval_boolean, robustness, robustness_naive, robustness_signal,

@@ -219,6 +219,9 @@ class Circuit:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Circuit":
+        """The circuit of a circuit file's JSON data.  Each ``timing`` value
+        must be a number and ``sim`` an object: ``float()`` and ``dict()``
+        would take ``true``, ``"12"`` or a list of pairs."""
         gates = {
             g["id"]: Gate(
                 id=g["id"],
@@ -235,6 +238,12 @@ class Circuit:
             for var, spec in data["thresholds"].items()
         }
         timing = data["timing"]
+        for key in ("delta", "lambda"):
+            if not _is_number(timing[key]):
+                raise ValueError(f"timing {key} must be a number, got {timing[key]!r}")
+        sim = data.get("sim", {})
+        if not isinstance(sim, dict):
+            raise ValueError(f"sim must be an object, got {sim!r}")
         return cls(
             gates=gates,
             external_inputs=tuple(data["external_inputs"]),
@@ -242,7 +251,7 @@ class Circuit:
             thresholds=thresholds,
             delta=float(timing["delta"]),
             lam=float(timing["lambda"]),
-            sim=dict(data.get("sim", {})),
+            sim=dict(sim),
         )
 
     @classmethod

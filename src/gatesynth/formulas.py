@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import ClassVar
 
 __all__ = [
     "Formula", "TrueFormula", "Atom", "Not", "And", "Or", "Implies",
@@ -88,30 +89,27 @@ class Not(Formula):
 
 
 @dataclass(frozen=True)
-class And(Formula):
+class _Binary(Formula):
+    """A binary connective; each subclass sets its printed ``_symbol``."""
+
     left: Formula
     right: Formula
+    _symbol: ClassVar[str]
 
     def __str__(self):
-        return f"({self.left} & {self.right})"
+        return f"({self.left} {self._symbol} {self.right})"
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
-
-    def __str__(self):
-        return f"({self.left} | {self.right})"
+class And(_Binary):
+    _symbol = "&"
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class Or(_Binary):
+    _symbol = "|"
 
-    def __str__(self):
-        return f"({self.left} -> {self.right})"
+
+class Implies(_Binary):
+    _symbol = "->"
 
 
 @dataclass(frozen=True)
@@ -129,29 +127,28 @@ class Until(Formula):
 
 
 @dataclass(frozen=True)
-class Eventually(Formula):
+class _Window(Formula):
+    """A bounded temporal operator over [lo, hi]; each subclass sets its
+    printed ``_symbol``."""
+
     lo: float
     hi: float
     child: Formula
+    _symbol: ClassVar[str]
 
     def __post_init__(self):
         _check_interval(self.lo, self.hi)
 
     def __str__(self):
-        return f"F[{_fmt(self.lo)},{_fmt(self.hi)}] ({self.child})"
+        return f"{self._symbol}[{_fmt(self.lo)},{_fmt(self.hi)}] ({self.child})"
 
 
-@dataclass(frozen=True)
-class Globally(Formula):
-    lo: float
-    hi: float
-    child: Formula
+class Eventually(_Window):
+    _symbol = "F"
 
-    def __post_init__(self):
-        _check_interval(self.lo, self.hi)
 
-    def __str__(self):
-        return f"G[{_fmt(self.lo)},{_fmt(self.hi)}] ({self.child})"
+class Globally(_Window):
+    _symbol = "G"
 
 
 def required_horizon(f: Formula) -> float:
@@ -160,9 +157,9 @@ def required_horizon(f: Formula) -> float:
         return 0.0
     if isinstance(f, Not):
         return required_horizon(f.child)
-    if isinstance(f, (And, Or, Implies)):
+    if isinstance(f, _Binary):
         return max(required_horizon(f.left), required_horizon(f.right))
-    if isinstance(f, (Eventually, Globally)):
+    if isinstance(f, _Window):
         return f.hi + required_horizon(f.child)
     if isinstance(f, Until):
         return f.hi + max(required_horizon(f.left), required_horizon(f.right))

@@ -17,9 +17,8 @@ import numpy as np
 from .formulas import And, Atom, Eventually, Formula, Globally, Implies
 
 __all__ = [
-    "GateKind", "Thresholds", "GateParams", "ExtendedTruthRow",
-    "hill_act", "hill_rep", "gate_drive", "gate_drives", "check_kinetics",
-    "closed_form", "truth_table", "row_formula",
+    "GateKind", "Thresholds", "GateParams", "ExtendedTruthRow", "gate_drive",
+    "gate_drives", "check_kinetics", "closed_form", "truth_table", "row_formula",
 ]
 
 HIGH = "high"
@@ -145,21 +144,6 @@ class ExtendedTruthRow:
             raise ValueError("output_level must be 'high' or 'low'")
         if any(v not in (HIGH, LOW) for v in self.input_levels):
             raise ValueError("input levels must be 'high' or 'low'")
-
-
-def hill_act(x: float, K: float, n: float):
-    """Activating Hill term x^n / (K^n + x^n); 1 where (x/K)^n overflows."""
-    if K <= 0 or n <= 0:
-        raise ValueError("need K > 0 and n > 0")
-    r = _hill_ratio(x, K, n)
-    return r / (1.0 + r) if r != math.inf else 1.0
-
-
-def hill_rep(x: float, K: float, n: float):
-    """Repressing Hill term 1 / (1 + (x/K)^n); 0 where (x/K)^n overflows."""
-    if K <= 0 or n <= 0:
-        raise ValueError("need K > 0 and n > 0")
-    return 1.0 / (1.0 + _hill_ratio(x, K, n))
 
 
 _AND, _NOT = GateKind.AND, GateKind.NOT

@@ -20,10 +20,15 @@ restricted to their window.  Two monitors are provided:
   temporal operator, supporting arbitrary (non-uniform) grids.  Kept as an
   independent reference for differential testing.
 
-Both use closed windows throughout, and both give NaN wherever a
-connective's operand or a window's sample is NaN: ``np.min``/``np.max``
-and ``np.minimum``/``np.maximum`` propagate it, where Python's ``min``
-and ``max`` would drop all but a leading NaN.
+:func:`eval_boolean` gives the boolean semantics by the same recursion,
+with the same window rule; the fast monitor keeps its own, so the
+differential tests compare two independent rules.  All three use closed
+windows and raise ``HorizonError`` on the same formulas: a window that
+holds no sample, or a horizon past the end of the trace.  The two
+quantitative monitors give NaN wherever a connective's operand or a
+window's sample is NaN: ``np.min``/``np.max`` and ``np.minimum``/
+``np.maximum`` propagate it, where Python's ``min`` and ``max`` would
+drop all but a leading NaN.
 """
 
 from __future__ import annotations
@@ -211,17 +216,20 @@ def robustness(f: Formula, s: Signal, t: float = 0.0) -> float:
     return float(arr[i])
 
 
+def _window(times: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The sample times in [lo, hi], the reference monitors' window rule;
+    ``HorizonError`` when there are none."""
+    i = np.searchsorted(times, lo - _TOL, side="left")
+    j = np.searchsorted(times, hi + _TOL, side="right")
+    if i >= j:
+        raise HorizonError(f"window [{lo},{hi}] contains no grid point")
+    return times[i:j]
+
+
 def robustness_naive(f: Formula, s: Signal, t: float = 0.0) -> float:
     """Reference monitor: direct recursion over grid-restricted windows."""
     _check_horizon(f, s, t)
     times = s.times
-
-    def window(lo: float, hi: float) -> np.ndarray:
-        i = np.searchsorted(times, lo - _TOL, side="left")
-        j = np.searchsorted(times, hi + _TOL, side="right")
-        if i >= j:
-            raise HorizonError(f"window [{lo},{hi}] contains no grid point")
-        return times[i:j]
 
     def ev(node: Formula, at: float) -> float:
         if isinstance(node, TrueFormula):
@@ -239,11 +247,11 @@ def robustness_naive(f: Formula, s: Signal, t: float = 0.0) -> float:
             return np.max([-ev(node.left, at), ev(node.right, at)])
         if isinstance(node, (Globally, Eventually)):
             pick = np.min if isinstance(node, Globally) else np.max
-            return pick([ev(node.child, u) for u in window(at + node.lo, at + node.hi)])
+            return pick([ev(node.child, u) for u in _window(times, at + node.lo, at + node.hi)])
         if isinstance(node, Until):
             return np.max([
-                np.min([ev(node.right, u)] + [ev(node.left, v) for v in window(at, u)])
-                for u in window(at + node.lo, at + node.hi)
+                np.min([ev(node.right, u)] + [ev(node.left, v) for v in _window(times, at, u)])
+                for u in _window(times, at + node.lo, at + node.hi)
             ])
         raise TypeError(f"not a formula node: {node!r}")
 
@@ -255,14 +263,12 @@ def eval_boolean(f: Formula, s: Signal, t: float = 0.0) -> bool:
 
     Deliberately implemented without reference to the robustness
     computation; used to cross-check the sign of the quantitative monitor.
+    It evaluates every operand and every window, with no short cut, at the
+    times :func:`robustness_naive` does, so it raises ``HorizonError`` on
+    the same formulas.
     """
     _check_horizon(f, s, t)
     times = s.times
-
-    def window(lo: float, hi: float) -> np.ndarray:
-        i = np.searchsorted(times, lo - _TOL, side="left")
-        j = np.searchsorted(times, hi + _TOL, side="right")
-        return times[i:j]
 
     def ev(node: Formula, at: float) -> bool:
         if isinstance(node, TrueFormula):
@@ -273,22 +279,19 @@ def eval_boolean(f: Formula, s: Signal, t: float = 0.0) -> bool:
         if isinstance(node, Not):
             return not ev(node.child, at)
         if isinstance(node, And):
-            return ev(node.left, at) and ev(node.right, at)
+            return all([ev(node.left, at), ev(node.right, at)])
         if isinstance(node, Or):
-            return ev(node.left, at) or ev(node.right, at)
+            return any([ev(node.left, at), ev(node.right, at)])
         if isinstance(node, Implies):
-            return (not ev(node.left, at)) or ev(node.right, at)
-        if isinstance(node, Globally):
-            return all(ev(node.child, u) for u in window(at + node.lo, at + node.hi))
-        if isinstance(node, Eventually):
-            return any(ev(node.child, u) for u in window(at + node.lo, at + node.hi))
+            return any([not ev(node.left, at), ev(node.right, at)])
+        if isinstance(node, (Globally, Eventually)):
+            pick = all if isinstance(node, Globally) else any
+            return pick([ev(node.child, u) for u in _window(times, at + node.lo, at + node.hi)])
         if isinstance(node, Until):
-            for u in window(at + node.lo, at + node.hi):
-                if ev(node.right, u) and all(
-                    ev(node.left, v) for v in window(at, u)
-                ):
-                    return True
-            return False
+            return any([
+                all([ev(node.right, u)] + [ev(node.left, v) for v in _window(times, at, u)])
+                for u in _window(times, at + node.lo, at + node.hi)
+            ])
         raise TypeError(f"not a formula node: {node!r}")
 
     return ev(f, t)

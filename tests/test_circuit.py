@@ -276,6 +276,24 @@ class TestValidation:
         sim = {"h": 0.05, "initial": {"x": 0}}
         assert Circuit.from_dict({**single_gate().to_dict(), "sim": sim}).sim == sim
 
+    @pytest.mark.parametrize("edit,match", [
+        # float() took each of these: true as 1.0, "12" as 12.0
+        ({"timing": {"delta": True, "lambda": 4.0}}, "timing delta must be a number, got True"),
+        ({"timing": {"delta": "12", "lambda": 4.0}}, "timing delta must be a number, got '12'"),
+        ({"timing": {"delta": 4.0, "lambda": None}}, "timing lambda must be a number, got None"),
+        # dict() took a list of pairs as {"h": 0.05}
+        ({"sim": [["h", 0.05]]}, r"sim must be an object, got \[\['h', 0.05\]\]"),
+    ], ids=["delta-bool", "delta-string", "lambda-null", "sim-pairs"])
+    def test_bad_timing_or_sim_value_rejected_by_from_dict(self, edit, match):
+        with pytest.raises(ValueError, match=match) as info:
+            Circuit.from_dict({**single_gate().to_dict(), **edit})
+        assert not isinstance(info.value, GraphError)
+
+    def test_integer_timing_loads_as_float(self):
+        c = Circuit.from_dict({**single_gate().to_dict(), "timing": {"delta": 4, "lambda": 12}})
+        assert (c.delta, c.lam) == (4.0, 12.0)
+        assert isinstance(c.delta, float) and isinstance(c.lam, float)
+
     def test_gate_off_every_path_is_a_graph_error(self):
         with pytest.raises(GraphError, match="'Z' is not on any"):
             Circuit(

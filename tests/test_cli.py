@@ -494,6 +494,12 @@ BAD_CIRCUITS = {
         1, "initial values for no gate output: ['nope']"),
     "unknown-sim-key": (edited_half_adder(lambda d: d.update(sim={"H": 1.0})),
                         1, "unknown sim keys ['H']: only 'h' and 'initial'"),
+    "delta-true": (edited_half_adder(lambda d: d["timing"].update(delta=True)),
+                   1, "timing delta must be a number, got True"),
+    "lambda-string": (edited_half_adder(lambda d: d["timing"].update({"lambda": "12"})),
+                      1, "timing lambda must be a number, got '12'"),
+    "sim-pairs": (edited_half_adder(lambda d: d.update(sim=[["h", 0.05]])),
+                  1, "sim must be an object, got [['h', 0.05]]"),
 }
 
 

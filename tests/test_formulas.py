@@ -140,6 +140,26 @@ class TestAst:
         with pytest.raises(ValueError, match="threshold must be finite"):
             Atom("x", ">=", threshold)
 
+    def test_siblings_with_equal_fields_differ(self):
+        a, b = Atom("x", ">=", 0.5), Atom("y", "<=", 0.25)
+        binary = [And(a, b), Or(a, b), Implies(a, b)]
+        windows = [Eventually(0, 1, a), Globally(0, 1, a)]
+        for group in (binary, windows):
+            for i, f in enumerate(group):
+                assert [f == g for g in group] == [j == i for j in range(len(group))]
+        assert And(left=a, right=b) == And(a, b)
+        assert Globally(lo=0, hi=1, child=a) == windows[1]
+        assert [repr(f) for f in binary + windows] == [
+            f"{name}(left={a!r}, right={b!r})" for name in ("And", "Or", "Implies")
+        ] + [f"{name}(lo=0, hi=1, child={a!r})" for name in ("Eventually", "Globally")]
+        assert repr(a) == "Atom(var='x', op='>=', threshold=0.5)"
+        assert [str(f) for f in binary + windows] == [
+            "(x >= 0.5 & y <= 0.25)", "(x >= 0.5 | y <= 0.25)", "(x >= 0.5 -> y <= 0.25)",
+            "F[0,1] (x >= 0.5)", "G[0,1] (x >= 0.5)",
+        ]
+        assert And.__match_args__ == ("left", "right")
+        assert Globally.__match_args__ == ("lo", "hi", "child")
+
     @pytest.mark.parametrize("node", [Globally, Eventually, Until])
     @pytest.mark.parametrize("lo,hi", [(0.0, float("inf")), (float("nan"), 1.0),
                                        (0.0, float("nan"))])

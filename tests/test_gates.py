@@ -8,8 +8,8 @@ from gatesynth.circuit import Circuit, Gate
 from gatesynth.formulas import parse
 from gatesynth.gates import (
     HIGH, LOW, ExtendedTruthRow, GateKind, GateParams, Thresholds,
-    check_kinetics, closed_form, gate_drive, gate_drives, hill_act, hill_rep,
-    row_formula, truth_table,
+    check_kinetics, closed_form, gate_drive, gate_drives, row_formula,
+    truth_table,
 )
 from gatesynth.odesim import SimConfig
 from gatesynth.synth import alpha_bound
@@ -17,36 +17,45 @@ from gatesynth.synth import alpha_bound
 TH = Thresholds(plus=0.75, minus=0.25, p=0.1)
 
 
-class TestHill:
-    def test_half_saturation(self):
-        assert hill_act(0.4, 0.4, 3) == pytest.approx(0.5)
-        assert hill_rep(0.4, 0.4, 3) == pytest.approx(0.5)
+def not_gate(k, n):
+    return GateParams(GateKind.NOT, n=n, alpha=1.0, hill_k=(k,))
 
-    def test_zero_input(self):
-        assert hill_act(0.0, 0.4, 3) == 0.0
-        assert hill_rep(0.0, 0.4, 3) == 1.0
+
+def or_gate(k, n):
+    return GateParams(GateKind.OR, n=n, alpha=1.0, hill_k=(k, 0.5))
+
+
+class TestHill:
+    """The two Hill terms as gate drives, bit for bit: a NOT gate's drive
+    is the repressing term 1/(1+r), and an OR gate whose other input is 0
+    gives the activating term r/(1+r), with r = (x/K)^n."""
+
+    def test_half_saturation(self):
+        assert gate_drive(not_gate(0.4, 3), (0.4,)) == 0.5
+        assert gate_drive(or_gate(0.4, 3), (0.4, 0.0)) == 0.5
 
     def test_values(self):
-        assert hill_act(0.75, 0.41, 4) == pytest.approx(0.918, abs=5e-4)
-        assert hill_rep(0.75, 0.45, 3) == pytest.approx(0.178, abs=5e-4)
+        assert gate_drive(or_gate(0.41, 4), (0.75, 0.0)) == pytest.approx(0.918, abs=5e-4)
+        assert gate_drive(not_gate(0.45, 3), (0.75,)) == pytest.approx(0.178, abs=5e-4)
 
     def test_complementarity(self):
+        act, rep = or_gate(0.37, 2.5), not_gate(0.37, 2.5)
         for x in np.linspace(0.01, 1.0, 25):
-            total = hill_act(x, 0.37, 2.5) + hill_rep(x, 0.37, 2.5)
+            total = gate_drive(act, (x, 0.0)) + gate_drive(rep, (x,))
             assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_monotone(self):
         xs = np.linspace(0, 1, 40)
-        act = [hill_act(x, 0.4, 4) for x in xs]
-        rep = [hill_rep(x, 0.4, 4) for x in xs]
+        act = [gate_drive(or_gate(0.4, 4), (x, 0.0)) for x in xs]
+        rep = [gate_drive(not_gate(0.4, 4), (x,)) for x in xs]
         assert all(a < b for a, b in zip(act, act[1:]))
         assert all(a > b for a, b in zip(rep, rep[1:]))
 
     def test_bad_params(self):
         with pytest.raises(ValueError):
-            hill_act(0.5, 0.0, 2)
+            not_gate(0.0, 2)
         with pytest.raises(ValueError):
-            hill_rep(0.5, 0.4, -1)
+            not_gate(0.4, -1)
 
     @given(
         x=st.floats(0.0, 1.0),
@@ -54,18 +63,11 @@ class TestHill:
         n=st.floats(0.5, 8.0),
     )
     def test_complement_identity(self, x, K, n):
-        assert hill_act(x, K, n) + hill_rep(x, K, n) == pytest.approx(1.0, abs=1e-12)
-
-    @given(
-        K=st.floats(0.0, 1.0),
-        alpha=st.floats(0.05, 5.0),
-        x0=st.floats(0.0, 1.0),
-        t=st.floats(0.0, 50.0),
-    )
-    def test_closed_form_stays_between_x0_and_K(self, K, alpha, x0, t):
-        x = float(closed_form(K, alpha, x0, t))
-        lo, hi = min(x0, K), max(x0, K)
-        assert lo - 1e-12 <= x <= hi + 1e-12
+        r = (x / K) ** n
+        act = gate_drive(or_gate(K, n), (x, 0.0))
+        rep = gate_drive(not_gate(K, n), (x,))
+        assert (act, rep) == (r / (1.0 + r), 1.0 / (1.0 + r))
+        assert act + rep == pytest.approx(1.0, abs=1e-12)
 
 
 class TestGateDrive:
@@ -131,12 +133,10 @@ class TestGateDrive:
         gand = GateParams(GateKind.AND, n=n, alpha=1.0, hill_k=k)
         gor = GateParams(GateKind.OR, n=n, alpha=1.0, hill_k=k)
         gnot = GateParams(GateKind.NOT, n=n, alpha=1.0, hill_k=k[:1])
-        assert gate_drive(gand, u) == hill_act(u[0], k[0], n) * hill_act(u[1], k[1], n)
-        assert gate_drive(gnot, u[:1]) == hill_rep(u[0], k[0], n)
         r0, r1 = (u[0] / k[0]) ** n, (u[1] / k[1]) ** n
+        assert gate_drive(gand, u) == r0 / (1.0 + r0) * (r1 / (1.0 + r1))
+        assert gate_drive(gnot, u[:1]) == 1.0 / (1.0 + r0)
         assert gate_drive(gor, u) == (r0 + r1) / (1.0 + r0 + r1)
-        assert hill_act(u[0], k[0], n) == r0 / (1.0 + r0)
-        assert hill_rep(u[0], k[0], n) == 1.0 / (1.0 + r0)
 
 
 # gate_drives' contract with the scalar gate_drive: the log-space kernel
@@ -199,18 +199,13 @@ class TestHillRatioOverflow:
 
     def test_and_keeps_the_finite_input_term(self):
         g = GateParams(GateKind.AND, n=self.N, alpha=1.0, hill_k=(0.3, 0.9999))
-        assert gate_drive(g, (1.0, 1.0)) == hill_act(1.0, 0.9999, self.N)
+        r = (1.0 / 0.9999) ** self.N
+        assert gate_drive(g, (1.0, 1.0)) == r / (1.0 + r)
         assert gate_drive(g, (1.0, 0.0)) == 0.0
 
     def test_or_with_one_ratio_overflowing(self):
         g = GateParams(GateKind.OR, n=self.N, alpha=1.0, hill_k=(0.3, 0.9999))
         assert gate_drive(g, (1.0, 0.2)) == 1.0
-
-    def test_hill_terms_at_their_limits(self):
-        assert hill_act(1.0, 0.3, self.N) == 1.0
-        assert hill_rep(1.0, 0.3, self.N) == 0.0
-        assert hill_act(1.0, 0.5, self.N) == pytest.approx(1.0, abs=2.0**-994)
-        assert hill_rep(1.0, 0.5, self.N) == pytest.approx(0.0, abs=2.0**-994)
 
     def test_or_sum_overflowing(self):
         # each ratio is about 1.1e308, finite, but their sum is inf
@@ -228,9 +223,11 @@ class TestHillRatioOverflow:
         assert math.isnan(gate_drive(g, levels))
         assert np.isnan(gate_drives(kind, 4, levels, [g.hill_k])).all()
 
+    R = (0.5 / 0.4) ** 4  # the Hill ratio of level 0.5 at K = 0.4, n = 4
+
     @pytest.mark.parametrize("kind,levels,want", [
-        (GateKind.AND, (math.inf, 0.5), hill_act(0.5, 0.4, 4)),
-        (GateKind.AND, (0.5, math.inf), hill_act(0.5, 0.4, 4)),
+        (GateKind.AND, (math.inf, 0.5), R / (1.0 + R)),
+        (GateKind.AND, (0.5, math.inf), R / (1.0 + R)),
         (GateKind.AND, (math.inf, math.inf), 1.0),
         (GateKind.AND, (math.inf, 0.0), 0.0),
         (GateKind.OR, (math.inf, 0.5), 1.0),
@@ -284,6 +281,17 @@ class TestCheckKinetics:
 
 
 class TestClosedForm:
+    @given(
+        K=st.floats(0.0, 1.0),
+        alpha=st.floats(0.05, 5.0),
+        x0=st.floats(0.0, 1.0),
+        t=st.floats(0.0, 50.0),
+    )
+    def test_stays_between_x0_and_K(self, K, alpha, x0, t):
+        x = float(closed_form(K, alpha, x0, t))
+        lo, hi = min(x0, K), max(x0, K)
+        assert lo - 1e-12 <= x <= hi + 1e-12
+
     def test_half_life(self):
         assert closed_form(1.0, math.log(2), 0.0, 1.0) == pytest.approx(0.5)
 

@@ -515,6 +515,20 @@ class TestErrors:
         with pytest.raises(HorizonError, match=r"\[0.003,0.006\] contains no grid point"):
             monitor(parse(text), const(0.8, t_end=1.0, h=0.01))
 
+    @pytest.mark.parametrize("monitor", [robustness, robustness_naive, eval_boolean])
+    @pytest.mark.parametrize("text", [
+        "F[0.003,0.006] (x >= 0.5)",
+        "G[0.003,0.006] (x >= 0.5)",
+        "(x >= 0.5) U[0.003,0.006] (x >= 0.9)",
+        # an operand that settles the boolean value does not hide the window
+        "(x >= 0.9) & F[0.003,0.006] (x >= 0.5)",
+        "(x >= 0.5) | G[0.003,0.006] (x >= 0.5)",
+        "G[0,2] (x >= 0.5)",  # horizon past the end of the trace
+    ])
+    def test_monitors_refuse_the_same_formulas(self, monitor, text):
+        with pytest.raises(HorizonError):
+            monitor(parse(text), const(0.8, t_end=1.0, h=0.01))
+
     def test_unknown_variable(self):
         with pytest.raises(KeyError):
             robustness(parse("zz >= 0.5"), const(0.8))
