@@ -34,6 +34,10 @@ class TestHill:
         assert gate_drive(not_gate(0.4, 3), (0.4,)) == 0.5
         assert gate_drive(or_gate(0.4, 3), (0.4, 0.0)) == 0.5
 
+    def test_zero_input(self):
+        assert gate_drive(or_gate(0.4, 3), (0.0, 0.0)) == 0.0
+        assert gate_drive(not_gate(0.4, 3), (0.0,)) == 1.0
+
     def test_values(self):
         assert gate_drive(or_gate(0.41, 4), (0.75, 0.0)) == pytest.approx(0.918, abs=5e-4)
         assert gate_drive(not_gate(0.45, 3), (0.75,)) == pytest.approx(0.178, abs=5e-4)
@@ -206,6 +210,12 @@ class TestHillRatioOverflow:
     def test_or_with_one_ratio_overflowing(self):
         g = GateParams(GateKind.OR, n=self.N, alpha=1.0, hill_k=(0.3, 0.9999))
         assert gate_drive(g, (1.0, 0.2)) == 1.0
+
+    def test_hill_terms_at_their_limits(self):
+        assert gate_drive(or_gate(0.3, self.N), (1.0, 0.0)) == 1.0
+        assert gate_drive(not_gate(0.3, self.N), (1.0,)) == 0.0
+        assert gate_drive(or_gate(0.5, self.N), (1.0, 0.0)) == pytest.approx(1.0, abs=2.0**-994)
+        assert gate_drive(not_gate(0.5, self.N), (1.0,)) == pytest.approx(0.0, abs=2.0**-994)
 
     def test_or_sum_overflowing(self):
         # each ratio is about 1.1e308, finite, but their sum is inf
