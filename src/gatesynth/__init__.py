@@ -32,7 +32,7 @@ from .signals import (
 from .synth import (
     CurvedRegion, EmptyRegionError, GateContract, GateSynthesis, NumericGateResult,
     NumericGrid, ParamBox, SynthesisResult, alpha_bound, export_region_csv,
-    k_box, n_bound, sample_region, synthesize_circuit, synthesize_numeric,
+    gate_regions, k_box, n_bound, sample_region, synthesize_circuit, synthesize_numeric,
     worst_case_output_robustness,
 )
 from .worstcase import worst_case

@@ -17,7 +17,7 @@ one ``error: ...`` line on stderr:
 2  a ``GraphError``: a cycle, an undefined variable, a variable written
    by two gates, a gate output that shadows an external input, a
    repeated external input, a gate off every input-to-output path
-3  an ``EmptyRegionError``: a Hill coefficient below its bound
+3  an ``EmptyRegionError``: a gate with no region (``synth.gate_regions``)
 4  ``verify`` ran and some row failed its contract
 
 Every command but ``monitor`` writes a run manifest next to its outputs
@@ -35,15 +35,15 @@ import os
 import sys
 
 from . import __version__
-from .circuit import Circuit, GraphError, propagate_timing, wiring_formulas
+from .circuit import Circuit, GraphError, _is_number, propagate_timing, wiring_formulas
 from .formulas import parse
 from .gates import GateKind, GateParams, Thresholds, _check_finite_positive
 from .monitor import robustness
 from .odesim import VerifyReport, verify_combos
 from .signals import Signal, UnknownVariableError, read_trace_csv, write_trace_csv
 from .synth import (
-    GATE_RULES, CurvedRegion, EmptyRegionError, NumericGrid, check_n_bound,
-    export_region_csv, k_box, sample_region, synthesize_circuit,
+    EmptyRegionError, NumericGrid, export_region_csv, gate_regions, sample_region,
+    synthesize_circuit,
 )
 
 EXIT_OK = 0
@@ -152,8 +152,8 @@ def cmd_timing(args) -> int:
 
 def cmd_synth(args) -> int:
     c = _load_circuit(args.circuit)
-    out = _ensure_out(args.out)
     result = synthesize_circuit(c, method=args.method, n=dict(args.n or ()))
+    out = _ensure_out(args.out)
 
     payload = result.to_dict()
     grids = {}
@@ -184,18 +184,10 @@ def cmd_synth(args) -> int:
 def cmd_region(args) -> int:
     kind = GateKind(args.kind)
     th = Thresholds(plus=args.plus, minus=args.minus, p=args.p)
-    ths = (th,) * (kind.arity + 1)
+    nb, box, region = gate_regions(kind, (th,) * (kind.arity + 1), args.n, args.method)
     out = _ensure_out(args.out)
-
-    method = args.method if GATE_RULES[kind].membership else "m1"
-    nb = check_n_bound(kind, ths, args.n, method)
-    region = (
-        CurvedRegion(kind=kind, thresholds=ths, n=args.n)
-        if method == "m2"
-        else k_box(kind, ths, args.n)
-    )
     grid = _k_grid(args.grid, kind.arity)
-    pts, inside, binding = sample_region(region, grid, tuple(grid.axes))
+    pts, inside, binding = sample_region(region or box, grid)
     path = os.path.join(out, "region.csv")
     export_region_csv(path, pts, inside, binding)
     print(f"{int(inside.sum())} of {len(pts)} grid points inside "
@@ -205,7 +197,8 @@ def cmd_region(args) -> int:
 
 
 def _load_params(path: str, c: Circuit) -> dict[str, GateParams]:
-    """Read a JSON object of gate id -> {n, alpha, k: [...]} for every gate."""
+    """Read a JSON object of gate id -> {n, alpha, k: [...]} for every gate
+    and no other id; n, alpha and each k must be JSON numbers."""
     params = {}
     where = ""
     try:
@@ -213,15 +206,21 @@ def _load_params(path: str, c: Circuit) -> dict[str, GateParams]:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ValueError(f"expected a JSON object, got {type(raw).__name__}")
+        unknown = sorted(raw.keys() - c.gates.keys())
+        if unknown:
+            raise ValueError(f"gate ids not in the circuit: {unknown}")
         for gid, g in c.gates.items():
             if gid not in raw:
                 raise ValueError(f"no parameters for gate {gid!r}")
             where, spec = f" gate {gid!r}:", raw[gid]
+            n, alpha, ks = spec["n"], spec["alpha"], spec["k"]
+            if not all(map(_is_number, (n, alpha, *ks))):
+                raise ValueError(f"n, alpha and each k must be numbers, got {spec!r}")
             params[gid] = GateParams(
                 kind=g.kind,
-                n=float(spec["n"]),
-                alpha=float(spec["alpha"]),
-                hill_k=tuple(float(k) for k in spec["k"]),
+                n=float(n),
+                alpha=float(alpha),
+                hill_k=tuple(float(k) for k in ks),
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad params file {path}:{where} {exc}") from None

@@ -267,6 +267,12 @@ def _level_atom(var: str, level: str, th: Thresholds) -> Atom:
     return Atom(var, "<=", th.minus)
 
 
+def _consequent(row: ExtendedTruthRow, var: str, th: Thresholds) -> Formula:
+    """F[0,delta] G[0,lambda] (``var`` at the row's output level)."""
+    atom = _level_atom(var, row.output_level, th)
+    return Eventually(0.0, row.delta, Globally(0.0, row.lam, atom))
+
+
 def row_formula(
     row: ExtendedTruthRow,
     input_vars: tuple[str, ...],
@@ -286,12 +292,7 @@ def row_formula(
     for a in atoms[1:]:
         ante = And(ante, a)
     ante = Globally(0.0, row.lam + row.delta, ante)
-    cons = Eventually(
-        0.0,
-        row.delta,
-        Globally(0.0, row.lam, _level_atom(output_var, row.output_level, thresholds[output_var])),
-    )
-    return Implies(ante, cons)
+    return Implies(ante, _consequent(row, output_var, thresholds[output_var]))
 
 
 def truth_table(

@@ -13,7 +13,7 @@ trajectories decay geometrically toward the drive; past the limit they
 grow, and a step that long is refused with ``ValueError``.
 
 :func:`simulate_constant_drive` uses the closed form of a constant drive,
-x_k = d + A^k * (x0 - d).  :func:`simulate_circuit` walks the gates in
+x_k = (1 - A^k)*d + A^k*x0.  :func:`simulate_circuit` walks the gates in
 topological order, which the DAG permits because a gate's drive reads
 only upstream signals: it makes one scalar :func:`gates.gate_drive` call
 per gate per RK4 stage from its inputs' stage values (scalar while the
@@ -218,23 +218,26 @@ def _log_step_factor(alpha: float, h: float, what: str = "") -> float:
 
 
 def simulate_constant_drive(
-    drive: np.ndarray, alpha: float, x0: np.ndarray, h: float, n_steps: int
+    drive: np.ndarray, alpha: float, x0: float | np.ndarray, h: float, n_steps: int
 ) -> np.ndarray:
     """RK4 for dx/dt = alpha*(drive - x), vectorised over trajectories.
 
     Returns an array of shape (n_steps+1, len(drive)), in closed form:
     under a constant drive d every step is x' = A*x + (1 - A)*d, so
-    x_k = d + A^k * (x0 - d), one ``exp`` per step and one outer product.
-    It agrees with stepping RK4 stage by stage within 1e-12, and moves
-    monotonically toward d.  Near :data:`RK4_STABILITY_LIMIT` it drifts
-    from exact RK4 by about k*4e-17 at step k, so that bound holds up to
-    about 25,000 steps there.  Raises ``ValueError`` if alpha*h exceeds
-    the limit.
+    x_k = (1 - A^k)*d + A^k*x0, with 1 - A^k taken as -expm1(k*log A).
+    ``x0`` is one initial value for every trajectory or one per
+    trajectory.  It agrees with stepping RK4 stage by stage within 1e-12,
+    and moves monotonically toward d.  Each operation is monotone in d, so
+    every x_k is too, to the last bit.  Near :data:`RK4_STABILITY_LIMIT` it
+    drifts from exact RK4 by about k*4e-17 at step k, so that bound holds
+    up to about 25,000 steps there.  Raises ``ValueError`` if alpha*h
+    exceeds the limit.
     """
     drive = np.asarray(drive, dtype=float)
-    log_a = _log_step_factor(alpha, h)
-    out = np.multiply.outer(np.exp(np.arange(n_steps + 1.0) * log_a), x0 - drive)
-    out += drive
+    k_log_a = np.arange(n_steps + 1.0) * _log_step_factor(alpha, h)
+    out = np.multiply.outer(-np.expm1(k_log_a), drive)
+    # a (T, 1) column for a scalar x0: no second (T, N) outer product
+    out += np.exp(k_log_a)[:, None] * x0
     out[0] = x0
     return out
 
@@ -267,6 +270,10 @@ def simulate_circuit(
     missing = set(c.gates) - set(params)
     if missing:
         raise ValueError(f"no parameters for gates: {sorted(missing)}")
+    for gid, gate in c.gates.items():
+        if params[gid].kind is not gate.kind:
+            raise ValueError(f"gate {gid!r} is {gate.kind.value}, "
+                             f"but its parameters are for {params[gid].kind.value}")
     for var in c.external_inputs:
         if var not in cfg.inputs:
             raise ValueError(f"no input program for external input {var!r}")

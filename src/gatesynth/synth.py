@@ -52,19 +52,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import Circuit, TimingBudget, propagate_timing
-from .formulas import Eventually, Globally
 from .gates import (
     ExtendedTruthRow, GateKind, GateParams, Thresholds, _check_finite_positive,
-    _level_atom, check_kinetics, gate_drives,
+    _consequent, check_kinetics, gate_drives,
 )
 from .monitor import robustness
-from .odesim import simulate_constant_drive, time_grid
+from .odesim import DEFAULT_STEP, simulate_constant_drive, time_grid
 from .signals import Signal
 from .worstcase import worst_case
 
 __all__ = [
     "ParamBox", "CurvedRegion", "GateSynthesis", "SynthesisResult",
-    "EmptyRegionError", "alpha_bound", "GateContract", "synthesize_circuit",
+    "EmptyRegionError", "alpha_bound", "GateContract", "gate_regions", "synthesize_circuit",
     "synthesize_numeric", "GateRule", "GATE_RULES", "check_n_bound",
     "NumericGrid", "NumericGateResult", "worst_case_output_robustness",
     "export_region_csv", "sample_region", "n_bound", "k_box",
@@ -399,6 +398,26 @@ def check_n_bound(
     return nb
 
 
+def gate_regions(
+    kind: GateKind, ths, n: float, method: str, gate_id: str | None = None
+) -> tuple[float, ParamBox | None, CurvedRegion | None]:
+    """(n_bound, box, region) of a gate under ``method``, ``ths`` being
+    (inputs..., output): box is its :func:`k_box`, None if empty beside a
+    region, and region its m2 :class:`CurvedRegion` where the kind has one.
+    Raises :class:`EmptyRegionError` (named after ``gate_id``, else the
+    kind) when n misses its bound or the gate has neither."""
+    nb = check_n_bound(kind, ths, n, method, gate_id)
+    box = k_box(kind, ths, n)
+    region = None
+    if method == "m2" and GATE_RULES[kind].membership:
+        region = CurvedRegion(kind=kind, thresholds=ths, n=n)
+    if box.empty:
+        if region is None:
+            raise EmptyRegionError(gate_id or kind.value, "Method 1 K intervals cross")
+        box = None
+    return nb, box, region
+
+
 # ---------------------------------------------------------------------------
 # circuit-level synthesis
 
@@ -423,7 +442,7 @@ class GateContract:
     def alpha_min(self) -> float:
         return alpha_bound(self.thresholds[-1], self.delta)
 
-    def margins(self, k_values, n: float, alpha: float, step: float = 0.01) -> np.ndarray:
+    def margins(self, k_values, n: float, alpha: float, step: float = DEFAULT_STEP) -> np.ndarray:
         """Each row's worst-case output robustness at each K point, shape
         (rows, N), rows in :meth:`GateKind.rows` order."""
         return np.stack([worst_case_output_robustness(self, r, n, alpha, k_values, step)
@@ -479,12 +498,10 @@ def synthesize_circuit(
     """Analytic per-gate synthesis over the whole circuit.
 
     ``n`` maps gate id to its fixed Hill coefficient (default: the
-    kind's ``default_n`` in :data:`GATE_RULES`).  Each gate gets its
-    Method 1 box; under m2 a gate whose n lies between its Method 2 and
-    Method 1 bounds has only its Method 2 region, and ``box`` None.
-    Raises ``ValueError`` for a gate id in ``n`` that is not in the
-    circuit, and :class:`EmptyRegionError` when a gate's n misses its
-    method bound.
+    kind's ``default_n`` in :data:`GATE_RULES`).  Each gate's bound, box
+    and region come from :func:`gate_regions`.  Raises ``ValueError`` for
+    a gate id in ``n`` that is not in the circuit, and
+    :class:`EmptyRegionError` when a gate has no region.
     """
     n = dict(n or {})
     unknown = sorted(n.keys() - c.gates.keys())
@@ -495,26 +512,10 @@ def synthesize_circuit(
     results = {}
     for gid in c.topo_order():
         gc = GateContract.of(c, tb, gid)
-        rule = GATE_RULES[gc.kind]
-        n_g = float(n.get(gid, rule.default_n))
-        nb = check_n_bound(gc.kind, gc.thresholds, n_g, method, gid)
-        box = k_box(gc.kind, gc.thresholds, n_g)
-        region = None
-        if method == "m2" and rule.membership:
-            region = CurvedRegion(kind=gc.kind, thresholds=gc.thresholds, n=n_g)
-        if box.empty:
-            if method == "m1":
-                raise EmptyRegionError(gid, "Method 1 K intervals cross")
-            box = None
-        results[gid] = GateSynthesis(
-            gate_id=gid,
-            kind=gc.kind,
-            n=n_g,
-            n_bound=nb,
-            alpha_min=gc.alpha_min,
-            box=box,
-            region=region,
-        )
+        n_g = float(n.get(gid, GATE_RULES[gc.kind].default_n))
+        nb, box, region = gate_regions(gc.kind, gc.thresholds, n_g, method, gid)
+        results[gid] = GateSynthesis(gate_id=gid, kind=gc.kind, n=n_g, n_bound=nb,
+                                     alpha_min=gc.alpha_min, box=box, region=region)
     return SynthesisResult(method=method, gates=results)
 
 
@@ -562,7 +563,7 @@ def worst_case_output_robustness(
     n: float,
     alpha: float,
     k_values: np.ndarray,
-    step: float = 0.01,
+    step: float = DEFAULT_STEP,
 ) -> np.ndarray:
     """Output-formula robustness of ``row``, one of ``contract``'s rows,
     under the row's worst-case constant inputs.
@@ -582,7 +583,7 @@ def worst_case_output_robustness(
     self-check counts monitor calls (points x rows per job) until it
     counts monitored samples instead.
 
-    Each trajectory is RK4's closed form x_k = d + A^k * (x0 - d) (see
+    Each trajectory is RK4's closed form x_k = (1 - A^k)*d + A^k*x0 (see
     :func:`odesim.simulate_constant_drive`), and 0 < A < 1 for every
     alpha*step below the RK4 stability limit, about 2.7853, past which
     the simulator refuses the step.  So each trajectory moves
@@ -607,17 +608,13 @@ def worst_case_output_robustness(
     rhos = np.empty(count)
     for block in _blocks(count, 8 * times.size):
         points = range(count)[block]
-        traj = simulate_constant_drive(
-            drives[block], alpha, np.full(len(points), x0), step, times.size - 1
-        )
+        traj = simulate_constant_drive(drives[block], alpha, x0, step, times.size - 1)
         # one Signal for the block: a variable per point, each a view of
         # its column of ``traj``, so the time grid is validated once per block
         names = [f"x_{i}" for i in points]
         sig = Signal(times=times, values=dict(zip(names, traj.T)))
         for i, name in zip(points, names):
-            atom = _level_atom(name, row.output_level, output_th)
-            f = Eventually(0.0, row.delta, Globally(0.0, row.lam, atom))
-            rhos[i] = robustness(f, sig, 0.0)
+            rhos[i] = robustness(_consequent(row, name, output_th), sig, 0.0)
     return rhos
 
 
@@ -626,7 +623,7 @@ def synthesize_numeric(
     tb: TimingBudget | None = None,
     grid: dict[str, NumericGrid] | None = None,
     params: dict[str, GateParams] | None = None,
-    step: float = 0.01,
+    step: float = DEFAULT_STEP,
 ) -> dict[str, NumericGateResult]:
     """Grid-search synthesis: admissible iff every row's worst-case
     output robustness is >= 0.
@@ -719,21 +716,20 @@ def export_region_csv(
 
 
 def sample_region(
-    region: CurvedRegion | ParamBox,
-    grid: NumericGrid,
-    axis_names=("K1", "K2"),
+    region: CurvedRegion | ParamBox, grid: NumericGrid
 ) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Evaluate region membership on a grid: (points, inside, binding).
 
-    A box labels each point outside it ``"box"``, one shared string.  A
-    curved region is judged one block of points at a time, about 16k
-    points to a block, so the membership predicate's temporaries stay
-    under 2 MiB whatever the grid size; the masks and labels are joined
-    in grid order, identical to one call on the whole grid.  A curved
-    region takes exactly two axis names, (K1, K2); others raise
-    ``ValueError``.
+    The points' columns are ``grid.axes`` in order.  A box labels each
+    point outside it ``"box"``, one shared string.  A curved region is
+    judged one block of points at a time, about 16k points to a block,
+    so the membership predicate's temporaries stay under 2 MiB whatever
+    the grid size; the masks and labels are joined in grid order,
+    identical to one call on the whole grid.  A curved region reads its
+    grid's two axes as (K1, K2); another count raises ``ValueError``.
     """
-    pts = grid.points(list(axis_names))
+    axis_names = tuple(grid.axes)
+    pts = grid.points(axis_names)
     if isinstance(region, ParamBox):
         inside = region.contains_points(pts, axis_names)
         labels = np.array(["box", ""], dtype=object)

@@ -240,6 +240,35 @@ class TestRegion:
         assert rc == 1
 
 
+# the OR Method 1 bound at plus 0.75, minus 0.25, where rounding leaves
+# the box empty
+EXACT_OR_M1 = "3.168094200311188"
+
+
+class TestEmptyRegion:
+    """``synth`` and ``region`` share one rule for a gate's region: no
+    region exits 3 with one error line and leaves no ``--out``."""
+
+    @pytest.mark.parametrize("argv,match", [
+        (["synth", HALF_ADDER, "--n", "E=2"], "'E': m1 needs n >= 3.2129"),
+        (["synth", HALF_ADDER, "--n", f"S={EXACT_OR_M1}"], "'S': Method 1 K intervals cross"),
+        (["region", "--kind", "and", "--plus", "0.75", "--minus", "0.25", "--n", "2"],
+         "'AND': m2 needs n >= 2.5372"),
+        (["region", "--kind", "or", "--plus", "0.75", "--minus", "0.25",
+          "--n", EXACT_OR_M1, "--method", "m1"], "'OR': Method 1 K intervals cross"),
+        (["region", "--kind", "not", "--plus", "0.75", "--minus", "0.25", "--n", "1"],
+         "'NOT': m2 needs n >= 2.5372"),
+    ], ids=["synth-low", "synth-exact", "region-low", "region-exact", "region-not-m2"])
+    def test_exit_3_and_no_out_directory(self, tmp_path, capsys, argv, match):
+        out = tmp_path / "out"
+        rc = main(argv + ["--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: empty parameter region for gate ")
+        assert err.count("\n") == 1 and match in err
+        assert not out.exists()
+
+
 class TestVerify:
     def test_good_params_pass(self, tmp_path, capsys):
         params = good_params(tmp_path)
@@ -676,6 +705,26 @@ class TestErrorPath:
         rc = main(["verify", HALF_ADDER, str(path), "--out", str(tmp_path)])
         err = assert_one_error_line(rc, capsys)
         assert f"bad params file {path}: expected a JSON object, got {kind}" in err
+
+    @pytest.mark.parametrize("edit,match", [
+        (lambda p: p["S"].update(n="3"), "n, alpha and each k must be numbers"),
+        (lambda p: p["C"].update(alpha=True), "n, alpha and each k must be numbers"),
+        (lambda p: p["D"].update(k=["0.45"]), "n, alpha and each k must be numbers"),
+        (lambda p: p.update(Z=p["S"]), "gate ids not in the circuit: ['Z']"),
+    ], ids=["n-string", "alpha-bool", "k-string", "unknown-gate"])
+    def test_params_refused(self, tmp_path, capsys, edit, match):
+        # each ran before: float() took "3" and true (alpha 1.0), and an
+        # unknown gate id was ignored
+        params = json.loads(Path(good_params(tmp_path)).read_text())
+        edit(params)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(params))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        rc = main(["verify", HALF_ADDER, str(path), "--out", str(out)])
+        err = assert_one_error_line(rc, capsys)
+        assert err.startswith(f"error: bad params file {path}:") and match in err
+        assert not out.exists()
 
 
 def test_module_exit_status_and_stderr():

@@ -365,6 +365,18 @@ class TestSimulateCircuit:
         with pytest.raises(ValueError, match="S"):
             simulate_circuit(c, partial, cfg)
 
+    def test_params_of_another_kind_rejected(self, half_adder):
+        # AND parameters for the OR gate S were simulated as an AND gate, and
+        # verify reported two failing rows instead of an error
+        c, tb, params = half_adder
+        wrong = dict(params, S=params["E"])
+        cfg = SimConfig(horizon=4.0, step=0.01, inputs={"A": 0.0, "B": 0.0})
+        match = "gate 'S' is OR, but its parameters are for AND"
+        with pytest.raises(ValueError, match=match):
+            simulate_circuit(c, wrong, cfg)
+        with pytest.raises(ValueError, match=match):
+            verify(c, wrong, tb)
+
     def test_missing_input_program_rejected(self, half_adder):
         c, tb, params = half_adder
         cfg = SimConfig(horizon=4.0, step=0.01, inputs={"A": 0.0})

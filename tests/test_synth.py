@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gatesynth import synth
 from gatesynth.circuit import Circuit, Gate, propagate_timing
@@ -249,7 +249,7 @@ class TestArrayMembership:
         # one axis gave an IndexError from pts[block, 1] before
         reg = CurvedRegion(AND, (TH_34,) * 3, 4)
         with pytest.raises(ValueError, match="needs two K axes"):
-            sample_region(reg, NumericGrid({"K1": (0.1, 1.0, 5)}), ("K1",))
+            sample_region(reg, NumericGrid({"K1": (0.1, 1.0, 5)}))
 
 
 class TestLargeHillCoefficient:
@@ -397,6 +397,46 @@ class TestSynthesizeCircuit:
         assert s.box == k_box(AND, (TH_34,) * 3, 4)
 
 
+class TestGateRegions:
+    """:func:`gate_regions` is the one rule for a gate's bound, box and
+    region, which ``synthesize_circuit`` and the CLI ``region`` share."""
+
+    @pytest.mark.parametrize("method", ["m1", "m2"])
+    def test_synthesis_takes_each_gate_from_it(self, method):
+        c = Circuit.from_json("circuits/half_adder.json")
+        tb = propagate_timing(c)
+        res = synthesize_circuit(c, tb, method=method, n={"E": 2.9} if method == "m2" else None)
+        for gid, gs in res.gates.items():
+            gc = GateContract.of(c, tb, gid)
+            got = synth.gate_regions(gc.kind, gc.thresholds, gs.n, method, gid)
+            assert got == (gs.n_bound, gs.box, gs.region)
+
+    @pytest.mark.parametrize("kind,method,th", [
+        (OR, "m1", TH_34), (AND, "m1", Thresholds(0.6, 0.2)), (NOT, "m1", Thresholds(0.6, 0.1)),
+        (NOT, "m2", Thresholds(0.6, 0.1)),
+    ])
+    def test_box_empty_at_the_exact_bound_raises(self, kind, method, th):
+        # n equal to the bound passes check_n_bound, but rounding leaves
+        # the box empty; the region command sampled it, 0 points inside
+        ths = (th,) * (kind.arity + 1)
+        nb = n_bound(kind, ths, method)
+        assert check_n_bound(kind, ths, nb, method) == nb and k_box(kind, ths, nb).empty
+        with pytest.raises(EmptyRegionError, match=f"'{kind.value}': Method 1 K intervals cross"):
+            synth.gate_regions(kind, ths, nb, method)
+        with pytest.raises(EmptyRegionError, match="'Z': Method 1"):
+            synth.gate_regions(kind, ths, nb, method, "Z")
+
+    def test_m2_keeps_the_region_where_the_box_is_empty(self):
+        ths = (Thresholds(0.6, 0.2),) * 3
+        n = n_bound(AND, ths, "m1")
+        nb, box, region = synth.gate_regions(AND, ths, n, "m2")
+        assert (nb, box, region) == (n_bound(AND, ths, "m2"), None, CurvedRegion(AND, ths, n))
+
+    def test_not_under_m2_names_m2(self):
+        with pytest.raises(EmptyRegionError, match="'NOT': m2 needs n >= 2.5372"):
+            synth.gate_regions(NOT, (TH_34,) * 2, 1.0, "m2")
+
+
 class TestGateContract:
     # the half-adder's gates with their variables, inputs first
     VARS = {"D": ("B", "xD"), "F": ("A", "xF"), "E": ("A", "xD", "xE"),
@@ -454,6 +494,48 @@ class TestGateContract:
                                  gc.alpha_min).min(axis=0)
         assert res.min_robustness.tobytes() == want.tobytes()
         assert np.array_equal(res.admissible, want >= 0.0) and res.admissible.any()
+
+
+class TestMarginsMonotoneInK:
+    """Each row's worst-case margin is monotone in each K, exactly.
+
+    An activating kind's drive falls as one of its K rises and a NOT
+    gate's rises; each x_k is monotone in the drive, and the monitor's
+    min and max keep that order.  So a high row's margin moves with the
+    drive and a low row's against it, with no rounding slack.
+    """
+
+    # an AND contract whose (low, high) row lost its order at the last
+    # ulp when x_k was computed as d + A^k*(x0 - d)
+    FOUND = dict(
+        kind=AND,
+        ths=(Thresholds(0.5, 0.01171875, 0.5), Thresholds(0.5, 0.25, 0.5),
+             Thresholds(0.5, 0.0625, 0.5)),
+        n_scale=7.6875 / 4.0, delta=1.375, lam=1.0, alpha_scale=1.0,
+        k=(0.4375, 0.0078125), k_other=0.125, axis=1,
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @example(**FOUND)
+    @given(kind=st.sampled_from(list(GateKind)),
+           ths=st.tuples(thresholds(), thresholds(), thresholds()),
+           n_scale=st.floats(0.5, 2.0), delta=st.floats(0.5, 20.0), lam=st.floats(0.5, 20.0),
+           alpha_scale=st.floats(1.0, 3.0),
+           k=st.tuples(st.floats(1e-3, 1.0), st.floats(1e-3, 1.0)),
+           k_other=st.floats(1e-3, 1.0), axis=st.integers(0, 1))
+    def test_each_row_moves_the_predicted_way(self, kind, ths, n_scale, delta, lam,
+                                              alpha_scale, k, k_other, axis):
+        gc = GateContract(kind, ths[:kind.arity] + ths[-1:], delta, lam)
+        axis %= kind.arity
+        pts = np.array([k[:kind.arity]] * 2)
+        pts[:, axis] = sorted((k[axis], k_other))
+        n = n_scale * GATE_RULES[kind].default_n
+        margins = gc.margins(pts, n, alpha_scale * gc.alpha_min)
+        for row, (at_lo, at_hi) in zip(kind.rows(delta, lam), margins):
+            if (row.output_level == HIGH) != kind.activating:
+                assert at_lo <= at_hi, row
+            else:
+                assert at_lo >= at_hi, row
 
 
 class TestSynthesizeNumeric:
@@ -676,11 +758,11 @@ class TestRegionExport:
     def test_sampled_regions_match_per_row_writer(self, tmp_path):
         grid = NumericGrid(axes={"K1": (0.02, 1.0, 40), "K2": (0.02, 1.0, 40)})
         cases = [
-            (CurvedRegion(AND, (TH_34,) * 3, 4), grid, ("K1", "K2")),
-            (k_box(NOT, (TH_34,) * 2, 3), NumericGrid(axes={"K1": (0.02, 1.0, 40)}), ("K1",)),
+            (CurvedRegion(AND, (TH_34,) * 3, 4), grid),
+            (k_box(NOT, (TH_34,) * 2, 3), NumericGrid(axes={"K1": (0.02, 1.0, 40)})),
         ]
-        for region, g, axes in cases:
-            pts, inside, binding = sample_region(region, g, axes)
+        for region, g in cases:
+            pts, inside, binding = sample_region(region, g)
             self.per_row_export(tmp_path / "want.csv", pts, inside, binding)
             export_region_csv(tmp_path / "got.csv", pts, inside, binding)
             assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
