@@ -8,8 +8,6 @@ the degradation rate alpha above a rate bound tied to the response-time
 budget (``alpha_bound``).
 """
 
-import numpy as np
-
 from gatesynth import (
     CurvedRegion, GateKind, NumericGrid, Thresholds, alpha_bound,
     export_region_csv, k_box, n_bound, sample_region,
@@ -40,9 +38,7 @@ grid = NumericGrid(axes={"K1": (0.02, 1.0, 120), "K2": (0.02, 1.0, 120)})
 pts, inside, binding = sample_region(region, grid)
 export_region_csv("and_region_m2.csv", pts, inside, binding)
 frac = inside.mean()
-box = k_box(AND, (th, th, th), 4)
-box_frac = np.mean([
-    box.contains({"K1": p[0], "K2": p[1]}) for p in pts
-])
+_, in_box, _ = sample_region(k_box(AND, (th, th, th), 4), grid)
+box_frac = in_box.mean()
 print(f"\nmethod 2 region covers {frac:.2%} of the grid "
       f"(method 1 box: {box_frac:.2%}); wrote and_region_m2.csv")

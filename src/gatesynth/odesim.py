@@ -157,8 +157,15 @@ def simulate_gate(
     :func:`simulate_circuit`.  ``input_vars`` names the inputs, one
     distinct name each, none equal to ``output_var``.  Every level and
     ``x0`` must be finite and >= 0, as in :class:`SimConfig`; otherwise
-    ``ValueError``.  The returned trace contains the inputs and the output.
+    ``ValueError``.  Only ``cfg``'s horizon and step are read: a ``cfg``
+    with ``inputs`` or ``initial`` raises ``ValueError`` naming them, since
+    ``inputs`` and ``x0`` give those.  The returned trace contains the
+    inputs and the output.
     """
+    ignored = [name for name in ("inputs", "initial") if getattr(cfg, name)]
+    if ignored:
+        raise ValueError(f"simulate_gate takes its inputs and x0 as arguments; "
+                         f"cfg.{' and cfg.'.join(ignored)} would be ignored")
     levels = tuple(float(u) for u in inputs)
     arity = g.kind.arity
     if len(levels) != arity:

@@ -9,8 +9,8 @@ output thresholds) to closed-form bounds:
 * a lower bound on the Hill coefficient n for the K-region to be
   nonempty,
 * Method 1: per-axis intervals for the Hill K parameters (a hyperbox),
-* Method 2: a larger curve-bounded region with an exact membership
-  predicate.
+* Method 2: a larger curve-bounded AND or OR region, one K1 interval
+  [lower(K2), upper(K2)] per K2 (see :class:`CurvedRegion`).
 
 The Hill bound and the K intervals of every kind and method follow from
 one output target (high, share) through :func:`n_bound` and
@@ -22,11 +22,10 @@ Natural logarithms throughout.  A grid-search fallback
 :meth:`GateContract.margins`: one worst-case simulation plus monitoring,
 ``worst_case_output_robustness(contract, row, n, alpha, k_values)``, per row.
 
-Region membership is evaluated on whole K arrays, with results
-bit-identical to a point-by-point evaluation.  Only ``+ - * /``,
-comparisons and min/max run as numpy array operations; every power
-``x ** n`` is taken on Python floats (libm ``pow``), one per distinct K
-value.  numpy's float64 ``power`` is a SIMD kernel on AVX-512 hosts and
+Region membership is evaluated on whole K arrays.  Only ``+ - * /`` and
+comparisons run as numpy array operations; every power ``x ** n`` is
+taken on Python floats (libm ``pow``), once per distinct K2 value.
+numpy's float64 ``power`` is a SIMD kernel on AVX-512 hosts and
 differs from libm in the last bit on about 5% of random (x, n) pairs,
 enough to move a grid point that sits on a region boundary.  The
 worst-case drives of numeric synthesis are evaluated on whole K arrays
@@ -48,6 +47,7 @@ import math
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -209,8 +209,21 @@ def _and_curve(level: float, level_other: float, ttC: float, n: float, k_other: 
 
 @dataclass(frozen=True)
 class CurvedRegion:
-    """Curve-bounded Method 2 validity region with exact membership.
+    """Curve-bounded Method 2 validity region of an AND or OR gate: for each
+    K2 > 0, one interval K1 in [lower(K2), upper(K2)] of K1 > 0, each side
+    widened by ``_EDGE_TOL``.  Each bound is one truth-table row's
+    steady-state inequality under its worst-case inputs:
 
+    * AND: lower is the larger of the low curves gamma_b, row (low, high),
+      and gamma_a, row (high, low); upper the high curve, row (high, high).
+    * OR: K2 lies in (g_lo, g_hi] of the Method 2 rectangle (g_hi keeps row
+      (low, high) high, g_lo is the low curve's pole); lower is the low
+      curve, row (low, low); upper the side e_hi, row (high, low).
+
+    :meth:`membership` names the nearer bound of an inside point and the
+    violated bound of an outside one: ``positivity`` (a K <= 0),
+    ``low_curve_gamma_a``, ``low_curve_gamma_b`` and ``high_curve`` for
+    AND, ``low_curve``, ``K1_high_rect`` and ``K2_rect`` for OR.
     Construction raises :class:`EmptyRegionError` when n misses the kind's
     Method 2 bound.
     """
@@ -243,99 +256,73 @@ class CurvedRegion:
 _EDGE_TOL = 1e-9
 
 
-def _by_value(x: np.ndarray, *curves) -> list[np.ndarray]:
-    """Each of ``curves`` at every entry of ``x``, once per distinct value.
-
-    The curves get Python floats, so their powers are libm ``pow``, not
-    numpy's SIMD ``power`` (see the module docstring).  A grid has few
-    distinct K2 values, so the Python loop is short.
-    """
+def _by_value(x: np.ndarray, f: Callable[[float], tuple]) -> np.ndarray:
+    """The tuple ``f(v)`` for every entry v of ``x``, as an object array with
+    a row per entry.  ``f`` runs once per distinct value, on a Python float,
+    so its powers are libm ``pow`` (see the module docstring)."""
     uniq, inv = np.unique(x, return_inverse=True)
-    vals = uniq.tolist()
-    return [np.array([c(v) for v in vals], dtype=float)[inv] for c in curves]
+    return np.array([f(v) for v in uniq.tolist()], dtype=object)[inv]
 
 
-def _tightest(binding: np.ndarray, piece: np.ndarray, **slacks: np.ndarray) -> None:
-    """Set ``binding`` on ``piece`` to the name of the smallest slack.
-
-    A tie goes to the first name in keyword order (``np.argmin`` takes
-    the first minimum).
-    """
-    names = np.array(list(slacks), dtype=object)
-    smallest = np.argmin(np.stack([v[piece] for v in slacks.values()]), axis=0)
-    binding[piece] = names[smallest]
-
-
-def _and_membership(ths, n, k1, k2) -> tuple[np.ndarray, list[str]]:
+def _and_interval(ths, n: float) -> Callable[[float], tuple]:
+    """K2 -> (lower, name, upper, name) of the AND region's K1 (see
+    :class:`CurvedRegion`); a low curve is 0, and the high curve -1, where
+    its row holds for every K1, or for none.  gamma_a is 0 from the Method 2
+    rectangle's side K2 = b_lo on; it is not computed there, since a radicand
+    rounded to a hair above 0 has an n-th root far from 0 at large n."""
     thA, thB, thC = ths
     ttp, ttm = thC.tilde_plus, thC.tilde_minus
-    (a_lo, a_hi), (b_lo, b_hi) = k_box(GateKind.AND, ths, n, "m2").intervals.values()
-    gA = gB = 1.0  # rescaled maximum input level
+    _, (b_lo, _) = k_box(GateKind.AND, ths, n, "m2").intervals.values()
 
-    pos = (k1 > 0) & (k2 > 0)
-    c1, c2, c3 = (np.full(k1.shape, np.nan) for _ in range(3))
-    c1[pos], c2[pos], c3[pos] = _by_value(
-        k2[pos],
-        # output-high curve; -1 where no K1 at all is admissible
-        lambda k: _and_curve(thA.plus, thB.plus, ttp, n, k, -1.0),
-        lambda k: _and_curve(thA.minus, gB, ttm, n, k, 0.0),  # row (low, high)
-        lambda k: _and_curve(gA, thB.minus, ttm, n, k, 0.0),  # row (high, low)
-    )
-
-    tol = _EDGE_TOL
-    below_c1 = k1 <= c1 + tol
-    lows = np.maximum(c2, c3)
-    # piece 1: both K above the output-low rectangle sides
-    p1 = (pos & (a_lo - tol <= k1) & (k1 <= a_hi + tol)
-          & (b_lo - tol <= k2) & (k2 <= b_hi + tol) & below_c1)
-    # piece 2: K2 below its rectangle side; both lower curves constrain K1
-    p2 = (pos & ~p1 & (k2 <= b_lo + tol) & (k1 <= a_hi + tol)
-          & (lows - tol <= k1) & below_c1)
-    # piece 3: K1 below its rectangle side, K2 above; one lower curve
-    p3 = (pos & ~p1 & ~p2 & (k2 >= b_lo - tol) & (k1 <= a_lo + tol)
-          & (c2 - tol <= k1) & below_c1)
-
-    binding = np.full(k1.shape, "rectangle", dtype=object)
-    low = k1 < lows
-    binding[low & (c2 >= c3)] = "low_curve_gamma_b"
-    binding[low & ~(c2 >= c3)] = "low_curve_gamma_a"
-    binding[(k1 > c1) & (c1 >= 0) | (c1 < 0)] = "high_curve"
-    binding[~pos] = "positivity"
-    _tightest(binding, p1, K1_low_rect=k1 - a_lo, K1_high_rect=a_hi - k1,
-              K2_low_rect=k2 - b_lo, K2_high_rect=b_hi - k2, high_curve=c1 - k1)
-    _tightest(binding, p2, K1_high_rect=a_hi - k1, low_curve_gamma_b=k1 - c2,
-              low_curve_gamma_a=k1 - c3, high_curve=c1 - k1)
-    _tightest(binding, p3, K2_low_rect=k2 - b_lo, low_curve_gamma_b=k1 - c2,
-              high_curve=c1 - k1)
-    return p1 | p2 | p3, binding.tolist()
+    def at(k2: float) -> tuple:
+        gamma_b = _and_curve(thA.minus, 1.0, ttm, n, k2, 0.0)
+        gamma_a = _and_curve(1.0, thB.minus, ttm, n, k2, 0.0) if k2 < b_lo - _EDGE_TOL else 0.0
+        upper = _and_curve(thA.plus, thB.plus, ttp, n, k2, -1.0)
+        if gamma_b >= gamma_a:
+            return gamma_b, "low_curve_gamma_b", upper, "high_curve"
+        return gamma_a, "low_curve_gamma_a", upper, "high_curve"
+    return at
 
 
-def _or_low_curve(thE: Thresholds, thG: Thresholds, ttm: float, n: float, k2: float) -> float:
-    """Smallest K1 keeping the (low, low) row low, given K2."""
-    den = ttm / (1 - ttm) - (thG.minus / k2) ** n
-    return thE.minus * (1.0 / den) ** (1.0 / n)
-
-
-def _or_membership(ths, n, k1, k2) -> tuple[np.ndarray, list[str]]:
+def _or_interval(ths, n: float) -> Callable[[float], tuple]:
+    """K2 -> (lower, name, upper, name) of the OR region's K1 (see
+    :class:`CurvedRegion`), empty for K2 outside (g_lo, g_hi].  The low
+    curve is inf where rounding leaves its denominator <= 0 at the pole."""
     thE, thG, thS = ths
     ttm = thS.tilde_minus
-    (e_lo, e_hi), (g_lo, g_hi) = k_box(GateKind.OR, ths, n, "m2").intervals.values()
-    tol = _EDGE_TOL
-    pos = (k1 > 0) & (k2 > 0)
-    in_k1 = (e_lo < k1) & (k1 <= e_hi + tol)
-    in_k2 = (g_lo < k2) & (k2 <= g_hi + tol)
-    rect = pos & in_k1 & in_k2
-    low = np.full(k1.shape, np.nan)
-    # the curve's denominator is > 0 inside the K2 rectangle side
-    low[rect] = _by_value(k2[rect], lambda k: _or_low_curve(thE, thG, ttm, n, k))[0]
-    inside = rect & (k1 >= low - tol)
+    (_, e_hi), (g_lo, g_hi) = k_box(GateKind.OR, ths, n, "m2").intervals.values()
 
-    binding = np.full(k1.shape, "low_curve", dtype=object)
-    binding[~in_k2] = "K2_rect"
-    binding[~in_k1] = "K1_rect"
+    def at(k2: float) -> tuple:
+        if not g_lo < k2 <= g_hi + _EDGE_TOL:
+            return math.inf, "K2_rect", -math.inf, "K2_rect"
+        den = ttm / (1 - ttm) - (thG.minus / k2) ** n
+        low = thE.minus * (1.0 / den) ** (1.0 / n) if den > 0 else math.inf
+        return low, "low_curve", e_hi, "K1_high_rect"
+    return at
+
+
+def _interval_membership(interval, ths, n: float, k1: np.ndarray, k2: np.ndarray
+                         ) -> tuple[np.ndarray, list[str]]:
+    """(inside, binding) of the points (k1, k2) in a region that holds, for
+    each K2 > 0, the K1 > 0 with lower - _EDGE_TOL <= K1 <= upper + _EDGE_TOL,
+    ``interval(ths, n)`` mapping K2 to (lower, lower name, upper, upper name).
+
+    The bounds are evaluated once per distinct K2.  An inside point gets
+    the nearer bound's name, the lower's on a tie; an outside point that of
+    the bound it violates, the upper if both, or ``positivity`` where a K
+    is <= 0.
+    """
+    at = interval(ths, n)
+    no_k1 = (math.inf, "positivity", -math.inf, "positivity")
+    table = _by_value(k2, lambda k: at(k) if k > 0 else no_k1).reshape(-1, 4)
+    lower, upper = table[:, 0].astype(float), table[:, 2].astype(float)
+    pos = (k1 > 0) & (k2 > 0)
+    upper_side = k1 > upper + _EDGE_TOL
+    inside = pos & (k1 >= lower - _EDGE_TOL) & ~upper_side
+    near = inside.nonzero()
+    upper_side[near] = upper[near] - k1[near] < k1[near] - lower[near]
+    binding = np.where(upper_side, table[:, 3], table[:, 1])
     binding[~pos] = "positivity"
-    _tightest(binding, inside, K1_high_rect=e_hi - k1, K2_high_rect=g_hi - k2,
-              low_curve=k1 - low, K2_low_rect=k2 - g_lo)
     return inside, binding.tolist()
 
 
@@ -352,7 +339,9 @@ class GateRule:
     take its bound and box.  ``membership`` is the Method 2 predicate
     ``(thresholds, n, k1, k2) -> (inside, binding)`` on float arrays of K1
     and K2, giving a boolean mask and one binding-constraint name per
-    point; None for a kind without a Method 2 region.  ``strict_m2``
+    point; None for a kind without a Method 2 region.  AND and OR share
+    :func:`_interval_membership` of their K1 interval [lower(K2),
+    upper(K2)] (rows and labels in :class:`CurvedRegion`).  ``strict_m2``
     marks a Method 2 bound that n must exceed rather than reach.
     """
 
@@ -365,11 +354,11 @@ class GateRule:
 GATE_RULES: dict[GateKind, GateRule] = {
     GateKind.AND: GateRule(
         m1_target=lambda ttp: (math.sqrt(ttp), 1),
-        membership=_and_membership, default_n=4.0,
+        membership=partial(_interval_membership, _and_interval), default_n=4.0,
     ),
     GateKind.OR: GateRule(
         m1_target=lambda ttp: (ttp, 2),
-        membership=_or_membership, default_n=4.0, strict_m2=True,
+        membership=partial(_interval_membership, _or_interval), default_n=4.0, strict_m2=True,
     ),
     # the NOT interval is exact, so both methods share its target
     GateKind.NOT: GateRule(
@@ -402,18 +391,21 @@ def gate_regions(
     kind: GateKind, ths, n: float, method: str, gate_id: str | None = None
 ) -> tuple[float, ParamBox | None, CurvedRegion | None]:
     """(n_bound, box, region) of a gate under ``method``, ``ths`` being
-    (inputs..., output): box is its :func:`k_box`, None if empty beside a
-    region, and region its m2 :class:`CurvedRegion` where the kind has one.
-    Raises :class:`EmptyRegionError` (named after ``gate_id``, else the
-    kind) when n misses its bound or the gate has neither."""
+    (inputs..., output): box is its :func:`k_box` cut at K = 1, the largest
+    K a gate takes, None if empty beside a region, and region its m2
+    :class:`CurvedRegion` where the kind has one.  Raises
+    :class:`EmptyRegionError` (named after ``gate_id``, else the kind) when
+    n misses its bound or the gate has neither."""
     nb = check_n_bound(kind, ths, n, method, gate_id)
     box = k_box(kind, ths, n)
+    detail = "Method 1 K intervals cross" if box.empty else "Method 1 K box lies above K = 1"
+    box = ParamBox({a: (lo, min(hi, 1.0)) for a, (lo, hi) in box.intervals.items()})
     region = None
     if method == "m2" and GATE_RULES[kind].membership:
         region = CurvedRegion(kind=kind, thresholds=ths, n=n)
     if box.empty:
         if region is None:
-            raise EmptyRegionError(gate_id or kind.value, "Method 1 K intervals cross")
+            raise EmptyRegionError(gate_id or kind.value, detail)
         box = None
     return nb, box, region
 

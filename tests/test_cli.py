@@ -143,6 +143,28 @@ class TestSynth:
         assert rc == 3
         assert "S" in capsys.readouterr().err
 
+    def test_box_above_k_one_exits_3(self, tmp_path, capsys):
+        # one OR gate whose K box at n = 1.5 is [1.2168, 1.6276] on both
+        # axes, and a gate takes K <= 1 only: this exited 0
+        data = {
+            "gates": [{"id": "S", "kind": "OR", "inputs": ["a", "b"], "output": "y"}],
+            "external_inputs": ["a", "b"],
+            "outputs": [{"gate": "S", "name": "out"}],
+            "thresholds": {
+                "a": {"plus": 0.7, "minus": 0.1, "p": 0.1},
+                "b": {"plus": 0.7, "minus": 0.1, "p": 0.1},
+                "y": {"plus": 0.2, "minus": 0.05, "p": 0.1},
+            },
+            "timing": {"delta": 10, "lambda": 4},
+        }
+        path = tmp_path / "or1.json"
+        path.write_text(json.dumps(data))
+        rc = main(["synth", str(path), "--n", "S=1.5", "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "error: empty parameter region for gate 'S': Method 1 K box lies above K = 1\n")
+        assert not (tmp_path / "out").exists()
+
     def test_bad_n_flag_exits_1(self, tmp_path):
         assert main(["synth", HALF_ADDER, "--n", "S=abc",
                      "--out", str(tmp_path)]) == 1

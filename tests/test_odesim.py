@@ -201,6 +201,18 @@ class TestSimulateGate:
         with pytest.raises(ValueError, match="initial value of 'x'"):
             simulate_gate(and_gate(), (0.6, 0.7), x0, cfg)
 
+    @pytest.mark.parametrize("fields,match", [
+        ({"inputs": {"u": 0.0}}, "cfg.inputs would be ignored"),
+        ({"initial": {"x": 0.9}}, "cfg.initial would be ignored"),
+        ({"inputs": {"u": 0.0}, "initial": {"x": 0.9}}, "cfg.inputs and cfg.initial"),
+    ])
+    def test_config_inputs_and_initial_rejected(self, fields, match):
+        # they were dropped: this simulated u = 1 from x = 0
+        g = GateParams(GateKind.NOT, n=3, alpha=1.0, hill_k=(0.45,))
+        cfg = SimConfig(horizon=2.0, step=0.5, **fields)
+        with pytest.raises(ValueError, match=match):
+            simulate_gate(g, (1.0,), 0.0, cfg)
+
 
 def _stage_loop(drive, alpha, x, h, n_steps):
     """The classic RK4 stage order with f(y) = alpha * (drive - y), step by

@@ -164,6 +164,16 @@ class TestRegionM2:
         inside, binding = reg.membership((0.45, 0.05))
         assert not inside and binding == "K2_rect"
 
+    @pytest.mark.parametrize("n", [16.75, 29.75])
+    def test_or_next_to_the_low_curve_pole(self, n):
+        # one float above g_lo the low curve's denominator rounds to 0
+        # (n = 16.75) or below it (29.75), which raised ZeroDivisionError and
+        # TypeError; the curve is infinite there
+        ths = (TH_23,) * 3
+        (e_lo, e_hi), (g_lo, _) = k_box(OR, ths, n, "m2").intervals.values()
+        k2 = float(np.nextafter(g_lo, 1.0))
+        assert CurvedRegion(OR, ths, n).membership(((e_lo + e_hi) / 2, k2)) == (False, "low_curve")
+
     def test_or_strict_n_bound(self):
         nb = n_bound(OR, (TH_34,) * 3, "m2")
         with pytest.raises(ValueError):
@@ -226,6 +236,72 @@ class TestMethod2Oracle:
         assert not (in_box & ~inside).any()
 
 
+# per kind, the labels of K1's lower and upper bounds, which name inside
+# points; an outside point may also be named positivity, or K2_rect (OR)
+K1_BOUNDS = {
+    AND: ({"low_curve_gamma_a", "low_curve_gamma_b"}, {"high_curve"}),
+    OR: ({"low_curve"}, {"K1_high_rect"}),
+}
+OUTSIDE_ONLY = {AND: {"positivity"}, OR: {"positivity", "K2_rect"}}
+
+
+class TestK1Interval:
+    """For fixed n and K2 the Method 2 region holds one interval of K1, and
+    each label names a bound the region really stops at.  n lies between
+    the paper's Method 2 bound and twice the Method 1 bound, so most
+    regions hold points."""
+
+    SIDE = 140
+
+    @classmethod
+    def columns(cls, kind, ths, u):
+        nb = max(n_bound(kind, ths, "m2"), 0.5)
+        n = nb + u * (2 * n_bound(kind, ths, "m1") - nb)
+        axis = (1e-3, 1.5, cls.SIDE)
+        _, inside, binding = sample_region(CurvedRegion(kind, ths, n),
+                                           NumericGrid(axes={"K1": axis, "K2": axis}))
+        # rows run along K1, columns along K2
+        return (inside.reshape(cls.SIDE, cls.SIDE),
+                np.array(binding, dtype=object).reshape(cls.SIDE, cls.SIDE))
+
+    @settings(max_examples=100, deadline=None)
+    @given(kind=st.sampled_from([AND, OR]),
+           ths=st.tuples(thresholds(), thresholds(), thresholds()), u=st.floats(1e-3, 1.0))
+    def test_one_run_of_inside_points_per_k2_column(self, kind, ths, u):
+        inside, _ = self.columns(kind, ths, u)
+        starts = inside[1:] & ~inside[:-1]
+        assert (starts.sum(axis=0) + inside[0] <= 1).all()
+
+    @settings(max_examples=100, deadline=None)
+    @example(kind=AND, ths=(TH_34,) * 3, u=0.2)
+    @example(kind=OR, ths=(TH_34,) * 3, u=0.2)
+    @given(kind=st.sampled_from([AND, OR]),
+           ths=st.tuples(thresholds(), thresholds(), thresholds()), u=st.floats(1e-3, 1.0))
+    def test_labels_are_truthful(self, kind, ths, u):
+        # an inside point names the nearer bound, and the first outside point
+        # on that side carries the same label
+        inside, labels = self.columns(kind, ths, u)
+        lower, upper = K1_BOUNDS[kind]
+        assert set(labels[inside]) <= lower | upper
+        assert set(labels[~inside]) <= lower | upper | OUTSIDE_ONLY[kind]
+        for col_in, col_labels in zip(inside.T, labels.T):
+            outside = np.flatnonzero(~col_in)
+            for i in np.flatnonzero(col_in):
+                label = col_labels[i]
+                j = np.searchsorted(outside, i)
+                below, above = outside[j - 1:j], outside[j:j + 1]
+                nxt = below if label in lower else above
+                assert col_labels[nxt].tolist() in ([], [label]), (i, label)
+                if below.size and above.size:
+                    # each bound lies less than one grid step inside its
+                    # first outside point
+                    near_lower, near_upper = i - below[0], above[0] - i
+                    if near_lower < near_upper - 1:
+                        assert label in lower, (i, label)
+                    if near_upper < near_lower - 1:
+                        assert label in upper, (i, label)
+
+
 class TestArrayMembership:
     def test_grid_matches_single_points(self):
         for reg in (CurvedRegion(AND, (TH_34,) * 3, 4),
@@ -237,13 +313,14 @@ class TestArrayMembership:
             for pt, ok, why in zip(pts, inside, binding):
                 assert reg.membership(pt) == (ok, why)
 
-    def test_binding_tie_goes_to_first_constraint(self):
-        # the Method 1 box's lower corner is the corner of the AND region's
-        # rectangle piece, where the K1 and K2 lower-side slacks are both 0
+    def test_label_names_a_bound_the_region_stops_at(self):
+        # the AND region continues past its rectangle's lower K1 side a_lo,
+        # which was the label here
         reg = CurvedRegion(AND, (TH_34,) * 3, 4)
-        (lo1, _), (lo2, _) = k_box(AND, (TH_34,) * 3, 4).intervals.values()
-        assert reg.membership((lo1, lo2)) == (True, "K1_low_rect")
-        assert reg.membership((lo1 + 1e-3, lo2)) == (True, "K2_low_rect")
+        (a_lo, _), (b_lo, b_hi) = k_box(AND, (TH_34,) * 3, 4, "m2").intervals.values()
+        k2 = (b_lo + b_hi) / 2
+        assert reg.contains((a_lo - 1e-3, k2))
+        assert reg.membership((a_lo + 1e-3, k2)) == (True, "low_curve_gamma_b")
 
     def test_curved_region_needs_two_axes(self):
         # one axis gave an IndexError from pts[block, 1] before
@@ -300,6 +377,15 @@ class TestLargeHillCoefficient:
             over, finite = worst_case_output_robustness(gc, row, self.N, 5.0, ks)
             assert over == pytest.approx(finite, abs=1e-15)
 
+    def test_box_corners_inside_at_n_26(self):
+        # gamma_a's radicand is 0 at K2 = b_lo, the box's lower K2 side, but
+        # computed there it rounds to a hair above 0, whose 26th root put the
+        # curve at 0.268, above the lower K1 side 0.262
+        ths = (TH_34,) * 3
+        reg = CurvedRegion(AND, ths, 26.0)
+        (a_lo, a_hi), (b_lo, b_hi) = k_box(AND, ths, 26.0).intervals.values()
+        for corner in ((a_lo, b_lo), (a_lo, b_hi), (a_hi, b_lo), (a_hi, b_hi)):
+            assert reg.contains(corner), corner
 
     def test_k_above_one_does_not_overflow(self):
         # 3.0**700 overflows as a float power in the AND curves
@@ -431,6 +517,28 @@ class TestGateRegions:
         n = n_bound(AND, ths, "m1")
         nb, box, region = synth.gate_regions(AND, ths, n, "m2")
         assert (nb, box, region) == (n_bound(AND, ths, "m2"), None, CurvedRegion(AND, ths, n))
+
+    # one OR gate's thresholds (inputs, inputs, output) whose Method 1 box
+    # lies wholly above K = 1 at n = 1.5 and reaches past it at n = 3
+    TH_HIGH_K = (Thresholds(0.7, 0.1), Thresholds(0.7, 0.1), Thresholds(0.2, 0.05))
+
+    def test_box_above_k_one_raises(self):
+        ths = self.TH_HIGH_K
+        assert k_box(OR, ths, 1.5).intervals["K1"] == pytest.approx((1.2168, 1.6276), abs=5e-5)
+        with pytest.raises(EmptyRegionError, match="'S': Method 1 K box lies above K = 1"):
+            synth.gate_regions(OR, ths, 1.5, "m1", "S")
+        # under m2 the region stays, beside no box
+        assert synth.gate_regions(OR, ths, 1.5, "m2") == (
+            n_bound(OR, ths, "m2"), None, CurvedRegion(OR, ths, 1.5))
+
+    def test_box_cut_at_k_one(self):
+        ths = self.TH_HIGH_K
+        (lo, hi), _ = k_box(OR, ths, 3.0).intervals.values()
+        assert lo < 1 < hi
+        _, box, _ = synth.gate_regions(OR, ths, 3.0, "m1")
+        assert box == ParamBox({"K1": (lo, 1.0), "K2": (lo, 1.0)})
+        # a box inside (0, 1] is kept as it is
+        assert synth.gate_regions(OR, (TH_34,) * 3, 4.0, "m1")[1] == k_box(OR, (TH_34,) * 3, 4.0)
 
     def test_not_under_m2_names_m2(self):
         with pytest.raises(EmptyRegionError, match="'NOT': m2 needs n >= 2.5372"):
