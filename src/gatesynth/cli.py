@@ -152,7 +152,10 @@ def cmd_timing(args) -> int:
 
 def cmd_synth(args) -> int:
     c = _load_circuit(args.circuit)
-    result = synthesize_circuit(c, method=args.method, n=dict(args.n or ()))
+    n = dict(args.n or ())
+    if len(n) < len(args.n or ()):
+        raise ValueError(f"--n gives a gate id more than once: {[gid for gid, _ in args.n]}")
+    result = synthesize_circuit(c, method=args.method, n=n)
     out = _ensure_out(args.out)
 
     payload = result.to_dict()

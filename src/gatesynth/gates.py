@@ -23,6 +23,7 @@ __all__ = [
 
 HIGH = "high"
 LOW = "low"
+K_MAX = 1.0  # the largest Hill K a gate takes: every K lies in (0, K_MAX]
 
 
 class GateKind(str, Enum):
@@ -124,8 +125,8 @@ def check_kinetics(kind: GateKind, n: float, alpha: float, hill_k) -> None:
         raise ValueError(
             f"{kind.value} gate needs {kind.arity} K value(s), got {len(hill_k)}"
         )
-    if not all(np.all((0 < k) & (k <= 1)) for k in hill_k):
-        raise ValueError("each Hill K must lie in (0, 1]")
+    if not all(np.all((0 < k) & (k <= K_MAX)) for k in hill_k):
+        raise ValueError(f"each Hill K must lie in (0, {K_MAX:g}]")
 
 
 @dataclass(frozen=True)

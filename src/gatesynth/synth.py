@@ -22,23 +22,22 @@ Natural logarithms throughout.  A grid-search fallback
 :meth:`GateContract.margins`: one worst-case simulation plus monitoring,
 ``worst_case_output_robustness(contract, row, n, alpha, k_values)``, per row.
 
-Region membership is evaluated on whole K arrays.  Only ``+ - * /`` and
-comparisons run as numpy array operations; every power ``x ** n`` is
-taken on Python floats (libm ``pow``), once per distinct K2 value.
-numpy's float64 ``power`` is a SIMD kernel on AVX-512 hosts and
-differs from libm in the last bit on about 5% of random (x, n) pairs,
-enough to move a grid point that sits on a region boundary.  The
+K points are positional: an (N, m) array's columns are K1..Km, the
+order in which a :class:`NumericGrid` must name its axes.  A box and a
+region judge such arrays alike, ``judge(points) -> (inside, binding)``.
+There only ``+ - * /`` and comparisons run as numpy array operations;
+every power ``x ** n`` is taken on Python floats (libm ``pow``), once per
+distinct K2 value.  numpy's float64 ``power`` is a SIMD kernel on AVX-512
+hosts and differs from libm in the last bit on about 5% of random (x, n)
+pairs, enough to move a grid point that sits on a region boundary.  The
 worst-case drives of numeric synthesis are evaluated on whole K arrays
 too, by the log-space Hill kernel :func:`gates.gate_drives`, within
 1e-13 of the scalar :func:`gates.gate_drive`.
 
-Both grid layers take K points in fixed-size blocks, so memory stays
-flat as the grid grows.  Numeric synthesis simulates each truth-table
-row one block of points at a time, a trajectory array of about 1 MiB,
-builds one :class:`Signal` per block, whose variables are views of that
-block's trajectories, and monitors it once per K point.  Region sampling
-judges blocks of about 16k points.  The results do not depend on the
-block size.
+Both grid layers take K points in fixed-size blocks (about 1 MiB of
+trajectories in numeric synthesis, about 16k points in region sampling),
+so memory stays flat as the grid grows; no result depends on the block
+size.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ import numpy as np
 
 from .circuit import Circuit, TimingBudget, propagate_timing
 from .gates import (
-    ExtendedTruthRow, GateKind, GateParams, Thresholds, _check_finite_positive,
+    K_MAX, ExtendedTruthRow, GateKind, GateParams, Thresholds, _check_finite_positive,
     _consequent, check_kinetics, gate_drives,
 )
 from .monitor import robustness
@@ -79,9 +78,17 @@ class EmptyRegionError(ValueError):
         super().__init__(f"empty parameter region for gate {gate_id!r}: {detail}")
 
 
+def _k_points(points, arity: int, need: str) -> np.ndarray:
+    """``points`` as an (N, arity) float array, else ``ValueError(need)``."""
+    k = np.asarray(points, dtype=float)
+    if k.ndim != 2 or k.shape[1] != arity:
+        raise ValueError(f"{need}, got points of shape {k.shape}")
+    return k
+
+
 @dataclass(frozen=True)
 class ParamBox:
-    """Per-axis closed intervals; upper bounds may be +inf."""
+    """Closed intervals ``intervals["Ki"]`` of K1..Km, in that order."""
 
     intervals: dict[str, tuple[float, float]]
 
@@ -89,26 +96,20 @@ class ParamBox:
     def empty(self) -> bool:
         return any(lo > hi for lo, hi in self.intervals.values())
 
-    def contains(self, point: dict[str, float]) -> bool:
-        values = np.array([list(point.values())], dtype=float)
-        return bool(self.contains_points(values, point)[0])
+    def judge(self, points) -> tuple[np.ndarray, list[str]]:
+        """(inside, binding) of each row of the (N, m) array ``points``: inside
+        every closed interval, labelled ``""``, else ``"box"``."""
+        k = _k_points(points, len(self.intervals), "a K box needs one K column per axis")
+        inside = np.ones(len(k), dtype=bool)
+        for col, (lo, hi) in zip(k.T, self.intervals.values()):
+            inside &= (lo <= col) & (col <= hi)
+        return inside, np.array(["box", ""], dtype=object)[inside.view(np.uint8)].tolist()
 
-    def contains_points(self, points: np.ndarray, axis_names) -> np.ndarray:
-        """:meth:`contains` for each row of ``points``, whose columns are
-        ``axis_names``: closed bounds, axes not in the box unconstrained,
-        an empty box contains nothing."""
-        inside = np.full(len(points), not self.empty)
-        for col, a in zip(np.asarray(points).T, axis_names):
-            if a in self.intervals:
-                lo, hi = self.intervals[a]
-                inside &= (lo <= col) & (col <= hi)
-        return inside
+    def contains(self, point: dict[str, float]) -> bool:
+        return bool(self.judge([[point[a] for a in self.intervals]])[0][0])
 
     def to_dict(self) -> dict:
-        return {
-            a: [lo, None if math.isinf(hi) else hi]
-            for a, (lo, hi) in self.intervals.items()
-        }
+        return {a: [lo, hi] for a, (lo, hi) in self.intervals.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -180,17 +181,13 @@ def k_box(kind: GateKind, ths, n: float, method: str = "m1") -> ParamBox:
 def _and_share(level: float, ttC: float, n: float, k_other: float) -> float:
     """level^n / (ttC * (k_other^n + level^n)) - 1, the radicand of the AND curves.
 
-    For large n a power can leave the normal float range: the sum then
-    loses precision or underflows to 0, or the power of a K above 1
-    overflows.  There the ratio form 1 / (1 + (k/level)^n) is used, with
-    the ratio taken at most 1 so that its power cannot overflow.
+    For large n the powers, of numbers in (0, 1], can underflow, and their
+    sum lose precision or round to 0.  There the ratio form 1/(1 + (k/level)^n)
+    is used, the ratio taken at most 1 so that its power cannot overflow.
     """
-    try:
-        a, b = level**n, k_other**n
-        if min(a, b) >= sys.float_info.min:
-            return a / (ttC * (b + a)) - 1.0
-    except OverflowError:
-        pass
+    a, b = level**n, k_other**n
+    if min(a, b) >= sys.float_info.min:
+        return a / (ttC * (b + a)) - 1.0
     if k_other <= level:
         return 1.0 / (ttC * (1.0 + (k_other / level) ** n)) - 1.0
     r = (level / k_other) ** n
@@ -210,9 +207,9 @@ def _and_curve(level: float, level_other: float, ttC: float, n: float, k_other: 
 @dataclass(frozen=True)
 class CurvedRegion:
     """Curve-bounded Method 2 validity region of an AND or OR gate: for each
-    K2 > 0, one interval K1 in [lower(K2), upper(K2)] of K1 > 0, each side
-    widened by ``_EDGE_TOL``.  Each bound is one truth-table row's
-    steady-state inequality under its worst-case inputs:
+    K2 in (0, K_MAX], one interval K1 in [lower(K2), min(upper(K2), K_MAX)]
+    of K1 > 0, each curve side widened by ``_EDGE_TOL``.  Each curve is one
+    truth-table row's steady-state inequality under its worst-case inputs:
 
     * AND: lower is the larger of the low curves gamma_b, row (low, high),
       and gamma_a, row (high, low); upper the high curve, row (high, high).
@@ -220,8 +217,9 @@ class CurvedRegion:
       (low, high) high, g_lo is the low curve's pole); lower is the low
       curve, row (low, low); upper the side e_hi, row (high, low).
 
-    :meth:`membership` names the nearer bound of an inside point and the
-    violated bound of an outside one: ``positivity`` (a K <= 0),
+    :meth:`judge` names the nearer bound of an inside point and the
+    violated bound of an outside one: ``positivity`` (a K <= 0), ``K_max``
+    (the cut at K = K_MAX, the largest K a gate takes),
     ``low_curve_gamma_a``, ``low_curve_gamma_b`` and ``high_curve`` for
     AND, ``low_curve``, ``K1_high_rect`` and ``K2_rect`` for OR.
     Construction raises :class:`EmptyRegionError` when n misses the kind's
@@ -239,12 +237,14 @@ class CurvedRegion:
         nb = check_n_bound(self.kind, self.thresholds, self.n, "m2")
         object.__setattr__(self, "n_bound", nb)
 
+    def judge(self, points) -> tuple[np.ndarray, list[str]]:
+        """(inside, binding constraint name) of each row of the (N, 2) array ``points``."""
+        k = _k_points(points, 2, "a Method 2 region needs two K axes")
+        return GATE_RULES[self.kind].membership(self.thresholds, self.n, k[:, 0], k[:, 1])
+
     def membership(self, point) -> tuple[bool, str]:
-        """(inside, binding constraint name) for a (K1, K2) point."""
-        inside, binding = GATE_RULES[self.kind].membership(
-            self.thresholds, self.n,
-            np.array([float(point[0])]), np.array([float(point[1])]),
-        )
+        """:meth:`judge` of one (K1, K2) point."""
+        inside, binding = self.judge([point])
         return bool(inside[0]), binding[0]
 
     def contains(self, point) -> bool:
@@ -304,20 +304,29 @@ def _or_interval(ths, n: float) -> Callable[[float], tuple]:
 def _interval_membership(interval, ths, n: float, k1: np.ndarray, k2: np.ndarray
                          ) -> tuple[np.ndarray, list[str]]:
     """(inside, binding) of the points (k1, k2) in a region that holds, for
-    each K2 > 0, the K1 > 0 with lower - _EDGE_TOL <= K1 <= upper + _EDGE_TOL,
-    ``interval(ths, n)`` mapping K2 to (lower, lower name, upper, upper name).
+    each K2 in (0, K_MAX], the K1 in (0, K_MAX] with lower - _EDGE_TOL <= K1
+    <= upper + _EDGE_TOL, ``interval(ths, n)`` mapping K2 to (lower, lower
+    name, upper, upper name), evaluated once per distinct K2.
 
-    The bounds are evaluated once per distinct K2.  An inside point gets
-    the nearer bound's name, the lower's on a tie; an outside point that of
-    the bound it violates, the upper if both, or ``positivity`` where a K
-    is <= 0.
+    An inside point gets the nearer bound's name, the lower's on a tie; an
+    outside point that of the bound it violates, the upper if both, or
+    ``positivity`` where a K is <= 0.  K_MAX is the bound ``K_max``.
     """
     at = interval(ths, n)
-    no_k1 = (math.inf, "positivity", -math.inf, "positivity")
-    table = _by_value(k2, lambda k: at(k) if k > 0 else no_k1).reshape(-1, 4)
+
+    def bounds(k: float) -> tuple:
+        if not 0 < k <= K_MAX:
+            name = "positivity" if k <= 0 else "K_max"
+            return math.inf, name, -math.inf, name
+        lower, lower_name, upper, upper_name = at(k)
+        if upper > K_MAX:
+            upper, upper_name = K_MAX, "K_max"
+        return lower, lower_name, upper, upper_name
+
+    table = _by_value(k2, bounds).reshape(-1, 4)
     lower, upper = table[:, 0].astype(float), table[:, 2].astype(float)
     pos = (k1 > 0) & (k2 > 0)
-    upper_side = k1 > upper + _EDGE_TOL
+    upper_side = (k1 > upper + _EDGE_TOL) | (k1 > K_MAX)
     inside = pos & (k1 >= lower - _EDGE_TOL) & ~upper_side
     near = inside.nonzero()
     upper_side[near] = upper[near] - k1[near] < k1[near] - lower[near]
@@ -391,21 +400,21 @@ def gate_regions(
     kind: GateKind, ths, n: float, method: str, gate_id: str | None = None
 ) -> tuple[float, ParamBox | None, CurvedRegion | None]:
     """(n_bound, box, region) of a gate under ``method``, ``ths`` being
-    (inputs..., output): box is its :func:`k_box` cut at K = 1, the largest
-    K a gate takes, None if empty beside a region, and region its m2
+    (inputs..., output): box is its :func:`k_box` cut at K = K_MAX, the
+    largest K a gate takes, None if empty beside a region, and region its m2
     :class:`CurvedRegion` where the kind has one.  Raises
     :class:`EmptyRegionError` (named after ``gate_id``, else the kind) when
     n misses its bound or the gate has neither."""
     nb = check_n_bound(kind, ths, n, method, gate_id)
     box = k_box(kind, ths, n)
-    detail = "Method 1 K intervals cross" if box.empty else "Method 1 K box lies above K = 1"
-    box = ParamBox({a: (lo, min(hi, 1.0)) for a, (lo, hi) in box.intervals.items()})
+    detail = "K intervals cross" if box.empty else f"K box lies above K = {K_MAX:g}"
+    box = ParamBox({a: (lo, min(hi, K_MAX)) for a, (lo, hi) in box.intervals.items()})
     region = None
     if method == "m2" and GATE_RULES[kind].membership:
         region = CurvedRegion(kind=kind, thresholds=ths, n=n)
     if box.empty:
         if region is None:
-            raise EmptyRegionError(gate_id or kind.value, detail)
+            raise EmptyRegionError(gate_id or kind.value, "Method 1 " + detail)
         box = None
     return nb, box, region
 
@@ -530,21 +539,26 @@ def _blocks(count: int, point_bytes: int) -> list[slice]:
 
 @dataclass(frozen=True)
 class NumericGrid:
-    """Per-axis grid specification (lo, hi, count) for the K parameters."""
+    """Per-axis grid specification (lo, hi, count) of K1..Km, in that order."""
 
     axes: dict[str, tuple[float, float, int]]
 
-    def points(self, names) -> np.ndarray:
-        grids = [np.linspace(*self.axes[a]) for a in names]
-        mesh = np.meshgrid(*grids, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+    def __post_init__(self):
+        want = [f"K{i}" for i in range(1, len(self.axes) + 1)]
+        if list(self.axes) != want:
+            raise ValueError(f"grid axes must be {want} in that order, got {list(self.axes)}")
+
+    def points(self) -> np.ndarray:
+        """Every grid point as an (N, m) array, columns K1..Km, K1 slowest."""
+        mesh = np.meshgrid(*(np.linspace(*a) for a in self.axes.values()), indexing="ij",
+                           copy=False)
+        return np.stack(mesh, axis=-1).reshape(-1, len(self.axes))
 
 
 @dataclass(frozen=True)
 class NumericGateResult:
     gate_id: str
-    axis_names: tuple[str, ...]
-    points: np.ndarray  # all grid points, shape (N, n_axes)
+    points: np.ndarray  # all grid points, shape (N, n_axes), columns K1..Km
     admissible: np.ndarray  # boolean mask, shape (N,)
     min_robustness: np.ndarray  # per point, shape (N,)
 
@@ -636,26 +650,20 @@ def synthesize_numeric(
     results = {}
     for gid, gspec in grid.items():
         gc = GateContract.of(c, tb, gid)
-        names = tuple(sorted(gspec.axes))
-        if len(names) != gc.kind.arity:
+        if len(gspec.axes) != gc.kind.arity:
             raise ValueError(
-                f"gate {gid!r} needs {gc.kind.arity} grid axis(es), got {len(names)}"
+                f"gate {gid!r} needs {gc.kind.arity} grid axis(es), got {len(gspec.axes)}"
             )
-        pts = gspec.points(names)
+        pts = gspec.points()
         base = params.get(gid) if params else None
         n_g = base.n if base else GATE_RULES[gc.kind].default_n
         alpha = base.alpha if base else gc.alpha_min
-        valid = (pts > 0).all(axis=1) & (pts <= 1).all(axis=1)
+        valid = (pts > 0).all(axis=1) & (pts <= K_MAX).all(axis=1)
         min_rho = np.full(len(pts), -np.inf)
         if valid.any():
             min_rho[valid] = gc.margins(pts[valid], n_g, alpha, step).min(axis=0)
-        results[gid] = NumericGateResult(
-            gate_id=gid,
-            axis_names=names,
-            points=pts,
-            admissible=min_rho >= 0.0,
-            min_robustness=min_rho,
-        )
+        results[gid] = NumericGateResult(gate_id=gid, points=pts, admissible=min_rho >= 0.0,
+                                         min_robustness=min_rho)
         if not results[gid].admissible.any():
             raise EmptyRegionError(
                 gid, "no admissible grid point (grid too coarse or region empty)"
@@ -710,32 +718,19 @@ def export_region_csv(
 def sample_region(
     region: CurvedRegion | ParamBox, grid: NumericGrid
 ) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Evaluate region membership on a grid: (points, inside, binding).
+    """``region.judge`` of every point of ``grid``: (points, inside, binding).
 
-    The points' columns are ``grid.axes`` in order.  A box labels each
-    point outside it ``"box"``, one shared string.  A curved region is
-    judged one block of points at a time, about 16k points to a block,
-    so the membership predicate's temporaries stay under 2 MiB whatever
-    the grid size; the masks and labels are joined in grid order,
-    identical to one call on the whole grid.  A curved region reads its
-    grid's two axes as (K1, K2); another count raises ``ValueError``.
+    The points are judged one block of 16k at a time: a judge peaks at
+    about 100 bytes a point (float and boolean temporaries, a label
+    pointer), so it stays under 2 MiB whatever the grid size.  The masks
+    and labels are joined in grid order, identical to one call on the whole
+    grid.  A grid of another axis count than the region's raises
+    ``ValueError``.
     """
-    axis_names = tuple(grid.axes)
-    pts = grid.points(axis_names)
-    if isinstance(region, ParamBox):
-        inside = region.contains_points(pts, axis_names)
-        labels = np.array(["box", ""], dtype=object)
-        return pts, inside, labels[inside.view(np.uint8)].tolist()
-    if len(axis_names) != 2:
-        raise ValueError("a Method 2 region needs two K axes")
-    membership = GATE_RULES[region.kind].membership
+    pts = grid.points()
     inside = np.empty(len(pts), dtype=bool)
     binding: list[str] = []
-    # 16k points to a block: the predicates peak at about 100 bytes a
-    # point (float and boolean temporaries, a label pointer), under 2 MiB
     for block in _blocks(len(pts), 64):
-        inside[block], labels = membership(
-            region.thresholds, region.n, pts[block, 0], pts[block, 1]
-        )
+        inside[block], labels = region.judge(pts[block])
         binding += labels
     return pts, inside, binding

@@ -201,6 +201,15 @@ class TestSynth:
         assert "not in the circuit: ['ZZ']" in capsys.readouterr().err
         assert not (tmp_path / "synthesis.json").exists()
 
+    def test_repeated_gate_in_n_exits_1(self, tmp_path, capsys):
+        # exited 0 with the last value, n = 5, and a manifest holding both
+        out = tmp_path / "out"
+        rc = main(["synth", HALF_ADDER, "--n", "E=4", "--n", "S=4", "--n", "E=5",
+                   "--out", str(out)])
+        err = assert_one_error_line(rc, capsys)
+        assert "--n gives a gate id more than once: ['E', 'S', 'E']" in err
+        assert not out.exists()
+
 
 class TestRegion:
     def test_and_grid(self, tmp_path, capsys):

@@ -232,15 +232,16 @@ class TestMethod2Oracle:
         assert clear.sum() > 400
         assert np.array_equal(inside[clear], margin[clear] > 0)
         # the Method 1 box lies inside the Method 2 region
-        in_box = box.contains_points(pts, ("K1", "K2"))
+        in_box, _ = box.judge(pts)
         assert not (in_box & ~inside).any()
 
 
 # per kind, the labels of K1's lower and upper bounds, which name inside
-# points; an outside point may also be named positivity, or K2_rect (OR)
+# points (K_max, the cut at K = 1, also names every point of a K2 > 1
+# column); an outside point may also be named positivity, or K2_rect (OR)
 K1_BOUNDS = {
-    AND: ({"low_curve_gamma_a", "low_curve_gamma_b"}, {"high_curve"}),
-    OR: ({"low_curve"}, {"K1_high_rect"}),
+    AND: ({"low_curve_gamma_a", "low_curve_gamma_b"}, {"high_curve", "K_max"}),
+    OR: ({"low_curve"}, {"K1_high_rect", "K_max"}),
 }
 OUTSIDE_ONLY = {AND: {"positivity"}, OR: {"positivity", "K2_rect"}}
 
@@ -304,14 +305,26 @@ class TestK1Interval:
 
 class TestArrayMembership:
     def test_grid_matches_single_points(self):
-        for reg in (CurvedRegion(AND, (TH_34,) * 3, 4),
-                    CurvedRegion(OR, (TH_23, TH_34, TH_23), 5)):
-            grid = NumericGrid(axes={"K1": (-0.1, 1.0, 23), "K2": (-0.1, 1.0, 29)})
-            pts, inside, binding = sample_region(reg, grid)
+        # judge on the whole grid, its blocks in sample_region and the
+        # one-point views contains and membership agree at every point
+        grid = NumericGrid(axes={"K1": (-0.1, 1.0, 23), "K2": (-0.1, 1.0, 29)})
+        box = k_box(AND, (TH_34,) * 3, 4)
+        for region in (box, CurvedRegion(AND, (TH_34,) * 3, 4),
+                       CurvedRegion(OR, (TH_23, TH_34, TH_23), 5)):
+            pts, inside, binding = sample_region(region, grid)
+            judged, labels = region.judge(pts)
+            assert judged.tobytes() == inside.tobytes() and labels == binding
             assert isinstance(binding, list) and len(binding) == len(pts)
+            assert inside.any() and not inside.all()
+            if region is box:
+                for pt, ok, why in zip(pts, inside, binding):
+                    assert box.contains({"K1": pt[0], "K2": pt[1]}) == ok
+                    assert why == ("" if ok else "box")
+                continue
             assert {b for b, ok in zip(binding, inside) if not ok} >= {"positivity"}
             for pt, ok, why in zip(pts, inside, binding):
-                assert reg.membership(pt) == (ok, why)
+                assert region.membership(pt) == (ok, why)
+                assert region.contains(pt) == ok
 
     def test_label_names_a_bound_the_region_stops_at(self):
         # the AND region continues past its rectangle's lower K1 side a_lo,
@@ -327,6 +340,16 @@ class TestArrayMembership:
         reg = CurvedRegion(AND, (TH_34,) * 3, 4)
         with pytest.raises(ValueError, match="needs two K axes"):
             sample_region(reg, NumericGrid({"K1": (0.1, 1.0, 5)}))
+
+    @pytest.mark.parametrize("shape", [(4, 1), (4, 3), (4,), (2, 2, 2)])
+    def test_judge_needs_one_column_per_k(self, shape):
+        points = np.full(shape, 0.4)
+        with pytest.raises(ValueError, match="a Method 2 region needs two K axes"):
+            CurvedRegion(OR, (TH_34,) * 3, 4).judge(points)
+        with pytest.raises(ValueError, match="a K box needs one K column per axis"):
+            k_box(OR, (TH_34,) * 3, 4).judge(points)
+        with pytest.raises(ValueError, match=r"per axis, got points of shape \(4, 2\)"):
+            k_box(NOT, (TH_34,) * 2, 3).judge(np.full((4, 2), 0.4))
 
 
 class TestLargeHillCoefficient:
@@ -388,13 +411,12 @@ class TestLargeHillCoefficient:
             assert reg.contains(corner), corner
 
     def test_k_above_one_does_not_overflow(self):
-        # 3.0**700 overflows as a float power in the AND curves
+        # 3.0**700 overflowed as a float power in the AND curves; a K2 above
+        # 1 now leaves its column empty before any curve is evaluated
         th = Thresholds(0.75, 0.25, 0.1)
         and_reg, or_reg = CurvedRegion(AND, (th,) * 3, 700), CurvedRegion(OR, (th,) * 3, 700)
-        assert or_reg.membership((0.5, 3.0)) == (False, "K2_rect")
-        assert and_reg.membership((0.5, 3.0))[0] is False
-        assert _and_share(th.plus, th.tilde_plus, 700, 3.0) == pytest.approx(
-            self.exact_share(th.plus, th.tilde_plus, 700, 3.0), rel=1e-14, abs=1e-300)
+        assert or_reg.membership((0.5, 3.0)) == (False, "K_max")
+        assert and_reg.membership((0.5, 3.0)) == (False, "K_max")
         grid = NumericGrid(axes={"K1": (0.05, 3.0, 40), "K2": (0.05, 3.0, 40)})
         for reg in (and_reg, or_reg):
             pts, inside, binding = sample_region(reg, grid)
@@ -405,20 +427,37 @@ class TestLargeHillCoefficient:
 
 class TestBoxSampling:
     def test_closed_bounds_and_missing_axes(self):
-        box = ParamBox({"K1": (0.25, 0.5), "n": (3.0, np.inf)})
+        box = ParamBox({"K1": (0.25, 0.5), "K2": (0.5, 1.0)})
         grid = NumericGrid(axes={"K1": (0.0, 1.0, 5), "K2": (0.0, 1.0, 3)})
         pts, inside, binding = sample_region(box, grid)
-        assert inside.tolist() == [(0.25 <= k1 <= 0.5) for k1, _ in pts]
+        assert inside.tolist() == [(0.25 <= k1 <= 0.5) and k2 >= 0.5 for k1, k2 in pts]
         assert binding == ["" if ok else "box" for ok in inside]
         for pt, ok in zip(pts, inside):
             assert box.contains({"K1": pt[0], "K2": pt[1]}) == ok
+        # a missing axis was taken as unconstrained
+        with pytest.raises(KeyError):
+            box.contains({"K1": 0.3})
 
     def test_empty_box_contains_nothing(self):
         box = ParamBox({"K1": (0.6, 0.4)})
-        grid = NumericGrid(axes={"K1": (0.0, 1.0, 11), "K2": (0.0, 1.0, 2)})
-        _, inside, binding = sample_region(box, grid)
+        _, inside, binding = sample_region(box, NumericGrid(axes={"K1": (0.0, 1.0, 11)}))
         assert not inside.any() and set(binding) == {"box"}
-        assert not box.contains({"K2": 0.5})
+        assert not box.contains({"K1": 0.5})
+
+
+class TestNumericGridAxes:
+    @pytest.mark.parametrize("axes", [
+        {"K2": (0.1, 1.0, 3), "K1": (0.1, 1.0, 3)}, {"a": (0.1, 1.0, 3)},
+        {"K1": (0.1, 1.0, 3), "K3": (0.1, 1.0, 3)},
+    ])
+    def test_axes_other_than_k1_to_km_in_order_rejected(self, axes):
+        with pytest.raises(ValueError, match=r"grid axes must be \['K1'"):
+            NumericGrid(axes)
+
+    def test_points_columns_in_k_order(self):
+        pts = NumericGrid({"K1": (0.1, 0.2, 2), "K2": (0.5, 0.7, 3)}).points()
+        assert pts.tolist() == [[0.1, 0.5], [0.1, 0.6], [0.1, 0.7],
+                                [0.2, 0.5], [0.2, 0.6], [0.2, 0.7]]
 
 
 class TestSynthesizeCircuit:
@@ -539,6 +578,22 @@ class TestGateRegions:
         assert box == ParamBox({"K1": (lo, 1.0), "K2": (lo, 1.0)})
         # a box inside (0, 1] is kept as it is
         assert synth.gate_regions(OR, (TH_34,) * 3, 4.0, "m1")[1] == k_box(OR, (TH_34,) * 3, 4.0)
+
+    def test_region_cut_at_k_one(self):
+        # the Method 2 region held 23,941 points of this grid at n = 2,
+        # 16,557 of them with a K above 1, and at n = 1.5 its 11,142 points
+        # all had one
+        grid = NumericGrid({"K1": (0.005, 3.0, 600), "K2": (0.005, 3.0, 600)})
+        region = CurvedRegion(OR, self.TH_HIGH_K, 2.0)
+        pts, inside, binding = sample_region(region, grid)
+        assert inside.sum() == 7384 and (pts[inside] <= 1).all()
+        assert set(np.array(binding, dtype=object)[(pts[:, 1] > 1)]) == {"K_max"}
+        # the cut takes no edge tolerance: K1 one float above 1 is outside
+        k2 = pts[inside & (pts[:, 0] == 1.0)][0, 1]
+        assert region.membership((1.0, k2)) == (True, "K_max")
+        assert region.membership((np.nextafter(1.0, 2.0), k2)) == (False, "K_max")
+        _, inside, binding = sample_region(CurvedRegion(OR, self.TH_HIGH_K, 1.5), grid)
+        assert not inside.any() and "K_max" in binding
 
     def test_not_under_m2_names_m2(self):
         with pytest.raises(EmptyRegionError, match="'NOT': m2 needs n >= 2.5372"):
@@ -1019,7 +1074,7 @@ class TestBlockedEvaluation:
         monkeypatch.setattr(synth, "simulate_constant_drive", recording)
         monkeypatch.setattr(synth, "_BLOCK_BYTES", per_block * 8 * samples)
         assert self.numeric(gid) == want
-        points = len(self.NUMERIC[gid].points(sorted(self.NUMERIC[gid].axes)))
+        points = len(self.NUMERIC[gid].points())
         assert max(sizes) == min(per_block, points)
 
     @pytest.mark.parametrize("region", [
