@@ -20,8 +20,8 @@ for u in [(0.25, 0.25), (0.75, 0.25), (0.75, 0.75), (1.0, 1.0)]:
     print(f"  inputs {u} -> drive {gate_drive(g, u):.3f}")
 
 # constant-input response versus the exact solution
-cfg = SimConfig(horizon=16.0, step=0.01)
-trace = simulate_gate(g, (0.75, 0.75), x0=0.0, cfg=cfg)
+cfg = SimConfig(horizon=16.0, step=0.01, inputs={"u1": 0.75, "u2": 0.75})
+trace = simulate_gate(g, cfg)
 drive = gate_drive(g, (0.75, 0.75))
 exact = closed_form(drive, g.alpha, 0.0, trace.times)
 err = np.max(np.abs(trace.values["x"] - exact))

@@ -56,9 +56,10 @@ class HorizonError(ValueError):
 
 
 def _window_offsets(lo: float, hi: float, h: float) -> tuple[int, int]:
-    """Grid-index offsets covered by a time window [lo, hi] on step h."""
-    ia = math.ceil(lo / h - _TOL)
-    ib = math.floor(hi / h + _TOL)
+    """Grid-index offsets covered by a time window [lo, hi] on step h,
+    widened by ``_TOL`` in time, as :func:`_window` widens it."""
+    ia = math.ceil((lo - _TOL) / h)
+    ib = math.floor((hi + _TOL) / h)
     if ib < ia:
         raise HorizonError(
             f"window [{lo},{hi}] contains no grid point at step {h}"

@@ -13,14 +13,14 @@ trajectories decay geometrically toward the drive; past the limit they
 grow, and a step that long is refused with ``ValueError``.
 
 :func:`simulate_constant_drive` uses the closed form of a constant drive,
-x_k = (1 - A^k)*d + A^k*x0.  :func:`simulate_circuit` walks the gates in
-topological order, which the DAG permits because a gate's drive reads
-only upstream signals: it makes one scalar :func:`gates.gate_drive` call
-per gate per RK4 stage from its inputs' stage values (scalar while the
-benchmark's traced self-check counts them), forms every B_k at once and
-solves the recurrence by a doubling scan (Blelloch, "Prefix sums and
-their applications", 1990).  Neither reproduces the classic
-stage-by-stage loop to the last bit; both agree with it within 1e-12.
+x_k = (1 - A^k)*d + A^k*x0, for a batch of K points.  Every gate trajectory
+of :func:`simulate_gate`, :func:`simulate_circuit` and :func:`verify` comes
+from one integrator: one scalar :func:`gates.gate_drive` call per RK4 stage
+(scalar while the benchmark's traced self-check counts them) gives every
+B_k, and a doubling scan solves the recurrence (Blelloch, "Prefix sums and
+their applications", 1990).  Neither the closed form nor the scan
+reproduces the classic stage-by-stage loop to the last bit; both agree
+with it within 1e-12.
 
 :func:`verify_combos` simulates and monitors one input combination at a
 time and keeps no trace it has yielded; :func:`verify` keeps only the
@@ -134,6 +134,11 @@ def schedule_value(schedule, t: float) -> float:
     return float(_levels_at(_program("schedule", schedule), np.array([float(t)]))[0])
 
 
+def _circuit_step(c: Circuit, step: float | None) -> float:
+    """``step`` if given, else the circuit's ``sim.h``, else 0.01."""
+    return step if step is not None else float(c.sim.get("h", DEFAULT_STEP))
+
+
 def time_grid(horizon: float, step: float) -> np.ndarray:
     """Sample times 0, step, ... through the first one at or past horizon."""
     n = int(round(horizon / step))
@@ -142,55 +147,31 @@ def time_grid(horizon: float, step: float) -> np.ndarray:
     return np.arange(n + 1) * step
 
 
-def simulate_gate(
-    g: GateParams,
-    inputs,
-    x0: float,
-    cfg: SimConfig,
-    input_vars=None,
-    output_var: str = "x",
-) -> Signal:
-    """Integrate a single gate driven by constant input levels.
+def simulate_gate(g: GateParams, cfg: SimConfig, output_var: str = "x") -> Signal:
+    """Integrate a single gate under the input programs of ``cfg``.
 
-    ``inputs`` is one constant level per gate input, the first of the two
-    input-program forms of :class:`SimConfig`; a breakpoint list needs
-    :func:`simulate_circuit`.  ``input_vars`` names the inputs, one
-    distinct name each, none equal to ``output_var``.  Every level and
-    ``x0`` must be finite and >= 0, as in :class:`SimConfig`; otherwise
-    ``ValueError``.  Only ``cfg``'s horizon and step are read: a ``cfg``
-    with ``inputs`` or ``initial`` raises ``ValueError`` naming them, since
-    ``inputs`` and ``x0`` give those.  The returned trace contains the
-    inputs and the output.
+    ``cfg.inputs`` names the gate's inputs in input order; ``cfg.initial``
+    may give ``output_var`` its initial value, 0 by default.  The trace
+    holds the inputs and the output, and equals that of a one-gate circuit
+    under :func:`simulate_circuit` to the last bit.  Raises ``ValueError``
+    if ``cfg.inputs`` names more or fewer inputs than the gate takes, if
+    ``output_var`` is also an input name, or if ``cfg.initial`` names
+    another variable.
     """
-    ignored = [name for name in ("inputs", "initial") if getattr(cfg, name)]
-    if ignored:
-        raise ValueError(f"simulate_gate takes its inputs and x0 as arguments; "
-                         f"cfg.{' and cfg.'.join(ignored)} would be ignored")
-    levels = tuple(float(u) for u in inputs)
-    arity = g.kind.arity
-    if len(levels) != arity:
-        raise ValueError(f"{g.kind.value} gate takes {arity} input(s)")
-    if input_vars is None:
-        input_vars = ("u",) if arity == 1 else ("u1", "u2")
-    input_vars = tuple(input_vars)
-    if len(input_vars) != arity:
-        raise ValueError(
-            f"{g.kind.value} gate takes {arity} input name(s), got {len(input_vars)}"
-        )
-    if len(set(input_vars)) != arity:
-        raise ValueError(f"input names must be distinct, got {input_vars}")
-    if output_var in input_vars:
+    names = tuple(cfg.inputs)
+    if len(names) != g.kind.arity:
+        raise ValueError(f"input names {list(names)} in cfg.inputs: "
+                         f"{g.kind.value} gate takes {g.kind.arity} input(s)")
+    if output_var in names:
         raise ValueError(f"output name {output_var!r} is also an input name")
-    for var, lvl in zip(input_vars, levels):
-        _program(var, lvl)
-    _check_initial(output_var, x0)
+    unknown = set(cfg.initial) - {output_var}
+    if unknown:
+        raise ValueError(f"initial values for no gate output: {sorted(unknown)}")
     times = time_grid(cfg.horizon, cfg.step)
-    drive = float(gate_drive(g, levels))
-    x = simulate_constant_drive(
-        np.array([drive]), g.alpha, np.array([float(x0)]), cfg.step, len(times) - 1
-    )[:, 0]
-    values = {v: np.full(times.shape, lvl) for v, lvl in zip(input_vars, levels)}
-    values[output_var] = x
+    values, stages = _input_stages(cfg, names, times)
+    x0 = cfg.initial.get(output_var, 0.0)
+    values[output_var], _ = _gate_trajectory(f"gate {output_var!r}", g, names, stages, x0,
+                                             cfg.step, read=False)
     return Signal(times=times, values=values)
 
 
@@ -249,6 +230,64 @@ def simulate_constant_drive(
     return out
 
 
+def _input_stages(cfg: SimConfig, names, times: np.ndarray) -> tuple[dict, dict]:
+    """The levels of the input programs ``names`` of ``cfg`` at ``times``,
+    and their values at the four RK4 stages of every step: the level at t,
+    t + h/2, t + h/2 and t + h, one list of Python floats per stage."""
+    h = cfg.step
+    values, stages = {}, {}
+    for v in names:
+        program = cfg._programs[v]
+        values[v] = _levels_at(program, times)
+        u_mid, u_end = (_levels_at(program, times[:-1] + dt).tolist() for dt in (0.5 * h, h))
+        stages[v] = (values[v][:-1].tolist(), u_mid, u_mid, u_end)
+    return values, stages
+
+
+def _gate_trajectory(what: str, g: GateParams, inputs, stages: dict, x0: float, h: float,
+                     read: bool = True) -> tuple[np.ndarray, tuple | None]:
+    """One gate's RK4 trajectory from ``x0``, and, if ``read``, its own
+    stage values in the form of ``stages``' values (else None).
+
+    ``stages`` maps each of ``inputs``, the gate's inputs in order, to its
+    values at the four RK4 stages of every step.  One scalar ``gate_drive``
+    call per step and stage gives the drives.  Step k is then
+    x_{k+1} = A*x_k + B_k, with every B_k the step from x = 0, and a
+    doubling scan solves the recurrence in ceil(log2(steps + 1)) array
+    passes: after the pass for s, x_k holds the sum of A^(k-j) * B_j over
+    the last 2s terms.  It has no division, so it stays accurate where A^s
+    underflows.  ``what`` names the gate in a ``ValueError``.
+    """
+    log_a = _log_step_factor(g.alpha, h, f"{what}: ")
+    n_steps = len(stages[inputs[0]][0])
+    # a local for speed, read at each call, so a wrapper installed on this
+    # module's gate_drive before the call sees every call
+    gd = gate_drive
+    try:
+        drives = [
+            np.fromiter(map(gd, itertools.repeat(g), zip(*seqs)), float, n_steps)
+            for seqs in zip(*(stages[v] for v in inputs))
+        ]
+    except TypeError:  # a complex Hill term: a stage value below 0 to a non-integer n
+        low = [v for v in inputs if min(map(min, stages[v])) < 0]
+        if not low:
+            raise
+        raise ValueError(f"{what}: RK4 stage values of {low} fall below 0, where "
+                         f"a Hill term with n = {g.n:g} is complex; shorten the step") from None
+    x = np.empty(n_steps + 1)
+    x[0] = x0
+    x[1:] = _rk4_step(0.0, drives, g.alpha, h)[0]
+    s = 1
+    while s <= n_steps:
+        x[s:] += math.exp(s * log_a) * x[:-s]
+        s *= 2
+    if not read:
+        return x, None
+    # stage 1 of step k is x_k, so the trajectory less its last point
+    _, ys = _rk4_step(x[:-1], drives, g.alpha, h)
+    return x, (x[:-1].tolist(), *(y.tolist() for y in ys))
+
+
 def simulate_circuit(
     c: Circuit, params: dict[str, GateParams], cfg: SimConfig
 ) -> Signal:
@@ -256,17 +295,11 @@ def simulate_circuit(
 
     External inputs are read from ``cfg.inputs``; the trace contains the
     external inputs and every gate output variable.  A gate's drive reads
-    only upstream signals, so the gates are integrated in topological
-    order, each over every step before its consumers.  A gate's drive at
-    the four RK4 stages of each step comes from one scalar ``gate_drive``
-    call per stage on the stage values of its inputs: an upstream gate's
-    x, x + (h/2)*k1, x + (h/2)*k2 and x + h*k3, an external input's level
-    at t, t + h/2, t + h/2 and t + h.  Step k is then x_{k+1} = A*x_k + B_k,
-    with every B_k the step from x = 0, and a doubling scan solves the
-    recurrence in ceil(log2(steps + 1)) array passes: after the pass for
-    s, x_k holds the sum of A^(k-j) * B_j over the last 2s terms.  It has
-    no division, so it stays accurate where A^s underflows.  Trajectories
-    agree with stepping all gates together within 1e-12; near
+    only upstream signals, so :func:`_gate_trajectory` integrates the gates
+    in topological order, each over every step before its consumers, from
+    the stage values of its inputs: an upstream gate's x, x + (h/2)*k1,
+    x + (h/2)*k2 and x + h*k3, an external input's level at t, t + h/2,
+    t + h/2 and t + h.  Trajectories agree with stepping all gates together within 1e-12; near
     :data:`RK4_STABILITY_LIMIT` they drift from exact RK4 by about k*4e-17
     at step k, so up to about 25,000 steps there.  Raises ``ValueError``
     if a gate's alpha*h exceeds the limit, if ``cfg.initial`` names a
@@ -289,51 +322,20 @@ def simulate_circuit(
         raise ValueError(f"initial values for no gate output: {sorted(unknown)}")
 
     times = time_grid(cfg.horizon, cfg.step)
-    h = cfg.step
-    n_steps = times.size - 1
-    ext = c.external_inputs
-    programs = cfg._programs
-    values = {v: _levels_at(programs[v], times) for v in ext}
     # per signal still to be read, its values at the four RK4 stages of
-    # every step, n_steps Python floats each
-    stages = {}
-    for v in ext:
-        u_mid, u_end = (
-            _levels_at(programs[v], times[:-1] + dt).tolist() for dt in (0.5 * h, h)
-        )
-        stages[v] = (values[v][:-1].tolist(), u_mid, u_mid, u_end)
+    # every step, one list of Python floats per stage
+    values, stages = _input_stages(cfg, c.external_inputs, times)
     order = c.topo_order()
     last_reader = {v: i for i, gid in enumerate(order) for v in c.gates[gid].inputs}
-
-    # a local for speed, read at each call, so a wrapper installed on this
-    # module's gate_drive before the call sees every call
-    gd = gate_drive
     for i, gid in enumerate(order):
-        gate, g = c.gates[gid], params[gid]
-        log_a = _log_step_factor(g.alpha, h, f"gate {gid!r}: ")
-        try:
-            drives = [
-                np.fromiter(map(gd, itertools.repeat(g), zip(*seqs)), float, n_steps)
-                for seqs in zip(*(stages[v] for v in gate.inputs))
-            ]
-        except TypeError:  # a complex Hill term: a stage value below 0 to a non-integer n
-            low = [v for v in gate.inputs if min(map(min, stages[v])) < 0]
-            if not low:
-                raise
-            raise ValueError(f"gate {gid!r}: RK4 stage values of {low} fall below 0, where "
-                             f"a Hill term with n = {g.n:g} is complex; shorten the step") from None
-        x = np.empty(n_steps + 1)
-        x[0] = cfg.initial.get(gate.output, 0.0)
-        x[1:] = _rk4_step(0.0, drives, g.alpha, h)[0]
-        s = 1
-        while s <= n_steps:
-            x[s:] += math.exp(s * log_a) * x[:-s]
-            s *= 2
+        gate = c.gates[gid]
+        x, gate_stages = _gate_trajectory(
+            f"gate {gid!r}", params[gid], gate.inputs, stages,
+            cfg.initial.get(gate.output, 0.0), cfg.step, gate.output in last_reader,
+        )
         values[gate.output] = x
-        if gate.output in last_reader:
-            # stage 1 of step k is x_k, so the trajectory less its last point
-            _, ys = _rk4_step(x[:-1], drives, g.alpha, h)
-            stages[gate.output] = (x[:-1].tolist(), *(y.tolist() for y in ys))
+        if gate_stages is not None:
+            stages[gate.output] = gate_stages
         for v in gate.inputs:  # released after their last reader
             if last_reader[v] == i:
                 stages.pop(v, None)
@@ -403,7 +405,7 @@ def verify_combos(
     """
     if tb is None:
         tb = propagate_timing(c)
-    h = step if step is not None else float(c.sim.get("h", DEFAULT_STEP))
+    h = _circuit_step(c, step)
     initial = {v: float(v0) for v, v0 in c.sim.get("initial", {}).items()}
     for combo_bits in itertools.product((LOW, HIGH), repeat=len(c.external_inputs)):
         # built by a call, so that no local of this frame holds the trace
@@ -414,12 +416,8 @@ def _verify_combo(c, params, tb, h, initial, combo_bits):
     """The ``(key, trace, entries)`` of one combination of :func:`verify_combos`."""
     lam, delta = tb.network_lambda, tb.network_delta
     combo = dict(zip(c.external_inputs, combo_bits))
-    cfg = SimConfig(
-        horizon=lam + delta,
-        step=h,
-        initial=initial,
-        inputs={v: (1.0 if combo[v] == HIGH else 0.0) for v in c.external_inputs},
-    )
+    cfg = SimConfig(horizon=lam + delta, step=h, initial=initial,
+                    inputs={v: (1.0 if combo[v] == HIGH else 0.0) for v in c.external_inputs})
     trace = simulate_circuit(c, params, cfg)
     key = ",".join(f"{v}={combo[v]}" for v in c.external_inputs)
     levels = _network_levels(c, combo)
@@ -427,22 +425,10 @@ def _verify_combo(c, params, tb, h, initial, combo_bits):
     for gid, name in c.outputs:
         out_var = c.gates[gid].output
         expected = levels[out_var]
-        row = ExtendedTruthRow(
-            input_levels=combo_bits, output_level=expected, delta=delta, lam=lam
-        )
-        formula = row_formula(
-            row, tuple(c.external_inputs), out_var, c.thresholds
-        )
-        rho = robustness(formula, trace, 0.0)
-        entries.append(
-            VerifyEntry(
-                combo=combo,
-                output=name,
-                expected=expected,
-                formula=formula,
-                robustness=rho,
-            )
-        )
+        row = ExtendedTruthRow(combo_bits, expected, delta, lam)
+        formula = row_formula(row, c.external_inputs, out_var, c.thresholds)
+        entries.append(VerifyEntry(combo=combo, output=name, expected=expected,
+                                   formula=formula, robustness=robustness(formula, trace)))
     return key, trace, tuple(entries)
 
 

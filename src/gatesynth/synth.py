@@ -56,7 +56,7 @@ from .gates import (
     _consequent, check_kinetics, gate_drives,
 )
 from .monitor import robustness
-from .odesim import DEFAULT_STEP, simulate_constant_drive, time_grid
+from .odesim import DEFAULT_STEP, _circuit_step, simulate_constant_drive, time_grid
 from .signals import Signal
 from .worstcase import worst_case
 
@@ -629,24 +629,28 @@ def synthesize_numeric(
     tb: TimingBudget | None = None,
     grid: dict[str, NumericGrid] | None = None,
     params: dict[str, GateParams] | None = None,
-    step: float = DEFAULT_STEP,
+    step: float | None = None,
 ) -> dict[str, NumericGateResult]:
     """Grid-search synthesis: admissible iff every row's worst-case
     output robustness is >= 0.
 
     ``grid`` maps gate id to its K-axis grid; ``params`` supplies the
     fixed n and alpha per gate (alpha defaults to its analytic bound, n
-    to the kind's ``default_n``).  Grid points are independent; results
-    are merged in grid order.  Raises ``ValueError`` for a gate id in
-    ``grid`` that is not in the circuit.
+    to the kind's ``default_n``).  ``step`` defaults to the circuit's
+    ``sim.h``, then to 0.01, as in :func:`odesim.verify`.  Grid points are
+    independent; results are merged in grid order.  Raises ``ValueError``
+    for a gate id in ``grid`` or ``params`` that is not in the circuit, and
+    for parameters of another gate kind.
     """
     if tb is None:
         tb = propagate_timing(c)
     if not grid:
         raise ValueError("empty grid specification")
-    unknown = sorted(grid.keys() - c.gates.keys())
-    if unknown:
-        raise ValueError(f"grid names gate ids not in the circuit: {unknown}")
+    for what, ids in (("grid", grid), ("params", params or {})):
+        unknown = sorted(ids.keys() - c.gates.keys())
+        if unknown:
+            raise ValueError(f"{what} names gate ids not in the circuit: {unknown}")
+    step = _circuit_step(c, step)
     results = {}
     for gid, gspec in grid.items():
         gc = GateContract.of(c, tb, gid)
@@ -656,6 +660,9 @@ def synthesize_numeric(
             )
         pts = gspec.points()
         base = params.get(gid) if params else None
+        if base and base.kind is not gc.kind:
+            raise ValueError(f"gate {gid!r} is {gc.kind.value}, "
+                             f"but its parameters are for {base.kind.value}")
         n_g = base.n if base else GATE_RULES[gc.kind].default_n
         alpha = base.alpha if base else gc.alpha_min
         valid = (pts > 0).all(axis=1) & (pts <= K_MAX).all(axis=1)

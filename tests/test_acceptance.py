@@ -179,8 +179,8 @@ def test_criterion_5_monitor_correctness(rng):
 def test_criterion_6_integrator_fidelity():
     with criterion(6, "integrator fidelity"):
         g = GateParams(GateKind.AND, n=4, alpha=0.9222, hill_k=(0.40, 0.40))
-        cfg = SimConfig(horizon=16.0, step=0.01)
-        s = simulate_gate(g, (0.75, 0.75), x0=0.0, cfg=cfg)
+        cfg = SimConfig(horizon=16.0, step=0.01, inputs={"u1": 0.75, "u2": 0.75})
+        s = simulate_gate(g, cfg)
         drive = gate_drive(g, (0.75, 0.75))
         exact = closed_form(drive, g.alpha, 0.0, s.times)
         assert np.max(np.abs(s.values["x"] - exact)) < 1e-6

@@ -296,6 +296,57 @@ class TestOffGridBounds:
                     robustness(f, s, float(t))
 
 
+
+class TestWindowBoundsNearTheGrid:
+    """A window bound within 1e-9 of a sample, in time, covers that sample
+    in all three monitors, whatever the step: the fast monitor widens its
+    index offsets by the same 1e-9 in time that the reference monitors'
+    window rule does, not by 1e-9 of a step."""
+
+    OFFSETS = (0.0, 1e-12, -1e-12, 1e-10, -1e-10, 5e-10, -5e-10, 2e-9, -2e-9)
+
+    def monitors_agree(self, f, s, t):
+        try:
+            fast = robustness(f, s, t)
+        except HorizonError:
+            with pytest.raises(HorizonError):
+                robustness_naive(f, s, t)
+            with pytest.raises(HorizonError):
+                eval_boolean(f, s, t)
+            return
+        assert robustness_naive(f, s, t) == fast
+        assert eval_boolean(f, s, t) is (fast >= 0.0)  # |rho| = 0.5 here
+
+    def test_reproduction(self):
+        # x = 0 only at t = 0.35 and 0.5, each within 1e-10 of a bound
+        x = np.ones(101)
+        x[[35, 50]] = 0.0
+        s = Signal(times=np.arange(101) * 0.01, values={"x": x})
+        for text in ("G[0.4,0.4999999999](x >= 0.5)", "G[0.3500000001,0.45](x >= 0.5)"):
+            f = parse(text)
+            assert robustness(f, s) == robustness_naive(f, s) == -0.5
+            assert not eval_boolean(f, s)
+
+    def test_seeded_sweep(self):
+        # 6,000 windows with bounds on a sample or up to 2e-9 off it, on
+        # four steps, for F, G and Until, at t = 0 and at a later sample
+        rng = np.random.default_rng(28)
+        atom_x, atom_y = Atom("x", ">=", 0.5), Atom("y", ">=", 0.5)
+        ops = (lambda lo, hi: Globally(lo, hi, atom_x),
+               lambda lo, hi: Eventually(lo, hi, atom_x),
+               lambda lo, hi: Until(lo, hi, atom_x, atom_y))
+        for h in (0.01, 0.05, 0.1, 0.25):
+            s = Signal(times=np.arange(40) * h,
+                       values={v: rng.choice([0.0, 1.0], 40) for v in ("x", "y")})
+            for _ in range(250):
+                a = int(rng.integers(0, 10))
+                b = a + int(rng.integers(1, 10))
+                lo = max(a * h + float(rng.choice(self.OFFSETS)), 0.0)
+                hi = b * h + float(rng.choice(self.OFFSETS))
+                for op in ops:
+                    for t in (0.0, float(s.times[rng.integers(1, 20)])):
+                        self.monitors_agree(op(lo, hi), s, t)
+
 def sliding_window_oracle(arr, ia, ib, reduce):
     """The O(T*w) reduction over every full window, as a reference."""
     return reduce(sliding_window_view(arr, ib - ia + 1), axis=1)[ia:]

@@ -127,91 +127,116 @@ class TestSimConfigInputs:
             SimConfig(horizon=1.0, initial={"xD": x0})
 
 
+def gate_config(horizon, step, **inputs):
+    """A ``SimConfig`` whose ``inputs`` are the keyword programs, in order."""
+    return SimConfig(horizon=horizon, step=step, inputs=inputs)
+
+
 class TestSimulateGate:
     def test_matches_closed_form(self):
         g = and_gate()
-        cfg = SimConfig(horizon=16.0, step=0.01)
-        s = simulate_gate(g, (0.75, 0.75), x0=0.0, cfg=cfg)
+        cfg = gate_config(16.0, 0.01, u1=0.75, u2=0.75)
+        s = simulate_gate(g, cfg)
         drive = gate_drive(g, (0.75, 0.75))
         exact = closed_form(drive, g.alpha, 0.0, s.times)
         assert np.max(np.abs(s.values["x"] - exact)) < 1e-6
 
     def test_crosses_threshold_before_delta(self):
-        cfg = SimConfig(horizon=16.0, step=0.01)
-        s = simulate_gate(and_gate(), (0.75, 0.75), x0=0.0, cfg=cfg)
+        s = simulate_gate(and_gate(), gate_config(16.0, 0.01, u1=0.75, u2=0.75))
         assert s.sample_at("x", 4.0) >= 0.75
 
     def test_equilibrium_is_constant(self):
         g = and_gate()
         drive = gate_drive(g, (0.75, 0.75))
-        cfg = SimConfig(horizon=5.0, step=0.01)
-        s = simulate_gate(g, (0.75, 0.75), x0=drive, cfg=cfg)
+        cfg = SimConfig(horizon=5.0, step=0.01, initial={"x": drive},
+                        inputs={"u1": 0.75, "u2": 0.75})
+        s = simulate_gate(g, cfg)
         assert np.max(np.abs(s.values["x"] - drive)) < 1e-9
 
     def test_fast_relaxation(self):
         g = and_gate(alpha=100.0)
         drive = gate_drive(g, (0.75, 0.75))
-        cfg = SimConfig(horizon=0.5, step=0.001)
-        s = simulate_gate(g, (0.75, 0.75), x0=0.0, cfg=cfg)
+        s = simulate_gate(g, gate_config(0.5, 0.001, u1=0.75, u2=0.75))
         assert abs(s.sample_at("x", 0.1) - drive) < 1e-3
 
     def test_inputs_in_trace(self):
-        cfg = SimConfig(horizon=1.0, step=0.1)
-        s = simulate_gate(and_gate(), (0.6, 0.7), x0=0.0, cfg=cfg)
+        s = simulate_gate(and_gate(), gate_config(1.0, 0.1, u1=0.6, u2=0.7))
         assert np.all(s.values["u1"] == 0.6) and np.all(s.values["u2"] == 0.7)
 
     @pytest.mark.parametrize("input_vars,output_var,match", [
         (("a",), "x", "input name"),
         (("a", "b", "c"), "x", "input name"),
-        (("a", "a"), "x", "distinct"),
         (("u1", "u2"), "u1", "also an input"),
     ])
     def test_bad_names_rejected(self, input_vars, output_var, match):
-        cfg = SimConfig(horizon=1.0, step=0.1)
+        cfg = gate_config(1.0, 0.1, **dict.fromkeys(input_vars, 0.6))
         with pytest.raises(ValueError, match=match):
-            simulate_gate(and_gate(), (0.6, 0.7), 0.0, cfg,
-                          input_vars=input_vars, output_var=output_var)
+            simulate_gate(and_gate(), cfg, output_var=output_var)
 
     def test_named_not_gate(self):
         g = GateParams(GateKind.NOT, n=3, alpha=1.0, hill_k=(0.4,))
-        s = simulate_gate(g, (0.2,), 0.0, SimConfig(horizon=1.0, step=0.1),
-                          input_vars=["B"], output_var="xD")
+        s = simulate_gate(g, gate_config(1.0, 0.1, B=0.2), output_var="xD")
         assert set(s.values) == {"B", "xD"}
 
     @pytest.mark.parametrize("levels", [(0.6,), (0.6, 0.7, 0.8)])
     def test_wrong_number_of_levels_rejected(self, levels):
-        cfg = SimConfig(horizon=1.0, step=0.1)
+        cfg = gate_config(1.0, 0.1, **{f"u{i}": lvl for i, lvl in enumerate(levels)})
         with pytest.raises(ValueError, match=r"AND gate takes 2 input\(s\)$"):
-            simulate_gate(and_gate(), levels, 0.0, cfg)
+            simulate_gate(and_gate(), cfg)
 
     @pytest.mark.parametrize("level", [-0.5, float("nan"), float("inf")])
     def test_bad_input_level_rejected(self, level):
-        # a negative level to a non-integer n makes a complex drive
+        # a negative level to a non-integer n makes a complex drive; the
+        # config refuses it before any gate reads it
         g = GateParams(GateKind.NOT, n=2.5, alpha=1.0, hill_k=(0.4,))
-        cfg = SimConfig(horizon=1.0, step=0.1)
         with pytest.raises(ValueError, match="input levels of 'u'"):
-            simulate_gate(g, (level,), 0.0, cfg)
+            simulate_gate(g, gate_config(1.0, 0.1, u=level))
         with pytest.raises(ValueError, match="input levels of 'u2'"):
-            simulate_gate(and_gate(), (0.5, level), 0.0, cfg)
+            simulate_gate(and_gate(), gate_config(1.0, 0.1, u1=0.5, u2=level))
 
     @pytest.mark.parametrize("x0", [-0.3, float("nan"), float("inf")])
     def test_bad_initial_value_rejected(self, x0):
         # x0 = -0.3 would start the trajectory below 0
-        cfg = SimConfig(horizon=1.0, step=0.1)
         with pytest.raises(ValueError, match="initial value of 'x'"):
-            simulate_gate(and_gate(), (0.6, 0.7), x0, cfg)
+            simulate_gate(and_gate(), SimConfig(horizon=1.0, step=0.1, initial={"x": x0},
+                                                inputs={"u1": 0.6, "u2": 0.7}))
 
-    @pytest.mark.parametrize("fields,match", [
-        ({"inputs": {"u": 0.0}}, "cfg.inputs would be ignored"),
-        ({"initial": {"x": 0.9}}, "cfg.initial would be ignored"),
-        ({"inputs": {"u": 0.0}, "initial": {"x": 0.9}}, "cfg.inputs and cfg.initial"),
-    ])
-    def test_config_inputs_and_initial_rejected(self, fields, match):
-        # they were dropped: this simulated u = 1 from x = 0
+    def test_initial_value_of_another_variable_rejected(self):
+        cfg = SimConfig(horizon=1.0, step=0.1, initial={"y": 0.9}, inputs={"u": 1.0})
         g = GateParams(GateKind.NOT, n=3, alpha=1.0, hill_k=(0.45,))
-        cfg = SimConfig(horizon=2.0, step=0.5, **fields)
-        with pytest.raises(ValueError, match=match):
-            simulate_gate(g, (1.0,), 0.0, cfg)
+        with pytest.raises(ValueError, match=r"initial values for no gate output: \['y'\]"):
+            simulate_gate(g, cfg)
+
+    def test_initial_value_and_breakpoint_program(self):
+        # a NOT gate from x = 0.9 whose input falls from 1 to 0 at t = 1
+        g = GateParams(GateKind.NOT, n=3, alpha=1.0, hill_k=(0.45,))
+        cfg = SimConfig(horizon=2.0, step=0.5, initial={"x": 0.9},
+                        inputs={"u": [(0.0, 1.0), (1.0, 0.0)]})
+        s = simulate_gate(g, cfg)
+        assert s.values["u"].tolist() == [1.0, 1.0, 0.0, 0.0, 0.0]
+        x = s.values["x"]
+        assert x[0] == 0.9 and x[0] > x[1] > x[2] < x[3] < x[4]
+
+    @pytest.mark.parametrize("kind,programs", [
+        (GateKind.AND, {"u1": 0.75, "u2": 1.0}),
+        (GateKind.OR, {"u1": [(0.0, 0.0), (0.73, 0.9), (1.5, 0.2)], "u2": 0.1}),
+        (GateKind.NOT, {"u": [(0.0, 1.0), (0.5, 0.0), (0.925, 0.6)]}),
+    ])
+    @pytest.mark.parametrize("x0", [0.0, 0.8])
+    def test_equals_one_gate_circuit(self, kind, programs, x0):
+        # one integrator: the trace of a one-gate circuit, bit for bit
+        th = {v: TH for v in (*programs, "x")}
+        c = Circuit(gates={"M": Gate("M", kind, tuple(programs), "x")},
+                    external_inputs=tuple(programs), outputs=(("M", "out"),),
+                    thresholds=th, delta=1.0, lam=1.0)
+        g = GateParams(kind, n=3.5, alpha=2.0, hill_k=(0.4,) * kind.arity)
+        cfg = SimConfig(horizon=2.0, step=0.01, initial={"x": x0}, inputs=programs)
+        want = simulate_circuit(c, {"M": g}, cfg)
+        got = simulate_gate(g, cfg)
+        assert np.array_equal(got.times, want.times)
+        assert list(got.values) == list(want.values)
+        for v, values in want.values.items():
+            assert np.array_equal(got.values[v], values), v
 
 
 def _stage_loop(drive, alpha, x, h, n_steps):
@@ -308,9 +333,10 @@ class TestIntegrator:
 
     def test_determinism(self):
         g = and_gate()
-        cfg = SimConfig(horizon=8.0, step=0.01)
-        a = simulate_gate(g, (0.7, 0.7), 0.1, cfg)
-        b = simulate_gate(g, (0.7, 0.7), 0.1, cfg)
+        cfg = SimConfig(horizon=8.0, step=0.01, initial={"x": 0.1},
+                        inputs={"u1": 0.7, "u2": 0.7})
+        a = simulate_gate(g, cfg)
+        b = simulate_gate(g, cfg)
         assert np.array_equal(a.values["x"], b.values["x"])
 
 
@@ -428,12 +454,9 @@ class TestVerify:
         # cross-check the (high, high) row against a direct single-gate run
         entry = [e for e in report.entries
                  if e.combo == {"u1": "high", "u2": "high"}][0]
-        cfg = SimConfig(horizon=8.0, step=0.01)
-        s = simulate_gate(params["M"], (1.0, 1.0), 0.0, cfg,
-                          input_vars=("u1", "u2"), output_var="x")
-        assert entry.robustness == pytest.approx(
-            robustness(entry.formula, s), abs=1e-9
-        )
+        cfg = SimConfig(horizon=8.0, step=0.01, inputs={"u1": 1.0, "u2": 1.0})
+        s = simulate_gate(params["M"], cfg, output_var="x")
+        assert entry.robustness == robustness(entry.formula, s)
 
 
 def _combo_config(c, tb, key, step=0.01):

@@ -738,6 +738,36 @@ class TestSynthesizeNumeric:
         with pytest.raises(ValueError, match=r"not in the circuit: \['Y', 'ZZ'\]"):
             synthesize_numeric(self._single_and(), None, grid)
 
+    def test_unknown_gate_in_params_rejected_before_simulating(self, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before checking the gate ids")
+
+        monkeypatch.setattr(synth, "simulate_constant_drive", no_simulation)
+        grid = {"M": NumericGrid(axes={"K1": (0.3, 0.45, 3), "K2": (0.3, 0.45, 3)})}
+        g = GateParams(GateKind.AND, n=4, alpha=1.0, hill_k=(0.4, 0.4))
+        with pytest.raises(ValueError, match=r"params names gate ids not in the circuit: \['ZZ'\]"):
+            synthesize_numeric(self._single_and(), None, grid, {"M": g, "ZZ": g})
+
+    def test_parameters_of_another_kind_rejected(self):
+        # they were used for their n and alpha, their kind ignored
+        grid = {"M": NumericGrid(axes={"K1": (0.3, 0.45, 3), "K2": (0.3, 0.45, 3)})}
+        g = GateParams(GateKind.OR, n=4, alpha=1.0, hill_k=(0.4, 0.4))
+        with pytest.raises(ValueError, match="gate 'M' is AND, but its parameters are for OR"):
+            synthesize_numeric(self._single_and(), None, grid, {"M": g})
+
+    def test_step_defaults_to_the_circuit_h(self):
+        # as in verify: the circuit's sim.h, else 0.01
+        grid = {"M": NumericGrid(axes={"K1": (0.3, 0.45, 4), "K2": (0.3, 0.45, 4)})}
+        plain = self._single_and()
+        coarse = dataclasses.replace(plain, sim={"h": 0.25})
+
+        def rho(c, **step):
+            return synthesize_numeric(c, grid=grid, **step)["M"].min_robustness.tolist()
+
+        assert rho(plain) == rho(plain, step=0.01)
+        assert rho(coarse) == rho(plain, step=0.25) != rho(plain)
+        assert rho(coarse, step=0.01) == rho(plain)
+
     @pytest.mark.parametrize("axes", [{"K1": (0.3, 0.45, 3)},
                                       {f"K{i}": (0.3, 0.45, 3) for i in (1, 2, 3)}])
     def test_wrong_number_of_axes_rejected(self, axes):
