@@ -28,7 +28,7 @@ import numbers
 from dataclasses import dataclass, field
 
 from .formulas import Atom, Eventually, Formula, Globally, Implies, _is_variable
-from .gates import GateKind, Thresholds, _check_finite_positive, _check_initial
+from .gates import GateKind, GateParams, Thresholds, _check_finite_positive, _check_initial
 
 __all__ = [
     "Gate", "Circuit", "TimingBudget", "WiringCheck", "GraphError", "CycleError",
@@ -41,9 +41,9 @@ def _is_number(x) -> bool:  # JSON's true and false load as bools
 
 
 class GraphError(ValueError):
-    """Malformed wiring: a cycle, an undefined variable, a variable that
-    two gates write, a gate output that shadows an external input, a
-    repeated external input, or a gate off every input-to-output path."""
+    """Malformed wiring: a cycle, an undefined variable, a variable two
+    gates write, a gate output shadowing an external input, a repeated
+    external input or gate id, or a gate off every input-to-output path."""
 
 
 class CycleError(GraphError):
@@ -106,6 +106,8 @@ class Circuit:
             # a gate id names output files and is a `synth --n` key
             if not (isinstance(gid, str) and gid.isidentifier()):
                 raise ValueError(f"gate id {gid!r} is not an identifier")
+            if g.id != gid:  # to_dict writes g.id
+                raise ValueError(f"gate {gid!r} holds a gate with id {g.id!r}")
             other = produced.setdefault(g.output, gid)
             if other != gid:
                 raise GraphError(f"variable {g.output!r} is written by gates {other!r} and {gid!r}")
@@ -122,6 +124,9 @@ class Circuit:
                 raise ValueError(f"network output references unknown gate {gid!r}")
         if not self.outputs:
             raise ValueError("circuit needs at least one network output")
+        names = [name for _, name in self.outputs]
+        if len(set(names)) != len(names):
+            raise ValueError(f"repeated network output name: {names}")
         for var in self.variables():
             if not _is_variable(var):
                 raise ValueError(
@@ -142,11 +147,39 @@ class Circuit:
         initial = self.sim.get("initial", {})
         if not (isinstance(initial, dict) and all(map(_is_number, initial.values()))):
             raise ValueError(f"sim initial must be an object of numbers, got {initial!r}")
-        unknown = set(initial) - set(produced)
-        if unknown:
-            raise ValueError(f"initial values for no gate output: {sorted(unknown)}")
+        self.check_initial(initial)
         for var, x0 in initial.items():
             _check_initial(var, x0)
+
+    def check_params(self, params: dict, every: bool = True) -> None:
+        """``ValueError`` unless ``params`` names gates of this circuit, every
+        one if ``every``, each :class:`GateParams` value of its gate's kind."""
+        unknown = sorted(params.keys() - self.gates.keys())
+        if unknown:
+            raise ValueError(f"gate ids not in the circuit: {unknown}")
+        missing = sorted(self.gates.keys() - params.keys())
+        if every and missing:
+            raise ValueError(f"no parameters for gates: {missing}")
+        for gid, p in params.items():
+            kind = self.gates[gid].kind
+            if isinstance(p, GateParams) and p.kind is not kind:
+                raise ValueError(f"gate {gid!r} is {kind.value}, "
+                                 f"but its parameters are for {p.kind.value}")
+
+    def check_inputs(self, programs: dict) -> None:
+        """``ValueError`` unless ``programs`` names each external input, no other."""
+        unknown = sorted(programs.keys() - set(self.external_inputs))
+        if unknown:
+            raise ValueError(f"input programs for no external input: {unknown}")
+        missing = [v for v in self.external_inputs if v not in programs]
+        if missing:
+            raise ValueError(f"no input program for external inputs: {missing}")
+
+    def check_initial(self, initial: dict) -> None:
+        """``ValueError`` unless every name in ``initial`` is a gate output."""
+        unknown = sorted(initial.keys() - self._producer.keys())
+        if unknown:
+            raise ValueError(f"initial values for no gate output: {unknown}")
 
     def variables(self) -> list[str]:
         return list(self.external_inputs) + [g.output for g in self.gates.values()]
@@ -222,15 +255,12 @@ class Circuit:
         """The circuit of a circuit file's JSON data.  Each ``timing`` value
         must be a number and ``sim`` an object: ``float()`` and ``dict()``
         would take ``true``, ``"12"`` or a list of pairs."""
-        gates = {
-            g["id"]: Gate(
-                id=g["id"],
-                kind=GateKind(g["kind"].upper()),
-                inputs=tuple(g["inputs"]),
-                output=g["output"],
-            )
-            for g in data["gates"]
-        }
+        gates = {}
+        for g in data["gates"]:
+            if g["id"] in gates:
+                raise GraphError(f"repeated gate id: {g['id']!r}")
+            gates[g["id"]] = Gate(id=g["id"], kind=GateKind(g["kind"].upper()),
+                                  inputs=tuple(g["inputs"]), output=g["output"])
         thresholds = {
             var: Thresholds(
                 plus=spec["plus"], minus=spec["minus"], p=spec.get("p", 0.1)

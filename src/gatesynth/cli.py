@@ -13,10 +13,11 @@ one ``error: ...`` line on stderr:
 
 0  success
 1  a bad argument (argparse), or a ``ValueError``, ``OSError`` or
-   ``UnknownVariableError`` from the library or a file loader
+   ``UnknownVariableError`` from the library or a file loader, such as
+   a params file or ``sim.initial`` naming what the circuit does not have
 2  a ``GraphError``: a cycle, an undefined variable, a variable written
    by two gates, a gate output that shadows an external input, a
-   repeated external input, a gate off every input-to-output path
+   repeated external input or gate id, a gate off every input-to-output path
 3  an ``EmptyRegionError``: a gate with no region (``synth.gate_regions``)
 4  ``verify`` ran and some row failed its contract
 
@@ -209,22 +210,14 @@ def _load_params(path: str, c: Circuit) -> dict[str, GateParams]:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ValueError(f"expected a JSON object, got {type(raw).__name__}")
-        unknown = sorted(raw.keys() - c.gates.keys())
-        if unknown:
-            raise ValueError(f"gate ids not in the circuit: {unknown}")
-        for gid, g in c.gates.items():
-            if gid not in raw:
-                raise ValueError(f"no parameters for gate {gid!r}")
-            where, spec = f" gate {gid!r}:", raw[gid]
+        c.check_params(raw)
+        for gid, spec in raw.items():
+            where = f" gate {gid!r}:"
             n, alpha, ks = spec["n"], spec["alpha"], spec["k"]
             if not all(map(_is_number, (n, alpha, *ks))):
                 raise ValueError(f"n, alpha and each k must be numbers, got {spec!r}")
-            params[gid] = GateParams(
-                kind=g.kind,
-                n=float(n),
-                alpha=float(alpha),
-                hill_k=tuple(float(k) for k in ks),
-            )
+            params[gid] = GateParams(kind=c.gates[gid].kind, n=float(n), alpha=float(alpha),
+                                     hill_k=tuple(float(k) for k in ks))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad params file {path}:{where} {exc}") from None
     return params

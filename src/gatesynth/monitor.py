@@ -204,13 +204,13 @@ def _check_horizon(f: Formula, s: Signal, t: float) -> None:
 def robustness(f: Formula, s: Signal, t: float = 0.0) -> float:
     """Quantitative satisfaction degree of ``f`` on ``s`` at time ``t``.
 
-    ``t`` must be a sample point of the trace.  Falls back to the naive
-    evaluator on non-uniform grids.
+    ``t`` must be a sample point of the trace, else ``OutOfRangeError``.
+    Falls back to the naive evaluator on non-uniform grids.
     """
     _check_horizon(f, s, t)
+    i = s.index_of(t)
     if not s.is_uniform():
         return robustness_naive(f, s, t)
-    i = s.index_of(t)
     arr = robustness_signal(f, s)
     if i >= len(arr):
         raise HorizonError(f"robustness of {f} undefined at t={t}")

@@ -48,7 +48,7 @@ from .monitor import robustness
 from .signals import Signal
 
 __all__ = [
-    "SimConfig", "schedule_value", "time_grid", "simulate_gate", "simulate_circuit",
+    "SimConfig", "time_grid", "simulate_gate", "simulate_circuit",
     "simulate_constant_drive", "verify", "verify_combos", "VerifyReport", "VerifyEntry",
     "RK4_STABILITY_LIMIT",
 ]
@@ -98,12 +98,12 @@ def _program(var, schedule) -> tuple[np.ndarray, np.ndarray]:
     else:
         points = list(schedule)
         if not points:
-            raise ValueError(f"input program of {var!r} is empty")
+            raise ValueError(f"the program of input {var!r} is empty")
         starts = np.array([float(t0) for t0, _ in points])
         levels = np.array([float(lvl) for _, lvl in points])
         if starts[0] != 0.0:
             raise ValueError(
-                f"input program of {var!r} must start at t=0, not t={starts[0]}"
+                f"the program of input {var!r} must start at t=0, not t={starts[0]}"
             )
         if not np.all(starts[:-1] < starts[1:]):
             raise ValueError(
@@ -117,21 +117,13 @@ def _program(var, schedule) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _levels_at(program: tuple[np.ndarray, np.ndarray], times: np.ndarray) -> np.ndarray:
-    """Levels of a :func:`_program` at each of ``times``.
+    """Levels of a :func:`_program` at each of ``times``, all >= 0.
 
     A level starts to hold at t >= t0 - 1e-12, so a time that misses its
     breakpoint by rounding still sees the new level.
     """
-    starts, levels = program
-    i = np.searchsorted(starts - 1e-12, times, side="right") - 1
-    if np.any(i < 0):
-        raise ValueError(f"input program undefined at t={times[i < 0][0]}")
-    return levels[i]
-
-
-def schedule_value(schedule, t: float) -> float:
-    """Level of an input program (see :class:`SimConfig`) at time t."""
-    return float(_levels_at(_program("schedule", schedule), np.array([float(t)]))[0])
+    starts, levels = program  # starts[0] is 0, so every index is >= 0
+    return levels[np.searchsorted(starts - 1e-12, times, side="right") - 1]
 
 
 def _circuit_step(c: Circuit, step: float | None) -> float:
@@ -164,9 +156,8 @@ def simulate_gate(g: GateParams, cfg: SimConfig, output_var: str = "x") -> Signa
                          f"{g.kind.value} gate takes {g.kind.arity} input(s)")
     if output_var in names:
         raise ValueError(f"output name {output_var!r} is also an input name")
-    unknown = set(cfg.initial) - {output_var}
-    if unknown:
-        raise ValueError(f"initial values for no gate output: {sorted(unknown)}")
+    if set(cfg.initial) - {output_var}:
+        raise ValueError(f"cfg.initial may name only {output_var!r}, not {sorted(cfg.initial)}")
     times = time_grid(cfg.horizon, cfg.step)
     values, stages = _input_stages(cfg, names, times)
     x0 = cfg.initial.get(output_var, 0.0)
@@ -302,24 +293,14 @@ def simulate_circuit(
     t + h/2 and t + h.  Trajectories agree with stepping all gates together within 1e-12; near
     :data:`RK4_STABILITY_LIMIT` they drift from exact RK4 by about k*4e-17
     at step k, so up to about 25,000 steps there.  Raises ``ValueError``
-    if a gate's alpha*h exceeds the limit, if ``cfg.initial`` names a
-    variable that is no gate output, or if a gate with non-integer n reads
-    a stage value below 0 (an upstream overshoot at alpha*h > 2, or an
-    input breakpoint inside a step), whose Hill term is complex.
+    if ``params``, ``cfg.inputs`` or ``cfg.initial`` fails its check by
+    ``c``, if a gate's alpha*h exceeds the limit, or if a gate with
+    non-integer n reads a stage value below 0 (an upstream overshoot at
+    alpha*h > 2, or an input breakpoint inside a step): a complex Hill term.
     """
-    missing = set(c.gates) - set(params)
-    if missing:
-        raise ValueError(f"no parameters for gates: {sorted(missing)}")
-    for gid, gate in c.gates.items():
-        if params[gid].kind is not gate.kind:
-            raise ValueError(f"gate {gid!r} is {gate.kind.value}, "
-                             f"but its parameters are for {params[gid].kind.value}")
-    for var in c.external_inputs:
-        if var not in cfg.inputs:
-            raise ValueError(f"no input program for external input {var!r}")
-    unknown = set(cfg.initial) - {g.output for g in c.gates.values()}
-    if unknown:
-        raise ValueError(f"initial values for no gate output: {sorted(unknown)}")
+    c.check_params(params)
+    c.check_inputs(cfg.inputs)
+    c.check_initial(cfg.initial)
 
     times = time_grid(cfg.horizon, cfg.step)
     # per signal still to be read, its values at the four RK4 stages of

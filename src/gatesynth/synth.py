@@ -105,8 +105,8 @@ class ParamBox:
             inside &= (lo <= col) & (col <= hi)
         return inside, np.array(["box", ""], dtype=object)[inside.view(np.uint8)].tolist()
 
-    def contains(self, point: dict[str, float]) -> bool:
-        return bool(self.judge([[point[a] for a in self.intervals]])[0][0])
+    def contains(self, point) -> bool:
+        return bool(self.judge([point])[0][0])
 
     def to_dict(self) -> dict:
         return {a: [lo, hi] for a, (lo, hi) in self.intervals.items()}
@@ -505,9 +505,7 @@ def synthesize_circuit(
     :class:`EmptyRegionError` when a gate has no region.
     """
     n = dict(n or {})
-    unknown = sorted(n.keys() - c.gates.keys())
-    if unknown:
-        raise ValueError(f"n names gate ids not in the circuit: {unknown}")
+    c.check_params(n, every=False)
     if tb is None:
         tb = propagate_timing(c)
     results = {}
@@ -646,10 +644,9 @@ def synthesize_numeric(
         tb = propagate_timing(c)
     if not grid:
         raise ValueError("empty grid specification")
-    for what, ids in (("grid", grid), ("params", params or {})):
-        unknown = sorted(ids.keys() - c.gates.keys())
-        if unknown:
-            raise ValueError(f"{what} names gate ids not in the circuit: {unknown}")
+    params = params or {}
+    c.check_params(grid, every=False)
+    c.check_params(params, every=False)
     step = _circuit_step(c, step)
     results = {}
     for gid, gspec in grid.items():
@@ -659,10 +656,7 @@ def synthesize_numeric(
                 f"gate {gid!r} needs {gc.kind.arity} grid axis(es), got {len(gspec.axes)}"
             )
         pts = gspec.points()
-        base = params.get(gid) if params else None
-        if base and base.kind is not gc.kind:
-            raise ValueError(f"gate {gid!r} is {gc.kind.value}, "
-                             f"but its parameters are for {base.kind.value}")
+        base = params.get(gid)
         n_g = base.n if base else GATE_RULES[gc.kind].default_n
         alpha = base.alpha if base else gc.alpha_min
         valid = (pts > 0).all(axis=1) & (pts <= K_MAX).all(axis=1)

@@ -136,7 +136,7 @@ def test_criterion_4_region_soundness():
                             if in_region:
                                 inside.append((k1, k2))
                             # Method 1 box inside Method 2 region, always
-                            if box.contains({"K1": k1, "K2": k2}):
+                            if box.contains((k1, k2)):
                                 assert in_region, (kind, th.plus, k1, k2)
                 assert len(inside) > 50, "too few interior grid points"
                 contract = GateContract(kind, (th, th, th), delta, lam)

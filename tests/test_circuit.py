@@ -228,6 +228,8 @@ class TestValidation:
     @pytest.mark.parametrize("outputs,match", [
         ((("Z", "out"),), "network output references unknown gate 'Z'"),
         ((), "needs at least one network output"),
+        # a repeated pair doubled verify's entries for that output
+        ((("M", "out"), ("M", "out")), r"repeated network output name: \['out', 'out'\]"),
     ])
     def test_bad_outputs_rejected(self, outputs, match):
         with pytest.raises(ValueError, match=match) as info:
@@ -331,6 +333,20 @@ class TestValidation:
                 delta=4.0,
                 lam=4.0,
             )
+
+    def test_repeated_gate_id_in_a_file_rejected(self):
+        # the last gate of an id replaced the first: 6 of 7 gates, C an OR
+        data = json.loads(Path("circuits/half_adder.json").read_text())
+        data["gates"].append({"id": "C", "kind": "OR", "inputs": ["A", "B"], "output": "xC"})
+        with pytest.raises(GraphError, match="repeated gate id: 'C'"):
+            Circuit.from_dict(data)
+
+    def test_gate_under_another_id_rejected(self):
+        # to_dict writes the gate's own id, so a round trip renamed it
+        with pytest.raises(ValueError, match="gate 'M' holds a gate with id 'N'"):
+            Circuit(gates={"M": Gate("N", GateKind.NOT, ("u",), "x")},
+                    external_inputs=("u",), outputs=(("M", "out"),),
+                    thresholds=thresholds("u", "x"), delta=4.0, lam=4.0)
 
     def test_repeated_external_input_rejected(self):
         with pytest.raises(GraphError, match="repeated external input"):

@@ -560,6 +560,14 @@ BAD_CIRCUITS = {
                       1, "timing lambda must be a number, got '12'"),
     "sim-pairs": (edited_half_adder(lambda d: d.update(sim=[["h", 0.05]])),
                   1, "sim must be an object, got [['h', 0.05]]"),
+    # the last gate of an id replaced the first, and timing exited 0
+    "repeated-gate-id": (
+        edited_half_adder(lambda d: d["gates"].append(
+            {"id": "C", "kind": "OR", "inputs": ["A", "B"], "output": "xC"})),
+        2, "repeated gate id: 'C'"),
+    "repeated-output-name": (
+        edited_half_adder(lambda d: d["outputs"][1].update(name="sum")),
+        1, "repeated network output name: ['sum', 'sum']"),
 }
 
 

@@ -14,7 +14,7 @@ from gatesynth.monitor import (
     HorizonError, _sliding, _until, eval_boolean, robustness, robustness_naive,
     robustness_signal,
 )
-from gatesynth.signals import Signal
+from gatesynth.signals import OutOfRangeError, Signal
 
 from conftest import random_formula, random_signal
 
@@ -125,6 +125,15 @@ class TestDifferential:
         s = Signal(times=times, values={"x": np.array([0.1, 0.6, 0.7, 0.2, 0.9])})
         f = parse("F[0,2](x >= 0.5)")
         assert robustness(f, s) == robustness_naive(f, s)
+
+    @pytest.mark.parametrize("t3", [0.3, 0.31], ids=["uniform", "non-uniform"])
+    def test_time_off_the_samples_rejected(self, t3):
+        # the non-uniform trace answered -0.45, interpolated by the fallback
+        times = np.arange(21) * 0.1
+        times[3] = t3
+        s = Signal(times=times, values={"x": times.copy()})
+        with pytest.raises(OutOfRangeError, match="not a sample point"):
+            robustness(parse("x >= 0.5"), s, 0.05)
 
 
 class TestNaNSamples:

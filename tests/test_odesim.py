@@ -17,7 +17,7 @@ from gatesynth.gates import (
 from gatesynth.formulas import parse
 from gatesynth.monitor import robustness
 from gatesynth.odesim import (
-    RK4_STABILITY_LIMIT, SimConfig, schedule_value, simulate_circuit,
+    RK4_STABILITY_LIMIT, SimConfig, simulate_circuit,
     simulate_constant_drive, simulate_gate, time_grid, verify, verify_combos,
 )
 from gatesynth.synth import alpha_bound, synthesize_circuit
@@ -34,8 +34,8 @@ def and_gate(alpha=0.9222, k=(0.40, 0.40), n=4):
 
 
 def _scan_level(schedule, t):
-    """The linear-scan ``schedule_value`` that the ``searchsorted`` lookup
-    replaced, kept as an independent oracle: a level holds from t0 - 1e-12."""
+    """A linear scan over an input program, kept as an oracle independent
+    of the simulator's ``searchsorted`` lookup: a level holds from t0 - 1e-12."""
     if isinstance(schedule, (int, float)):
         return float(schedule)
     value = None
@@ -47,31 +47,45 @@ def _scan_level(schedule, t):
     return float(value)
 
 
+# slow enough that alpha*step stays below the RK4 limit at every step used here
+SLOW_NOT = GateParams(GateKind.NOT, n=2, alpha=1e-3, hill_k=(0.5,))
+
+
+def level_at(program, t):
+    """The level ``simulate_gate`` reads from ``program`` at time t >= 0: a
+    one-step run of horizon and step t samples it at t, and t = 0 is the
+    first sample of any run."""
+    s = simulate_gate(SLOW_NOT, SimConfig(horizon=t or 1.0, step=t or 1.0, inputs={"u": program}))
+    return s.values["u"][1 if t else 0]
+
+
 class TestScheduleValue:
+    """Levels of an input program as the simulator reads them."""
+
     def test_constant(self):
-        assert schedule_value(0.7, 3.0) == 0.7
-        assert schedule_value(np.int64(2), 0.3) == 2.0
+        s = simulate_gate(SLOW_NOT, SimConfig(horizon=3.0, step=0.5, inputs={"u": 0.7}))
+        assert s.values["u"].tolist() == [0.7] * 7
+        assert level_at(np.int64(2), 0.3) == 2.0
 
     def test_piecewise(self):
         sched = [(0.0, 0.1), (2.0, 0.9)]
-        assert schedule_value(sched, 1.99) == 0.1
-        assert schedule_value(sched, 2.0) == 0.9
-        assert schedule_value(sched, 5.0) == 0.9
+        assert level_at(sched, 1.99) == 0.1
+        assert level_at(sched, 2.0) == 0.9
+        assert level_at(sched, 5.0) == 0.9
 
     def test_breakpoint_tolerance(self):
         sched = [(0.0, 0.1), (0.3, 0.9)]
-        assert schedule_value(sched, 0.1 + 0.2) == 0.9  # 0.30000000000000004
-        assert schedule_value(sched, 0.3 - 1e-12) == 0.9  # the rule is t >= t0 - 1e-12
-        assert schedule_value(sched, 0.3 - 1e-13) == 0.9
-        assert schedule_value(sched, 0.3 - 1e-11) == 0.1
+        assert level_at(sched, 0.1 + 0.2) == 0.9  # 0.30000000000000004
+        assert level_at(sched, 0.3 - 1e-12) == 0.9  # the rule is t >= t0 - 1e-12
+        assert level_at(sched, 0.3 - 1e-13) == 0.9
+        assert level_at(sched, 0.3 - 1e-11) == 0.1
+        # on a step grid: 3 * 0.1 misses the breakpoint 0.3 by rounding
+        s = simulate_gate(SLOW_NOT, SimConfig(horizon=0.5, step=0.1, inputs={"u": sched}))
+        assert s.values["u"].tolist() == [0.1, 0.1, 0.1, 0.9, 0.9, 0.9]
 
     def test_unsorted_rejected(self):
         with pytest.raises(ValueError, match="strictly increase"):
-            schedule_value([(0, .1), (5, .9), (2, .5)], 3.0)
-
-    def test_before_start_rejected(self):
-        with pytest.raises(ValueError, match="undefined"):
-            schedule_value([(0.0, 0.1)], -1.0)
+            SimConfig(horizon=1.0, inputs={"u": [(0, .1), (5, .9), (2, .5)]})
 
     @given(
         gaps=st.lists(st.floats(1e-12, 10.0), max_size=6),
@@ -81,12 +95,12 @@ class TestScheduleValue:
     def test_matches_linear_scan(self, gaps, levels, t):
         starts = [0.0, *itertools.accumulate(gaps)]
         program = list(zip(starts, levels))
-        assert schedule_value(levels[0], t) == _scan_level(levels[0], t)
+        assert level_at(levels[0], t) == _scan_level(levels[0], t)
         # a level holds from t0 - 1e-12: probe both sides of that edge
         probes = [t] + [t0 + dt for t0 in starts for dt in (0.0, 1e-13, -1e-13, 1e-11, -1e-11)]
         for when in probes:
-            if when >= -1e-12:  # earlier, before t = 0, the program is undefined
-                assert schedule_value(program, when) == _scan_level(program, when), when
+            if when >= 0:  # the simulator reads no level before t = 0
+                assert level_at(program, when) == _scan_level(program, when), when
 
 
 class TestSimConfigInputs:
@@ -204,7 +218,7 @@ class TestSimulateGate:
     def test_initial_value_of_another_variable_rejected(self):
         cfg = SimConfig(horizon=1.0, step=0.1, initial={"y": 0.9}, inputs={"u": 1.0})
         g = GateParams(GateKind.NOT, n=3, alpha=1.0, hill_k=(0.45,))
-        with pytest.raises(ValueError, match=r"initial values for no gate output: \['y'\]"):
+        with pytest.raises(ValueError, match=r"may name only 'x', not \['y'\]"):
             simulate_gate(g, cfg)
 
     def test_initial_value_and_breakpoint_program(self):
@@ -418,7 +432,7 @@ class TestSimulateCircuit:
     def test_missing_input_program_rejected(self, half_adder):
         c, tb, params = half_adder
         cfg = SimConfig(horizon=4.0, step=0.01, inputs={"A": 0.0})
-        with pytest.raises(ValueError, match="no input program for external input 'B'"):
+        with pytest.raises(ValueError, match=r"no input program for external inputs: \['B'\]"):
             simulate_circuit(c, params, cfg)
 
 
