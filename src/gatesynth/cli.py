@@ -228,9 +228,6 @@ def cmd_verify(args) -> int:
 
     Each combination's ``trace_*.csv`` is written as soon as it has been
     simulated, so memory does not grow with the number of combinations.
-    If a later combination raises (a negative RK4 stage value at a
-    non-integer n, say), the traces of the earlier ones stay on disk and
-    neither ``verify.json`` nor the manifest is written.
     """
     c = _load_circuit(args.circuit)
     params = _load_params(args.params, c)

@@ -175,7 +175,9 @@ def _drive_at_overflow(kind: GateKind, inputs, hill_k, n: float) -> float:
 
 
 def gate_drive(g: GateParams, inputs) -> float:
-    """Dimensionless production term in [0, 1] for the given input levels.
+    """Dimensionless production term in [0, 1] for the given input levels,
+    each >= 0: a Hill term is undefined below 0, where the result is not
+    a drive (the simulator reads a level below 0 as 0 before calling).
 
     AND: product of activating Hill terms; OR: shared-saturation form
     (u+v)/(1+u+v); NOT: repressing Hill term.  A Hill ratio (u/K)^n, or
@@ -231,10 +233,11 @@ def _expit(z):
 
 
 def gate_drives(kind: GateKind, n: float, inputs, hill_k: np.ndarray) -> np.ndarray:
-    """:func:`gate_drive` at fixed input levels for each row of ``hill_k``.
+    """:func:`gate_drive` at fixed input levels, each >= 0, for each row
+    of ``hill_k``.
 
     ``hill_k`` has shape (N, arity) and is not validated here (see
-    :func:`check_kinetics`).  A Hill term is a logistic in
+    :func:`check_kinetics`); a level below 0 gives NaN.  A Hill term is a logistic in
     log-concentration (Weiss, FASEB J 1997): with z = n*log(u/K),
     (u/K)^n / (1 + (u/K)^n) = expit(z), so AND = expit(z0)*expit(z1),
     OR = expit(logaddexp(z0, z1)) and NOT = expit(-z).  Nothing

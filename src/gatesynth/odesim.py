@@ -1,6 +1,6 @@
 """Fixed-step RK4 integration of gate and circuit ODEs.
 
-The rescaled model keeps every state in [0, 1]: each gate integrates
+The rescaled model keeps every exact state in [0, 1]: each gate integrates
 dx/dt = alpha * (drive(inputs) - x), with external inputs read from
 piecewise-constant schedules.  Fixed-step RK4 keeps runs deterministic
 and aligns the trace grid with the monitoring grid.
@@ -21,6 +21,12 @@ B_k, and a doubling scan solves the recurrence (Blelloch, "Prefix sums and
 their applications", 1990).  Neither the closed form nor the scan
 reproduces the classic stage-by-stage loop to the last bit; both agree
 with it within 1e-12.
+
+A Hill term is defined for levels >= 0, but an RK4 stage value of a gate
+can dip below 0 (an overshoot at alpha*h > 2, or an input breakpoint
+inside a step).  One rule covers it: a gate reads an upstream stage value
+below 0 as 0, which is also the limit of the log-space kernel
+:func:`gates.gate_drives` at u = 0.  The trace keeps RK4's own values.
 
 :func:`verify_combos` simulates and monitors one input combination at a
 time and keeps no trace it has yielded; :func:`verify` keeps only the
@@ -139,30 +145,28 @@ def time_grid(horizon: float, step: float) -> np.ndarray:
     return np.arange(n + 1) * step
 
 
-def simulate_gate(g: GateParams, cfg: SimConfig, output_var: str = "x") -> Signal:
-    """Integrate a single gate under the input programs of ``cfg``.
+def simulate_gate(g: GateParams, cfg: SimConfig) -> Signal:
+    """Integrate a single gate, output ``x``, under the input programs of ``cfg``.
 
     ``cfg.inputs`` names the gate's inputs in input order; ``cfg.initial``
-    may give ``output_var`` its initial value, 0 by default.  The trace
-    holds the inputs and the output, and equals that of a one-gate circuit
-    under :func:`simulate_circuit` to the last bit.  Raises ``ValueError``
-    if ``cfg.inputs`` names more or fewer inputs than the gate takes, if
-    ``output_var`` is also an input name, or if ``cfg.initial`` names
-    another variable.
+    may give ``x`` its initial value, 0 by default.  The trace holds the
+    inputs and ``x``, and equals that of a one-gate circuit under
+    :func:`simulate_circuit` to the last bit.  Raises ``ValueError`` if
+    ``cfg.inputs`` names more or fewer inputs than the gate takes or names
+    an input ``x``, or if ``cfg.initial`` names another variable.
     """
     names = tuple(cfg.inputs)
     if len(names) != g.kind.arity:
         raise ValueError(f"input names {list(names)} in cfg.inputs: "
                          f"{g.kind.value} gate takes {g.kind.arity} input(s)")
-    if output_var in names:
-        raise ValueError(f"output name {output_var!r} is also an input name")
-    if set(cfg.initial) - {output_var}:
-        raise ValueError(f"cfg.initial may name only {output_var!r}, not {sorted(cfg.initial)}")
+    if "x" in names:
+        raise ValueError("the output name 'x' is also an input name")
+    if set(cfg.initial) - {"x"}:
+        raise ValueError(f"cfg.initial may name only 'x', not {sorted(cfg.initial)}")
     times = time_grid(cfg.horizon, cfg.step)
     values, stages = _input_stages(cfg, names, times)
-    x0 = cfg.initial.get(output_var, 0.0)
-    values[output_var], _ = _gate_trajectory(f"gate {output_var!r}", g, names, stages, x0,
-                                             cfg.step, read=False)
+    values["x"], _ = _gate_trajectory("gate 'x'", g, names, stages, cfg.initial.get("x", 0.0),
+                                      cfg.step, read=False)
     return Signal(times=times, values=values)
 
 
@@ -238,7 +242,8 @@ def _input_stages(cfg: SimConfig, names, times: np.ndarray) -> tuple[dict, dict]
 def _gate_trajectory(what: str, g: GateParams, inputs, stages: dict, x0: float, h: float,
                      read: bool = True) -> tuple[np.ndarray, tuple | None]:
     """One gate's RK4 trajectory from ``x0``, and, if ``read``, its own
-    stage values in the form of ``stages``' values (else None).
+    stage values, each below 0 read as 0, in the form of ``stages``'
+    values (else None).
 
     ``stages`` maps each of ``inputs``, the gate's inputs in order, to its
     values at the four RK4 stages of every step.  One scalar ``gate_drive``
@@ -254,17 +259,10 @@ def _gate_trajectory(what: str, g: GateParams, inputs, stages: dict, x0: float, 
     # a local for speed, read at each call, so a wrapper installed on this
     # module's gate_drive before the call sees every call
     gd = gate_drive
-    try:
-        drives = [
-            np.fromiter(map(gd, itertools.repeat(g), zip(*seqs)), float, n_steps)
-            for seqs in zip(*(stages[v] for v in inputs))
-        ]
-    except TypeError:  # a complex Hill term: a stage value below 0 to a non-integer n
-        low = [v for v in inputs if min(map(min, stages[v])) < 0]
-        if not low:
-            raise
-        raise ValueError(f"{what}: RK4 stage values of {low} fall below 0, where "
-                         f"a Hill term with n = {g.n:g} is complex; shorten the step") from None
+    drives = [
+        np.fromiter(map(gd, itertools.repeat(g), zip(*seqs)), float, n_steps)
+        for seqs in zip(*(stages[v] for v in inputs))
+    ]
     x = np.empty(n_steps + 1)
     x[0] = x0
     x[1:] = _rk4_step(0.0, drives, g.alpha, h)[0]
@@ -274,9 +272,10 @@ def _gate_trajectory(what: str, g: GateParams, inputs, stages: dict, x0: float, 
         s *= 2
     if not read:
         return x, None
-    # stage 1 of step k is x_k, so the trajectory less its last point
+    # stage 1 of step k is x_k, so the trajectory less its last point;
+    # each read below 0 as 0, the one place the drive rule is applied
     _, ys = _rk4_step(x[:-1], drives, g.alpha, h)
-    return x, (x[:-1].tolist(), *(y.tolist() for y in ys))
+    return x, tuple(np.maximum(y, 0.0).tolist() for y in (x[:-1], *ys))
 
 
 def simulate_circuit(
@@ -292,11 +291,10 @@ def simulate_circuit(
     x + (h/2)*k2 and x + h*k3, an external input's level at t, t + h/2,
     t + h/2 and t + h.  Trajectories agree with stepping all gates together within 1e-12; near
     :data:`RK4_STABILITY_LIMIT` they drift from exact RK4 by about k*4e-17
-    at step k, so up to about 25,000 steps there.  Raises ``ValueError``
-    if ``params``, ``cfg.inputs`` or ``cfg.initial`` fails its check by
-    ``c``, if a gate's alpha*h exceeds the limit, or if a gate with
-    non-integer n reads a stage value below 0 (an upstream overshoot at
-    alpha*h > 2, or an input breakpoint inside a step): a complex Hill term.
+    at step k, so up to about 25,000 steps there.  A gate reads an
+    upstream stage value below 0 as 0 (see the module docstring).  Raises
+    ``ValueError`` if ``params``, ``cfg.inputs`` or ``cfg.initial`` fails
+    its check by ``c``, or if a gate's alpha*h exceeds the limit.
     """
     c.check_params(params)
     c.check_inputs(cfg.inputs)

@@ -119,15 +119,15 @@ class Signal:
 _CHUNK_ROWS = 1024
 
 
-def write_trace_csv(signal: Signal, path_or_file) -> None:
-    """Write a trace as CSV with header ``t,var1,var2,...``.
+def write_trace_csv(signal: Signal, path) -> None:
+    """Write a trace to the file ``path`` as CSV with header ``t,var1,var2,...``.
 
     The header is written by :mod:`csv`, so a name is quoted under its
     rules.  Each value is the shortest round-trip ``repr`` of its float
     (``inf``, ``-inf`` and ``nan`` included) and every line ends in
     ``\\r\\n``, the :mod:`csv` default.  Rows are formatted
     :data:`_CHUNK_ROWS` at a time.  An empty variable name raises
-    ``ValueError`` before any file is opened.
+    ``ValueError`` before the file is opened.
     """
     names = signal.variables
     if not all(names):
@@ -135,47 +135,37 @@ def write_trace_csv(signal: Signal, path_or_file) -> None:
     columns = [signal.times] + [signal.values[v] for v in names]
     # %r of a Python float is its repr
     line = ",".join(["%r"] * len(columns)) + "\r\n"
-
-    def _write(fh):
+    with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(["t"] + names)
         for start in range(0, signal.times.size, _CHUNK_ROWS):
             chunk = [c[start:start + _CHUNK_ROWS].tolist() for c in columns]
             fh.write("".join(map(line.__mod__, zip(*chunk))))
 
-    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        with open(path_or_file, "w", newline="") as fh:
-            _write(fh)
-    else:
-        _write(path_or_file)
 
-
-def read_trace_csv(path_or_file) -> Signal:
-    """Read a trace written by :func:`write_trace_csv`.
+def read_trace_csv(path) -> Signal:
+    """Read a trace that :func:`write_trace_csv` wrote to the file ``path``.
 
     Raises ``ValueError`` for a missing ``t`` column, an empty or repeated
     variable name, no samples, a ragged row or a non-numeric cell.
     """
-    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        with open(path_or_file, newline="") as fh:
-            return read_trace_csv(fh)
-    lines = iter(path_or_file)
-    header = next(csv.reader(lines), [])
-    if header[:1] != ["t"]:
-        raise ValueError("trace CSV must start with header 't,var1,...'")
-    names = header[1:]
-    if not all(names) or len(set(names)) != len(names):
-        raise ValueError(f"trace CSV header has an empty or repeated variable name: {names}")
-    # checked here because np.loadtxt only warns on an empty body
-    first = next(lines, "")
-    if not first.strip():
-        raise ValueError("trace CSV has no samples after the header")
-    data = np.loadtxt(
-        itertools.chain([first], lines), delimiter=",", ndmin=2, comments=None,
-    )
-    if data.shape[1] != len(names) + 1:
-        raise ValueError(
-            f"trace CSV rows have {data.shape[1]} columns, header has {len(names) + 1}"
+    with open(path, newline="") as fh:
+        header = next(csv.reader(fh), [])
+        if header[:1] != ["t"]:
+            raise ValueError("trace CSV must start with header 't,var1,...'")
+        names = header[1:]
+        if not all(names) or len(set(names)) != len(names):
+            raise ValueError(f"trace CSV header has an empty or repeated variable name: {names}")
+        # checked here because np.loadtxt only warns on an empty body
+        first = next(fh, "")
+        if not first.strip():
+            raise ValueError("trace CSV has no samples after the header")
+        data = np.loadtxt(
+            itertools.chain([first], fh), delimiter=",", ndmin=2, comments=None,
         )
+        if data.shape[1] != len(names) + 1:
+            raise ValueError(
+                f"trace CSV rows have {data.shape[1]} columns, header has {len(names) + 1}"
+            )
     return Signal(
         times=data[:, 0],
         values={name: data[:, 1 + j] for j, name in enumerate(names)},

@@ -52,7 +52,7 @@ import numpy as np
 
 from .circuit import Circuit, TimingBudget, propagate_timing
 from .gates import (
-    K_MAX, ExtendedTruthRow, GateKind, GateParams, Thresholds, _check_finite_positive,
+    K_MAX, ExtendedTruthRow, GateKind, Thresholds, _check_finite_positive,
     _consequent, check_kinetics, gate_drives,
 )
 from .monitor import robustness
@@ -555,7 +555,6 @@ class NumericGrid:
 
 @dataclass(frozen=True)
 class NumericGateResult:
-    gate_id: str
     points: np.ndarray  # all grid points, shape (N, n_axes), columns K1..Km
     admissible: np.ndarray  # boolean mask, shape (N,)
     min_robustness: np.ndarray  # per point, shape (N,)
@@ -626,28 +625,23 @@ def synthesize_numeric(
     c: Circuit,
     tb: TimingBudget | None = None,
     grid: dict[str, NumericGrid] | None = None,
-    params: dict[str, GateParams] | None = None,
-    step: float | None = None,
 ) -> dict[str, NumericGateResult]:
     """Grid-search synthesis: admissible iff every row's worst-case
     output robustness is >= 0.
 
-    ``grid`` maps gate id to its K-axis grid; ``params`` supplies the
-    fixed n and alpha per gate (alpha defaults to its analytic bound, n
-    to the kind's ``default_n``).  ``step`` defaults to the circuit's
-    ``sim.h``, then to 0.01, as in :func:`odesim.verify`.  Grid points are
+    ``grid`` maps gate id to its K-axis grid.  Each gate is judged at its
+    kind's ``default_n`` and its ``alpha_min``, with the circuit's
+    ``sim.h`` as step, else 0.01, as in :func:`odesim.verify`; for other
+    values call :meth:`GateContract.margins`.  Grid points are
     independent; results are merged in grid order.  Raises ``ValueError``
-    for a gate id in ``grid`` or ``params`` that is not in the circuit, and
-    for parameters of another gate kind.
+    for a gate id in ``grid`` that is not in the circuit.
     """
     if tb is None:
         tb = propagate_timing(c)
     if not grid:
         raise ValueError("empty grid specification")
-    params = params or {}
     c.check_params(grid, every=False)
-    c.check_params(params, every=False)
-    step = _circuit_step(c, step)
+    step = _circuit_step(c, None)
     results = {}
     for gid, gspec in grid.items():
         gc = GateContract.of(c, tb, gid)
@@ -656,14 +650,12 @@ def synthesize_numeric(
                 f"gate {gid!r} needs {gc.kind.arity} grid axis(es), got {len(gspec.axes)}"
             )
         pts = gspec.points()
-        base = params.get(gid)
-        n_g = base.n if base else GATE_RULES[gc.kind].default_n
-        alpha = base.alpha if base else gc.alpha_min
         valid = (pts > 0).all(axis=1) & (pts <= K_MAX).all(axis=1)
         min_rho = np.full(len(pts), -np.inf)
         if valid.any():
-            min_rho[valid] = gc.margins(pts[valid], n_g, alpha, step).min(axis=0)
-        results[gid] = NumericGateResult(gate_id=gid, points=pts, admissible=min_rho >= 0.0,
+            min_rho[valid] = gc.margins(pts[valid], GATE_RULES[gc.kind].default_n,
+                                        gc.alpha_min, step).min(axis=0)
+        results[gid] = NumericGateResult(points=pts, admissible=min_rho >= 0.0,
                                          min_robustness=min_rho)
         if not results[gid].admissible.any():
             raise EmptyRegionError(
@@ -672,47 +664,39 @@ def synthesize_numeric(
     return results
 
 
-def export_region_csv(
-    path,
-    points: np.ndarray,
-    inside: np.ndarray,
-    binding: list[str] | None = None,
-    min_robustness: np.ndarray | None = None,
-) -> None:
+def export_region_csv(path, points: np.ndarray, inside: np.ndarray, binding: list[str]) -> None:
     """Write a sampled 2D region to CSV.
 
-    Columns: K1, K2, inside (0/1), binding_constraint, min_robustness.
-    Unknown fields are left blank: K2 for one-axis points, and the last
-    two columns when ``binding`` or ``min_robustness`` is not given.  Each
-    number is formatted ``%.10g``; the rows are written by :mod:`csv` in
-    one call, so a binding label is quoted under its rules and every line
-    ends in ``\\r\\n``.  ``points`` that are not an (N, 1) or (N, 2)
-    array, or an ``inside``, ``binding`` or ``min_robustness`` of another
-    length than ``points``, raise ``ValueError`` before the file is opened.
+    Columns: K1, K2, inside (0/1), binding_constraint; K2 is blank for
+    one-axis points.  (The header has no ``min_robustness`` column any
+    more: nothing filled it.)  Each number is formatted ``%.10g``; the
+    rows are written by :mod:`csv` in one call, so a binding label is
+    quoted under its rules and every line ends in ``\\r\\n``.  ``points``
+    that are not an (N, 1) or (N, 2) array, or an ``inside`` or
+    ``binding`` of another length than ``points``, raise ``ValueError``
+    before the file is opened.
     """
     import csv
 
     points = np.asarray(points)
     if points.ndim != 2 or points.shape[1] not in (1, 2):
         raise ValueError(f"points must be an (N, 1) or (N, 2) array, not shape {points.shape}")
-    blank = [""] * len(points)
     # zip below would drop the rows past the shortest column
-    if any(c is not None and len(c) != len(points) for c in (inside, binding, min_robustness)):
-        raise ValueError("inside, binding and min_robustness need an entry per point")
+    if len(inside) != len(points) or len(binding) != len(points):
+        raise ValueError("inside and binding need an entry per point")
 
     def fmt(values):
-        return ["%.10g" % x for x in np.asarray(values).tolist()]
+        return ["%.10g" % x for x in values.tolist()]
 
     columns = (
         fmt(points[:, 0]),
-        fmt(points[:, 1]) if points.shape[1] > 1 else blank,
+        fmt(points[:, 1]) if points.shape[1] > 1 else [""] * len(points),
         [int(bool(b)) for b in inside],
-        binding if binding is not None else blank,
-        fmt(min_robustness) if min_robustness is not None else blank,
+        binding,
     )
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["K1", "K2", "inside", "binding_constraint", "min_robustness"])
+        w.writerow(["K1", "K2", "inside", "binding_constraint"])
         w.writerows(zip(*columns))
 
 

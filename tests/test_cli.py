@@ -343,28 +343,6 @@ class TestVerify:
         assert len(list(out.glob("trace_*.csv"))) == 4
         assert not json.loads((out / "verify.json").read_text())["all_pass"]
 
-    def test_traces_before_a_failing_combination_stay(self, tmp_path, capsys):
-        # D starts at 1 and, at alpha*h = 2.5, overshoots below 0 only when
-        # B is high and it falls; E reads it with n = 4.5.  The first
-        # combination (A, B low) is simulated and written before that
-        with open(HALF_ADDER) as fh:
-            data = json.load(fh)
-        data["sim"]["initial"] = {"xD": 1.0}
-        circuit = tmp_path / "d_high.json"
-        circuit.write_text(json.dumps(data))
-        params = json.loads(Path(good_params(tmp_path)).read_text())
-        params["D"]["alpha"] = 2.5
-        params["E"]["n"] = 4.5
-        path = tmp_path / "long_step.json"
-        path.write_text(json.dumps(params))
-        out = tmp_path / "out"
-        capsys.readouterr()
-        rc = main(["verify", str(circuit), str(path), "--out", str(out), "--step", "1.0"])
-        err = assert_one_error_line(rc, capsys)
-        assert err.startswith("error: gate 'E': RK4 stage values of ['xD'] fall below 0")
-        assert capsys.readouterr().out == ""
-        assert sorted(p.name for p in out.iterdir()) == ["trace_A-low_B-low.csv"]
-
     def test_missing_param_exits_1(self, tmp_path):
         params_path = good_params(tmp_path)
         params = json.loads(Path(params_path).read_text())
@@ -415,19 +393,21 @@ class TestVerify:
         assert assert_one_error_line(rc, capsys).startswith(f"error: bad circuit file {circuit}")
         assert not out.exists()
 
-    def test_negative_stage_at_non_integer_n_exits_1(self, tmp_path, capsys):
+    def test_negative_stage_at_non_integer_n_exits_0(self, tmp_path):
         # D at alpha*h = 2.5 overshoots below 0 on its way up from 0, and E
-        # reads it with n = 4.5: a traceback from a complex drive before
+        # reads it with n = 4.5, where a Hill term below 0 would be complex:
+        # E reads those stage values as 0
         params = json.loads(Path(good_params(tmp_path)).read_text())
         params["D"]["alpha"] = 2.5
         params["E"]["n"] = 4.5
         path = tmp_path / "long_step.json"
         path.write_text(json.dumps(params))
-        capsys.readouterr()
-        rc = main(["verify", HALF_ADDER, str(path), "--out", str(tmp_path), "--step", "1.0"])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: gate 'E': RK4 stage values of ['xD'] fall below 0")
+        out = tmp_path / "out"
+        rc = main(["verify", HALF_ADDER, str(path), "--out", str(out), "--step", "1.0"])
+        assert rc == 0
+        traces = sorted(p.name for p in out.iterdir() if p.name.startswith("trace_"))
+        assert traces == [f"trace_A-{a}_B-{b}.csv" for a in ("high", "low")
+                          for b in ("high", "low")]
 
     @pytest.mark.parametrize("step,match", [
         ("5", "stability limit"), ("0", "step must be finite and > 0"),

@@ -22,13 +22,11 @@ from gatesynth.gates import (
 )
 from gatesynth.monitor import robustness
 from gatesynth.odesim import SimConfig, _network_levels, simulate_circuit
-from gatesynth.synth import EmptyRegionError, GateContract, gate_regions, n_bound
+from gatesynth.synth import EmptyRegionError, GateContract, gate_regions, k_box, n_bound
 
 EDGE = 1 + 1e-6  # n and alpha this factor above their bounds
 INSET = 1e-9  # each K this fraction of its box's width inside a corner
-# seeds whose circuit has a gate whose Method 1 box lies wholly above
-# K = 1 at that n: synthesis refuses them, so they have no design
-NO_DESIGN = {7}
+TIER_1_SEEDS = 50  # the rest of the 300-circuit sweep is marked slow
 
 
 def random_thresholds(rng) -> Thresholds:
@@ -61,6 +59,21 @@ def random_circuit(seed: int) -> Circuit:
     )
 
 
+def edge_n(gc: GateContract) -> float:
+    return n_bound(gc.kind, gc.thresholds, "m1") * EDGE
+
+
+def box_above_one(c: Circuit) -> bool:
+    """Whether some gate's Method 1 box at :func:`edge_n` lies wholly above
+    K = 1, so that the gate has no design."""
+    tb = propagate_timing(c)
+    return any(
+        lo > 1.0
+        for gc in (GateContract.of(c, tb, gid) for gid in c.gates)
+        for lo, _ in k_box(gc.kind, gc.thresholds, edge_n(gc)).intervals.values()
+    )
+
+
 def edge_design(c: Circuit, seed: int) -> dict[str, GateParams]:
     """Each gate at n and alpha just above their bounds, K at a random
     corner of its Method 1 box."""
@@ -69,7 +82,7 @@ def edge_design(c: Circuit, seed: int) -> dict[str, GateParams]:
     params = {}
     for gid in c.topo_order():
         gc = GateContract.of(c, tb, gid)
-        n = n_bound(gc.kind, gc.thresholds, "m1") * EDGE
+        n = edge_n(gc)
         _, box, _ = gate_regions(gc.kind, gc.thresholds, n, "m1", gid)
         k = []
         for lo, hi in box.intervals.values():
@@ -112,10 +125,14 @@ def at_threshold(c: Circuit):
     return program
 
 
-@pytest.mark.parametrize("seed", range(50))
+@pytest.mark.parametrize("seed", [
+    seed if seed < TIER_1_SEEDS else pytest.param(seed, marks=pytest.mark.slow)
+    for seed in range(300)
+])
 def test_network_contract_holds_at_threshold_inputs(seed):
     c = random_circuit(seed)
-    if seed in NO_DESIGN:
+    # synthesis refuses a circuit exactly when it has such a gate
+    if box_above_one(c):
         with pytest.raises(EmptyRegionError, match="K box lies above K = 1"):
             edge_design(c, seed)
         return

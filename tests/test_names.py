@@ -69,9 +69,7 @@ K_AXES = NumericGrid(axes={"K1": (0.3, 0.45, 2), "K2": (0.3, 0.45, 2)})
 CASES = {
     ("synthesize_circuit", "unknown-gate-id"): lambda: synthesize_circuit(C, n={"ZZ": 4.0}),
     ("synthesize_numeric", "unknown-gate-id"):
-        lambda: synthesize_numeric(C, grid={"E": K_AXES}, params={"ZZ": ZZ}),
-    ("synthesize_numeric", "wrong-kind"):
-        lambda: synthesize_numeric(C, grid={"S": K_AXES}, params={"S": PARAMS["E"]}),
+        lambda: synthesize_numeric(C, grid={"E": K_AXES, "ZZ": K_AXES}),
     **{("simulate_circuit", bad): (lambda p=p: simulate(params=p))
        for bad, p in BAD_PARAMS.items()},
     ("simulate_circuit", "program-for-no-input"):

@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 from gatesynth import odesim
 from gatesynth.circuit import Circuit, Gate, propagate_timing
 from gatesynth.gates import (
-    GateKind, GateParams, Thresholds, closed_form, gate_drive,
+    GateKind, GateParams, Thresholds, closed_form, gate_drive, gate_drives,
 )
 from gatesynth.formulas import parse
 from gatesynth.monitor import robustness
@@ -177,20 +177,20 @@ class TestSimulateGate:
         s = simulate_gate(and_gate(), gate_config(1.0, 0.1, u1=0.6, u2=0.7))
         assert np.all(s.values["u1"] == 0.6) and np.all(s.values["u2"] == 0.7)
 
-    @pytest.mark.parametrize("input_vars,output_var,match", [
-        (("a",), "x", "input name"),
-        (("a", "b", "c"), "x", "input name"),
-        (("u1", "u2"), "u1", "also an input"),
+    @pytest.mark.parametrize("input_vars,match", [
+        (("a",), "input name"),
+        (("a", "b", "c"), "input name"),
+        (("x", "u2"), "output name 'x' is also an input"),
     ])
-    def test_bad_names_rejected(self, input_vars, output_var, match):
+    def test_bad_names_rejected(self, input_vars, match):
         cfg = gate_config(1.0, 0.1, **dict.fromkeys(input_vars, 0.6))
         with pytest.raises(ValueError, match=match):
-            simulate_gate(and_gate(), cfg, output_var=output_var)
+            simulate_gate(and_gate(), cfg)
 
     def test_named_not_gate(self):
         g = GateParams(GateKind.NOT, n=3, alpha=1.0, hill_k=(0.4,))
-        s = simulate_gate(g, gate_config(1.0, 0.1, B=0.2), output_var="xD")
-        assert set(s.values) == {"B", "xD"}
+        s = simulate_gate(g, gate_config(1.0, 0.1, B=0.2))
+        assert set(s.values) == {"B", "x"}
 
     @pytest.mark.parametrize("levels", [(0.6,), (0.6, 0.7, 0.8)])
     def test_wrong_number_of_levels_rejected(self, levels):
@@ -469,7 +469,7 @@ class TestVerify:
         entry = [e for e in report.entries
                  if e.combo == {"u1": "high", "u2": "high"}][0]
         cfg = SimConfig(horizon=8.0, step=0.01, inputs={"u1": 1.0, "u2": 1.0})
-        s = simulate_gate(params["M"], cfg, output_var="x")
+        s = simulate_gate(params["M"], cfg)
         assert entry.robustness == robustness(entry.formula, s)
 
 
@@ -554,7 +554,8 @@ class TestVerifyCombos:
 
 def _numpy_coupled_rk4(c, params, cfg):
     """The array-state coupled RK4 loop that ``simulate_circuit`` replaced,
-    kept as an independent oracle."""
+    kept as an independent oracle.  A gate reads a stage value of another
+    gate below 0 as 0."""
 
     order = c.topo_order()
     state_vars = [c.gates[gid].output for gid in order]
@@ -566,12 +567,15 @@ def _numpy_coupled_rk4(c, params, cfg):
                  for gid in order]
     ext = set(c.external_inputs)
 
+    lowest = [np.inf]  # the lowest level any gate reads
+
     def deriv(y, t):
         u = {v: _scan_level(cfg.inputs[v], t) for v in ext}
         dy = np.empty_like(y)
         for g, in_vars, out_i in gate_list:
             vals = [u[v] if v in ext else y[idx[v]] for v in in_vars]
-            dy[out_i] = g.alpha * (gate_drive(g, vals) - y[out_i])
+            lowest[0] = min(lowest[0], *vals)
+            dy[out_i] = g.alpha * (gate_drive(g, [max(v, 0.0) for v in vals]) - y[out_i])
         return dy
 
     traj = np.empty((times.size, x.size))
@@ -588,12 +592,14 @@ def _numpy_coupled_rk4(c, params, cfg):
               for v in c.external_inputs}
     for v, i in idx.items():
         values[v] = traj[:, i]
-    return times, values
+    return times, values, lowest[0]
 
 
 def _assert_matches_array_loop(c, params, cfg):
+    """Assert that ``simulate_circuit`` matches the coupled loop; return
+    the lowest level a gate read in that loop, before reading it."""
     s = simulate_circuit(c, params, cfg)
-    times, values = _numpy_coupled_rk4(c, params, cfg)
+    times, values, lowest = _numpy_coupled_rk4(c, params, cfg)
     assert np.array_equal(s.times, times)
     assert list(s.values) == list(values)
     for v, want in values.items():
@@ -601,6 +607,7 @@ def _assert_matches_array_loop(c, params, cfg):
             assert np.array_equal(s.values[v], want), v
         else:
             assert np.max(np.abs(s.values[v] - want)) <= TOL, v
+    return lowest
 
 
 def _not_chain(stages):
@@ -712,16 +719,21 @@ def _fan_out():
     return c, params
 
 
+LONG_STEPS = (0.5, 1.0, 1.39)  # alpha*h of _fan_out's gates up to 2.78
+
+
+def _long_step_config(step):
+    return SimConfig(horizon=60.0, step=step, initial={"xQ": 0.5, "xR": 1.0},
+                     inputs={"a": [(0.0, 0.0), (20.0, 1.0)], "b": 1.0})
+
+
 class TestLongSteps:
     """Steps up to the RK4 stability limit, where A^s of the scan falls
     fastest, and past it."""
 
-    @pytest.mark.parametrize("step", [0.5, 1.0, 1.39])  # alpha*h up to 2.78
+    @pytest.mark.parametrize("step", LONG_STEPS)
     def test_matches_array_loop(self, step):
-        c, params = _fan_out()
-        cfg = SimConfig(horizon=60.0, step=step, initial={"xQ": 0.5, "xR": 1.0},
-                        inputs={"a": [(0.0, 0.0), (20.0, 1.0)], "b": 1.0})
-        _assert_matches_array_loop(c, params, cfg)
+        _assert_matches_array_loop(*_fan_out(), _long_step_config(step))
 
     def test_unstable_gate_named(self):
         c, params = _fan_out()
@@ -750,57 +762,91 @@ class TestInitialValues:
             simulate_circuit(c, params, cfg)
 
 
-class TestNegativeStages:
-    """An RK4 stage value below 0 reaching a gate with non-integer n, whose
-    Hill term there is complex, is a ValueError naming the gate."""
+def _not_pair(alpha_n, n_p):
+    """NOT gate N, reading input a, feeding NOT gate P with Hill coefficient n_p."""
+    th = {v: TH for v in ("a", "xN", "xP")}
+    c = Circuit(
+        gates={"N": Gate("N", GateKind.NOT, ("a",), "xN"),
+               "P": Gate("P", GateKind.NOT, ("xN",), "xP")},
+        external_inputs=("a",), outputs=(("P", "out"),),
+        thresholds=th, delta=4.0, lam=4.0,
+    )
+    params = {"N": GateParams(GateKind.NOT, n=3, alpha=alpha_n, hill_k=(0.45,)),
+              "P": GateParams(GateKind.NOT, n=n_p, alpha=1.0, hill_k=(0.45,))}
+    return c, params
 
-    def _not_pair(self, alpha_n):
-        th = {v: TH for v in ("a", "xN", "xP")}
-        c = Circuit(
-            gates={"N": Gate("N", GateKind.NOT, ("a",), "xN"),
-                   "P": Gate("P", GateKind.NOT, ("xN",), "xP")},
-            external_inputs=("a",), outputs=(("P", "out"),),
-            thresholds=th, delta=4.0, lam=4.0,
-        )
-        params = {"N": GateParams(GateKind.NOT, n=3, alpha=alpha_n, hill_k=(0.45,)),
-                  "P": GateParams(GateKind.NOT, n=2.5, alpha=1.0, hill_k=(0.45,))}
-        return c, params
+
+# the two ways a stage value of N falls below 0: N's alpha and the config
+NEGATIVE_STAGES = {
+    # from x = 1 toward d = 0.08, y2 = x + (alpha*h/2)*(d - x) overshoots
+    # d and 0 at alpha*h = 2.78
+    "overshoot": (2.0, SimConfig(horizon=5.0, step=1.39, initial={"xN": 1.0},
+                                 inputs={"a": 1.0})),
+    # alpha*h = 0.2, but a switches at the half step of the first one
+    "breakpoint": (20.0, SimConfig(horizon=1.0, step=0.01,
+                                   inputs={"a": [(0.0, 0.0), (0.005, 1.0)]})),
+}
+# a non-integer, an odd and an even n: before the rule, a ValueError, a
+# drive outside [0, 1] and the drive at -u read as at +u
+N_AT_NEGATIVE_STAGES = (2.5, 3, 4)
+
+
+def _simulate_reproducer(name):
+    alpha_n, cfg = NEGATIVE_STAGES[name]
+    for n in N_AT_NEGATIVE_STAGES:
+        simulate_circuit(*_not_pair(alpha_n, n), cfg)
+
+
+class TestNegativeStages:
+    """A gate reads a stage value below 0 of an upstream gate as 0, at any
+    n; the trace keeps RK4's own values."""
+
+    def _assert_matches_clipped_loop(self, reproducer):
+        alpha_n, cfg = NEGATIVE_STAGES[reproducer]
+        for n in N_AT_NEGATIVE_STAGES:
+            c, params = _not_pair(alpha_n, n)
+            assert _assert_matches_array_loop(c, params, cfg) < 0, n
 
     def test_overshoot_past_alpha_h_two(self):
-        # from x = 1 toward d = 0.08, y2 = x + (alpha*h/2)*(d - x) overshoots
-        # d and 0 at alpha*h = 2.78
-        c, params = self._not_pair(2.0)
-        cfg = SimConfig(horizon=5.0, step=1.39, initial={"xN": 1.0}, inputs={"a": 1.0})
-        with pytest.raises(ValueError, match=r"gate 'P': RK4 stage values of \['xN'\]"):
-            simulate_circuit(c, params, cfg)
+        self._assert_matches_clipped_loop("overshoot")
 
     def test_breakpoint_inside_a_step(self):
-        # alpha*h = 0.2, but a switches at the half step of the first one
-        c, params = self._not_pair(20.0)
-        cfg = SimConfig(horizon=1.0, step=0.01, inputs={"a": [(0.0, 0.0), (0.005, 1.0)]})
-        with pytest.raises(ValueError, match="gate 'P'.*below 0.*n = 2.5 is complex"):
-            simulate_circuit(c, params, cfg)
+        self._assert_matches_clipped_loop("breakpoint")
 
-    def test_integer_n_keeps_its_drive(self):
-        # an integer power of a negative stage value is real, and the
-        # long-step results stay pinned to the coupled loop (TestLongSteps)
-        c, params = self._not_pair(20.0)
-        params["P"] = GateParams(GateKind.NOT, n=3, alpha=1.0, hill_k=(0.45,))
-        cfg = SimConfig(horizon=1.0, step=0.01, inputs={"a": [(0.0, 0.0), (0.005, 1.0)]})
-        _assert_matches_array_loop(c, params, cfg)
+    @pytest.mark.parametrize("reproducer", NEGATIVE_STAGES)
+    def test_every_drive_in_the_unit_interval(self, reproducer, monkeypatch):
+        # without the rule, n = 2.5 raised and n = 3 gave P a drive above 1
+        calls = _record_drives(monkeypatch)
+        _simulate_reproducer(reproducer)
+        assert min(u for _, levels, _ in calls for u in levels) == 0.0
+        drives = [d for _, _, d in calls]
+        assert 0.0 <= min(drives) and max(drives) <= 1.0
+
+    def test_trace_keeps_rk4_values_below_0(self):
+        # at alpha*h = 2 the step from x = 0 under stage drives (1, d, d, d),
+        # with a rising between t and t + h/2, ends below 0
+        c, params = _not_pair(2.0, 2.5)
+        cfg = SimConfig(horizon=5.0, step=1.0, inputs={"a": [(0.0, 0.0), (0.5, 1.0)]})
+        assert _assert_matches_array_loop(c, params, cfg) < 0
+        assert simulate_circuit(c, params, cfg).values["xN"][1] < 0
 
 
-def _record_calls(monkeypatch) -> list:
-    """Wrap odesim's gate_drive; the list gets the input types of each call."""
+def _record_drives(monkeypatch) -> list:
+    """Wrap odesim's gate_drive; the list gets each call's (params, levels, drive)."""
     calls = []
     real = odesim.gate_drive
 
-    def counted(g, inputs):
-        calls.append(tuple(map(type, inputs)))
-        return real(g, inputs)
+    def recorded(g, inputs):
+        d = real(g, inputs)
+        calls.append((g, inputs, d))
+        return d
 
-    monkeypatch.setattr(odesim, "gate_drive", counted)
+    monkeypatch.setattr(odesim, "gate_drive", recorded)
     return calls
+
+
+def _level_types(calls) -> set:
+    return {type(u) for _, levels, _ in calls for u in levels}
 
 
 class TestGateDriveCalls:
@@ -809,30 +855,54 @@ class TestGateDriveCalls:
 
     def test_calls_per_stage(self, half_adder, monkeypatch):
         c, tb, params = half_adder
-        calls = _record_calls(monkeypatch)
+        calls = _record_drives(monkeypatch)
         cfg = SimConfig(horizon=3.0, step=0.01, inputs={"A": 1.0, "B": 0.0})
         s = simulate_circuit(c, params, cfg)
         steps = s.times.size - 1
         assert len(calls) == steps * 4 * len(c.gates) == 300 * 4 * 6
-        assert set(itertools.chain(*calls)) == {float}  # not np.float64
+        assert _level_types(calls) == {float}  # not np.float64
 
     def test_calls_with_fan_out(self, monkeypatch):
         # N feeds P and Q; Q reads two gates and R one, so a stage sequence
         # one step too long would add calls
         c, params = _fan_out()
-        calls = _record_calls(monkeypatch)
+        calls = _record_drives(monkeypatch)
         cfg = SimConfig(horizon=2.0, step=0.01, initial={"xQ": 0.5},
                         inputs={"a": 0.0, "b": [(0.0, 1.0), (1.0, 0.2)]})
         steps = simulate_circuit(c, params, cfg).times.size - 1
         assert len(calls) == steps * 4 * len(c.gates) == 200 * 4 * 4
-        assert set(itertools.chain(*calls)) == {float}
+        assert _level_types(calls) == {float}
         monkeypatch.undo()
         _assert_matches_array_loop(c, params, cfg)
 
     def test_verify_calls(self, monkeypatch):
         c, params = _not_chain(3)
-        calls = _record_calls(monkeypatch)
+        calls = _record_drives(monkeypatch)
         tb = propagate_timing(c)
         verify(c, params, tb, step=0.05)
         steps = int(round((tb.network_lambda + tb.network_delta) / 0.05))
         assert len(calls) == 2 * steps * 4 * 3
+
+
+@pytest.mark.parametrize("run", [*NEGATIVE_STAGES, "long-steps", "half-adder-verify"])
+def test_gate_drives_matches_gate_drive_on_every_simulated_level(run, half_adder, monkeypatch):
+    # the log-space kernel is a drive-for-drive replacement for the scalar
+    # one in the simulator; it gives NaN at a level below 0, which the
+    # simulator never hands a gate
+    calls = _record_drives(monkeypatch)
+    if run in NEGATIVE_STAGES:
+        _simulate_reproducer(run)
+    elif run == "long-steps":
+        for step in LONG_STEPS:
+            simulate_circuit(*_fan_out(), _long_step_config(step))
+    else:
+        c, tb, params = half_adder
+        verify(c, params, tb)
+    by_gate = {}
+    for g, levels, d in calls:
+        by_gate.setdefault(g, []).append((*levels, d))
+    for g, rows in by_gate.items():
+        rows = np.array(rows)
+        levels = rows[:, :-1]
+        got = gate_drives(g.kind, g.n, levels, np.broadcast_to(g.hill_k, levels.shape))
+        assert np.max(np.abs(got - rows[:, -1])) <= 1e-13, g

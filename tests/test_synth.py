@@ -715,11 +715,10 @@ class TestSynthesizeNumeric:
         c = self._single_and()
         tb = propagate_timing(c)
         alpha = 2 * alpha_bound(TH_34, tb.delta["M"])
-        grid = {"M": NumericGrid(axes={"K1": (0.3, 0.45, 7), "K2": (0.3, 0.45, 7)})}
-        params = {"M": GateParams(GateKind.AND, n=4, alpha=alpha, hill_k=(0.4, 0.4))}
-        res = synthesize_numeric(c, tb, grid, params, step=0.01)["M"]
+        pts = NumericGrid(axes={"K1": (0.3, 0.45, 7), "K2": (0.3, 0.45, 7)}).points()
+        admissible = GateContract.of(c, tb, "M").margins(pts, 4, alpha, 0.01).min(axis=0) >= 0
         box = k_box(AND, (TH_34,) * 3, 4)
-        for pt, ok in zip(res.points, res.admissible):
+        for pt, ok in zip(pts, admissible):
             if box.contains(pt):
                 assert ok
 
@@ -738,35 +737,21 @@ class TestSynthesizeNumeric:
         with pytest.raises(ValueError, match=r"not in the circuit: \['Y', 'ZZ'\]"):
             synthesize_numeric(self._single_and(), None, grid)
 
-    def test_unknown_gate_in_params_rejected_before_simulating(self, monkeypatch):
-        def no_simulation(*args, **kwargs):
-            raise AssertionError("simulated before checking the gate ids")
-
-        monkeypatch.setattr(synth, "simulate_constant_drive", no_simulation)
-        grid = {"M": NumericGrid(axes={"K1": (0.3, 0.45, 3), "K2": (0.3, 0.45, 3)})}
-        g = GateParams(GateKind.AND, n=4, alpha=1.0, hill_k=(0.4, 0.4))
-        with pytest.raises(ValueError, match=r"gate ids not in the circuit: \['ZZ'\]"):
-            synthesize_numeric(self._single_and(), None, grid, {"M": g, "ZZ": g})
-
-    def test_parameters_of_another_kind_rejected(self):
-        # they were used for their n and alpha, their kind ignored
-        grid = {"M": NumericGrid(axes={"K1": (0.3, 0.45, 3), "K2": (0.3, 0.45, 3)})}
-        g = GateParams(GateKind.OR, n=4, alpha=1.0, hill_k=(0.4, 0.4))
-        with pytest.raises(ValueError, match="gate 'M' is AND, but its parameters are for OR"):
-            synthesize_numeric(self._single_and(), None, grid, {"M": g})
-
     def test_step_defaults_to_the_circuit_h(self):
         # as in verify: the circuit's sim.h, else 0.01
-        grid = {"M": NumericGrid(axes={"K1": (0.3, 0.45, 4), "K2": (0.3, 0.45, 4)})}
+        grid = NumericGrid(axes={"K1": (0.3, 0.45, 4), "K2": (0.3, 0.45, 4)})
         plain = self._single_and()
-        coarse = dataclasses.replace(plain, sim={"h": 0.25})
+        gc = GateContract.of(plain, propagate_timing(plain), "M")
 
-        def rho(c, **step):
-            return synthesize_numeric(c, grid=grid, **step)["M"].min_robustness.tolist()
+        def rho(c):
+            return synthesize_numeric(c, grid={"M": grid})["M"].min_robustness.tolist()
 
-        assert rho(plain) == rho(plain, step=0.01)
-        assert rho(coarse) == rho(plain, step=0.25) != rho(plain)
-        assert rho(coarse, step=0.01) == rho(plain)
+        def margins(step):
+            n = GATE_RULES[AND].default_n
+            return gc.margins(grid.points(), n, gc.alpha_min, step).min(axis=0).tolist()
+
+        assert rho(plain) == margins(0.01)
+        assert rho(dataclasses.replace(plain, sim={"h": 0.25})) == margins(0.25) != margins(0.01)
 
     @pytest.mark.parametrize("axes", [{"K1": (0.3, 0.45, 3)},
                                       {f"K{i}": (0.3, 0.45, 3) for i in (1, 2, 3)}])
@@ -904,27 +889,21 @@ class TestRegionExport:
         export_region_csv(path, pts, inside, binding)
         with open(path) as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["K1", "K2", "inside", "binding_constraint",
-                           "min_robustness"]
+        assert rows[0] == ["K1", "K2", "inside", "binding_constraint"]
         assert len(rows) == 26
         assert {r[2] for r in rows[1:]} <= {"0", "1"}
 
     @staticmethod
-    def per_row_export(path, points, inside, binding=None, min_robustness=None):
+    def per_row_export(path, points, inside, binding):
         """The row-at-a-time region writer the column-wise one replaced,
         kept as the oracle for its bytes."""
         points = np.atleast_2d(points)
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["K1", "K2", "inside", "binding_constraint", "min_robustness"])
+            w.writerow(["K1", "K2", "inside", "binding_constraint"])
             for i, pt in enumerate(points):
                 k2 = f"{pt[1]:.10g}" if pt.size > 1 else ""
-                row = [f"{pt[0]:.10g}", k2, int(bool(inside[i]))]
-                row.append(binding[i] if binding is not None else "")
-                row.append(
-                    f"{min_robustness[i]:.10g}" if min_robustness is not None else ""
-                )
-                w.writerow(row)
+                w.writerow([f"{pt[0]:.10g}", k2, int(bool(inside[i])), binding[i]])
 
     @pytest.mark.parametrize("rows", [1, 1025])
     @pytest.mark.parametrize("axes", [1, 2])
@@ -935,17 +914,13 @@ class TestRegionExport:
         special = [np.inf, -np.inf, np.nan, -0.0, 5e-324, 2.5e-310, 1e16]
         pts.flat[:len(special)] = special[:pts.size]
         inside = rng.random(rows) < 0.5
-        if labelled:
-            labels = ["", "box", "a,b", 'q"x', "row 1"]
-            kwargs = {"binding": [labels[i % len(labels)] for i in range(rows)]}
-        else:
-            rob = rng.normal(0.0, 1e-7, rows)
-            rob[:len(special)] = special[:rows]
-            kwargs = {"min_robustness": rob}
+        # unlabelled: every row blank, as where no constraint binds
+        labels = ["", "box", "a,b", 'q"x', "row 1"] if labelled else [""]
+        binding = [labels[i % len(labels)] for i in range(rows)]
         oracle = tmp_path / "oracle.csv"
-        self.per_row_export(oracle, pts, inside, **kwargs)
+        self.per_row_export(oracle, pts, inside, binding)
         for dest in (str(tmp_path / "str.csv"), tmp_path / "path.csv"):
-            export_region_csv(dest, pts, inside, **kwargs)
+            export_region_csv(dest, pts, inside, binding)
             assert Path(dest).read_bytes() == oracle.read_bytes()
 
     def test_sampled_regions_match_per_row_writer(self, tmp_path):
@@ -960,20 +935,18 @@ class TestRegionExport:
             export_region_csv(tmp_path / "got.csv", pts, inside, binding)
             assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
-    @pytest.mark.parametrize("short", ["inside", "binding", "min_robustness"])
+    @pytest.mark.parametrize("short", ["inside", "binding"])
     def test_short_column_rejected_before_writing(self, tmp_path, short):
-        cols = {"inside": np.ones(3, bool), "binding": ["a", "b", "c"],
-                "min_robustness": np.zeros(3)}
+        cols = {"inside": np.ones(3, bool), "binding": ["a", "b", "c"]}
         cols[short] = cols[short][:2]
         path = tmp_path / "region.csv"
         with pytest.raises(ValueError, match="an entry per point"):
             export_region_csv(path, np.zeros((3, 2)), **cols)
         assert not path.exists()
 
-    @pytest.mark.parametrize("long", ["inside", "binding", "min_robustness"])
+    @pytest.mark.parametrize("long", ["inside", "binding"])
     def test_long_column_rejected_before_writing(self, tmp_path, long):
-        cols = {"inside": np.ones(3, bool), "binding": ["a", "b", "c"],
-                "min_robustness": np.zeros(3)}
+        cols = {"inside": np.ones(3, bool), "binding": ["a", "b", "c"]}
         cols[long] = np.concatenate([cols[long], cols[long][:1]])
         path = tmp_path / "region.csv"
         with pytest.raises(ValueError, match="an entry per point"):
@@ -984,14 +957,15 @@ class TestRegionExport:
         # read as one 1x3 point before, which wrote the single row 0.1,0.2,1,,
         path = tmp_path / "region.csv"
         with pytest.raises(ValueError, match="points must be"):
-            export_region_csv(path, np.array([0.1, 0.2, 0.3]), np.array([True, False, True]))
+            export_region_csv(path, np.array([0.1, 0.2, 0.3]), np.array([True, False, True]),
+                              ["", "box", ""])
         assert not path.exists()
 
     @pytest.mark.parametrize("shape", [(), (3, 3), (3, 0), (3, 2, 1)])
     def test_points_of_other_shapes_rejected_before_writing(self, tmp_path, shape):
         path = tmp_path / "region.csv"
         with pytest.raises(ValueError, match="points must be"):
-            export_region_csv(path, np.zeros(shape), np.ones(3, bool))
+            export_region_csv(path, np.zeros(shape), np.ones(3, bool), ["box"] * 3)
         assert not path.exists()
 
     def test_gate_box_dispatch(self):
