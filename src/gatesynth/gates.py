@@ -23,29 +23,47 @@ __all__ = [
 
 HIGH = "high"
 LOW = "low"
+MAX_LEVEL = 1.0  # the largest rescaled level: a gate's steady state at full drive
 K_MAX = 1.0  # the largest Hill K a gate takes: every K lies in (0, K_MAX]
 
 
+def _expit(z):
+    """The logistic 1/(1 + e^-z) as 0.5*(1 + tanh(z/2)): finite for every z."""
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
+
+
 class GateKind(str, Enum):
-    AND = "AND"
-    OR = "OR"
-    NOT = "NOT"
+    """A gate kind, valued by its name, with its rules as attributes:
 
-    @property
-    def arity(self) -> int:
-        return 1 if self is GateKind.NOT else 2
+    * ``arity``, its number of inputs, and ``activating``, whether a
+      higher input raises the output (NOT is a repressor);
+    * ``truth``: whether the output is high, given a tuple of which
+      inputs are high;
+    * ``drive``: the drive of :func:`gate_drives`, from z_i = n*log(u_i/K_i);
+    * ``m1_target``: the output's t~+ -> its Method 1 target (high, share)
+      in :func:`synth.k_box`: AND asks sqrt(t~+) of each Hill term, OR half
+      the low output's budget of each Hill ratio, and NOT's exact interval
+      Method 2's (t~+, 1);
+    * ``default_n``: the Hill coefficient synthesis takes unless told, and
+      ``strict_m2``: whether n must exceed its Method 2 bound, not reach it.
+    """
 
-    @property
-    def activating(self) -> bool:
-        """Whether a higher input raises the output; NOT is a repressor."""
-        return self is not GateKind.NOT
+    AND = ("AND", 2, True, all, lambda z0, z1: _expit(z0) * _expit(z1),
+           lambda ttp: (math.sqrt(ttp), 1), 4.0, False)
+    OR = ("OR", 2, True, any, lambda z0, z1: _expit(np.logaddexp(z0, z1)),
+          lambda ttp: (ttp, 2), 4.0, True)
+    NOT = ("NOT", 1, False, lambda high: not high[0], lambda z: _expit(-z),
+           lambda ttp: (ttp, 1), 3.0, False)
+
+    def __new__(cls, value, arity, activating, truth, drive, m1_target, default_n, strict_m2):
+        kind = str.__new__(cls, value)
+        kind._value_ = value
+        kind.arity, kind.activating, kind.truth, kind.drive = arity, activating, truth, drive
+        kind.m1_target, kind.default_n, kind.strict_m2 = m1_target, default_n, strict_m2
+        return kind
 
     def output_level(self, input_levels: tuple[str, ...]) -> str:
-        if self is GateKind.AND:
-            return HIGH if all(v == HIGH for v in input_levels) else LOW
-        if self is GateKind.OR:
-            return HIGH if any(v == HIGH for v in input_levels) else LOW
-        return HIGH if input_levels[0] == LOW else LOW
+        return HIGH if self.truth(tuple(v == HIGH for v in input_levels)) else LOW
 
     def rows(self, delta: float, lam: float) -> list[ExtendedTruthRow]:
         """The extended truth table's rows, low before high, first input slowest."""
@@ -227,11 +245,6 @@ def _arity_error(kind: GateKind, inputs) -> ValueError:
     return ValueError(f"{kind.value} gate takes {kind.arity} input(s), got {got}")
 
 
-def _expit(z):
-    """The logistic 1/(1 + e^-z) as 0.5*(1 + tanh(z/2)): finite for every z."""
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
-
-
 def gate_drives(kind: GateKind, n: float, inputs, hill_k: np.ndarray) -> np.ndarray:
     """:func:`gate_drive` at fixed input levels, each >= 0, for each row
     of ``hill_k``.
@@ -239,21 +252,17 @@ def gate_drives(kind: GateKind, n: float, inputs, hill_k: np.ndarray) -> np.ndar
     ``hill_k`` has shape (N, arity) and is not validated here (see
     :func:`check_kinetics`); a level below 0 gives NaN.  A Hill term is a logistic in
     log-concentration (Weiss, FASEB J 1997): with z = n*log(u/K),
-    (u/K)^n / (1 + (u/K)^n) = expit(z), so AND = expit(z0)*expit(z1),
-    OR = expit(logaddexp(z0, z1)) and NOT = expit(-z).  Nothing
-    overflows: u = 0 gives z = -inf and a term of 0, an infinite level or
-    ratio u/K gives the limit, and NaN stays NaN.  The ratio u/K is the
-    one :func:`gate_drive` raises to the n-th power, so the two differ
-    only in rounding after it, within 1e-13.
+    (u/K)^n / (1 + (u/K)^n) = expit(z), so the kind's ``drive`` is
+    AND = expit(z0)*expit(z1), OR = expit(logaddexp(z0, z1)) and
+    NOT = expit(-z).  Nothing overflows: u = 0 gives z = -inf and a term
+    of 0, an infinite level or ratio u/K gives the limit, and NaN stays
+    NaN.  The ratio u/K is the one :func:`gate_drive` raises to the n-th
+    power, so the two differ only in rounding after it, within 1e-13.
     """
     kind = GateKind(kind)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         z = n * np.log(np.asarray(inputs, dtype=float) / np.asarray(hill_k, dtype=float))
-        if kind is _NOT:
-            return _expit(-z[:, 0])
-        if kind is _AND:
-            return _expit(z[:, 0]) * _expit(z[:, 1])
-        return _expit(np.logaddexp(z[:, 0], z[:, 1]))
+        return kind.drive(*z.T)
 
 
 def closed_form(K: float, alpha: float, x0: float, t):

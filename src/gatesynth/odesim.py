@@ -47,8 +47,8 @@ import numpy as np
 from .circuit import Circuit, TimingBudget, propagate_timing
 from .formulas import Formula
 from .gates import (
-    HIGH, LOW, ExtendedTruthRow, GateParams, _check_finite_positive, _check_initial,
-    gate_drive, row_formula,
+    HIGH, LOW, MAX_LEVEL, ExtendedTruthRow, GateParams, _check_finite_positive,
+    _check_initial, gate_drive, row_formula,
 )
 from .monitor import robustness
 from .signals import Signal
@@ -395,8 +395,8 @@ def _verify_combo(c, params, tb, h, initial, combo_bits):
     """The ``(key, trace, entries)`` of one combination of :func:`verify_combos`."""
     lam, delta = tb.network_lambda, tb.network_delta
     combo = dict(zip(c.external_inputs, combo_bits))
-    cfg = SimConfig(horizon=lam + delta, step=h, initial=initial,
-                    inputs={v: (1.0 if combo[v] == HIGH else 0.0) for v in c.external_inputs})
+    cfg = SimConfig(horizon=lam + delta, step=h, initial=initial, inputs={
+        v: MAX_LEVEL if combo[v] == HIGH else 0.0 for v in c.external_inputs})
     trace = simulate_circuit(c, params, cfg)
     key = ",".join(f"{v}={combo[v]}" for v in c.external_inputs)
     levels = _network_levels(c, combo)

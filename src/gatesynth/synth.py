@@ -15,7 +15,10 @@ output thresholds) to closed-form bounds:
 The Hill bound and the K intervals of every kind and method follow from
 one output target (high, share) through :func:`n_bound` and
 :func:`k_box`; a repressor's intervals are an activator's with reciprocal
-bases.
+bases.  A kind's own rules (its Method 1 target, default n and whether
+its Method 2 bound is strict) are attributes of its :class:`GateKind`
+member; only the Method 2 K1 intervals of AND and OR live here, beside
+their curves.
 
 Natural logarithms throughout.  A grid-search fallback
 (:func:`synthesize_numeric`) checks admissibility instead by a gate's
@@ -46,7 +49,6 @@ import math
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -63,7 +65,7 @@ from .worstcase import worst_case
 __all__ = [
     "ParamBox", "CurvedRegion", "GateSynthesis", "SynthesisResult",
     "EmptyRegionError", "alpha_bound", "GateContract", "gate_regions", "synthesize_circuit",
-    "synthesize_numeric", "GateRule", "GATE_RULES", "check_n_bound",
+    "synthesize_numeric", "check_n_bound",
     "NumericGrid", "NumericGateResult", "worst_case_output_robustness",
     "export_region_csv", "sample_region", "n_bound", "k_box",
 ]
@@ -126,15 +128,13 @@ def _target(kind: GateKind, out: Thresholds, method: str) -> tuple[float, int]:
     """The output target (high, share) that ``kind``'s K intervals meet.
 
     Method 2 and NOT ask the exact conditions, (t~+, 1).  Method 1 splits
-    them over two inputs as the kind's ``m1_target`` says: AND asks
-    sqrt(t~+) of each input's Hill term, OR gives each input's Hill ratio
-    half the low output's budget (share 2).
+    them over two inputs as the kind's ``m1_target`` says.
     """
     if method not in ("m1", "m2"):
         raise ValueError("method must be 'm1' or 'm2'")
     if method == "m2":
         return out.tilde_plus, 1
-    return GATE_RULES[kind].m1_target(out.tilde_plus)
+    return GateKind(kind).m1_target(out.tilde_plus)
 
 
 def n_bound(kind: GateKind, ths, method: str) -> float:
@@ -222,8 +222,9 @@ class CurvedRegion:
     (the cut at K = K_MAX, the largest K a gate takes),
     ``low_curve_gamma_a``, ``low_curve_gamma_b`` and ``high_curve`` for
     AND, ``low_curve``, ``K1_high_rect`` and ``K2_rect`` for OR.
-    Construction raises :class:`EmptyRegionError` when n misses the kind's
-    Method 2 bound.
+    Construction raises ``ValueError`` for a kind without a Method 2
+    region, and :class:`EmptyRegionError` when n misses the kind's Method 2
+    bound.
     """
 
     kind: GateKind
@@ -232,15 +233,18 @@ class CurvedRegion:
     n_bound: float = field(init=False)
 
     def __post_init__(self):
-        if GATE_RULES[self.kind].membership is None:
-            raise ValueError(f"{self.kind.value} gates have no Method 2 region")
-        nb = check_n_bound(self.kind, self.thresholds, self.n, "m2")
+        kind = GateKind(self.kind)
+        object.__setattr__(self, "kind", kind)
+        if kind not in _M2_INTERVALS:
+            raise ValueError(f"{kind.value} gates have no Method 2 region")
+        nb = check_n_bound(kind, self.thresholds, self.n, "m2")
         object.__setattr__(self, "n_bound", nb)
 
     def judge(self, points) -> tuple[np.ndarray, list[str]]:
         """(inside, binding constraint name) of each row of the (N, 2) array ``points``."""
         k = _k_points(points, 2, "a Method 2 region needs two K axes")
-        return GATE_RULES[self.kind].membership(self.thresholds, self.n, k[:, 0], k[:, 1])
+        return _interval_membership(_M2_INTERVALS[self.kind], self.thresholds, self.n,
+                                    k[:, 0], k[:, 1])
 
     def membership(self, point) -> tuple[bool, str]:
         """:meth:`judge` of one (K1, K2) point."""
@@ -301,6 +305,10 @@ def _or_interval(ths, n: float) -> Callable[[float], tuple]:
     return at
 
 
+# the K1 interval builder of each kind with a Method 2 region
+_M2_INTERVALS = {GateKind.AND: _and_interval, GateKind.OR: _or_interval}
+
+
 def _interval_membership(interval, ths, n: float, k1: np.ndarray, k2: np.ndarray
                          ) -> tuple[np.ndarray, list[str]]:
     """(inside, binding) of the points (k1, k2) in a region that holds, for
@@ -335,47 +343,6 @@ def _interval_membership(interval, ths, n: float, k1: np.ndarray, k2: np.ndarray
     return inside, binding.tolist()
 
 
-# ---------------------------------------------------------------------------
-# per-gate-kind rule table
-
-
-@dataclass(frozen=True)
-class GateRule:
-    """Synthesis rules of one gate kind.
-
-    ``m1_target`` maps the output's t~+ to the kind's Method 1 output
-    target (high, share), from which :func:`n_bound` and :func:`k_box`
-    take its bound and box.  ``membership`` is the Method 2 predicate
-    ``(thresholds, n, k1, k2) -> (inside, binding)`` on float arrays of K1
-    and K2, giving a boolean mask and one binding-constraint name per
-    point; None for a kind without a Method 2 region.  AND and OR share
-    :func:`_interval_membership` of their K1 interval [lower(K2),
-    upper(K2)] (rows and labels in :class:`CurvedRegion`).  ``strict_m2``
-    marks a Method 2 bound that n must exceed rather than reach.
-    """
-
-    m1_target: Callable[[float], tuple[float, int]]
-    membership: Callable[..., tuple[np.ndarray, list[str]]] | None
-    default_n: float
-    strict_m2: bool = False
-
-
-GATE_RULES: dict[GateKind, GateRule] = {
-    GateKind.AND: GateRule(
-        m1_target=lambda ttp: (math.sqrt(ttp), 1),
-        membership=partial(_interval_membership, _and_interval), default_n=4.0,
-    ),
-    GateKind.OR: GateRule(
-        m1_target=lambda ttp: (ttp, 2),
-        membership=partial(_interval_membership, _or_interval), default_n=4.0, strict_m2=True,
-    ),
-    # the NOT interval is exact, so both methods share its target
-    GateKind.NOT: GateRule(
-        m1_target=lambda ttp: (ttp, 1), membership=None, default_n=3.0,
-    ),
-}
-
-
 def check_n_bound(
     kind: GateKind, ths, n: float, method: str, gate_id: str | None = None
 ) -> float:
@@ -385,9 +352,10 @@ def check_n_bound(
     :class:`EmptyRegionError` (named after ``gate_id``, else the kind)
     unless n reaches the bound, or exceeds it where it is strict.
     """
+    kind = GateKind(kind)
     _check_finite_positive("Hill coefficient n", n)
     nb = n_bound(kind, ths, method)
-    strict = method == "m2" and GATE_RULES[kind].strict_m2
+    strict = method == "m2" and kind.strict_m2
     if n < nb or (strict and n == nb):
         raise EmptyRegionError(
             gate_id or kind.value,
@@ -410,7 +378,7 @@ def gate_regions(
     detail = "K intervals cross" if box.empty else f"K box lies above K = {K_MAX:g}"
     box = ParamBox({a: (lo, min(hi, K_MAX)) for a, (lo, hi) in box.intervals.items()})
     region = None
-    if method == "m2" and GATE_RULES[kind].membership:
+    if method == "m2" and kind in _M2_INTERVALS:
         region = CurvedRegion(kind=kind, thresholds=ths, n=n)
     if box.empty:
         if region is None:
@@ -433,6 +401,9 @@ class GateContract:
     delta: float
     lam: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "kind", GateKind(self.kind))
+
     @classmethod
     def of(cls, c: Circuit, tb: TimingBudget, gid: str) -> GateContract:
         g = c.gates[gid]
@@ -447,7 +418,7 @@ class GateContract:
         """Each row's worst-case output robustness at each K point, shape
         (rows, N), rows in :meth:`GateKind.rows` order."""
         return np.stack([worst_case_output_robustness(self, r, n, alpha, k_values, step)
-                         for r in GateKind(self.kind).rows(self.delta, self.lam)])
+                         for r in self.kind.rows(self.delta, self.lam)])
 
 
 @dataclass(frozen=True)
@@ -499,7 +470,7 @@ def synthesize_circuit(
     """Analytic per-gate synthesis over the whole circuit.
 
     ``n`` maps gate id to its fixed Hill coefficient (default: the
-    kind's ``default_n`` in :data:`GATE_RULES`).  Each gate's bound, box
+    kind's :attr:`GateKind.default_n`).  Each gate's bound, box
     and region come from :func:`gate_regions`.  Raises ``ValueError`` for
     a gate id in ``n`` that is not in the circuit, and
     :class:`EmptyRegionError` when a gate has no region.
@@ -511,7 +482,7 @@ def synthesize_circuit(
     results = {}
     for gid in c.topo_order():
         gc = GateContract.of(c, tb, gid)
-        n_g = float(n.get(gid, GATE_RULES[gc.kind].default_n))
+        n_g = float(n.get(gid, gc.kind.default_n))
         nb, box, region = gate_regions(gc.kind, gc.thresholds, n_g, method, gid)
         results[gid] = GateSynthesis(gate_id=gid, kind=gc.kind, n=n_g, n_bound=nb,
                                      alpha_min=gc.alpha_min, box=box, region=region)
@@ -600,7 +571,7 @@ def worst_case_output_robustness(
     versus continuous gap in general see Fainekos & Pappas (TCS 2009) and
     Donzé & Maler (FORMATS 2010).
     """
-    kind = GateKind(contract.kind)
+    kind = contract.kind
     *input_ths, output_th = contract.thresholds
     levels, x0 = worst_case(kind, row, input_ths)
     k_values = np.atleast_2d(np.asarray(k_values, dtype=float))
@@ -653,8 +624,8 @@ def synthesize_numeric(
         valid = (pts > 0).all(axis=1) & (pts <= K_MAX).all(axis=1)
         min_rho = np.full(len(pts), -np.inf)
         if valid.any():
-            min_rho[valid] = gc.margins(pts[valid], GATE_RULES[gc.kind].default_n,
-                                        gc.alpha_min, step).min(axis=0)
+            min_rho[valid] = gc.margins(pts[valid], gc.kind.default_n, gc.alpha_min,
+                                        step).min(axis=0)
         results[gid] = NumericGateResult(points=pts, admissible=min_rho >= 0.0,
                                          min_robustness=min_rho)
         if not results[gid].admissible.any():

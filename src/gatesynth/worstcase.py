@@ -11,12 +11,9 @@ favourable extreme.
 
 from __future__ import annotations
 
-from .gates import HIGH, ExtendedTruthRow, GateKind
+from .gates import HIGH, MAX_LEVEL, ExtendedTruthRow, GateKind
 
 __all__ = ["worst_case"]
-
-# maximum rescaled concentration (steady state for full drive)
-_MAX_LEVEL = 1.0
 
 
 def worst_case(
@@ -44,13 +41,13 @@ def worst_case(
 
     out_high = row.output_level == HIGH
     # each input sits at the end of its admissible range, [0, minus] or
-    # [plus, _MAX_LEVEL], that pushes the output away from its level: the
+    # [plus, MAX_LEVEL], that pushes the output away from its level: the
     # top end when a higher input lowers a high output or raises a low one
     top = out_high != kind.activating
     levels = []
     for lvl, th in zip(row.input_levels, input_thresholds):
-        lo, hi = (th.plus, _MAX_LEVEL) if lvl == HIGH else (0.0, th.minus)
+        lo, hi = (th.plus, MAX_LEVEL) if lvl == HIGH else (0.0, th.minus)
         levels.append(hi if top else lo)
     # output must rise from empty when required high, fall from full when low
-    x0 = 0.0 if out_high else _MAX_LEVEL
+    x0 = 0.0 if out_high else MAX_LEVEL
     return tuple(levels), x0

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import tracemalloc
@@ -20,7 +21,7 @@ from gatesynth.monitor import robustness
 from gatesynth.odesim import simulate_constant_drive, time_grid
 from gatesynth.signals import Signal
 from gatesynth.synth import (
-    GATE_RULES, CurvedRegion, EmptyRegionError, GateContract, NumericGrid, ParamBox,
+    CurvedRegion, EmptyRegionError, GateContract, NumericGrid, ParamBox,
     alpha_bound, check_n_bound, export_region_csv, k_box, n_bound,
     sample_region, synthesize_circuit, synthesize_numeric,
     worst_case_output_robustness,
@@ -215,7 +216,6 @@ class TestMethod2Oracle:
            ths=st.tuples(thresholds(), thresholds(), thresholds()),
            dn=st.floats(0.01, 4.0), seed=st.integers(0, 2**32 - 1))
     def test_inside_iff_every_row_holds(self, kind, ths, dn, seed):
-        rule = GATE_RULES[kind]
         n = max(n_bound(kind, ths, "m2"), 0.5) + dn
         rng = np.random.default_rng(seed)
         # uniform points, plus points around the Method 1 box where the
@@ -226,7 +226,7 @@ class TestMethod2Oracle:
             for lo, hi in box.intervals.values()
         ]
         pts = np.vstack([rng.uniform(1e-3, 1.0, (250, 2)), np.column_stack(near)])
-        inside, _ = rule.membership(ths, n, pts[:, 0], pts[:, 1])
+        inside, _ = CurvedRegion(kind, ths, n).judge(pts)
         margin = steady_state_margins(kind, ths, n, pts)
         clear = np.abs(margin) >= 1e-7
         assert clear.sum() > 400
@@ -626,6 +626,13 @@ class TestGateContract:
             assert (gc.delta, gc.lam) == (tb.delta[gid], tb.lam[gid])
             assert gc.alpha_min == alpha_bound(c.thresholds[names[-1]], tb.delta[gid])
 
+    def test_kind_given_by_name(self):
+        gc = GateContract("AND", (TH_34,) * 3, 4.0, 4.0)
+        assert gc.kind is AND
+        assert gc.margins([[0.4, 0.4]], 4.0, gc.alpha_min).shape == (4, 1)
+        with pytest.raises(ValueError, match="'and' is not a valid GateKind"):
+            GateContract("and", (TH_34,) * 3, 4.0, 4.0)
+
     @pytest.mark.parametrize("gid", ["E", "S", "D"])
     def test_margins_are_the_kernel_per_truth_table_row(self, gid):
         c = self.half_adder(distinct=True)
@@ -653,7 +660,7 @@ class TestGateContract:
         valid = ((res.points > 0) & (res.points <= 1)).all(axis=1)
         assert valid.any() and not valid.all()
         want = np.full(len(res.points), -np.inf)
-        want[valid] = gc.margins(res.points[valid], GATE_RULES[gc.kind].default_n,
+        want[valid] = gc.margins(res.points[valid], gc.kind.default_n,
                                  gc.alpha_min).min(axis=0)
         assert res.min_robustness.tobytes() == want.tobytes()
         assert np.array_equal(res.admissible, want >= 0.0) and res.admissible.any()
@@ -692,7 +699,7 @@ class TestMarginsMonotoneInK:
         axis %= kind.arity
         pts = np.array([k[:kind.arity]] * 2)
         pts[:, axis] = sorted((k[axis], k_other))
-        n = n_scale * GATE_RULES[kind].default_n
+        n = n_scale * kind.default_n
         margins = gc.margins(pts, n, alpha_scale * gc.alpha_min)
         for row, (at_lo, at_hi) in zip(kind.rows(delta, lam), margins):
             if (row.output_level == HIGH) != kind.activating:
@@ -747,7 +754,7 @@ class TestSynthesizeNumeric:
             return synthesize_numeric(c, grid={"M": grid})["M"].min_robustness.tolist()
 
         def margins(step):
-            n = GATE_RULES[AND].default_n
+            n = AND.default_n
             return gc.margins(grid.points(), n, gc.alpha_min, step).min(axis=0).tolist()
 
         assert rho(plain) == margins(0.01)
@@ -1003,8 +1010,18 @@ class TestOneBoundFormula:
 
 
 class TestRuleTable:
-    def test_every_kind_has_a_rule(self):
-        assert set(GATE_RULES) == set(GateKind)
+    def test_each_kind_carries_its_truth_table(self):
+        tables = {
+            AND: {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 1},
+            OR: {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1},
+            NOT: {(0,): 1, (1,): 0},
+        }
+        assert set(tables) == set(GateKind)
+        for kind, table in tables.items():
+            got = {bits: int(kind.truth(tuple(map(bool, bits))))
+                   for bits in itertools.product((0, 1), repeat=kind.arity)}
+            assert got == table, kind
+            assert len(kind.rows(1.0, 2.0)) == 2 ** kind.arity
 
     def test_exact_bound_shared_by_m2_and_not(self):
         nb = n_bound(NOT, (TH_34,) * 2, "m1")
@@ -1037,11 +1054,27 @@ class TestRuleTable:
         with pytest.raises(ValueError, match="NOT"):
             CurvedRegion(kind=GateKind.NOT, thresholds=(TH_34, TH_34), n=3.0)
 
+    def test_region_kind_given_by_name(self):
+        assert CurvedRegion("AND", (TH_34,) * 3, 4.0).kind is AND
+        with pytest.raises(ValueError, match="NOT gates have no Method 2 region"):
+            CurvedRegion("NOT", (TH_34, TH_34), 4.0)
+
+    def test_bounds_take_the_kind_by_name(self):
+        ths = (TH_34,) * 3
+        assert n_bound("OR", ths, "m1") == n_bound(OR, ths, "m1")
+        assert check_n_bound("OR", ths, 5.0, "m2") == n_bound(OR, ths, "m2")
+        with pytest.raises(EmptyRegionError, match="'OR'"):
+            check_n_bound("OR", ths, 1.0, "m1")
+
+    def test_region_rejects_an_unknown_kind(self):
+        with pytest.raises(ValueError, match="'and' is not a valid GateKind"):
+            CurvedRegion("and", (TH_34,) * 3, 4.0)
+
     def test_default_n_used_by_synthesis(self):
         c = Circuit.from_json("circuits/half_adder.json")
         res = synthesize_circuit(c, method="m1")
         for gid, gs in res.gates.items():
-            assert gs.n == GATE_RULES[gs.kind].default_n
+            assert gs.n == gs.kind.default_n
 
 
 class TestBlockedEvaluation:
@@ -1095,15 +1128,14 @@ class TestBlockedEvaluation:
 
     def test_region_blocks_joined_in_grid_order(self, monkeypatch):
         region = CurvedRegion(AND, (TH_34,) * 3, 4)
-        rule = GATE_RULES[GateKind.AND]
+        membership = synth._interval_membership
         sizes = []
 
-        def recording(ths, n, k1, k2):
+        def recording(interval, ths, n, k1, k2):
             sizes.append(len(k1))
-            return rule.membership(ths, n, k1, k2)
+            return membership(interval, ths, n, k1, k2)
 
-        monkeypatch.setitem(synth.GATE_RULES, GateKind.AND,
-                            dataclasses.replace(rule, membership=recording))
+        monkeypatch.setattr(synth, "_interval_membership", recording)
         monkeypatch.setattr(synth, "_BLOCK_BYTES", 7 * 64)
         pts, inside, binding = sample_region(region, self.REGION_GRID)
         assert sizes == [7] * 62 + [3]
