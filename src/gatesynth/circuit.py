@@ -64,11 +64,7 @@ class Gate:
     def __post_init__(self):
         object.__setattr__(self, "kind", GateKind(self.kind))
         object.__setattr__(self, "inputs", tuple(self.inputs))
-        if len(self.inputs) != self.kind.arity:
-            raise ValueError(
-                f"gate {self.id!r}: {self.kind.value} takes {self.kind.arity} "
-                f"input(s), got {len(self.inputs)}"
-            )
+        self.kind.check_count(self.inputs, where=f"gate {self.id!r}: ")
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,11 @@ class GateKind(str, Enum):
         kind.m1_target, kind.default_n, kind.strict_m2 = m1_target, default_n, strict_m2
         return kind
 
+    def check_count(self, items, what: str = "input(s)", where: str = "") -> None:
+        """Raise ``ValueError`` unless ``items`` holds one entry per input."""
+        if (got := len(items)) != self.arity:
+            raise ValueError(f"{where}{self.value} gate takes {self.arity} {what}, got {got}")
+
     def output_level(self, input_levels: tuple[str, ...]) -> str:
         return HIGH if self.truth(tuple(v == HIGH for v in input_levels)) else LOW
 
@@ -139,10 +144,7 @@ def check_kinetics(kind: GateKind, n: float, alpha: float, hill_k) -> None:
     ``hill_k`` may be an array of K values, one per parameter point."""
     _check_finite_positive("Hill coefficient n", n)
     _check_finite_positive("degradation rate alpha", alpha)
-    if len(hill_k) != kind.arity:
-        raise ValueError(
-            f"{kind.value} gate needs {kind.arity} K value(s), got {len(hill_k)}"
-        )
+    kind.check_count(hill_k, "K value(s)")
     if not all(np.all((0 < k) & (k <= K_MAX)) for k in hill_k):
         raise ValueError(f"each Hill K must lie in (0, {K_MAX:g}]")
 
@@ -295,8 +297,12 @@ def row_formula(
     """STL implication encoding one truth-table row.
 
     Antecedent: inputs hold their levels for lambda+delta; consequent: the
-    output reaches its level within delta and keeps it for lambda.
+    output reaches its level within delta and keeps it for lambda.  Raises
+    ``ValueError`` unless ``input_vars`` names one input per input level.
     """
+    if len(input_vars) != len(row.input_levels):
+        raise ValueError(f"row has {len(row.input_levels)} input level(s), "
+                         f"got {len(input_vars)} input name(s)")
     atoms = [
         _level_atom(v, lvl, thresholds[v])
         for v, lvl in zip(input_vars, row.input_levels)
@@ -319,8 +325,7 @@ def truth_table(
     """Extended truth table: :meth:`GateKind.rows` with their STL rows."""
     kind = GateKind(kind)
     input_vars = tuple(input_vars)
-    if len(input_vars) != kind.arity:
-        raise ValueError(f"{kind.value} gate takes {kind.arity} input(s)")
+    kind.check_count(input_vars)
     return [
         (row, row_formula(row, input_vars, output_var, thresholds))
         for row in kind.rows(delta, lam)

@@ -138,7 +138,9 @@ def _circuit_step(c: Circuit, step: float | None) -> float:
 
 
 def time_grid(horizon: float, step: float) -> np.ndarray:
-    """Sample times 0, step, ... through the first one at or past horizon."""
+    """Sample times 0, step, ... through the first one at or past horizon, both finite and > 0."""
+    _check_finite_positive("step", step)
+    _check_finite_positive("horizon", horizon)
     n = int(round(horizon / step))
     if abs(n * step - horizon) > 1e-9:
         n = int(np.ceil(horizon / step - 1e-9))
@@ -156,9 +158,7 @@ def simulate_gate(g: GateParams, cfg: SimConfig) -> Signal:
     an input ``x``, or if ``cfg.initial`` names another variable.
     """
     names = tuple(cfg.inputs)
-    if len(names) != g.kind.arity:
-        raise ValueError(f"input names {list(names)} in cfg.inputs: "
-                         f"{g.kind.value} gate takes {g.kind.arity} input(s)")
+    g.kind.check_count(names, where=f"input names {list(names)} in cfg.inputs: ")
     if "x" in names:
         raise ValueError("the output name 'x' is also an input name")
     if set(cfg.initial) - {"x"}:

@@ -24,7 +24,7 @@ class OutOfRangeError(ValueError):
     """Requested time lies outside the sampled interval."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared by identity: its fields are arrays
 class Signal:
     """A multi-variable trace sampled on a strictly increasing time grid.
 
@@ -33,10 +33,10 @@ class Signal:
     """
 
     times: np.ndarray
-    values: dict[str, np.ndarray] = field(compare=False)
+    values: dict[str, np.ndarray]
     # grid step and uniformity, from the one np.diff of the times
-    _step: float | None = field(init=False, repr=False, compare=False)
-    _uniform: bool = field(init=False, repr=False, compare=False)
+    _step: float | None = field(init=False, repr=False)
+    _uniform: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)

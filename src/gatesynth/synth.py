@@ -124,17 +124,21 @@ def alpha_bound(th: Thresholds, delta: float) -> float:
     return math.log(1.0 / (th.p * th.minus)) / delta
 
 
-def _target(kind: GateKind, out: Thresholds, method: str) -> tuple[float, int]:
-    """The output target (high, share) that ``kind``'s K intervals meet.
+def _target(kind: GateKind, ths, method: str) -> tuple[list[Thresholds], float, int, float]:
+    """``ths`` = (inputs..., output) as (inputs, high, share, t~-): one input
+    threshold per input of ``kind`` (else ``ValueError``), the output target
+    (high, share) that the kind's K intervals meet, and the output's t~-.
 
     Method 2 and NOT ask the exact conditions, (t~+, 1).  Method 1 splits
     them over two inputs as the kind's ``m1_target`` says.
     """
     if method not in ("m1", "m2"):
         raise ValueError("method must be 'm1' or 'm2'")
-    if method == "m2":
-        return out.tilde_plus, 1
-    return GateKind(kind).m1_target(out.tilde_plus)
+    kind = GateKind(kind)
+    *ins, out = ths
+    kind.check_count(ins, "input threshold(s)")
+    high, share = (out.tilde_plus, 1) if method == "m2" else kind.m1_target(out.tilde_plus)
+    return ins, high, share, out.tilde_minus
 
 
 def n_bound(kind: GateKind, ths, method: str) -> float:
@@ -145,9 +149,7 @@ def n_bound(kind: GateKind, ths, method: str) -> float:
     log(high/t~- * (share - share*t~-)/(1 - high)) / min_i log(theta_i+/theta_i-),
     for a repressing kind too, whose bases are the reciprocals.
     """
-    *ins, out = ths
-    high, share = _target(kind, out, method)
-    ttm = out.tilde_minus
+    ins, high, share, ttm = _target(kind, ths, method)
     ratio = high / ttm * (share - share * ttm) / (1 - high)
     return math.log(ratio) / min(math.log(th.plus / th.minus) for th in ins)
 
@@ -163,9 +165,7 @@ def k_box(kind: GateKind, ths, n: float, method: str = "m1") -> ParamBox:
     lo = high/(1 - high) and hi = t~-/(share - share*t~-).  Under Method 2
     this is the rectangle the curved AND and OR regions lie in.
     """
-    *ins, out = ths
-    high, share = _target(kind, out, method)
-    ttm = out.tilde_minus
+    ins, high, share, ttm = _target(kind, ths, method)
     if GateKind(kind).activating:
         lo, hi = (share - share * ttm) / ttm, (1 - high) / high
     else:
@@ -403,6 +403,7 @@ class GateContract:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", GateKind(self.kind))
+        self.kind.check_count(self.thresholds[:-1], "input threshold(s)")
 
     @classmethod
     def of(cls, c: Circuit, tb: TimingBudget, gid: str) -> GateContract:
@@ -524,7 +525,7 @@ class NumericGrid:
         return np.stack(mesh, axis=-1).reshape(-1, len(self.axes))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared by identity: its fields are arrays
 class NumericGateResult:
     points: np.ndarray  # all grid points, shape (N, n_axes), columns K1..Km
     admissible: np.ndarray  # boolean mask, shape (N,)
@@ -616,10 +617,7 @@ def synthesize_numeric(
     results = {}
     for gid, gspec in grid.items():
         gc = GateContract.of(c, tb, gid)
-        if len(gspec.axes) != gc.kind.arity:
-            raise ValueError(
-                f"gate {gid!r} needs {gc.kind.arity} grid axis(es), got {len(gspec.axes)}"
-            )
+        gc.kind.check_count(gspec.axes, "grid axis(es)", where=f"gate {gid!r}: ")
         pts = gspec.points()
         valid = (pts > 0).all(axis=1) & (pts <= K_MAX).all(axis=1)
         min_rho = np.full(len(pts), -np.inf)

@@ -30,8 +30,8 @@ def worst_case(
     """
     kind = GateKind(kind)
     input_thresholds = tuple(input_thresholds)
-    if len(row.input_levels) != kind.arity or len(input_thresholds) != kind.arity:
-        raise ValueError(f"{kind.value} gate takes {kind.arity} input(s)")
+    kind.check_count(row.input_levels, "input level(s)")
+    kind.check_count(input_thresholds, "input threshold(s)")
     expected = kind.output_level(row.input_levels)
     if expected != row.output_level:
         raise ValueError(

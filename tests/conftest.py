@@ -1,11 +1,14 @@
-"""Shared random generators for monitor differential tests."""
+"""Shared random generators for monitor differential tests, and the
+hypothesis strategy for gate thresholds."""
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from gatesynth.formulas import (
     And, Atom, Eventually, Globally, Implies, Not, Or, TrueFormula, Until,
 )
+from gatesynth.gates import Thresholds
 from gatesynth.signals import Signal
 
 VARS = ("x", "y")
@@ -51,3 +54,12 @@ def random_formula(rng, depth=3, max_hi=2.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@st.composite
+def thresholds(draw):
+    """Valid thresholds with plus at least 1.25 times minus."""
+    minus = draw(st.floats(0.05, 0.45))
+    p = draw(st.floats(0.01, 0.25))
+    plus = draw(st.floats(1.25 * minus, 0.95 / (1 + p)))
+    return Thresholds(plus=plus, minus=minus, p=p)

@@ -11,8 +11,8 @@ from gatesynth.gates import (
     check_kinetics, closed_form, gate_drive, gate_drives, row_formula,
     truth_table,
 )
-from gatesynth.odesim import SimConfig
-from gatesynth.synth import alpha_bound
+from gatesynth.odesim import SimConfig, time_grid
+from gatesynth.synth import GateContract, alpha_bound
 
 TH = Thresholds(plus=0.75, minus=0.25, p=0.1)
 
@@ -268,7 +268,7 @@ class TestCheckKinetics:
     @pytest.mark.parametrize("n,alpha,hill_k,match", [
         (0, 1.0, (0.4, 0.4), "Hill coefficient"),
         (4, 0.0, (0.4, 0.4), "degradation rate"),
-        (4, 1.0, (0.4,), "needs 2 K"),
+        (4, 1.0, (0.4,), "takes 2 K value"),
         (4, 1.0, (0.4, 0.0), r"\(0, 1\]"),
         (4, 1.0, np.array([[0.4, 0.5], [0.4, 1.01]]), r"\(0, 1\]"),
         (4, 1.0, np.array([[0.4, np.nan], [0.4, 0.2]]), r"\(0, 1\]"),
@@ -340,6 +340,14 @@ class TestTruthTable:
         rows = truth_table(GateKind.OR, ("u1", "u2"), "x", 4.0, 12.0, th)
         levels = {r.input_levels: r.output_level for r, _ in rows}
         assert levels[(LOW, HIGH)] == HIGH and levels[(LOW, LOW)] == LOW
+
+    @pytest.mark.parametrize("names", [("u1",), ("u1", "u2", "u3")])
+    def test_row_formula_needs_a_name_per_input_level(self, names):
+        th = dict.fromkeys(("u1", "u2", "u3", "x"), TH)
+        row = ExtendedTruthRow((HIGH, HIGH), HIGH, 4.0, 12.0)
+        msg = rf"^row has 2 input level\(s\), got {len(names)} input name\(s\)$"
+        with pytest.raises(ValueError, match=msg):
+            row_formula(row, names, "x", th)
 
     def test_all_high_formula_round_trips(self):
         th = {"xA": TH, "xB": TH, "xC": TH}
@@ -433,9 +441,13 @@ class TestValidation:
                        external_inputs=("u",), outputs=(("M", "out"),),
                        thresholds={"u": TH, "x": TH}, delta=4.0, lam=4.0, sim={"h": v}),
      "sim step h must be finite and > 0"),
+    (lambda v: time_grid(v, 0.01), "horizon must be finite and > 0"),
+    (lambda v: time_grid(16.0, v), "step must be finite and > 0"),
+    (lambda v: GateContract(GateKind.NOT, (TH, TH), 4.0, 12.0).margins([[0.4]], 3.0, 1.0, v),
+     "step must be finite and > 0"),
 ], ids=["SimConfig.horizon", "SimConfig.step", "ExtendedTruthRow.delta",
         "ExtendedTruthRow.lam", "alpha_bound", "closed_form", "Circuit.delta",
-        "Circuit.sim.h"])
+        "Circuit.sim.h", "time_grid.horizon", "time_grid.step", "GateContract.margins.step"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
 def test_positive_quantity_must_be_finite(make, match, value):
     with pytest.raises(ValueError, match=match):

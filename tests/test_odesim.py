@@ -195,7 +195,7 @@ class TestSimulateGate:
     @pytest.mark.parametrize("levels", [(0.6,), (0.6, 0.7, 0.8)])
     def test_wrong_number_of_levels_rejected(self, levels):
         cfg = gate_config(1.0, 0.1, **{f"u{i}": lvl for i, lvl in enumerate(levels)})
-        with pytest.raises(ValueError, match=r"AND gate takes 2 input\(s\)$"):
+        with pytest.raises(ValueError, match=rf"AND gate takes 2 input\(s\), got {len(levels)}$"):
             simulate_gate(and_gate(), cfg)
 
     @pytest.mark.parametrize("level", [-0.5, float("nan"), float("inf")])

@@ -100,6 +100,11 @@ class TestInvariants:
         with pytest.raises(ValueError):
             Signal(times=np.array([0.0]), values={})
 
+    def test_compared_by_identity(self):
+        # a field-by-field == would compare arrays, whose truth is ambiguous
+        a, b = sig([0, 1], [0.2, 0.4]), sig([0, 1], [0.2, 0.4])
+        assert a == a and a != b
+
 
 class TestUniformity:
     def test_uniform_step(self):

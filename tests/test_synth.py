@@ -21,7 +21,7 @@ from gatesynth.monitor import robustness
 from gatesynth.odesim import simulate_constant_drive, time_grid
 from gatesynth.signals import Signal
 from gatesynth.synth import (
-    CurvedRegion, EmptyRegionError, GateContract, NumericGrid, ParamBox,
+    CurvedRegion, EmptyRegionError, GateContract, NumericGateResult, NumericGrid, ParamBox,
     alpha_bound, check_n_bound, export_region_csv, k_box, n_bound,
     sample_region, synthesize_circuit, synthesize_numeric,
     worst_case_output_robustness,
@@ -29,6 +29,8 @@ from gatesynth.synth import (
 from gatesynth.synth import _and_share
 from gatesynth.gates import ExtendedTruthRow, truth_table
 from gatesynth.worstcase import worst_case
+
+from conftest import thresholds
 
 TH_23 = Thresholds(plus=2 / 3, minus=1 / 3, p=0.1)
 TH_34 = Thresholds(plus=3 / 4, minus=1 / 4, p=0.1)
@@ -179,15 +181,6 @@ class TestRegionM2:
         nb = n_bound(OR, (TH_34,) * 3, "m2")
         with pytest.raises(ValueError):
             CurvedRegion(OR, (TH_34,) * 3, nb)
-
-
-@st.composite
-def thresholds(draw):
-    """Valid thresholds with plus at least 1.25 times minus."""
-    minus = draw(st.floats(0.05, 0.45))
-    p = draw(st.floats(0.01, 0.25))
-    plus = draw(st.floats(1.25 * minus, 0.95 / (1 + p)))
-    return Thresholds(plus=plus, minus=minus, p=p)
 
 
 def steady_state_margins(kind, ths, n, pts):
@@ -708,6 +701,12 @@ class TestMarginsMonotoneInK:
                 assert at_lo >= at_hi, row
 
 
+def test_numeric_results_compared_by_identity():
+    # a field-by-field == would compare arrays, whose truth is ambiguous
+    a, b = (NumericGateResult(np.zeros((2, 2)), np.ones(2, bool), np.zeros(2)) for _ in "ab")
+    assert a == a and a != b
+
+
 class TestSynthesizeNumeric:
     def _single_and(self):
         th = {"a": TH_34, "b": TH_34, "x": TH_34}
@@ -763,7 +762,7 @@ class TestSynthesizeNumeric:
     @pytest.mark.parametrize("axes", [{"K1": (0.3, 0.45, 3)},
                                       {f"K{i}": (0.3, 0.45, 3) for i in (1, 2, 3)}])
     def test_wrong_number_of_axes_rejected(self, axes):
-        with pytest.raises(ValueError, match=r"gate 'M' needs 2 grid axis\(es\), got"):
+        with pytest.raises(ValueError, match=r"gate 'M': AND gate takes 2 grid axis\(es\), got"):
             synthesize_numeric(self._single_and(), grid={"M": NumericGrid(axes=axes)})
 
     def test_no_admissible_point_distinct_error(self):
@@ -1007,6 +1006,28 @@ class TestOneBoundFormula:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="method"):
             n_bound(GateKind.AND, (TH_34, TH_34, TH_34), "m3")
+
+
+class TestThresholdCount:
+    """Every entry point that takes a thresholds tuple (inputs..., output)
+    refuses one with another count of input thresholds than the kind has
+    inputs, naming the kind, its arity and the count."""
+
+    ENTRY_POINTS = {
+        "n_bound": lambda kind, ths: n_bound(kind, ths, "m1"),
+        "k_box": lambda kind, ths: k_box(kind, ths, 4.0),
+        "check_n_bound": lambda kind, ths: check_n_bound(kind, ths, 4.0, "m2"),
+        "gate_regions": lambda kind, ths: synth.gate_regions(kind, ths, 4.0, "m1"),
+        "CurvedRegion": lambda kind, ths: CurvedRegion(kind, ths, 4.0),
+        "GateContract": lambda kind, ths: GateContract(kind, ths, 4.0, 12.0),
+    }
+
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    @pytest.mark.parametrize("kind,count", [(AND, 1), (AND, 3), (OR, 1)])
+    def test_mis_sized_thresholds_rejected(self, entry, kind, count):
+        msg = rf"^{kind.value} gate takes 2 input threshold\(s\), got {count}$"
+        with pytest.raises(ValueError, match=msg):
+            self.ENTRY_POINTS[entry](kind, (TH_34,) * (count + 1))
 
 
 class TestRuleTable:

@@ -11,6 +11,8 @@ from gatesynth.monitor import robustness
 from gatesynth.odesim import SimConfig, simulate_circuit
 from gatesynth.worstcase import worst_case
 
+from conftest import thresholds
+
 THA = Thresholds(plus=0.75, minus=0.25, p=0.1)
 THB = Thresholds(plus=0.7, minus=0.3, p=0.1)
 
@@ -59,13 +61,6 @@ class TestWorstCaseLevels:
                 got, _ = worst_case(kind, row(kind, levels), (THA, THB)[: kind.arity])
                 for lvl, th in zip(got, (THA, THB)):
                     assert lvl in (0.0, th.minus, th.plus, 1.0)
-
-
-@st.composite
-def thresholds(draw):
-    minus = draw(st.floats(0.05, 0.45))
-    p = draw(st.floats(0.01, 0.25))
-    return Thresholds(plus=draw(st.floats(1.25 * minus, 0.95 / (1 + p))), minus=minus, p=p)
 
 
 class TestLeastFavourableEnd:
