@@ -41,7 +41,7 @@ from .formulas import parse
 from .gates import GateKind, GateParams, Thresholds, _check_finite_positive
 from .monitor import robustness
 from .odesim import VerifyReport, verify_combos
-from .signals import Signal, UnknownVariableError, read_trace_csv, write_trace_csv
+from .signals import TIME_TOL, Signal, UnknownVariableError, read_trace_csv, write_trace_csv
 from .synth import (
     EmptyRegionError, NumericGrid, export_region_csv, gate_regions, sample_region,
     synthesize_circuit,
@@ -326,7 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
     m = sub.add_parser("monitor", help="robustness of a formula on a trace CSV")
     m.add_argument("trace")
     m.add_argument("formula")
-    m.add_argument("--t", type=float, default=0.0)
+    m.add_argument("--t", type=float, default=0.0,
+                   help=f"evaluation time (default 0); it names the trace sample within "
+                        f"{TIME_TOL:g} of it, where the formula is evaluated")
     m.set_defaults(func=cmd_monitor)
     return p
 

@@ -22,9 +22,10 @@ restricted to their window.  Two monitors are provided:
 
 :func:`eval_boolean` gives the boolean semantics by the same recursion,
 with the same window rule; the fast monitor keeps its own, so the
-differential tests compare two independent rules.  All three use closed
-windows and raise ``HorizonError`` on the same formulas: a window that
-holds no sample, or a horizon past the end of the trace.  The two
+differential tests compare two independent rules.  All three evaluate at
+the sample a time names within ``signals.TIME_TOL``, use closed windows
+and raise ``HorizonError`` on the same formulas: a window that holds no
+sample, or a horizon past the end of the trace.  The two
 quantitative monitors give NaN wherever a connective's operand or a
 window's sample is NaN: ``np.min``/``np.max`` and ``np.minimum``/
 ``np.maximum`` propagate it, where Python's ``min`` and ``max`` would
@@ -41,14 +42,12 @@ from .formulas import (
     And, Atom, Eventually, Formula, Globally, Implies, Not, Or,
     TrueFormula, Until, required_horizon,
 )
-from .signals import Signal
+from .signals import TIME_TOL, Signal
 
 __all__ = [
     "robustness", "robustness_naive", "robustness_signal", "eval_boolean",
     "HorizonError",
 ]
-
-_TOL = 1e-9
 
 
 class HorizonError(ValueError):
@@ -57,9 +56,9 @@ class HorizonError(ValueError):
 
 def _window_offsets(lo: float, hi: float, h: float) -> tuple[int, int]:
     """Grid-index offsets covered by a time window [lo, hi] on step h,
-    widened by ``_TOL`` in time, as :func:`_window` widens it."""
-    ia = math.ceil((lo - _TOL) / h)
-    ib = math.floor((hi + _TOL) / h)
+    widened by ``TIME_TOL`` in time, as :func:`_window` widens it."""
+    ia = math.ceil((lo - TIME_TOL) / h)
+    ib = math.floor((hi + TIME_TOL) / h)
     if ib < ia:
         raise HorizonError(
             f"window [{lo},{hi}] contains no grid point at step {h}"
@@ -156,7 +155,7 @@ def robustness_signal(f: Formula, s: Signal) -> np.ndarray:
     # A window whose upper bound is off the grid reaches less than a step
     # past its last sample, so the grid-offset arithmetic above can leave
     # up to one entry per window that needs trace beyond t_end.  Drop them.
-    n, need, end = len(out), required_horizon(f), s.t_end + _TOL
+    n, need, end = len(out), required_horizon(f), s.t_end + TIME_TOL
     while n and s.times[n - 1] + need > end:
         n -= 1
     return out[:n]
@@ -192,13 +191,16 @@ def _ev_signal(node: Formula, s: Signal, h: float) -> np.ndarray:
     raise TypeError(f"not a formula node: {node!r}")
 
 
-def _check_horizon(f: Formula, s: Signal, t: float) -> None:
+def _start(f: Formula, s: Signal, t: float) -> int:
+    """The sample every monitor evaluates ``f`` at for time ``t``, after the
+    check that ``f`` needs no trace past t_end from ``t`` (``HorizonError``)."""
     need = t + required_horizon(f)
-    if need > s.t_end + _TOL:
+    if need > s.t_end + TIME_TOL:
         raise HorizonError(
             f"formula needs horizon {required_horizon(f)} past t={t} "
             f"(trace ends at {s.t_end}, {need} required)"
         )
+    return s.index_of(t)
 
 
 def robustness(f: Formula, s: Signal, t: float = 0.0) -> float:
@@ -207,8 +209,7 @@ def robustness(f: Formula, s: Signal, t: float = 0.0) -> float:
     ``t`` must be a sample point of the trace, else ``OutOfRangeError``.
     Falls back to the naive evaluator on non-uniform grids.
     """
-    _check_horizon(f, s, t)
-    i = s.index_of(t)
+    i = _start(f, s, t)
     if not s.is_uniform():
         return robustness_naive(f, s, t)
     arr = robustness_signal(f, s)
@@ -220,16 +221,16 @@ def robustness(f: Formula, s: Signal, t: float = 0.0) -> float:
 def _window(times: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """The sample times in [lo, hi], the reference monitors' window rule;
     ``HorizonError`` when there are none."""
-    i = np.searchsorted(times, lo - _TOL, side="left")
-    j = np.searchsorted(times, hi + _TOL, side="right")
+    i = np.searchsorted(times, lo - TIME_TOL, side="left")
+    j = np.searchsorted(times, hi + TIME_TOL, side="right")
     if i >= j:
         raise HorizonError(f"window [{lo},{hi}] contains no grid point")
     return times[i:j]
 
 
 def robustness_naive(f: Formula, s: Signal, t: float = 0.0) -> float:
-    """Reference monitor: direct recursion over grid-restricted windows."""
-    _check_horizon(f, s, t)
+    """Reference monitor: direct recursion over grid-restricted windows, at
+    the sample that ``t`` names within ``TIME_TOL`` (else ``OutOfRangeError``)."""
     times = s.times
 
     def ev(node: Formula, at: float) -> float:
@@ -256,7 +257,7 @@ def robustness_naive(f: Formula, s: Signal, t: float = 0.0) -> float:
             ])
         raise TypeError(f"not a formula node: {node!r}")
 
-    return float(ev(f, t))
+    return float(ev(f, times[_start(f, s, t)]))
 
 
 def eval_boolean(f: Formula, s: Signal, t: float = 0.0) -> bool:
@@ -266,9 +267,9 @@ def eval_boolean(f: Formula, s: Signal, t: float = 0.0) -> bool:
     computation; used to cross-check the sign of the quantitative monitor.
     It evaluates every operand and every window, with no short cut, at the
     times :func:`robustness_naive` does, so it raises ``HorizonError`` on
-    the same formulas.
+    the same formulas, and at the same sample: the one ``t`` names, within
+    ``TIME_TOL``.
     """
-    _check_horizon(f, s, t)
     times = s.times
 
     def ev(node: Formula, at: float) -> bool:
@@ -295,4 +296,4 @@ def eval_boolean(f: Formula, s: Signal, t: float = 0.0) -> bool:
             ])
         raise TypeError(f"not a formula node: {node!r}")
 
-    return ev(f, t)
+    return ev(f, times[_start(f, s, t)])

@@ -12,6 +12,17 @@ four stage drives.  A lies in (0, 1) for 0 < z < RK4_STABILITY_LIMIT, so
 trajectories decay geometrically toward the drive; past the limit they
 grow, and a step that long is refused with ``ValueError``.
 
+B is w1*d1 + w2*d2 + w3*d3 + w4*d4 for the stage drives d1..d4, with
+w1 = (z/6)*(1 - z + z^2/2 - z^3/4), w2 = (z/6)*(2 - z + z^2/2),
+w3 = (z/6)*(2 - z) and w4 = z/6.  A, w2 and w4 are positive for every
+z > 0, and w3 below z = 2; w1 turns negative at RK4_MONOTONE_LIMIT, the
+real root of z^3 - 2z^2 + 4z - 4 (1 - z + z^2/2 - z^3/4 times -4).  Up to
+it a step is nondecreasing in x and in every stage drive, which is what
+the worst-case-input lemma of :mod:`gatesynth.worstcase` needs in the
+sampled model.  So a verdict (:func:`verify_combos`,
+``synth.worst_case_output_robustness``) refuses a gate or row with z above
+it, while the simulators accept z up to the stability limit.
+
 :func:`simulate_constant_drive` uses the closed form of a constant drive,
 x_k = (1 - A^k)*d + A^k*x0, for a batch of K points.  Every gate trajectory
 of :func:`simulate_gate`, :func:`simulate_circuit` and :func:`verify` comes
@@ -51,12 +62,12 @@ from .gates import (
     _check_initial, gate_drive, row_formula,
 )
 from .monitor import robustness
-from .signals import Signal
+from .signals import TIME_TOL, Signal
 
 __all__ = [
     "SimConfig", "time_grid", "simulate_gate", "simulate_circuit",
     "simulate_constant_drive", "verify", "verify_combos", "VerifyReport", "VerifyEntry",
-    "RK4_STABILITY_LIMIT",
+    "RK4_STABILITY_LIMIT", "RK4_MONOTONE_LIMIT",
 ]
 
 DEFAULT_STEP = 0.01
@@ -65,6 +76,8 @@ DEFAULT_STEP = 0.01
 # the closed form and the scan drift from exact RK4 by about k*4e-17 over
 # k steps: within 1e-12 up to about 25,000 steps there.
 RK4_STABILITY_LIMIT = 2.785293563405282
+# the alpha*h where the RK4 weight w1 of stage drive d1 turns negative (module docstring)
+RK4_MONOTONE_LIMIT = 1.2955977425220846
 
 
 @dataclass(frozen=True)
@@ -138,12 +151,13 @@ def _circuit_step(c: Circuit, step: float | None) -> float:
 
 
 def time_grid(horizon: float, step: float) -> np.ndarray:
-    """Sample times 0, step, ... through the first one at or past horizon, both finite and > 0."""
+    """Sample times 0, step, ... through the first one at or past horizon
+    less :data:`~gatesynth.signals.TIME_TOL`, both finite and > 0."""
     _check_finite_positive("step", step)
     _check_finite_positive("horizon", horizon)
     n = int(round(horizon / step))
-    if abs(n * step - horizon) > 1e-9:
-        n = int(np.ceil(horizon / step - 1e-9))
+    if abs(n * step - horizon) > TIME_TOL:
+        n = math.ceil((horizon - TIME_TOL) / step)
     return np.arange(n + 1) * step
 
 
@@ -198,6 +212,22 @@ def _log_step_factor(alpha: float, h: float, what: str = "") -> float:
             f"{RK4_STABILITY_LIMIT:.4f}, where trajectories diverge"
         )
     return math.log1p(z * (-1.0 + z * (0.5 + z * (-1.0 / 6.0 + z / 24.0))))
+
+
+def _check_verdict_steps(alphas: dict[str, float], h: float) -> None:
+    """``ValueError`` unless alpha*h is within :data:`RK4_STABILITY_LIMIT` for
+    every value of ``alphas``, then within :data:`RK4_MONOTONE_LIMIT`, above
+    which a verdict would not cover every admissible input.  Each key names
+    its gate or row in the message."""
+    for what, alpha in alphas.items():
+        _log_step_factor(alpha, h, f"{what}: ")
+    for what, alpha in alphas.items():
+        if alpha * h > RK4_MONOTONE_LIMIT:
+            raise ValueError(
+                f"{what}: alpha*step = {alpha * h:g} exceeds the RK4 monotone limit "
+                f"{RK4_MONOTONE_LIMIT:.4f}, above which the worst-case inputs do not "
+                f"bound every admissible input"
+            )
 
 
 def simulate_constant_drive(
@@ -376,7 +406,9 @@ def verify_combos(
     for lambda+delta; each network output is checked against its expected
     level with the network-level timing contract.  ``step`` defaults to
     the circuit's ``sim.h``, then to 0.01; ``tb`` to
-    :func:`propagate_timing`.
+    :func:`propagate_timing`.  Before the first simulation it raises
+    ``ValueError`` for a bad step or ``params`` map, a gate past the RK4
+    stability limit, and then a gate past :data:`RK4_MONOTONE_LIMIT`.
 
     The generator keeps no reference to a trace it has yielded, so memory
     stays at one trace whatever the number of combinations, as long as
@@ -385,6 +417,9 @@ def verify_combos(
     if tb is None:
         tb = propagate_timing(c)
     h = _circuit_step(c, step)
+    _check_finite_positive("step", h)
+    c.check_params(params)
+    _check_verdict_steps({f"gate {gid!r}": params[gid].alpha for gid in c.topo_order()}, h)
     initial = {v: float(v0) for v, v0 in c.sim.get("initial", {}).items()}
     for combo_bits in itertools.product((LOW, HIGH), repeat=len(c.external_inputs)):
         # built by a call, so that no local of this frame holds the trace

@@ -9,7 +9,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = ["Signal", "UnknownVariableError", "OutOfRangeError", "read_trace_csv",
-           "write_trace_csv"]
+           "write_trace_csv", "TIME_TOL"]
+
+TIME_TOL = 1e-9  # two times within it name the same sample, in every module
 
 
 class UnknownVariableError(KeyError):
@@ -43,7 +45,7 @@ class Signal:
         object.__setattr__(self, "times", times)
         if times.ndim != 1 or times.size == 0:
             raise ValueError("times must be a nonempty 1-d array")
-        if abs(times[0]) > 1e-12:
+        if abs(times[0]) > TIME_TOL:
             raise ValueError("first time point must be 0")
         steps = np.diff(times)
         if not np.all(steps > 0):
@@ -53,7 +55,7 @@ class Signal:
             step = float(steps[0])
             # |steps - step| in place: no second trace-sized array
             dev = np.abs(np.subtract(steps, step, out=steps), out=steps)
-            uniform = bool(np.all(dev <= 1e-9 * max(step, 1.0)))
+            uniform = bool(np.all(dev <= TIME_TOL * max(step, 1.0)))
         object.__setattr__(self, "_step", step)
         object.__setattr__(self, "_uniform", uniform)
         if not self.values:
@@ -85,16 +87,16 @@ class Signal:
         return self.values[var]
 
     def sample_at(self, var: str, t: float) -> float:
-        """Linear interpolation of ``var`` at time ``t``."""
+        """Linear interpolation of ``var`` at ``t``, within :data:`TIME_TOL` of [0, t_end]."""
         samples = self.samples(var)
-        if t < self.times[0] - 1e-12 or t > self.t_end + 1e-12:
+        if t < self.times[0] - TIME_TOL or t > self.t_end + TIME_TOL:
             raise OutOfRangeError(
                 f"t={t} outside sampled range [0, {self.t_end}]"
             )
         return float(np.interp(t, self.times, samples))
 
     def is_uniform(self) -> bool:
-        """Every step within a relative 1e-9 of the first one."""
+        """Every step within :data:`TIME_TOL` times max(first step, 1) of the first one."""
         return self._uniform
 
     @property
@@ -107,9 +109,9 @@ class Signal:
         return self._step
 
     def index_of(self, t: float) -> int:
-        """Index of the grid point within 1e-9 of time ``t``."""
-        i = int(self.times.searchsorted(t - 1e-9))
-        if i >= self.times.size or abs(self.times[i] - t) > 1e-9:
+        """Index of the sample that ``t`` names: the first within :data:`TIME_TOL`."""
+        i = int(self.times.searchsorted(t - TIME_TOL))
+        if i >= self.times.size or abs(self.times[i] - t) > TIME_TOL:
             raise OutOfRangeError(f"t={t} is not a sample point of the trace")
         return i
 

@@ -58,7 +58,9 @@ from .gates import (
     _consequent, check_kinetics, gate_drives,
 )
 from .monitor import robustness
-from .odesim import DEFAULT_STEP, _circuit_step, simulate_constant_drive, time_grid
+from .odesim import (
+    DEFAULT_STEP, _check_verdict_steps, _circuit_step, simulate_constant_drive, time_grid,
+)
 from .signals import Signal
 from .worstcase import worst_case
 
@@ -558,6 +560,10 @@ def worst_case_output_robustness(
     self-check counts monitor calls (points x rows per job) until it
     counts monitored samples instead.
 
+    Raises ``ValueError`` naming the row where alpha*step exceeds
+    :data:`odesim.RK4_MONOTONE_LIMIT`, above which the worst-case inputs
+    do not bound every admissible input in the sampled model.
+
     Each trajectory is RK4's closed form x_k = (1 - A^k)*d + A^k*x0 (see
     :func:`odesim.simulate_constant_drive`), and 0 < A < 1 for every
     alpha*step below the RK4 stability limit, about 2.7853, past which
@@ -579,6 +585,8 @@ def worst_case_output_robustness(
     check_kinetics(kind, n, alpha, k_values.T)
     drives = gate_drives(kind, n, levels, k_values)
     times = time_grid(row.lam + row.delta, step)
+    rule = f"{kind.value} row {'/'.join(row.input_levels)} -> {row.output_level}"
+    _check_verdict_steps({rule: alpha}, step)
     count = len(drives)
     rhos = np.empty(count)
     for block in _blocks(count, 8 * times.size):

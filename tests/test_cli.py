@@ -393,21 +393,21 @@ class TestVerify:
         assert assert_one_error_line(rc, capsys).startswith(f"error: bad circuit file {circuit}")
         assert not out.exists()
 
-    def test_negative_stage_at_non_integer_n_exits_0(self, tmp_path):
-        # D at alpha*h = 2.5 overshoots below 0 on its way up from 0, and E
-        # reads it with n = 4.5, where a Hill term below 0 would be complex:
-        # E reads those stage values as 0
+    def test_verdict_above_monotone_limit_exits_1(self, tmp_path, capsys):
+        # D at alpha*h = 2.5 is inside the RK4 stability limit but above the
+        # monotone limit, where the worst-case inputs no longer bound every
+        # admissible input: no verdict, and no trace written
         params = json.loads(Path(good_params(tmp_path)).read_text())
         params["D"]["alpha"] = 2.5
-        params["E"]["n"] = 4.5
         path = tmp_path / "long_step.json"
         path.write_text(json.dumps(params))
         out = tmp_path / "out"
+        capsys.readouterr()
         rc = main(["verify", HALF_ADDER, str(path), "--out", str(out), "--step", "1.0"])
-        assert rc == 0
-        traces = sorted(p.name for p in out.iterdir() if p.name.startswith("trace_"))
-        assert traces == [f"trace_A-{a}_B-{b}.csv" for a in ("high", "low")
-                          for b in ("high", "low")]
+        assert rc == 1
+        assert ("gate 'D': alpha*step = 2.5 exceeds the RK4 monotone limit 1.2956"
+                in capsys.readouterr().err)
+        assert not list(out.glob("trace_*"))
 
     @pytest.mark.parametrize("step,match", [
         ("5", "stability limit"), ("0", "step must be finite and > 0"),

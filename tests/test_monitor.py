@@ -317,14 +317,14 @@ class TestWindowBoundsNearTheGrid:
     def monitors_agree(self, f, s, t):
         try:
             fast = robustness(f, s, t)
-        except HorizonError:
-            with pytest.raises(HorizonError):
+        except (HorizonError, OutOfRangeError) as exc:
+            with pytest.raises(type(exc)):
                 robustness_naive(f, s, t)
-            with pytest.raises(HorizonError):
+            with pytest.raises(type(exc)):
                 eval_boolean(f, s, t)
             return
         assert robustness_naive(f, s, t) == fast
-        assert eval_boolean(f, s, t) is (fast >= 0.0)  # |rho| = 0.5 here
+        assert eval_boolean(f, s, t) is (fast >= 0.0)  # rho is never 0 here
 
     def test_reproduction(self):
         # x = 0 only at t = 0.35 and 0.5, each within 1e-10 of a bound
@@ -355,6 +355,29 @@ class TestWindowBoundsNearTheGrid:
                 for op in ops:
                     for t in (0.0, float(s.times[rng.integers(1, 20)])):
                         self.monitors_agree(op(lo, hi), s, t)
+
+    @pytest.mark.parametrize("t,rho", [(5e-10, -0.5), (1.0 + 5e-10, 0.5)])
+    def test_evaluation_time_names_its_sample(self, t, rho):
+        # the reference monitors interpolated at the raw t: -0.4999999995 at
+        # 5e-10, and OutOfRangeError past t_end
+        s = ramp(t_end=1.0)
+        f = parse("x >= 0.5")
+        assert robustness(f, s, t) == robustness_naive(f, s, t) == rho
+        assert eval_boolean(f, s, t) is (rho > 0)
+
+    def test_seeded_sweep_of_evaluation_times(self):
+        # 300 formulas, each at its first, an interior and its last defined
+        # sample, shifted by every offset: a shift within TIME_TOL names that
+        # sample in all three monitors, a larger one names none
+        rng = np.random.default_rng(5)
+        s = random_signal(rng, n=40, h=0.1)
+        for _ in range(300):
+            f = random_formula(rng, depth=2, max_hi=1.0)
+            last = len(robustness_signal(f, s)) - 1
+            for i in {0, last // 2, max(last, 0)}:
+                for offset in self.OFFSETS:
+                    self.monitors_agree(f, s, float(s.times[i]) + offset)
+
 
 def sliding_window_oracle(arr, ia, ib, reduce):
     """The O(T*w) reduction over every full window, as a reference."""

@@ -17,9 +17,10 @@ from gatesynth.gates import (
 from gatesynth.formulas import parse
 from gatesynth.monitor import robustness
 from gatesynth.odesim import (
-    RK4_STABILITY_LIMIT, SimConfig, simulate_circuit,
+    RK4_MONOTONE_LIMIT, RK4_STABILITY_LIMIT, SimConfig, simulate_circuit,
     simulate_constant_drive, simulate_gate, time_grid, verify, verify_combos,
 )
+from gatesynth.signals import TIME_TOL
 from gatesynth.synth import alpha_bound, synthesize_circuit
 
 TH = Thresholds(plus=0.75, minus=0.25, p=0.1)
@@ -101,6 +102,17 @@ class TestScheduleValue:
         for when in probes:
             if when >= 0:  # the simulator reads no level before t = 0
                 assert level_at(program, when) == _scan_level(program, when), when
+
+
+class TestTimeGrid:
+    @pytest.mark.parametrize("horizon,step", [
+        (20 + 5e-9, 10.0), (20 + 5e-10, 10.0), (2.004, 0.01), (1.0, 0.3), (1.0, 0.1),
+    ])
+    def test_last_sample_reaches_the_horizon_within_time_tol(self, horizon, step):
+        # the tolerance is in time: at 1e-9 of a step, time_grid(20 + 5e-9,
+        # 10.0) stopped at 20
+        grid = time_grid(horizon, step)
+        assert grid[-2] < horizon - TIME_TOL <= grid[-1]
 
 
 class TestSimConfigInputs:
@@ -789,6 +801,29 @@ NEGATIVE_STAGES = {
 # a non-integer, an odd and an even n: before the rule, a ValueError, a
 # drive outside [0, 1] and the drive at -u read as at +u
 N_AT_NEGATIVE_STAGES = (2.5, 3, 4)
+
+
+class TestVerdictStep:
+    """A verdict needs alpha*h <= RK4_MONOTONE_LIMIT for every gate, checked
+    after the stability limit of every gate; the simulators accept alpha*h
+    up to the stability limit."""
+
+    def test_verify_up_to_the_monotone_limit(self):
+        c, params = _not_pair(1.0, 3)
+        assert 1.29 < RK4_MONOTONE_LIMIT < 1.3
+        assert len(verify(c, params, step=1.29).entries) == 2
+        with pytest.raises(ValueError, match=r"^gate 'N': alpha\*step = 1.3 exceeds the RK4 "
+                                             r"monotone limit 1.2956"):
+            verify(c, params, step=1.3)
+        simulate_circuit(c, params, SimConfig(horizon=8.0, step=2.0, inputs={"a": 1.0}))
+
+    def test_every_stability_check_comes_first(self):
+        # N is past the monotone limit and P past the stability limit
+        c, params = _not_pair(2.0, 3)
+        params["P"] = dataclasses.replace(params["P"], alpha=3.0)
+        with pytest.raises(ValueError, match=r"^gate 'P': alpha\*step = 3 exceeds the RK4 "
+                                             r"stability limit"):
+            next(verify_combos(c, params, step=1.0))
 
 
 def _simulate_reproducer(name):

@@ -44,12 +44,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gatesynth.gates import HIGH, GateKind, GateParams, Thresholds
-from gatesynth.odesim import SimConfig, _rk4_step, simulate_gate
+from gatesynth.odesim import RK4_MONOTONE_LIMIT, SimConfig, _rk4_step, simulate_gate
 from gatesynth.worstcase import worst_case
 
 from conftest import thresholds
 
-Z_STAR = 1.2955977425220846
 STEPS = (0.01, 0.1, 0.5)
 # The exact RK4 traces are ordered; the computed ones may cross by rounding
 # where the exact gain is within an ulp or two of 0 (at z = z*, where
@@ -61,7 +60,7 @@ ROUNDING = 4 * np.finfo(float).eps
 def test_z_star_is_the_real_root():
     roots = np.roots([1.0, -2.0, 4.0, -4.0])
     (real,) = roots[np.abs(roots.imag) < 1e-12].real
-    assert real == pytest.approx(Z_STAR, rel=1e-15)
+    assert real == pytest.approx(RK4_MONOTONE_LIMIT, rel=1e-15)
 
 
 @pytest.mark.parametrize("h", STEPS)
@@ -72,7 +71,7 @@ def test_w1_changes_sign_at_z_star(h):
 
     for z in (0.5, 1.0, 1.29, 1.3, 2.0):
         assert w1(z) == pytest.approx((z / 6) * (1 - z + z**2 / 2 - z**3 / 4), abs=1e-15)
-    assert w1(Z_STAR * (1 - 1e-6)) > 0 > w1(Z_STAR * (1 + 1e-6))
+    assert w1(RK4_MONOTONE_LIMIT * (1 - 1e-6)) > 0 > w1(RK4_MONOTONE_LIMIT * (1 + 1e-6))
 
 
 @st.composite
@@ -94,7 +93,7 @@ def cases(draw):
     ths = tuple(draw(thresholds()) for _ in range(kind.arity))
     ks = tuple(draw(st.floats(0.05, 1.0, exclude_min=True)) for _ in range(kind.arity))
     h = draw(st.sampled_from(STEPS))
-    z = draw(st.floats(0.0, Z_STAR, exclude_min=True))
+    z = draw(st.floats(0.0, RK4_MONOTONE_LIMIT, exclude_min=True))
     steps = draw(st.integers(1, 40))
     g = GateParams(kind, n=draw(st.floats(1.0, 8.0)), alpha=z / h, hill_k=ks)
     programs = [draw(program(lvl, th, h, steps)) for lvl, th in zip(row.input_levels, ths)]

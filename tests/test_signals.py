@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gatesynth.signals import (
-    OutOfRangeError, Signal, UnknownVariableError, read_trace_csv, write_trace_csv,
+    TIME_TOL, OutOfRangeError, Signal, UnknownVariableError, read_trace_csv, write_trace_csv,
 )
 
 
@@ -71,6 +71,15 @@ class TestSampleAt:
         with pytest.raises(OutOfRangeError):
             s.sample_at("x", 1.5)
 
+    @pytest.mark.parametrize("end", [0, 1])
+    def test_within_time_tol_of_the_trace_is_the_end_sample(self, end):
+        # the sample index_of names; at the parent sample_at allowed 1e-12
+        s = sig([0, 0.5, 1.0], [1, 2, 3])
+        t = end + (5e-10 if end else -5e-10)
+        assert s.sample_at("x", t) == s.values["x"][s.index_of(t)] == (3 if end else 1)
+        with pytest.raises(OutOfRangeError):
+            s.sample_at("x", end + (2 * TIME_TOL if end else -2 * TIME_TOL))
+
     def test_monotone_between_samples(self):
         s = sig([0, 1], [0.2, 0.9])
         ts = np.linspace(0, 1, 50)
@@ -82,6 +91,11 @@ class TestInvariants:
     def test_nonzero_start_rejected(self):
         with pytest.raises(ValueError):
             sig([1, 2], [0, 1])
+
+    def test_first_time_within_time_tol_of_0(self):
+        assert sig([5e-10, 1], [0, 1]).times[0] == 5e-10
+        with pytest.raises(ValueError, match="first time point must be 0"):
+            sig([2 * TIME_TOL, 1], [0, 1])
 
     def test_decreasing_times_rejected(self):
         with pytest.raises(ValueError):

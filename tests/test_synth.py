@@ -18,8 +18,8 @@ from gatesynth.gates import (
     HIGH, GateKind, GateParams, Thresholds, closed_form, gate_drive, gate_drives,
 )
 from gatesynth.monitor import robustness
-from gatesynth.odesim import simulate_constant_drive, time_grid
-from gatesynth.signals import Signal
+from gatesynth.odesim import RK4_MONOTONE_LIMIT, simulate_constant_drive, time_grid
+from gatesynth.signals import TIME_TOL, Signal
 from gatesynth.synth import (
     CurvedRegion, EmptyRegionError, GateContract, NumericGateResult, NumericGrid, ParamBox,
     alpha_bound, check_n_bound, export_region_csv, k_box, n_bound,
@@ -759,6 +759,16 @@ class TestSynthesizeNumeric:
         assert rho(plain) == margins(0.01)
         assert rho(dataclasses.replace(plain, sim={"h": 0.25})) == margins(0.25) != margins(0.01)
 
+    def test_step_above_the_monotone_limit_refused(self):
+        # alpha_min * sim.h = 1.3: no grid point gets a verdict
+        plain = self._single_and()
+        gc = GateContract.of(plain, propagate_timing(plain), "M")
+        c = dataclasses.replace(plain, sim={"h": 1.3 / gc.alpha_min})
+        grid = NumericGrid(axes={"K1": (0.3, 0.45, 2), "K2": (0.3, 0.45, 2)})
+        with pytest.raises(ValueError, match=r"^AND row \w+/\w+ -> \w+: alpha\*step = 1.3 "
+                                             r"exceeds the RK4 monotone limit 1.2956"):
+            synthesize_numeric(c, grid={"M": grid})
+
     @pytest.mark.parametrize("axes", [{"K1": (0.3, 0.45, 3)},
                                       {f"K{i}": (0.3, 0.45, 3) for i in (1, 2, 3)}])
     def test_wrong_number_of_axes_rejected(self, axes):
@@ -843,18 +853,35 @@ class TestWorstCaseRobustness:
             got = worst_case_output_robustness(*args)
             assert got.tobytes() == per_point_robustness(*args).tobytes()
 
+    @pytest.mark.parametrize("kind", list(GateKind))
+    def test_each_row_refused_above_the_monotone_limit(self, kind):
+        gc = GateContract(kind, (self.TH_IN,) * kind.arity + (self.TH_OUT,), 1.0, 1.004)
+        ks = np.full((1, kind.arity), 0.5)
+        rows = kind.rows(1.0, 1.004)
+        assert gc.margins(ks, 4.0, 1.29 / 0.1, 0.1).shape == (len(rows), 1)
+        for row in rows:
+            name = f"{kind.value} row {'/'.join(row.input_levels)} -> {row.output_level}"
+            with pytest.raises(ValueError) as info:
+                worst_case_output_robustness(gc, row, 4.0, 1.3 / 0.1, ks, 0.1)
+            assert str(info.value).startswith(
+                f"{name}: alpha*step = 1.3 exceeds the RK4 monotone limit 1.2956")
+
     @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from(list(GateKind)), row_index=st.integers(0, 3),
            th_in=thresholds(), th_out=thresholds(), n=st.floats(1.0, 12.0),
-           alpha_h=st.floats(0.001, 0.1) | st.floats(0.1, 2.78), step=st.sampled_from([0.01, 0.05, 0.1]),
+           alpha_h=st.floats(0.001, 0.1) | st.floats(0.1, RK4_MONOTONE_LIMIT)
+           | st.floats(RK4_MONOTONE_LIMIT, 2.78, exclude_min=True),
+           step=st.sampled_from([0.01, 0.05, 0.1]),
            delta=st.floats(0.05, 3.0), lam=st.floats(0.05, 3.0),
            seed=st.integers(0, 2**32 - 1))
     def test_sampled_endpoint_oracle(self, kind, row_index, th_in, th_out, n,
                                      alpha_h, step, delta, lam, seed):
         """The worst-case robustness is the trajectory's sample at delta.
 
-        With alpha*h <= 2.78 RK4 moves monotonically toward a constant
-        drive, so F[0,delta] G[0,lam] picks the last sample in [0, delta].
+        Above the RK4 monotone limit the row is refused.  Below it RK4
+        moves monotonically toward a constant drive (as it does up to
+        alpha*h = 2.78), so F[0,delta] G[0,lam] picks the last sample in
+        [0, delta].
         RK4 lags the exact solution, so the continuous-time robustness is
         never below the sampled one (up to rounding in the closed form,
         seen at 1e-16).  Where alpha*h <= 0.1 the RK4 error
@@ -867,13 +894,17 @@ class TestWorstCaseRobustness:
         rows = kind.rows(delta, lam)
         row = rows[row_index % len(rows)]
         ks = np.random.default_rng(seed).uniform(0.01, 1.0, (8, kind.arity))
+        if alpha * step > RK4_MONOTONE_LIMIT:
+            with pytest.raises(ValueError, match="exceeds the RK4 monotone limit 1.2956"):
+                worst_case_output_robustness(gc, row, n, alpha, ks, step)
+            return
         rho = worst_case_output_robustness(gc, row, n, alpha, ks, step)
 
         levels, x0 = worst_case(kind, row, (th_in,) * kind.arity)
         drives = gate_drives(kind, n, levels, ks)
         times = time_grid(lam + delta, step)
         traj = simulate_constant_drive(drives, alpha, np.full(8, x0), step, times.size - 1)
-        j = math.floor(delta / step + 1e-9)  # the monitor's grid tolerance
+        j = math.floor((delta + TIME_TOL) / step)  # the monitor's window rule
         x_cont = closed_form(drives, alpha, x0, delta)
         if row.output_level == HIGH:
             want, rho_cont = traj[j] - th_out.plus, x_cont - th_out.plus
