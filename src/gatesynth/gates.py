@@ -170,39 +170,17 @@ class ExtendedTruthRow:
 _AND, _NOT = GateKind.AND, GateKind.NOT
 
 
-def _hill_ratio(u: float, k: float, n: float) -> float:
-    """(u/k)**n as a Python float power, or inf where it overflows."""
-    try:
-        return (u / k) ** n
-    except OverflowError:
-        return math.inf
-
-
-def _drive_at_overflow(kind: GateKind, inputs, hill_k, n: float) -> float:
-    """The drive's limit when some Hill ratio (u/K)^n, or an OR gate's sum
-    of ratios, overflows.
-
-    An input whose ratio is inf has activating term 1: AND keeps the
-    other input's term (1 if its ratio is inf too), OR gives 1, NOT 0.
-    """
-    if kind is GateKind.NOT:
-        return 0.0
-    if kind is GateKind.OR:
-        return 1.0
-    ratios = [_hill_ratio(u, k, n) for u, k in zip(inputs, hill_k)]
-    a, b = (1.0 if math.isinf(r) else r / (1.0 + r) for r in ratios)
-    return a * b
-
-
 def gate_drive(g: GateParams, inputs) -> float:
     """Dimensionless production term in [0, 1] for the given input levels,
     each >= 0: a Hill term is undefined below 0, where the result is not
     a drive (the simulator reads a level below 0 as 0 before calling).
 
     AND: product of activating Hill terms; OR: shared-saturation form
-    (u+v)/(1+u+v); NOT: repressing Hill term.  A Hill ratio (u/K)^n, or
-    an OR gate's sum of ratios, beyond the float range gives the drive's
-    limit as that ratio grows.
+    (u+v)/(1+u+v); NOT: repressing Hill term.  This finite fast path
+    hands every other case to :func:`gate_drives` at the same point: a
+    Hill ratio (u/K)^n, or an OR gate's sum of ratios, beyond the float
+    range, and an AND drive that comes out NaN (an infinite or NaN
+    level).  So a drive's limits come from :attr:`GateKind.drive` alone.
 
     ``inputs`` is any iterable of exactly the kind's arity of levels; an
     ndarray of levels gives a numpy scalar.  Another count raises
@@ -219,7 +197,7 @@ def gate_drive(g: GateParams, inputs) -> float:
         try:
             return 1.0 / (1.0 + (u / ks[0]) ** n)
         except OverflowError:
-            return _drive_at_overflow(kind, (u,), ks, n)
+            return _kernel_drive(g, (u,))
     try:
         u, v = inputs
     except ValueError:
@@ -228,16 +206,20 @@ def gate_drive(g: GateParams, inputs) -> float:
         r0 = (u / ks[0]) ** n
         r1 = (v / ks[1]) ** n
     except OverflowError:
-        # a helper, not a comprehension here: one would make n a cell
-        # variable and slow every call
-        return _drive_at_overflow(kind, (u, v), ks, n)
+        return _kernel_drive(g, (u, v))
     if kind is _AND:
         d = r0 / (1.0 + r0) * (r1 / (1.0 + r1))
         # an infinite input level gives ratio inf without an OverflowError,
         # then inf/inf; NaN inputs stay NaN there too
-        return d if d == d else _drive_at_overflow(kind, (u, v), ks, n)
+        return d if d == d else _kernel_drive(g, (u, v))
     total = r0 + r1
-    return total / (1.0 + r0 + r1) if total != math.inf else 1.0
+    return total / (1.0 + r0 + r1) if total != math.inf else _kernel_drive(g, (u, v))
+
+
+def _kernel_drive(g: GateParams, inputs) -> float:
+    """:func:`gate_drive` off its finite fast path: the log-space drive of
+    :func:`gate_drives` at the one point, as a float."""
+    return float(gate_drives(g.kind, g.n, inputs, [g.hill_k])[0])
 
 
 def _arity_error(kind: GateKind, inputs) -> ValueError:
@@ -259,7 +241,9 @@ def gate_drives(kind: GateKind, n: float, inputs, hill_k: np.ndarray) -> np.ndar
     NOT = expit(-z).  Nothing overflows: u = 0 gives z = -inf and a term
     of 0, an infinite level or ratio u/K gives the limit, and NaN stays
     NaN.  The ratio u/K is the one :func:`gate_drive` raises to the n-th
-    power, so the two differ only in rounding after it, within 1e-13.
+    power, so the two differ only in rounding after it, within 1e-13, and
+    not at all off :func:`gate_drive`'s finite fast path, which returns
+    this drive.
     """
     kind = GateKind(kind)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

@@ -192,15 +192,18 @@ def _ev_signal(node: Formula, s: Signal, h: float) -> np.ndarray:
 
 
 def _start(f: Formula, s: Signal, t: float) -> int:
-    """The sample every monitor evaluates ``f`` at for time ``t``, after the
-    check that ``f`` needs no trace past t_end from ``t`` (``HorizonError``)."""
-    need = t + required_horizon(f)
+    """The sample every monitor evaluates ``f`` at for time ``t``
+    (``OutOfRangeError`` if ``t`` names none), once checked that ``f``
+    needs no trace past t_end from that sample (``HorizonError``)."""
+    i = s.index_of(t)
+    at = float(s.times[i])
+    need = at + required_horizon(f)
     if need > s.t_end + TIME_TOL:
         raise HorizonError(
-            f"formula needs horizon {required_horizon(f)} past t={t} "
+            f"formula needs horizon {required_horizon(f)} past t={at} "
             f"(trace ends at {s.t_end}, {need} required)"
         )
-    return s.index_of(t)
+    return i
 
 
 def robustness(f: Formula, s: Signal, t: float = 0.0) -> float:

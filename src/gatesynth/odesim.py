@@ -31,7 +31,10 @@ from one integrator: one scalar :func:`gates.gate_drive` call per RK4 stage
 B_k, and a doubling scan solves the recurrence (Blelloch, "Prefix sums and
 their applications", 1990).  Neither the closed form nor the scan
 reproduces the classic stage-by-stage loop to the last bit; both agree
-with it within 1e-12.
+with it within 1e-12.  A drive's limits (a Hill ratio beyond the float
+range, an infinite level) come from :attr:`gates.GateKind.drive` through
+:func:`gates.gate_drives`, which ``gate_drive`` hands every case off its
+finite fast path.
 
 A Hill term is defined for levels >= 0, but an RK4 stage value of a gate
 can dip below 0 (an overshoot at alpha*h > 2, or an input breakpoint
@@ -286,11 +289,8 @@ def _gate_trajectory(what: str, g: GateParams, inputs, stages: dict, x0: float, 
     """
     log_a = _log_step_factor(g.alpha, h, f"{what}: ")
     n_steps = len(stages[inputs[0]][0])
-    # a local for speed, read at each call, so a wrapper installed on this
-    # module's gate_drive before the call sees every call
-    gd = gate_drive
     drives = [
-        np.fromiter(map(gd, itertools.repeat(g), zip(*seqs)), float, n_steps)
+        np.fromiter(map(gate_drive, itertools.repeat(g), zip(*seqs)), float, n_steps)
         for seqs in zip(*(stages[v] for v in inputs))
     ]
     x = np.empty(n_steps + 1)

@@ -35,7 +35,9 @@ hosts and differs from libm in the last bit on about 5% of random (x, n)
 pairs, enough to move a grid point that sits on a region boundary.  The
 worst-case drives of numeric synthesis are evaluated on whole K arrays
 too, by the log-space Hill kernel :func:`gates.gate_drives`, within
-1e-13 of the scalar :func:`gates.gate_drive`.
+1e-13 of the scalar :func:`gates.gate_drive`.  A drive's limits come from
+:attr:`gates.GateKind.drive` through that kernel alone: ``gate_drive``
+returns its value off its finite fast path.
 
 Both grid layers take K points in fixed-size blocks (about 1 MiB of
 trajectories in numeric synthesis, about 16k points in region sampling),

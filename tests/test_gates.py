@@ -181,12 +181,22 @@ class TestGateDrives:
         assert gate_drives(GateKind.AND, 4, (0.5, 0.5), np.empty((0, 2))).shape == (0,)
 
 
+def _assert_is_kernel(g: GateParams, levels) -> None:
+    """``gate_drive`` returns the kernel's drive at the same point, bit for
+    bit: what it does at every point off its finite fast path."""
+    want = gate_drives(g.kind, g.n, levels, [g.hill_k])[0]
+    assert float(gate_drive(g, levels)).hex() == float(want).hex()
+
+
 class TestHillRatioOverflow:
     """A ratio (u/K)^n beyond the float range gives the drive's limit.
 
     At n = 994 (the n of test_synth.py::TestLargeHillCoefficient) the
     ratio (1/0.3)^n overflows, while (1/0.5)^n = 2^994 is finite and puts
-    the drive within 2^-994 of its limit.
+    the drive within 2^-994 of its limit.  At each point that leaves the
+    fast path (an overflowing ratio, an OR sum at inf, an AND drive at
+    inf/inf or NaN), and at every NaN level, ``gate_drive`` gives
+    :func:`gate_drives`' value bit for bit.
     """
 
     N = 994
@@ -200,16 +210,20 @@ class TestHillRatioOverflow:
         finite = GateParams(kind, n=self.N, alpha=1.0, hill_k=(0.5,) * kind.arity)
         assert gate_drive(over, u) == limit
         assert gate_drive(finite, u) == pytest.approx(limit, abs=2.0**-994)
+        _assert_is_kernel(over, u)
 
     def test_and_keeps_the_finite_input_term(self):
         g = GateParams(GateKind.AND, n=self.N, alpha=1.0, hill_k=(0.3, 0.9999))
         r = (1.0 / 0.9999) ** self.N
         assert gate_drive(g, (1.0, 1.0)) == r / (1.0 + r)
         assert gate_drive(g, (1.0, 0.0)) == 0.0
+        _assert_is_kernel(g, (1.0, 1.0))
+        _assert_is_kernel(g, (1.0, 0.0))
 
     def test_or_with_one_ratio_overflowing(self):
         g = GateParams(GateKind.OR, n=self.N, alpha=1.0, hill_k=(0.3, 0.9999))
         assert gate_drive(g, (1.0, 0.2)) == 1.0
+        _assert_is_kernel(g, (1.0, 0.2))
 
     def test_hill_terms_at_their_limits(self):
         assert gate_drive(or_gate(0.3, self.N), (1.0, 0.0)) == 1.0
@@ -223,6 +237,7 @@ class TestHillRatioOverflow:
         g = GateParams(GateKind.OR, n=self.N, alpha=1.0, hill_k=(k, k))
         assert math.isfinite((1.0 / k) ** self.N)
         assert gate_drive(g, (1.0, 1.0)) == 1.0
+        _assert_is_kernel(g, (1.0, 1.0))
         assert gate_drives(GateKind.OR, self.N, (1.0, 1.0), [[k, k], [0.5, 0.5]]).tolist() == [
             1.0, gate_drive(GateParams(GateKind.OR, self.N, 1.0, (0.5, 0.5)), (1.0, 1.0))]
 
@@ -232,6 +247,7 @@ class TestHillRatioOverflow:
         levels = (math.nan, 0.5)[:kind.arity]
         assert math.isnan(gate_drive(g, levels))
         assert np.isnan(gate_drives(kind, 4, levels, [g.hill_k])).all()
+        _assert_is_kernel(g, levels)
 
     R = (0.5 / 0.4) ** 4  # the Hill ratio of level 0.5 at K = 0.4, n = 4
 
@@ -249,6 +265,7 @@ class TestHillRatioOverflow:
         g = GateParams(kind, n=4, alpha=1.0, hill_k=(0.4, 0.4)[:kind.arity])
         assert gate_drive(g, levels) == want
         assert gate_drives(kind, 4, levels, [g.hill_k]).tolist() == [want]
+        _assert_is_kernel(g, levels)
 
     @pytest.mark.parametrize("kind", list(GateKind))
     def test_batched_matches_scalar(self, kind):

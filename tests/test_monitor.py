@@ -356,12 +356,22 @@ class TestWindowBoundsNearTheGrid:
                     for t in (0.0, float(s.times[rng.integers(1, 20)])):
                         self.monitors_agree(op(lo, hi), s, t)
 
-    @pytest.mark.parametrize("t,rho", [(5e-10, -0.5), (1.0 + 5e-10, 0.5)])
-    def test_evaluation_time_names_its_sample(self, t, rho):
+    @pytest.mark.parametrize("f,t,rho", [
+        (Atom("x", ">=", 0.5), 5e-10, -0.5),
+        (Atom("x", ">=", 0.5), 1.0 + 5e-10, 0.5),
+        # the horizon is checked from the sample t names, 0.5: from t itself
+        # it fit, and the reference monitors gave 0.3 where robustness raised
+        (Globally(0.0, 0.5 + 1.4e-9, Atom("x", ">=", 0.2)), 0.5 - 5e-10, HorizonError),
+    ], ids=["5e-10--0.5", "1.0000000005-0.5", "horizon-from-the-sample"])
+    def test_evaluation_time_names_its_sample(self, f, t, rho):
         # the reference monitors interpolated at the raw t: -0.4999999995 at
         # 5e-10, and OutOfRangeError past t_end
         s = ramp(t_end=1.0)
-        f = parse("x >= 0.5")
+        if rho is HorizonError:
+            with pytest.raises(HorizonError):
+                robustness(f, s, t)
+            self.monitors_agree(f, s, t)
+            return
         assert robustness(f, s, t) == robustness_naive(f, s, t) == rho
         assert eval_boolean(f, s, t) is (rho > 0)
 
