@@ -38,7 +38,7 @@ import sys
 from . import __version__
 from .circuit import Circuit, GraphError, _is_number, propagate_timing, wiring_formulas
 from .formulas import parse
-from .gates import GateKind, GateParams, Thresholds, _check_finite_positive
+from .gates import GateKind, GateParams, Thresholds
 from .monitor import robustness
 from .odesim import VerifyReport, verify_combos
 from .signals import TIME_TOL, Signal, UnknownVariableError, read_trace_csv, write_trace_csv
@@ -98,22 +98,12 @@ def _grid_resolution(text: str) -> int:
     return value
 
 
-def _hill_n(text: str) -> float:
-    """argparse type of a Hill coefficient: a finite number > 0."""
-    try:
-        value = float(text)
-        _check_finite_positive("Hill coefficient n", value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return value
-
-
 def _gate_n(text: str) -> tuple[str, float]:
     """argparse type of ``synth --n``: ``GATE=VALUE`` as a (gate id, n) pair."""
     gid, sep, value = text.partition("=")
     if not sep:
         raise argparse.ArgumentTypeError(f"expected GATE=VALUE, got {text!r}")
-    return gid, _hill_n(value)
+    return gid, float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--plus", type=float, required=True)
     r.add_argument("--minus", type=float, required=True)
     r.add_argument("--p", type=float, default=0.1)
-    r.add_argument("--n", type=_hill_n, required=True)
+    r.add_argument("--n", type=float, required=True)
     r.add_argument("--method", choices=("m1", "m2"), default="m2")
     r.add_argument("--grid", type=_grid_resolution, default=50, metavar="R")
     r.add_argument("--out", default=".")

@@ -145,7 +145,8 @@ def robustness_signal(f: Formula, s: Signal) -> np.ndarray:
     Requires a uniformly sampled signal.  Entry ``i`` of the result is the
     robustness at ``s.times[i]``.  The result covers exactly the times t
     that :func:`robustness` and :func:`robustness_naive` accept: those
-    with t + ``required_horizon(f)`` <= t_end.
+    with t + ``required_horizon(f)`` <= t_end, and ``HorizonError`` where
+    there is none.
     """
     if s.times.size < 2:
         h = 1.0  # temporal operators will fail the window check anyway
@@ -158,6 +159,8 @@ def robustness_signal(f: Formula, s: Signal) -> np.ndarray:
     n, need, end = len(out), required_horizon(f), s.t_end + TIME_TOL
     while n and s.times[n - 1] + need > end:
         n -= 1
+    if not n:
+        raise HorizonError(f"formula needs horizon {need} (trace ends at {s.t_end})")
     return out[:n]
 
 

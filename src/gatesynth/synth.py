@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -234,15 +234,13 @@ class CurvedRegion:
     kind: GateKind
     thresholds: tuple[Thresholds, ...]  # inputs..., output
     n: float
-    n_bound: float = field(init=False)
 
     def __post_init__(self):
         kind = GateKind(self.kind)
         object.__setattr__(self, "kind", kind)
         if kind not in _M2_INTERVALS:
             raise ValueError(f"{kind.value} gates have no Method 2 region")
-        nb = check_n_bound(kind, self.thresholds, self.n, "m2")
-        object.__setattr__(self, "n_bound", nb)
+        check_n_bound(kind, self.thresholds, self.n, "m2")
 
     def judge(self, points) -> tuple[np.ndarray, list[str]]:
         """(inside, binding constraint name) of each row of the (N, 2) array ``points``."""
@@ -428,9 +426,9 @@ class GateContract:
 
 @dataclass(frozen=True)
 class GateSynthesis:
-    """Synthesis outcome for one gate."""
+    """Synthesis outcome for one gate, keyed by its id in
+    :attr:`SynthesisResult.gates`."""
 
-    gate_id: str
     kind: GateKind
     n: float
     n_bound: float
@@ -440,17 +438,13 @@ class GateSynthesis:
 
     def to_dict(self) -> dict:
         d = {
-            "gate": self.gate_id,
             "kind": self.kind.value,
             "n": self.n,
             "n_bound": self.n_bound,
             "alpha_min": self.alpha_min,
-            "binding": f"n_bound={self.n_bound:.4f}",
         }
         if self.box is not None:
             d["k_box"] = self.box.to_dict()
-        if self.region is not None:
-            d["method2_n_bound"] = self.region.n_bound
         return d
 
 
@@ -489,8 +483,8 @@ def synthesize_circuit(
         gc = GateContract.of(c, tb, gid)
         n_g = float(n.get(gid, gc.kind.default_n))
         nb, box, region = gate_regions(gc.kind, gc.thresholds, n_g, method, gid)
-        results[gid] = GateSynthesis(gate_id=gid, kind=gc.kind, n=n_g, n_bound=nb,
-                                     alpha_min=gc.alpha_min, box=box, region=region)
+        results[gid] = GateSynthesis(kind=gc.kind, n=n_g, n_bound=nb, alpha_min=gc.alpha_min,
+                                     box=box, region=region)
     return SynthesisResult(method=method, gates=results)
 
 
@@ -513,7 +507,8 @@ def _blocks(count: int, point_bytes: int) -> list[slice]:
 
 @dataclass(frozen=True)
 class NumericGrid:
-    """Per-axis grid specification (lo, hi, count) of K1..Km, in that order."""
+    """Per-axis grid specification (lo, hi, count) of K1..Km, in that order:
+    finite bounds, in either order, and an integer count >= 1."""
 
     axes: dict[str, tuple[float, float, int]]
 
@@ -521,6 +516,11 @@ class NumericGrid:
         want = [f"K{i}" for i in range(1, len(self.axes) + 1)]
         if list(self.axes) != want:
             raise ValueError(f"grid axes must be {want} in that order, got {list(self.axes)}")
+        for name, (lo, hi, count) in self.axes.items():
+            if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+                raise ValueError(f"grid axis {name}: count must be an integer >= 1, got {count!r}")
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"grid axis {name}: bounds must be finite, got {lo}, {hi}")
 
     def points(self) -> np.ndarray:
         """Every grid point as an (N, m) array, columns K1..Km, K1 slowest."""
@@ -544,8 +544,9 @@ def worst_case_output_robustness(
     k_values: np.ndarray,
     step: float = DEFAULT_STEP,
 ) -> np.ndarray:
-    """Output-formula robustness of ``row``, one of ``contract``'s rows,
-    under the row's worst-case constant inputs.
+    """Output-formula robustness of ``row``, one of ``contract``'s rows
+    (else ``ValueError`` naming the row), under the row's worst-case
+    constant inputs.
 
     Vectorised over K parameter points (``k_values`` of shape (N, arity)).
     The antecedent is marginal by construction under worst-case inputs, so
@@ -581,13 +582,16 @@ def worst_case_output_robustness(
     Donzé & Maler (FORMATS 2010).
     """
     kind = contract.kind
+    rule = f"{kind.value} row {'/'.join(row.input_levels)} -> {row.output_level}"
+    if row not in kind.rows(contract.delta, contract.lam):
+        raise ValueError(f"{rule}: not a row of the contract, whose delta is "
+                         f"{contract.delta} and lambda {contract.lam}")
     *input_ths, output_th = contract.thresholds
     levels, x0 = worst_case(kind, row, input_ths)
     k_values = np.atleast_2d(np.asarray(k_values, dtype=float))
     check_kinetics(kind, n, alpha, k_values.T)
     drives = gate_drives(kind, n, levels, k_values)
     times = time_grid(row.lam + row.delta, step)
-    rule = f"{kind.value} row {'/'.join(row.input_levels)} -> {row.output_level}"
     _check_verdict_steps({rule: alpha}, step)
     count = len(drives)
     rhos = np.empty(count)

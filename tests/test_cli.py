@@ -138,6 +138,20 @@ class TestSynth:
         res = json.loads((tmp_path / "synthesis.json").read_text())
         assert "k_box" not in res["gates"]["E"] and "k_box" in res["gates"]["S"]
 
+    @pytest.mark.parametrize("args,boxless", [
+        (["--method", "m1"], set()),
+        # E's Method 2 bound is 2.537, its Method 1 bound 3.213: no box
+        (["--method", "m2", "--n", "E=2.9", "--grid", "5"], {"E"}),
+    ], ids=["m1", "m2"])
+    def test_each_gate_states_each_value_once(self, tmp_path, args, boxless):
+        # a gate's id is its key in "gates", and n_bound its one n bound
+        assert main(["synth", HALF_ADDER, *args, "--out", str(tmp_path)]) == 0
+        gates = json.loads((tmp_path / "synthesis.json").read_text())["gates"]
+        assert set(gates) == {"C", "D", "E", "F", "G", "S"}
+        keys = {"kind", "n", "n_bound", "alpha_min"}
+        for gid, g in gates.items():
+            assert set(g) == (keys if gid in boxless else keys | {"k_box"}), gid
+
     def test_low_n_exits_3(self, tmp_path, capsys):
         rc = main(["synth", HALF_ADDER, "--n", "S=2", "--out", str(tmp_path)])
         assert rc == 3

@@ -608,7 +608,8 @@ class TestErrors:
         with pytest.raises(HorizonError, match=r"\[0.003,0.006\] contains no grid point"):
             monitor(parse(text), const(0.8, t_end=1.0, h=0.01))
 
-    @pytest.mark.parametrize("monitor", [robustness, robustness_naive, eval_boolean])
+    @pytest.mark.parametrize("monitor", [robustness, robustness_naive, eval_boolean,
+                                         robustness_signal])
     @pytest.mark.parametrize("text", [
         "F[0.003,0.006] (x >= 0.5)",
         "G[0.003,0.006] (x >= 0.5)",
@@ -617,6 +618,11 @@ class TestErrors:
         "(x >= 0.9) & F[0.003,0.006] (x >= 0.5)",
         "(x >= 0.5) | G[0.003,0.006] (x >= 0.5)",
         "G[0,2] (x >= 0.5)",  # horizon past the end of the trace
+        # a horizon past the end by less than a step: the windows' grid
+        # offsets fit the trace, and the horizon trim leaves no sample
+        "G[0,1.005] (x >= 0.5)",
+        "F[0,0.5] G[0,0.505] (x >= 0.5)",
+        "(x >= 0.5) U[0,1.005] (x >= 0.9)",
     ])
     def test_monitors_refuse_the_same_formulas(self, monitor, text):
         with pytest.raises(HorizonError):

@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -358,8 +359,10 @@ class TestLargeHillCoefficient:
         return float(F(level) ** n / (F(ttC) * (F(k) ** n + F(level) ** n)) - 1)
 
     def test_sample_region_does_not_divide_by_zero(self):
-        reg = CurvedRegion(AND, (self.TH_IN, self.TH_IN, self.TH_OUT), self.N)
-        assert reg.n_bound < self.N < reg.n_bound + 1
+        ths = (self.TH_IN, self.TH_IN, self.TH_OUT)
+        nb = n_bound(AND, ths, "m2")
+        assert nb < self.N < nb + 1
+        reg = CurvedRegion(AND, ths, self.N)
         grid = NumericGrid(axes={"K1": (0.01, 1.0, 50), "K2": (0.01, 1.0, 50)})
         pts, inside, binding = sample_region(reg, grid)
         assert len(pts) == len(binding) == 2500
@@ -446,6 +449,23 @@ class TestNumericGridAxes:
     def test_axes_other_than_k1_to_km_in_order_rejected(self, axes):
         with pytest.raises(ValueError, match=r"grid axes must be \['K1'"):
             NumericGrid(axes)
+
+    @pytest.mark.parametrize("axis,match", [
+        ((0.1, 1.0, 2.5), "count must be an integer >= 1, got 2.5"),
+        ((0.1, 1.0, 0), "count must be an integer >= 1, got 0"),
+        ((0.1, 1.0, True), "count must be an integer >= 1, got True"),
+        ((np.nan, 1.0, 5), "bounds must be finite, got nan, 1.0"),
+        ((0.1, np.inf, 5), "bounds must be finite, got 0.1, inf"),
+    ])
+    def test_bad_axis_rejected(self, axis, match):
+        # a fractional count made points() raise numpy's TypeError, and a
+        # count of 0 or a NaN bound an EmptyRegionError (exit 3)
+        with pytest.raises(ValueError, match=f"^grid axis K2: {re.escape(match)}$"):
+            NumericGrid({"K1": (0.1, 1.0, 3), "K2": axis})
+
+    def test_negative_reversed_and_numpy_axes_accepted(self):
+        grid = NumericGrid({"K1": (1.0, -0.5, np.int64(4)), "K2": (0.5, 0.5, 1)})
+        assert grid.points()[:, 0].tolist() == [1.0, 0.5, 0.0, -0.5]
 
     def test_points_columns_in_k_order(self):
         pts = NumericGrid({"K1": (0.1, 0.2, 2), "K2": (0.5, 0.7, 3)}).points()
@@ -865,6 +885,19 @@ class TestWorstCaseRobustness:
                 worst_case_output_robustness(gc, row, 4.0, 1.3 / 0.1, ks, 0.1)
             assert str(info.value).startswith(
                 f"{name}: alpha*step = 1.3 exceeds the RK4 monotone limit 1.2956")
+
+    def test_a_row_of_another_contract_refused(self):
+        # the half-adder's NOT gate D: its row low -> high gives 0.11667 at
+        # K = 0.5; the same row with ten times D's delta gave 0.13889
+        c = Circuit.from_json("circuits/half_adder.json")
+        gc = GateContract.of(c, propagate_timing(c), "D")
+        row, = (r for r in gc.kind.rows(gc.delta, gc.lam) if r.output_level == HIGH)
+        ks = np.array([[0.5]])
+        rho = worst_case_output_robustness(gc, row, 3.0, gc.alpha_min, ks)
+        assert rho == pytest.approx([0.11667], abs=5e-6)
+        foreign = dataclasses.replace(row, delta=10 * row.delta)
+        with pytest.raises(ValueError, match="^NOT row low -> high: not a row of the contract"):
+            worst_case_output_robustness(gc, foreign, 3.0, gc.alpha_min, ks)
 
     @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from(list(GateKind)), row_index=st.integers(0, 3),
