@@ -148,11 +148,7 @@ def robustness_signal(f: Formula, s: Signal) -> np.ndarray:
     with t + ``required_horizon(f)`` <= t_end, and ``HorizonError`` where
     there is none.
     """
-    if s.times.size < 2:
-        h = 1.0  # temporal operators will fail the window check anyway
-    else:
-        h = s.step
-    out = _ev_signal(f, s, h)
+    out = _ev_grid(f, s)
     # A window whose upper bound is off the grid reaches less than a step
     # past its last sample, so the grid-offset arithmetic above can leave
     # up to one entry per window that needs trace beyond t_end.  Drop them.
@@ -162,6 +158,12 @@ def robustness_signal(f: Formula, s: Signal) -> np.ndarray:
     if not n:
         raise HorizonError(f"formula needs horizon {need} (trace ends at {s.t_end})")
     return out[:n]
+
+
+def _ev_grid(f: Formula, s: Signal) -> np.ndarray:
+    """:func:`_ev_signal` at the step of ``s``, a uniform signal, untrimmed."""
+    # a single sample has no step; temporal operators fail the window check anyway
+    return _ev_signal(f, s, s.step if s.times.size >= 2 else 1.0)
 
 
 def _ev_signal(node: Formula, s: Signal, h: float) -> np.ndarray:
@@ -218,7 +220,9 @@ def robustness(f: Formula, s: Signal, t: float = 0.0) -> float:
     i = _start(f, s, t)
     if not s.is_uniform():
         return robustness_naive(f, s, t)
-    arr = robustness_signal(f, s)
+    # _start has checked that sample i needs no trace past t_end, so the
+    # tail that robustness_signal trims is not read
+    arr = _ev_grid(f, s)
     if i >= len(arr):
         raise HorizonError(f"robustness of {f} undefined at t={t}")
     return float(arr[i])

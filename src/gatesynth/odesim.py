@@ -7,21 +7,44 @@ and aligns the trace grid with the monitoring grid.
 
 The ODE is linear in x, so one RK4 step is affine: x' = A*x + B.  The
 factor A = 1 - z + z^2/2 - z^3/6 + z^4/24 (z = alpha*h) is the step from
-x = 1 under zero drive, and B is the step from x = 0 under the step's
-four stage drives.  A lies in (0, 1) for 0 < z < RK4_STABILITY_LIMIT, so
-trajectories decay geometrically toward the drive; past the limit they
-grow, and a step that long is refused with ``ValueError``.
-
-B is w1*d1 + w2*d2 + w3*d3 + w4*d4 for the stage drives d1..d4, with
+x = 1 under zero drive, and B = w1*d1 + w2*d2 + w3*d3 + w4*d4 is the step
+from x = 0 under the step's four stage drives d1..d4, with
 w1 = (z/6)*(1 - z + z^2/2 - z^3/4), w2 = (z/6)*(2 - z + z^2/2),
 w3 = (z/6)*(2 - z) and w4 = z/6.  A, w2 and w4 are positive for every
-z > 0, and w3 below z = 2; w1 turns negative at RK4_MONOTONE_LIMIT, the
-real root of z^3 - 2z^2 + 4z - 4 (1 - z + z^2/2 - z^3/4 times -4).  Up to
-it a step is nondecreasing in x and in every stage drive, which is what
-the worst-case-input lemma of :mod:`gatesynth.worstcase` needs in the
-sampled model.  So a verdict (:func:`verify_combos`,
-``synth.worst_case_output_robustness``) refuses a gate or row with z above
-it, while the simulators accept z up to the stability limit.
+z > 0, and w3 below z = 2; w1 turns negative at z* = RK4_MONOTONE_LIMIT,
+the real root of z^3 - 2z^2 + 4z - 4 (1 - z + z^2/2 - z^3/4 times -4).
+Up to z* a step is nondecreasing in x and in every stage drive, and A lies
+in (0, 1), so trajectories decay geometrically toward the drive.  That is
+what the worst-case-input lemma of :mod:`gatesynth.worstcase` needs in the
+sampled model, and every simulator refuses a longer step with
+``ValueError``.
+
+In a circuit a gate reads an upstream gate's samples and one half-step
+value.  At step k it reads x_k at stage 1, x_{k+1} at stage 4, and at
+stages 2 and 3 m_k = y2/2 + (x_k + x_{k+1})/4, where
+y2 = x_k + (h/2)*alpha*(d1 - x_k) is the upstream gate's own stage-2
+state.  External inputs give their levels at t, t + h/2, t + h/2 and
+t + h.  At the half step linear interpolation errs by +h^2*x''/8 and y2 by
+-h^2*x''/8, so m_k cancels the h^2 term.  Written out,
+m_k = (3/4 - z/4)*x_k + x_{k+1}/4 + (z/4)*d1, whose weights are >= 0 for
+z <= 3.  With the step's own weights A and w1..w4 >= 0 for z <= z*,
+induction over the gates in topological order gives two facts at any
+depth.  First, every sample and every read is a non-negative combination
+of initial values, input levels and drives.  Second, every sample is
+monotone in each external input that reaches it along paths of one
+parity: rising through an even number of NOT gates, falling through an
+odd one, since every drive is monotone in each of its inputs.  This is
+the comparison principle of a monotone system (Smith, "Monotone Dynamical
+Systems", AMS 1995) carried by a positive RK step (Kraaijevanger, BIT
+1991).
+
+So no exact read is below 0.  In floating point, a step from 0 at
+z = z* exactly, where w1 is 0, can round to a level just below it
+(-1.3e-17 for an AND gate whose input falls to 0 at the half step, so
+that d1 alone is not 0), and a Hill term of a non-integer n is complex
+there.  So a gate reads a level below 0 as 0, which is also the limit
+of the log-space kernel :func:`gates.gate_drives` at u = 0; the trace
+keeps RK4's own values.
 
 :func:`simulate_constant_drive` uses the closed form of a constant drive,
 x_k = (1 - A^k)*d + A^k*x0, for a batch of K points.  Every gate trajectory
@@ -35,12 +58,6 @@ with it within 1e-12.  A drive's limits (a Hill ratio beyond the float
 range, an infinite level) come from :attr:`gates.GateKind.drive` through
 :func:`gates.gate_drives`, which ``gate_drive`` hands every case off its
 finite fast path.
-
-A Hill term is defined for levels >= 0, but an RK4 stage value of a gate
-can dip below 0 (an overshoot at alpha*h > 2, or an input breakpoint
-inside a step).  One rule covers it: a gate reads an upstream stage value
-below 0 as 0, which is also the limit of the log-space kernel
-:func:`gates.gate_drives` at u = 0.  The trace keeps RK4's own values.
 
 :func:`verify_combos` simulates and monitors one input combination at a
 time and keeps no trace it has yielded; :func:`verify` keeps only the
@@ -70,16 +87,12 @@ from .signals import TIME_TOL, Signal
 __all__ = [
     "SimConfig", "time_grid", "simulate_gate", "simulate_circuit",
     "simulate_constant_drive", "verify", "verify_combos", "VerifyReport", "VerifyEntry",
-    "RK4_STABILITY_LIMIT", "RK4_MONOTONE_LIMIT",
+    "RK4_MONOTONE_LIMIT",
 ]
 
 DEFAULT_STEP = 0.01
-# the alpha*h at which the RK4 step factor A reaches 1: the real root of
-# z^3 - 4z^2 + 12z - 24.  Near it A - 1 loses digits to cancellation, so
-# the closed form and the scan drift from exact RK4 by about k*4e-17 over
-# k steps: within 1e-12 up to about 25,000 steps there.
-RK4_STABILITY_LIMIT = 2.785293563405282
-# the alpha*h where the RK4 weight w1 of stage drive d1 turns negative (module docstring)
+# z*, the longest alpha*h any simulator takes: where the RK4 weight w1 of
+# stage drive d1 turns negative (module docstring)
 RK4_MONOTONE_LIMIT = 1.2955977425220846
 
 
@@ -188,49 +201,31 @@ def simulate_gate(g: GateParams, cfg: SimConfig) -> Signal:
 
 
 def _rk4_step(x, d, alpha: float, h: float):
-    """One classic RK4 step of dx/dt = alpha*(d - x) from x, with ``d`` the
-    drives at the four stages; scalars or arrays.  Returns the end state
-    and the stage states x + (h/2)*k1, x + (h/2)*k2, x + h*k3."""
+    """The end state of one classic RK4 step of dx/dt = alpha*(d - x) from
+    x, with ``d`` the drives at the four stages; scalars or arrays."""
     k1 = alpha * (d[0] - x)
-    y2 = x + 0.5 * h * k1
-    k2 = alpha * (d[1] - y2)
-    y3 = x + 0.5 * h * k2
-    k3 = alpha * (d[2] - y3)
-    y4 = x + h * k3
-    k4 = alpha * (d[3] - y4)
-    return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), (y2, y3, y4)
+    k2 = alpha * (d[1] - (x + 0.5 * h * k1))
+    k3 = alpha * (d[2] - (x + 0.5 * h * k2))
+    k4 = alpha * (d[3] - (x + h * k3))
+    return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def _log_step_factor(alpha: float, h: float, what: str = "") -> float:
-    """log A of the affine step x' = A*x + B; ``ValueError`` past the limit.
+    """log A of the affine step x' = A*x + B; ``ValueError``, with ``what``
+    naming the gate or row, where alpha*h exceeds :data:`RK4_MONOTONE_LIMIT`.
 
     A - 1 = z*(-1 + z*(1/2 + z*(-1/6 + z/24))) with z = alpha*h, taken
     through ``log1p`` without first rounding A, so A^k = exp(k*log A)
     keeps full precision where A is within rounding of 1 (z small).
     """
     z = alpha * h
-    if not z <= RK4_STABILITY_LIMIT:
+    if not z <= RK4_MONOTONE_LIMIT:
         raise ValueError(
-            f"{what}alpha*step = {z:g} exceeds the RK4 stability limit "
-            f"{RK4_STABILITY_LIMIT:.4f}, where trajectories diverge"
+            f"{what}alpha*step = {z:g} exceeds the RK4 monotone limit "
+            f"{RK4_MONOTONE_LIMIT:.4f}, above which the worst-case inputs do not "
+            f"bound every admissible input"
         )
     return math.log1p(z * (-1.0 + z * (0.5 + z * (-1.0 / 6.0 + z / 24.0))))
-
-
-def _check_verdict_steps(alphas: dict[str, float], h: float) -> None:
-    """``ValueError`` unless alpha*h is within :data:`RK4_STABILITY_LIMIT` for
-    every value of ``alphas``, then within :data:`RK4_MONOTONE_LIMIT`, above
-    which a verdict would not cover every admissible input.  Each key names
-    its gate or row in the message."""
-    for what, alpha in alphas.items():
-        _log_step_factor(alpha, h, f"{what}: ")
-    for what, alpha in alphas.items():
-        if alpha * h > RK4_MONOTONE_LIMIT:
-            raise ValueError(
-                f"{what}: alpha*step = {alpha * h:g} exceeds the RK4 monotone limit "
-                f"{RK4_MONOTONE_LIMIT:.4f}, above which the worst-case inputs do not "
-                f"bound every admissible input"
-            )
 
 
 def simulate_constant_drive(
@@ -244,10 +239,8 @@ def simulate_constant_drive(
     ``x0`` is one initial value for every trajectory or one per
     trajectory.  It agrees with stepping RK4 stage by stage within 1e-12,
     and moves monotonically toward d.  Each operation is monotone in d, so
-    every x_k is too, to the last bit.  Near :data:`RK4_STABILITY_LIMIT` it
-    drifts from exact RK4 by about k*4e-17 at step k, so that bound holds
-    up to about 25,000 steps there.  Raises ``ValueError`` if alpha*h
-    exceeds the limit.
+    every x_k is too, to the last bit.  Raises ``ValueError`` if alpha*h
+    exceeds :data:`RK4_MONOTONE_LIMIT`.
     """
     drive = np.asarray(drive, dtype=float)
     k_log_a = np.arange(n_steps + 1.0) * _log_step_factor(alpha, h)
@@ -260,27 +253,28 @@ def simulate_constant_drive(
 
 def _input_stages(cfg: SimConfig, names, times: np.ndarray) -> tuple[dict, dict]:
     """The levels of the input programs ``names`` of ``cfg`` at ``times``,
-    and their values at the four RK4 stages of every step: the level at t,
-    t + h/2, t + h/2 and t + h, one list of Python floats per stage."""
+    and the (start, mid, end) levels a gate reads from each of every step:
+    the level at t, t + h/2 and t + h, one list of Python floats each."""
     h = cfg.step
     values, stages = {}, {}
     for v in names:
         program = cfg._programs[v]
         values[v] = _levels_at(program, times)
-        u_mid, u_end = (_levels_at(program, times[:-1] + dt).tolist() for dt in (0.5 * h, h))
-        stages[v] = (values[v][:-1].tolist(), u_mid, u_mid, u_end)
+        stages[v] = (values[v][:-1].tolist(),
+                     *(_levels_at(program, times[:-1] + dt).tolist() for dt in (0.5 * h, h)))
     return values, stages
 
 
 def _gate_trajectory(what: str, g: GateParams, inputs, stages: dict, x0: float, h: float,
                      read: bool = True) -> tuple[np.ndarray, tuple | None]:
-    """One gate's RK4 trajectory from ``x0``, and, if ``read``, its own
-    stage values, each below 0 read as 0, in the form of ``stages``'
-    values (else None).
+    """One gate's RK4 trajectory from ``x0``, and, if ``read``, the
+    (start, mid, end) levels a downstream gate reads from it, each below 0
+    read as 0, in the form of ``stages``' values (else None).
 
-    ``stages`` maps each of ``inputs``, the gate's inputs in order, to its
-    values at the four RK4 stages of every step.  One scalar ``gate_drive``
-    call per step and stage gives the drives.  Step k is then
+    ``stages`` maps each of ``inputs``, the gate's inputs in order, to the
+    (start, mid, end) levels it gives every step (module docstring).  One
+    scalar ``gate_drive`` call per step and stage, the mid levels at
+    stages 2 and 3, gives the drives.  Step k is then
     x_{k+1} = A*x_k + B_k, with every B_k the step from x = 0, and a
     doubling scan solves the recurrence in ceil(log2(steps + 1)) array
     passes: after the pass for s, x_k holds the sum of A^(k-j) * B_j over
@@ -289,23 +283,25 @@ def _gate_trajectory(what: str, g: GateParams, inputs, stages: dict, x0: float, 
     """
     log_a = _log_step_factor(g.alpha, h, f"{what}: ")
     n_steps = len(stages[inputs[0]][0])
+    start, mid, end = zip(*(stages[v] for v in inputs))
     drives = [
         np.fromiter(map(gate_drive, itertools.repeat(g), zip(*seqs)), float, n_steps)
-        for seqs in zip(*(stages[v] for v in inputs))
+        for seqs in (start, mid, mid, end)
     ]
     x = np.empty(n_steps + 1)
     x[0] = x0
-    x[1:] = _rk4_step(0.0, drives, g.alpha, h)[0]
+    x[1:] = _rk4_step(0.0, drives, g.alpha, h)
     s = 1
     while s <= n_steps:
         x[s:] += math.exp(s * log_a) * x[:-s]
         s *= 2
     if not read:
         return x, None
-    # stage 1 of step k is x_k, so the trajectory less its last point;
-    # each read below 0 as 0, the one place the drive rule is applied
-    _, ys = _rk4_step(x[:-1], drives, g.alpha, h)
-    return x, tuple(np.maximum(y, 0.0).tolist() for y in (x[:-1], *ys))
+    z = g.alpha * h
+    mid = (0.75 - 0.25 * z) * x[:-1] + 0.25 * x[1:] + 0.25 * z * drives[0]
+    # a level below 0 here is rounding at alpha*h = z* (module docstring),
+    # which a non-integer n would turn into a complex drive downstream
+    return x, tuple(np.maximum(y, 0.0).tolist() for y in (x[:-1], mid, x[1:]))
 
 
 def simulate_circuit(
@@ -317,22 +313,20 @@ def simulate_circuit(
     external inputs and every gate output variable.  A gate's drive reads
     only upstream signals, so :func:`_gate_trajectory` integrates the gates
     in topological order, each over every step before its consumers, from
-    the stage values of its inputs: an upstream gate's x, x + (h/2)*k1,
-    x + (h/2)*k2 and x + h*k3, an external input's level at t, t + h/2,
-    t + h/2 and t + h.  Trajectories agree with stepping all gates together within 1e-12; near
-    :data:`RK4_STABILITY_LIMIT` they drift from exact RK4 by about k*4e-17
-    at step k, so up to about 25,000 steps there.  A gate reads an
-    upstream stage value below 0 as 0 (see the module docstring).  Raises
-    ``ValueError`` if ``params``, ``cfg.inputs`` or ``cfg.initial`` fails
-    its check by ``c``, or if a gate's alpha*h exceeds the limit.
+    the levels its inputs give each step: an upstream gate's x_k, m_k, m_k
+    and x_{k+1}, an external input's level at t, t + h/2, t + h/2 and
+    t + h (module docstring).  Trajectories agree with stepping all gates
+    together under that rule within 1e-12.  Raises ``ValueError`` if
+    ``params``, ``cfg.inputs`` or ``cfg.initial`` fails its check by ``c``,
+    or if a gate's alpha*h exceeds :data:`RK4_MONOTONE_LIMIT`.
     """
     c.check_params(params)
     c.check_inputs(cfg.inputs)
     c.check_initial(cfg.initial)
 
     times = time_grid(cfg.horizon, cfg.step)
-    # per signal still to be read, its values at the four RK4 stages of
-    # every step, one list of Python floats per stage
+    # per signal still to be read, the (start, mid, end) levels it gives
+    # every step, one list of Python floats each
     values, stages = _input_stages(cfg, c.external_inputs, times)
     order = c.topo_order()
     last_reader = {v: i for i, gid in enumerate(order) for v in c.gates[gid].inputs}
@@ -407,8 +401,9 @@ def verify_combos(
     level with the network-level timing contract.  ``step`` defaults to
     the circuit's ``sim.h``, then to 0.01; ``tb`` to
     :func:`propagate_timing`.  Before the first simulation it raises
-    ``ValueError`` for a bad step or ``params`` map, a gate past the RK4
-    stability limit, and then a gate past :data:`RK4_MONOTONE_LIMIT`.
+    ``ValueError`` for a bad step or ``params`` map, and the first
+    simulation raises it at the first gate, in topological order, past
+    :data:`RK4_MONOTONE_LIMIT`.
 
     The generator keeps no reference to a trace it has yielded, so memory
     stays at one trace whatever the number of combinations, as long as
@@ -419,7 +414,6 @@ def verify_combos(
     h = _circuit_step(c, step)
     _check_finite_positive("step", h)
     c.check_params(params)
-    _check_verdict_steps({f"gate {gid!r}": params[gid].alpha for gid in c.topo_order()}, h)
     initial = {v: float(v0) for v, v0 in c.sim.get("initial", {}).items()}
     for combo_bits in itertools.product((LOW, HIGH), repeat=len(c.external_inputs)):
         # built by a call, so that no local of this frame holds the trace

@@ -61,7 +61,7 @@ from .gates import (
 )
 from .monitor import robustness
 from .odesim import (
-    DEFAULT_STEP, _check_verdict_steps, _circuit_step, simulate_constant_drive, time_grid,
+    DEFAULT_STEP, _circuit_step, _log_step_factor, simulate_constant_drive, time_grid,
 )
 from .signals import Signal
 from .worstcase import worst_case
@@ -569,11 +569,11 @@ def worst_case_output_robustness(
 
     Each trajectory is RK4's closed form x_k = (1 - A^k)*d + A^k*x0 (see
     :func:`odesim.simulate_constant_drive`), and 0 < A < 1 for every
-    alpha*step below the RK4 stability limit, about 2.7853, past which
-    the simulator refuses the step.  So each trajectory moves
-    monotonically toward its constant drive, and the result is exactly
-    the sample at j = floor(delta/step): x[j] - plus on a high row,
-    minus - x[j] on a low one.  RK4 lags the exact solution, so the
+    alpha*step up to :data:`odesim.RK4_MONOTONE_LIMIT`, the longest step
+    the simulator takes.  So each trajectory moves monotonically toward
+    its constant drive, and the result is exactly the sample at
+    j = floor(delta/step): x[j] - plus on a high row, minus - x[j] on a
+    low one.  RK4 lags the exact solution, so the
     continuous-time robustness of the exact solution is never below it;
     where alpha*step is small enough for the RK4 error to vanish (below
     1e-6 at alpha*step <= 0.1) the gap is at most alpha*(delta - j*step).
@@ -592,7 +592,7 @@ def worst_case_output_robustness(
     check_kinetics(kind, n, alpha, k_values.T)
     drives = gate_drives(kind, n, levels, k_values)
     times = time_grid(row.lam + row.delta, step)
-    _check_verdict_steps({rule: alpha}, step)
+    _log_step_factor(alpha, step, f"{rule}: ")
     count = len(drives)
     rhos = np.empty(count)
     for block in _blocks(count, 8 * times.size):

@@ -408,9 +408,9 @@ class TestVerify:
         assert not out.exists()
 
     def test_verdict_above_monotone_limit_exits_1(self, tmp_path, capsys):
-        # D at alpha*h = 2.5 is inside the RK4 stability limit but above the
-        # monotone limit, where the worst-case inputs no longer bound every
-        # admissible input: no verdict, and no trace written
+        # D at alpha*h = 2.5 is above the monotone limit, where the
+        # worst-case inputs no longer bound every admissible input: no
+        # verdict, and no trace written
         params = json.loads(Path(good_params(tmp_path)).read_text())
         params["D"]["alpha"] = 2.5
         path = tmp_path / "long_step.json"
@@ -424,7 +424,7 @@ class TestVerify:
         assert not list(out.glob("trace_*"))
 
     @pytest.mark.parametrize("step,match", [
-        ("5", "stability limit"), ("0", "step must be finite and > 0"),
+        ("5", "monotone limit"), ("0", "step must be finite and > 0"),
         ("-0.1", "step must be finite and > 0"),
     ])
     def test_bad_step_exits_1(self, tmp_path, capsys, step, match):

@@ -56,6 +56,15 @@ class TestRobustnessExamples:
         # best t' = 1.0: min(y-0.5, min x-0.5 over [0,1]) = min(0.5, 0.1)
         assert rho == pytest.approx(0.1)
 
+    @pytest.mark.parametrize("text,rho", [("x >= 0.5", 0.3), ("(x >= 0.5) & !(x >= 0.9)", 0.1)])
+    def test_single_sample_trace(self, text, rho):
+        # a trace of one sample has no step; a formula of horizon 0 still
+        # has a value at it
+        s = Signal(times=np.zeros(1), values={"x": np.array([0.8])})
+        f = parse(text)
+        assert robustness(f, s) == pytest.approx(rho) == robustness_naive(f, s)
+        assert robustness_signal(f, s).tolist() == [robustness(f, s)]
+
     def test_evaluation_at_later_time(self):
         rho = robustness(parse("G[0,1](x >= 0.5)"), ramp(), t=2.0)
         assert rho == pytest.approx(1.5)

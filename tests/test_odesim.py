@@ -17,7 +17,7 @@ from gatesynth.gates import (
 from gatesynth.formulas import parse
 from gatesynth.monitor import robustness
 from gatesynth.odesim import (
-    RK4_MONOTONE_LIMIT, RK4_STABILITY_LIMIT, SimConfig, simulate_circuit,
+    RK4_MONOTONE_LIMIT, SimConfig, simulate_circuit,
     simulate_constant_drive, simulate_gate, time_grid, verify, verify_combos,
 )
 from gatesynth.signals import TIME_TOL
@@ -48,7 +48,7 @@ def _scan_level(schedule, t):
     return float(value)
 
 
-# slow enough that alpha*step stays below the RK4 limit at every step used here
+# slow enough that alpha*step stays below the RK4 monotone limit at every step used here
 SLOW_NOT = GateParams(GateKind.NOT, n=2, alpha=1e-3, hill_k=(0.5,))
 
 
@@ -299,57 +299,32 @@ class TestIntegrator:
             assert np.max(np.abs(out[:, j] - exact)) < 1e-9
 
     def test_matches_stage_loop(self):
-        # mixed drives and initial values, up to alpha*h = 2.5
+        # mixed drives and initial values, up to alpha*h = 1.29
         rng = np.random.default_rng(3)
         for n_traj, alpha, h in ((1, 1.7, 0.01), (3, 1.7, 0.01), (900, 1.7, 0.01),
-                                 (900, 0.05, 0.1), (900, 250.0, 0.01)):
+                                 (900, 0.05, 0.1), (900, 129.0, 0.01)):
             drive, x = rng.uniform(0.0, 1.0, (2, n_traj))
             x[::2] = rng.choice([0.0, 1.0], x[::2].shape)
             out = simulate_constant_drive(drive, alpha, x, h, 250)
             assert out.shape == (251, n_traj)
             assert np.max(np.abs(out - _stage_loop(drive, alpha, x, h, 250))) <= TOL
 
-    @given(z=st.floats(0.0, 2.785, exclude_min=True),
+    @given(z=st.floats(0.0, RK4_MONOTONE_LIMIT, exclude_min=True),
            h=st.sampled_from([0.001, 0.01, 0.5]),
            x0=st.floats(0.0, 1.0), drive=st.floats(0.0, 1.0))
-    def test_matches_stage_loop_up_to_stability_limit(self, z, h, x0, drive):
+    def test_matches_stage_loop_up_to_the_monotone_limit(self, z, h, x0, drive):
         # x0 and drive at 0, 1 and in between, every pairing
         x0s, drives = np.meshgrid([0.0, 1.0, x0], [0.0, 1.0, drive])
         x0s, drives = x0s.ravel(), drives.ravel()
         out = simulate_constant_drive(drives, z / h, x0s, h, 600)
         assert np.max(np.abs(out - _stage_loop(drives, z / h, x0s, h, 600))) <= TOL
 
-    @pytest.mark.parametrize("alpha,h", [(2.786, 1.0), (279.0, 0.01), (1e3, 0.1)])
-    def test_unstable_step_rejected(self, alpha, h):
-        with pytest.raises(ValueError, match="stability limit"):
+    # just past z*, inside and past the old stability limit 2.7853 where A reaches 1
+    @pytest.mark.parametrize("alpha,h", [(1.2956, 1.0), (130.0, 0.01), (2.785293563405282, 1.0),
+                                         (279.0, 0.01), (1e3, 0.1)])
+    def test_step_past_the_monotone_limit_rejected(self, alpha, h):
+        with pytest.raises(ValueError, match="exceeds the RK4 monotone limit 1.2956"):
             simulate_constant_drive(np.array([0.5]), alpha, np.zeros(1), h, 10)
-
-    def test_drift_from_exact_rk4_near_the_limit(self):
-        # A - 1 loses digits to cancellation near the limit, so A^k drifts
-        # by about k*4e-17: within the 1e-12 contract at 2,000 steps
-        z, n_steps = 2.785, 2000
-        x0s, drives = (a.ravel() for a in np.meshgrid([0.0, 1.0, 0.3], [0.0, 1.0, 0.7]))
-        exact = np.empty((n_steps + 1, drives.size))
-        with decimal.localcontext() as ctx:
-            ctx.prec = 50  # the stage loop in 50 digits, h = 1
-            alpha, half, sixth = Decimal(z), Decimal("0.5"), 1 / Decimal(6)
-            for j, (x0, d) in enumerate(zip(x0s, drives)):
-                x, d = Decimal(x0), Decimal(d)
-                exact[0, j] = x
-                for k in range(1, n_steps + 1):
-                    k1 = alpha * (d - x)
-                    k2 = alpha * (d - (x + half * k1))
-                    k3 = alpha * (d - (x + half * k2))
-                    k4 = alpha * (d - (x + k3))
-                    x += sixth * (k1 + 2 * k2 + 2 * k3 + k4)
-                    exact[k, j] = x
-        out = simulate_constant_drive(drives, z, x0s, 1.0, n_steps)
-        assert np.max(np.abs(out - exact)) <= TOL
-
-    def test_stability_limit_is_where_the_step_factor_reaches_one(self):
-        # at alpha*h on the limit, A = 1: x neither decays nor grows
-        x = simulate_constant_drive(np.zeros(1), RK4_STABILITY_LIMIT, np.ones(1), 1.0, 50)
-        assert np.max(np.abs(x - 1.0)) <= TOL
 
     def test_scalar_initial_value_and_no_steps(self):
         drive = np.array([0.2, 0.9])
@@ -565,46 +540,41 @@ class TestVerifyCombos:
 
 
 def _numpy_coupled_rk4(c, params, cfg):
-    """The array-state coupled RK4 loop that ``simulate_circuit`` replaced,
-    kept as an independent oracle.  A gate reads a stage value of another
-    gate below 0 as 0."""
-
-    order = c.topo_order()
-    state_vars = [c.gates[gid].output for gid in order]
-    idx = {v: i for i, v in enumerate(state_vars)}
-    x = np.array([float(cfg.initial.get(v, 0.0)) for v in state_vars], dtype=float)
-    times = time_grid(cfg.horizon, cfg.step)
+    """A step-major RK4 loop over every gate, kept as an independent oracle
+    for the gate-major scan of ``simulate_circuit``.  Each step takes the
+    gates in topological order, each by the classic stage-by-stage RK4
+    against its reads: an upstream gate's x_k at stage 1,
+    m_k = y2/2 + (x_k + x_{k+1})/4 at stages 2 and 3 (y2 its own stage-2
+    state) and x_{k+1} at stage 4, an external input's level at t, t + h/2,
+    t + h/2 and t + h.  A gate reads a level below 0 as 0.  Also returns
+    the lowest level any gate read, before that rule."""
     h = cfg.step
-    gate_list = [(params[gid], c.gates[gid].inputs, idx[c.gates[gid].output])
-                 for gid in order]
-    ext = set(c.external_inputs)
-
-    lowest = [np.inf]  # the lowest level any gate reads
-
-    def deriv(y, t):
-        u = {v: _scan_level(cfg.inputs[v], t) for v in ext}
-        dy = np.empty_like(y)
-        for g, in_vars, out_i in gate_list:
-            vals = [u[v] if v in ext else y[idx[v]] for v in in_vars]
-            lowest[0] = min(lowest[0], *vals)
-            dy[out_i] = g.alpha * (gate_drive(g, [max(v, 0.0) for v in vals]) - y[out_i])
-        return dy
-
-    traj = np.empty((times.size, x.size))
-    traj[0] = x
-    for k in range(times.size - 1):
-        t = times[k]
-        k1 = deriv(x, t)
-        k2 = deriv(x + 0.5 * h * k1, t + 0.5 * h)
-        k3 = deriv(x + 0.5 * h * k2, t + 0.5 * h)
-        k4 = deriv(x + h * k3, t + h)
-        x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        traj[k + 1] = x
+    times = time_grid(cfg.horizon, h)
+    traj = {c.gates[gid].output: [float(cfg.initial.get(c.gates[gid].output, 0.0))]
+            for gid in c.topo_order()}
+    lowest = np.inf
+    for t in times[:-1]:
+        reads = {v: [_scan_level(cfg.inputs[v], t + dt) for dt in (0.0, h / 2, h / 2, h)]
+                 for v in c.external_inputs}
+        for gid in c.topo_order():
+            g, gate = params[gid], c.gates[gid]
+            levels = [[reads[v][i] for v in gate.inputs] for i in range(4)]
+            lowest = min(lowest, *itertools.chain(*levels))
+            d = [gate_drive(g, [max(u, 0.0) for u in stage]) for stage in levels]
+            x = traj[gate.output][-1]
+            k1 = g.alpha * (d[0] - x)
+            y2 = x + 0.5 * h * k1
+            k2 = g.alpha * (d[1] - y2)
+            k3 = g.alpha * (d[2] - (x + 0.5 * h * k2))
+            k4 = g.alpha * (d[3] - (x + h * k3))
+            x_next = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            traj[gate.output].append(x_next)
+            m = 0.5 * y2 + 0.25 * (x + x_next)
+            reads[gate.output] = [x, m, m, x_next]
     values = {v: np.array([_scan_level(cfg.inputs[v], t) for t in times])
               for v in c.external_inputs}
-    for v, i in idx.items():
-        values[v] = traj[:, i]
-    return times, values, lowest[0]
+    values.update((v, np.array(x)) for v, x in traj.items())
+    return times, values, lowest
 
 
 def _assert_matches_array_loop(c, params, cfg):
@@ -731,7 +701,8 @@ def _fan_out():
     return c, params
 
 
-LONG_STEPS = (0.5, 1.0, 1.39)  # alpha*h of _fan_out's gates up to 2.78
+# alpha*h of _fan_out's gates up to 1.0 and up to z*; N has the largest alpha, 2
+LONG_STEPS = (0.5, RK4_MONOTONE_LIMIT / 2.0)
 
 
 def _long_step_config(step):
@@ -740,18 +711,39 @@ def _long_step_config(step):
 
 
 class TestLongSteps:
-    """Steps up to the RK4 stability limit, where A^s of the scan falls
+    """Steps up to the RK4 monotone limit, where A^s of the scan falls
     fastest, and past it."""
 
     @pytest.mark.parametrize("step", LONG_STEPS)
     def test_matches_array_loop(self, step):
         _assert_matches_array_loop(*_fan_out(), _long_step_config(step))
 
-    def test_unstable_gate_named(self):
+    def test_gate_past_the_limit_named(self):
+        # N at alpha*h = 1.4; the gates after it in topological order are within
         c, params = _fan_out()
-        cfg = SimConfig(horizon=10.0, step=1.4, inputs={"a": 0.0, "b": 1.0})
-        with pytest.raises(ValueError, match="gate 'N'.*stability limit"):
+        cfg = SimConfig(horizon=10.0, step=0.7, inputs={"a": 0.0, "b": 1.0})
+        with pytest.raises(ValueError, match=r"^gate 'N': alpha\*step = 1.4 exceeds the RK4 "
+                                             r"monotone limit 1.2956"):
             simulate_circuit(c, params, cfg)
+
+    # just past z*, and inside and at the old stability limit 2.7853
+    @pytest.mark.parametrize("z", [RK4_MONOTONE_LIMIT * (1 + 1e-12), 2.0, 2.785293563405282])
+    def test_every_simulator_refuses_past_the_limit(self, z):
+        # a NOT gate of alpha = 1, so alpha*h = h = z
+        g = GateParams(GateKind.NOT, n=3, alpha=1.0, hill_k=(0.45,))
+        c, params = _not_pair(1.0, 3)
+        match = "exceeds the RK4 monotone limit 1.2956"
+        with pytest.raises(ValueError, match=match):
+            simulate_gate(g, gate_config(5.0, z, u=1.0))
+        with pytest.raises(ValueError, match=match):
+            simulate_circuit(c, params, SimConfig(horizon=5.0, step=z, inputs={"a": 1.0}))
+        with pytest.raises(ValueError, match=match):
+            simulate_constant_drive(np.array([0.5]), 1.0, 0.0, z, 5)
+        # at the limit itself each takes the step
+        simulate_gate(g, gate_config(5.0, RK4_MONOTONE_LIMIT, u=1.0))
+        simulate_circuit(c, params, SimConfig(horizon=5.0, step=RK4_MONOTONE_LIMIT,
+                                              inputs={"a": 1.0}))
+        simulate_constant_drive(np.array([0.5]), 1.0, 0.0, RK4_MONOTONE_LIMIT, 5)
 
 
 class TestInitialValues:
@@ -788,25 +780,38 @@ def _not_pair(alpha_n, n_p):
     return c, params
 
 
-# the two ways a stage value of N falls below 0: N's alpha and the config
-NEGATIVE_STAGES = {
-    # from x = 1 toward d = 0.08, y2 = x + (alpha*h/2)*(d - x) overshoots
-    # d and 0 at alpha*h = 2.78
-    "overshoot": (2.0, SimConfig(horizon=5.0, step=1.39, initial={"xN": 1.0},
-                                 inputs={"a": 1.0})),
-    # alpha*h = 0.2, but a switches at the half step of the first one
-    "breakpoint": (20.0, SimConfig(horizon=1.0, step=0.01,
-                                   inputs={"a": [(0.0, 0.0), (0.005, 1.0)]})),
-}
-# a non-integer, an odd and an even n: before the rule, a ValueError, a
-# drive outside [0, 1] and the drive at -u read as at +u
-N_AT_NEGATIVE_STAGES = (2.5, 3, 4)
+# an input breakpoint inside a step: under the former coupling, which
+# handed P N's RK4 stage values, N's fell below 0 at alpha*h = 0.2
+BREAKPOINT = (20.0, SimConfig(horizon=1.0, step=0.01,
+                              inputs={"a": [(0.0, 0.0), (0.005, 1.0)]}))
+# a non-integer, an odd and an even n: with a read below 0, a complex
+# drive, a drive outside [0, 1] and the drive at -u read as at +u
+N_AT_NEGATIVE_READS = (2.5, 3, 4)
+
+
+def _rounding_at_z_star(n_p=2.5):
+    """AND gate A at alpha*h = z* exactly, feeding NOT gate P: input a is 1
+    at stage 1 only, so A's first step from 0 is w1*d1 with w1 = 0 in exact
+    arithmetic, and rounds to -1.3e-17."""
+    h = 0.17401278467086911
+    th = {v: TH for v in ("a", "b", "xA", "xP")}
+    c = Circuit(
+        gates={"A": Gate("A", GateKind.AND, ("a", "b"), "xA"),
+               "P": Gate("P", GateKind.NOT, ("xA",), "xP")},
+        external_inputs=("a", "b"), outputs=(("P", "out"),),
+        thresholds=th, delta=4.0, lam=4.0,
+    )
+    params = {"A": GateParams(GateKind.AND, n=2.5, alpha=RK4_MONOTONE_LIMIT / h,
+                              hill_k=(0.7833587651058748,) * 2),
+              "P": GateParams(GateKind.NOT, n=n_p, alpha=1.0, hill_k=(0.45,))}
+    assert params["A"].alpha * h == RK4_MONOTONE_LIMIT
+    cfg = SimConfig(horizon=10 * h, step=h, inputs={"a": [(0.0, 1.0), (h / 2, 0.0)], "b": 1.0})
+    return c, params, cfg
 
 
 class TestVerdictStep:
-    """A verdict needs alpha*h <= RK4_MONOTONE_LIMIT for every gate, checked
-    after the stability limit of every gate; the simulators accept alpha*h
-    up to the stability limit."""
+    """A verdict, like every simulator, needs alpha*h <= RK4_MONOTONE_LIMIT
+    for every gate."""
 
     def test_verify_up_to_the_monotone_limit(self):
         c, params = _not_pair(1.0, 3)
@@ -815,55 +820,54 @@ class TestVerdictStep:
         with pytest.raises(ValueError, match=r"^gate 'N': alpha\*step = 1.3 exceeds the RK4 "
                                              r"monotone limit 1.2956"):
             verify(c, params, step=1.3)
-        simulate_circuit(c, params, SimConfig(horizon=8.0, step=2.0, inputs={"a": 1.0}))
+        with pytest.raises(ValueError, match=r"^gate 'N': alpha\*step = 2 exceeds"):
+            simulate_circuit(c, params, SimConfig(horizon=8.0, step=2.0, inputs={"a": 1.0}))
 
-    def test_every_stability_check_comes_first(self):
-        # N is past the monotone limit and P past the stability limit
+    def test_first_gate_past_the_limit_named(self):
+        # N and P both past the limit: the first combination names N, the
+        # first in topological order, before any entry is yielded
         c, params = _not_pair(2.0, 3)
         params["P"] = dataclasses.replace(params["P"], alpha=3.0)
-        with pytest.raises(ValueError, match=r"^gate 'P': alpha\*step = 3 exceeds the RK4 "
-                                             r"stability limit"):
+        with pytest.raises(ValueError, match=r"^gate 'N': alpha\*step = 2 exceeds the RK4 "
+                                             r"monotone limit"):
             next(verify_combos(c, params, step=1.0))
 
 
 def _simulate_reproducer(name):
-    alpha_n, cfg = NEGATIVE_STAGES[name]
-    for n in N_AT_NEGATIVE_STAGES:
-        simulate_circuit(*_not_pair(alpha_n, n), cfg)
+    if name == "breakpoint":
+        alpha_n, cfg = BREAKPOINT
+        for n in N_AT_NEGATIVE_READS:
+            simulate_circuit(*_not_pair(alpha_n, n), cfg)
+    else:
+        for n in N_AT_NEGATIVE_READS:
+            c, params, cfg = _rounding_at_z_star(n)
+            simulate_circuit(c, params, cfg)
 
 
-class TestNegativeStages:
-    """A gate reads a stage value below 0 of an upstream gate as 0, at any
-    n; the trace keeps RK4's own values."""
+class TestNegativeReads:
+    """A read is a non-negative combination of levels and drives (module
+    docstring of odesim); rounding at alpha*h = z* can still leave a sample
+    just below 0, which a gate reads as 0, at any n."""
 
-    def _assert_matches_clipped_loop(self, reproducer):
-        alpha_n, cfg = NEGATIVE_STAGES[reproducer]
-        for n in N_AT_NEGATIVE_STAGES:
-            c, params = _not_pair(alpha_n, n)
-            assert _assert_matches_array_loop(c, params, cfg) < 0, n
+    def test_breakpoint_inside_a_step_reads_no_level_below_0(self):
+        alpha_n, cfg = BREAKPOINT
+        for n in N_AT_NEGATIVE_READS:
+            assert _assert_matches_array_loop(*_not_pair(alpha_n, n), cfg) >= 0, n
 
-    def test_overshoot_past_alpha_h_two(self):
-        self._assert_matches_clipped_loop("overshoot")
-
-    def test_breakpoint_inside_a_step(self):
-        self._assert_matches_clipped_loop("breakpoint")
-
-    @pytest.mark.parametrize("reproducer", NEGATIVE_STAGES)
+    @pytest.mark.parametrize("reproducer", ["breakpoint", "rounding"])
     def test_every_drive_in_the_unit_interval(self, reproducer, monkeypatch):
-        # without the rule, n = 2.5 raised and n = 3 gave P a drive above 1
+        # without the rule, the rounding reproducer gave P a complex drive at n = 2.5
         calls = _record_drives(monkeypatch)
         _simulate_reproducer(reproducer)
         assert min(u for _, levels, _ in calls for u in levels) == 0.0
         drives = [d for _, _, d in calls]
+        assert all(isinstance(d, float) for d in drives)
         assert 0.0 <= min(drives) and max(drives) <= 1.0
 
     def test_trace_keeps_rk4_values_below_0(self):
-        # at alpha*h = 2 the step from x = 0 under stage drives (1, d, d, d),
-        # with a rising between t and t + h/2, ends below 0
-        c, params = _not_pair(2.0, 2.5)
-        cfg = SimConfig(horizon=5.0, step=1.0, inputs={"a": [(0.0, 0.0), (0.5, 1.0)]})
+        c, params, cfg = _rounding_at_z_star()
         assert _assert_matches_array_loop(c, params, cfg) < 0
-        assert simulate_circuit(c, params, cfg).values["xN"][1] < 0
+        assert -1e-16 < simulate_circuit(c, params, cfg).values["xA"][1] < 0
 
 
 def _record_drives(monkeypatch) -> list:
@@ -919,13 +923,13 @@ class TestGateDriveCalls:
         assert len(calls) == 2 * steps * 4 * 3
 
 
-@pytest.mark.parametrize("run", [*NEGATIVE_STAGES, "long-steps", "half-adder-verify"])
+@pytest.mark.parametrize("run", ["breakpoint", "rounding", "long-steps", "half-adder-verify"])
 def test_gate_drives_matches_gate_drive_on_every_simulated_level(run, half_adder, monkeypatch):
     # the log-space kernel is a drive-for-drive replacement for the scalar
     # one in the simulator; it gives NaN at a level below 0, which the
     # simulator never hands a gate
     calls = _record_drives(monkeypatch)
-    if run in NEGATIVE_STAGES:
+    if run in ("breakpoint", "rounding"):
         _simulate_reproducer(run)
     elif run == "long-steps":
         for step in LONG_STEPS:

@@ -1,6 +1,6 @@
 """The worst-case-input lemma of :mod:`gatesynth.worstcase` in the sampled
-(RK4) model, for one gate, and for the gates of a circuit as far as the
-same argument carries (see "Circuits" below).
+(RK4) model, for one gate and for every gate output of a circuit that each
+external input reaches along paths of one parity (see "Circuits" below).
 
 The lemma: if a truth-table row holds under its worst-case constant
 inputs and the pessimistic initial output, it holds under every input
@@ -44,10 +44,10 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gatesynth.circuit import Circuit
-from gatesynth.gates import HIGH, LOW, GateKind, GateParams, Thresholds
+from gatesynth.gates import HIGH, LOW, GateKind, GateParams, Thresholds, gate_drive
 from gatesynth.odesim import (
     RK4_MONOTONE_LIMIT, SimConfig, _network_levels, _rk4_step, simulate_circuit, simulate_gate,
 )
@@ -74,7 +74,7 @@ def test_z_star_is_the_real_root():
 def test_w1_changes_sign_at_z_star(h):
     def w1(z):
         # the step from x = 0 under a unit drive at the first stage only
-        return _rk4_step(0.0, (1.0, 0.0, 0.0, 0.0), z / h, h)[0]
+        return _rk4_step(0.0, (1.0, 0.0, 0.0, 0.0), z / h, h)
 
     for z in (0.5, 1.0, 1.29, 1.3, 2.0):
         assert w1(z) == pytest.approx((z / 6) * (1 - z + z**2 / 2 - z**3 / 4), abs=1e-15)
@@ -82,18 +82,12 @@ def test_w1_changes_sign_at_z_star(h):
 
 
 @st.composite
-def program(draw, level: str, th: Thresholds, h: float, steps: int, anywhere: bool = True):
+def program(draw, level: str, th: Thresholds, h: float, steps: int):
     """A breakpoint program of 1-5 pieces with levels in the band of
-    ``level``; its breakpoints fall on the half-step grid or off it, or,
-    if not ``anywhere``, on the step grid only."""
-    horizon = steps * h
-    if anywhere:
-        on_grid = st.integers(1, 2 * steps - 1).map(lambda j: j * h / 2)
-        off_grid = st.floats(0.0, horizon, exclude_min=True, exclude_max=True)
-        at = st.one_of(on_grid, off_grid)
-    else:
-        at = st.integers(1, steps).map(lambda j: j * h)
-    starts = draw(st.lists(at, max_size=4, unique=True))
+    ``level``; its breakpoints fall on the half-step grid or off it."""
+    on_grid = st.integers(1, 2 * steps - 1).map(lambda j: j * h / 2)
+    off_grid = st.floats(0.0, steps * h, exclude_min=True, exclude_max=True)
+    starts = draw(st.lists(st.one_of(on_grid, off_grid), max_size=4, unique=True))
     lo, hi = (th.plus, 1.0) if level == HIGH else (0.0, th.minus)
     return [(t, draw(st.floats(lo, hi))) for t in [0.0, *sorted(starts)]]
 
@@ -143,47 +137,52 @@ def test_program_inputs_never_beat_the_worst_case_sweep(case):
 @pytest.mark.parametrize("z,gain", [(1.29, -3.08e-4), (1.30, 2.45e-4)])
 def test_lemma_fails_just_above_z_star(z, gain):
     # NOT, input high with band [0.6, 1]: held at 1 for the first quarter
-    # step, then at 0.6, against the constant 0.6, over one step.  Only the
-    # first stage drive differs, so the output moves by w1 times the drive
-    # difference: lower below z*, higher above it, on a low row.
+    # step, then at 0.6, against the constant 0.6, over one RK4 step.  Only
+    # the first stage drive differs, so the output moves by w1 times the
+    # drive difference: lower below z*, higher above it, on a low row.  So
+    # the simulator refuses the step above z*.
     h, th = 0.5, Thresholds(plus=0.6, minus=0.3)
     g = GateParams(GateKind.NOT, n=4, alpha=z / h, hill_k=(0.5,))
     (row,) = [r for r in GateKind.NOT.rows(1.0, 1.0) if r.input_levels == (HIGH,)]
     (level,), x0 = worst_case(GateKind.NOT, row, (th,))
     assert (level, x0) == (0.6, 1.0)
 
+    def step(first):
+        drives = [gate_drive(g, (u,)) for u in (first, level, level, level)]
+        return _rk4_step(x0, drives, g.alpha, h)
+
+    assert step(1.0) - step(level) == pytest.approx(gain, rel=0.01)
+
     def end(program):
         cfg = SimConfig(horizon=h, step=h, initial={"x": x0}, inputs={"u": program})
         return simulate_gate(g, cfg).values["x"][-1]
 
-    assert end([(0.0, 1.0), (h / 4, level)]) - end(level) == pytest.approx(gain, rel=0.01)
+    if z > RK4_MONOTONE_LIMIT:
+        with pytest.raises(ValueError, match="exceeds the RK4 monotone limit"):
+            end(level)
+    else:
+        assert end([(0.0, 1.0), (h / 4, level)]) - end(level) == pytest.approx(gain, rel=0.01)
 
 
-# Circuits.  A gate reads an upstream gate's RK4 stage values, and with
-# z = alpha*h of the upstream gate those are
-#
-#     s1 = x,  s2 = (1 - z/2)*x + (z/2)*d1,
-#     s3 = (1 - z/2 + z^2/4)*x - (z^2/4)*d1 + (z/2)*d2,
-#     s4 = (1 - z + z^2/2 - z^3/4)*x + (z^3/4)*d1 - (z^2/2)*d2 + z*d3,
-#
-# not monotone in the stage drives d1, d2 at any z > 0.  They are monotone
-# in x and in a common rise of d1 = d2 = d3 for z <= z*: the coefficients
-# become z/2, z/2 - z^2/4 and z - z^2/2 + z^3/4.  A gate that reads only
-# external inputs (depth 1) is the one-gate case above.  Where every
-# program's breakpoints lie on the step grid, a depth-1 gate's first three
-# stage drives read one level, so its stage values are monotone in it, and
-# a gate of depth 2 obeys the lemma too.  Deeper gates, and depth 2 with a
-# breakpoint inside a step, are outside the argument, and
-# test_circuit_lemma_fails_outside_the_argument pins a failure of each.
+# Circuits.  A gate reads an upstream gate at step k at its samples and
+# one half-step value (see the odesim module docstring): x_k at stage 1,
+# m_k = (3/4 - z/4)*x_k + x_{k+1}/4 + (z/4)*d1 at stages 2 and 3, with z
+# and d1 the upstream gate's, and x_{k+1} at stage 4.  Every weight is >= 0
+# for z <= z*, so, by induction over the gates in topological order, the
+# lemma's argument carries to every gate output that each external input
+# reaches along paths of one parity, at any depth, with breakpoints
+# anywhere.  The former coupling read the upstream RK4 stage values, and
+# s3 = ... - (z^2/4)*d1 + (z/2)*d2 falls when d1 rises; the @examples of
+# the property below are the failures it gave.
 #
 # The comparison is per gate output.  An external input reaches it along
 # paths through NOT gates; where all of them pass an even number, a higher
-# input never lowers the output in the ODE, where all pass an odd number
-# it never raises it.  The worst case holds each such input at the end of
-# its band that pushes the output away from its level, as worst_case does
-# for one gate; an output that some input reaches with both parities has
-# no worst-case constants and is left out.  Both runs start every gate at
-# the extreme opposite its expected level.
+# input never lowers the output, where all pass an odd number it never
+# raises it.  The worst case holds each such input at the end of its band
+# that pushes the output away from its level, as worst_case does for one
+# gate; an output that some input reaches with both parities has no
+# worst-case constants and is left out.  Both runs start every gate at the
+# extreme opposite its expected level.
 
 
 def parities(c: Circuit, var: str) -> dict[str, set]:
@@ -198,15 +197,6 @@ def parities(c: Circuit, var: str) -> dict[str, set]:
             parity[g.output] = reach if g.kind.activating else {-p for p in reach}
         signs[u] = parity.get(var, set())
     return signs
-
-
-def depth(c: Circuit, var: str) -> int:
-    """The most gates on a path from an external input to ``var``."""
-    depths = dict.fromkeys(c.external_inputs, 0)
-    for gid in c.topo_order():
-        g = c.gates[gid]
-        depths[g.output] = 1 + max(depths[v] for v in g.inputs)
-    return depths[var]
 
 
 @functools.lru_cache(maxsize=None)
@@ -248,69 +238,83 @@ def circuit_gain(c: Circuit, params, combo: dict, var: str, h: float, steps: int
 
 @functools.lru_cache(maxsize=None)
 def covered_outputs() -> list[tuple[int, str]]:
-    """Every (seed, gate output) of depth <= 2 with one parity per input,
-    over the designed random circuits."""
+    """Every (seed, gate output) with one parity per input, over the
+    designed random circuits."""
     found = []
     for seed in range(300):
         c, params = circuit_and_design(seed)
         if params is None:
             continue
         for g in c.gates.values():
-            if depth(c, g.output) <= 2 and all(len(p) <= 1 for p in parities(c, g.output).values()):
+            if all(len(p) <= 1 for p in parities(c, g.output).values()):
                 found.append((seed, g.output))
     return found
 
 
-@st.composite
-def circuit_cases(draw):
-    """A gate output that the argument covers, an input combination, a step
-    at which every gate has alpha*h <= z*, and a program per input, its
-    breakpoints on the step grid unless the output has depth 1."""
-    seed, var = draw(st.sampled_from(covered_outputs()))
+def case_of(seed: int, var: str, bits: tuple, z: float, steps: int, programs):
+    """The circuit, design, combination, output, step, step count and input
+    programs of a case of the circuit property: ``programs`` maps each
+    external input to its program, or is a function of an input's (worst,
+    favourable) band ends and the step h that gives it."""
     c, params = circuit_and_design(seed)
-    combo = {v: draw(st.sampled_from((LOW, HIGH))) for v in c.external_inputs}
-    z = draw(st.floats(1e-3, RK4_MONOTONE_LIMIT))
+    combo = dict(zip(c.external_inputs, bits))
     h = z / max(g.alpha for g in params.values())
-    steps = draw(st.integers(1, 40))
-    anywhere = depth(c, var) == 1
-    programs = {v: draw(program(lvl, c.thresholds[v], h, steps, anywhere))
-                for v, lvl in combo.items()}
+    if callable(programs):
+        programs = {v: programs(*ends, h) for v, ends in band_ends(c, combo, var).items()}
     return c, params, combo, var, h, steps, programs
 
 
+@st.composite
+def circuit_cases(draw):
+    """The arguments of :func:`case_of` for a gate output that the argument
+    covers, an input combination, a step at which every gate has
+    alpha*h <= z*, and a program per input with its breakpoints anywhere."""
+    seed, var = draw(st.sampled_from(covered_outputs()))
+    c, params = circuit_and_design(seed)
+    bits = tuple(draw(st.sampled_from((LOW, HIGH))) for _ in c.external_inputs)
+    z = draw(st.floats(1e-3, RK4_MONOTONE_LIMIT))
+    steps = draw(st.integers(1, 40))
+    h = z / max(g.alpha for g in params.values())
+    programs = {v: draw(program(lvl, c.thresholds[v], h, steps))
+                for v, lvl in zip(c.external_inputs, bits)}
+    return seed, var, bits, z, steps, programs
+
+
+def mid_step(steps: int):
+    """Each input at the favourable end of its band, back at its worst end
+    from the middle of every step."""
+    return lambda worst, best, h: [pt for k in range(steps)
+                                   for pt in ((k * h, best), (k * h + h / 2, worst))]
+
+
+# the former coupling's failures, with the gain it gave: depth 2 with a
+# breakpoint inside each step (-0.0417); depth 3 under constant inputs
+# (-8.42e-4); depth 3 at z far below z* (-3.69e-10)
+@example(args=(6, "x1", (HIGH, LOW), 1.0, 2, mid_step(2)))
+@example(args=(80, "x5", (LOW, HIGH, LOW), 0.7, 20, lambda worst, best, h: best))
+@example(args=(238, "x4", (LOW, HIGH, LOW), 0.1, 10, mid_step(10)))
 @settings(max_examples=100, deadline=None)
-@given(case=circuit_cases())
-def test_circuit_program_inputs_never_beat_the_worst_case(case):
-    assert circuit_gain(*case).min() >= -ROUNDING
+@given(args=circuit_cases())
+def test_circuit_program_inputs_never_beat_the_worst_case(args):
+    assert circuit_gain(*case_of(*args)).min() >= -ROUNDING
+
+
+@settings(max_examples=50, deadline=None)
+@given(args=circuit_cases(), data=st.data())
+def test_circuit_samples_stay_within_their_bounds(args, data):
+    # every sample is a non-negative combination of initial values and
+    # drives in [0, 1], so it stays in [0, max(1, x0)], up to rounding
+    c, params, _, _, h, steps, programs = case_of(*args)
+    initial = {g.output: data.draw(st.floats(0.0, 2.0)) for g in c.gates.values()}
+    cfg = SimConfig(horizon=steps * h, step=h, initial=initial, inputs=programs)
+    trace = simulate_circuit(c, params, cfg)
+    for g in c.gates.values():
+        x = trace.values[g.output]
+        assert x.min() >= -ROUNDING and x.max() <= max(1.0, initial[g.output]) + ROUNDING
 
 
 @pytest.mark.slow
 @settings(max_examples=2000, deadline=None)
-@given(case=circuit_cases())
-def test_circuit_program_inputs_never_beat_the_worst_case_sweep(case):
-    assert circuit_gain(*case).min() >= -ROUNDING
-
-
-@pytest.mark.parametrize("seed,var,var_depth,bits,z,steps,mid_step,want", [
-    # depth 2, a breakpoint inside each step
-    (6, "x1", 2, (HIGH, LOW), 1.0, 2, True, -0.0417),
-    # depth 3, constant inputs
-    (80, "x5", 3, (LOW, HIGH, LOW), 0.7, 20, False, -8.42e-4),
-    # z far below z*: the failure shrinks fast with z but does not vanish
-    (238, "x4", 3, (LOW, HIGH, LOW), 0.1, 10, True, -3.69e-10),
-])
-def test_circuit_lemma_fails_outside_the_argument(seed, var, var_depth, bits, z, steps,
-                                                  mid_step, want):
-    # each input at the favourable end of its band; with mid_step, back at
-    # its worst end from the middle of every step
-    c, params = circuit_and_design(seed)
-    combo = dict(zip(c.external_inputs, bits))
-    h = z / max(g.alpha for g in params.values())
-    programs = {
-        v: [pt for k in range(steps) for pt in ((k * h, best), (k * h + h / 2, worst))]
-        if mid_step else best
-        for v, (worst, best) in band_ends(c, combo, var).items()
-    }
-    assert depth(c, var) == var_depth
-    got = circuit_gain(c, params, combo, var, h, steps, programs).min()
-    assert got == pytest.approx(want, rel=0.01)
+@given(args=circuit_cases())
+def test_circuit_program_inputs_never_beat_the_worst_case_sweep(args):
+    assert circuit_gain(*case_of(*args)).min() >= -ROUNDING

@@ -912,9 +912,8 @@ class TestWorstCaseRobustness:
         """The worst-case robustness is the trajectory's sample at delta.
 
         Above the RK4 monotone limit the row is refused.  Below it RK4
-        moves monotonically toward a constant drive (as it does up to
-        alpha*h = 2.78), so F[0,delta] G[0,lam] picks the last sample in
-        [0, delta].
+        moves monotonically toward a constant drive, so F[0,delta]
+        G[0,lam] picks the last sample in [0, delta].
         RK4 lags the exact solution, so the continuous-time robustness is
         never below the sampled one (up to rounding in the closed form,
         seen at 1e-16).  Where alpha*h <= 0.1 the RK4 error
