@@ -19,9 +19,7 @@ from .gates import (
     ExtendedTruthRow, GateKind, GateParams, Thresholds, closed_form,
     gate_drive, row_formula, truth_table,
 )
-from .monitor import (
-    HorizonError, eval_boolean, robustness, robustness_naive, robustness_signal,
-)
+from .monitor import HorizonError, robustness, robustness_naive, robustness_signal
 from .odesim import (
     SimConfig, VerifyEntry, VerifyReport, simulate_circuit,
     simulate_constant_drive, simulate_gate, verify, verify_combos,

@@ -1,4 +1,4 @@
-"""Quantitative and boolean STL monitoring over sampled signals.
+"""Quantitative STL monitoring over sampled signals.
 
 Robustness follows the standard quantitative semantics: atoms measure the
 signed margin to their threshold, boolean connectives map to min/max, and
@@ -20,16 +20,16 @@ restricted to their window.  Two monitors are provided:
   temporal operator, supporting arbitrary (non-uniform) grids.  Kept as an
   independent reference for differential testing.
 
-:func:`eval_boolean` gives the boolean semantics by the same recursion,
-with the same window rule; the fast monitor keeps its own, so the
-differential tests compare two independent rules.  All three evaluate at
+The naive monitor takes its windows from :func:`_window`; the fast
+monitor keeps its own rule, so the differential tests compare two
+independent rules.  (The tests' boolean oracle, ``eval_boolean`` in
+``tests/conftest.py``, shares the naive rule.)  Both monitors evaluate at
 the sample a time names within ``signals.TIME_TOL``, use closed windows
 and raise ``HorizonError`` on the same formulas: a window that holds no
-sample, or a horizon past the end of the trace.  The two
-quantitative monitors give NaN wherever a connective's operand or a
-window's sample is NaN: ``np.min``/``np.max`` and ``np.minimum``/
-``np.maximum`` propagate it, where Python's ``min`` and ``max`` would
-drop all but a leading NaN.
+sample, or a horizon past the end of the trace.  Both give NaN wherever a
+connective's operand or a window's sample is NaN: ``np.min``/``np.max``
+and ``np.minimum``/``np.maximum`` propagate it, where Python's ``min``
+and ``max`` would drop all but a leading NaN.
 """
 
 from __future__ import annotations
@@ -45,8 +45,7 @@ from .formulas import (
 from .signals import TIME_TOL, Signal
 
 __all__ = [
-    "robustness", "robustness_naive", "robustness_signal", "eval_boolean",
-    "HorizonError",
+    "robustness", "robustness_naive", "robustness_signal", "HorizonError",
 ]
 
 
@@ -268,42 +267,3 @@ def robustness_naive(f: Formula, s: Signal, t: float = 0.0) -> float:
         raise TypeError(f"not a formula node: {node!r}")
 
     return float(ev(f, times[_start(f, s, t)]))
-
-
-def eval_boolean(f: Formula, s: Signal, t: float = 0.0) -> bool:
-    """Independent boolean semantics (brute force over the grid).
-
-    Deliberately implemented without reference to the robustness
-    computation; used to cross-check the sign of the quantitative monitor.
-    It evaluates every operand and every window, with no short cut, at the
-    times :func:`robustness_naive` does, so it raises ``HorizonError`` on
-    the same formulas, and at the same sample: the one ``t`` names, within
-    ``TIME_TOL``.
-    """
-    times = s.times
-
-    def ev(node: Formula, at: float) -> bool:
-        if isinstance(node, TrueFormula):
-            return True
-        if isinstance(node, Atom):
-            x = s.sample_at(node.var, at)
-            return x >= node.threshold if node.op == ">=" else x <= node.threshold
-        if isinstance(node, Not):
-            return not ev(node.child, at)
-        if isinstance(node, And):
-            return all([ev(node.left, at), ev(node.right, at)])
-        if isinstance(node, Or):
-            return any([ev(node.left, at), ev(node.right, at)])
-        if isinstance(node, Implies):
-            return any([not ev(node.left, at), ev(node.right, at)])
-        if isinstance(node, (Globally, Eventually)):
-            pick = all if isinstance(node, Globally) else any
-            return pick([ev(node.child, u) for u in _window(times, at + node.lo, at + node.hi)])
-        if isinstance(node, Until):
-            return any([
-                all([ev(node.right, u)] + [ev(node.left, v) for v in _window(times, at, u)])
-                for u in _window(times, at + node.lo, at + node.hi)
-            ])
-        raise TypeError(f"not a formula node: {node!r}")
-
-    return ev(f, times[_start(f, s, t)])

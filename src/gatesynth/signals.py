@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import csv
-import itertools
+import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +29,7 @@ class OutOfRangeError(ValueError):
 
 @dataclass(frozen=True, eq=False)  # compared by identity: its fields are arrays
 class Signal:
-    """A multi-variable trace sampled on a strictly increasing time grid.
+    """A multi-variable trace sampled on a finite, strictly increasing time grid.
 
     Values between samples are linearly interpolated; outside [t0, t_end]
     the signal is undefined and querying it is an error.
@@ -45,6 +46,10 @@ class Signal:
         object.__setattr__(self, "times", times)
         if times.ndim != 1 or times.size == 0:
             raise ValueError("times must be a nonempty 1-d array")
+        # the ends only: the step check below refuses a non-finite time
+        # between two finite ones
+        if not (math.isfinite(times[0]) and math.isfinite(times[-1])):
+            raise ValueError(f"times must be finite, got {times[0]} to {times[-1]}")
         if abs(times[0]) > TIME_TOL:
             raise ValueError("first time point must be 0")
         steps = np.diff(times)
@@ -144,30 +149,51 @@ def write_trace_csv(signal: Signal, path) -> None:
             fh.write("".join(map(line.__mod__, zip(*chunk))))
 
 
+# the suffixes numpy's file opener decompresses by
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+
+
 def read_trace_csv(path) -> Signal:
     """Read a trace that :func:`write_trace_csv` wrote to the file ``path``.
 
-    Raises ``ValueError`` for a missing ``t`` column, an empty or repeated
-    variable name, no samples, a ragged row or a non-numeric cell.
+    ``path`` is a ``str``, ``bytes`` or ``os.PathLike``.  The header is
+    read with :mod:`csv`, under its quoting rules, so a quoted name may
+    span lines.  The body goes to ``np.loadtxt`` as the file's absolute
+    path, skipping the header's lines: numpy reads a path in chunks, where
+    it iterates any other object line by line, and an absolute path is
+    never taken for a URL.  numpy's opener decompresses by suffix, so a
+    path ending in ``.gz``, ``.bz2``, ``.xz`` or ``.lzma`` (as spelt,
+    case sensitive) is refused before the file is opened.
+
+    Raises ``ValueError`` for such a suffix, a missing ``t`` column, an
+    empty or repeated variable name, no samples, a ragged row, a
+    non-numeric cell, or times that :class:`Signal` refuses.
     """
+    path = os.path.abspath(os.fsdecode(path))
+    if path.endswith(_COMPRESSED_SUFFIXES):
+        raise ValueError(
+            f"trace CSV path ends in a compressed-file suffix {_COMPRESSED_SUFFIXES}: {path}"
+        )
     with open(path, newline="") as fh:
-        header = next(csv.reader(fh), [])
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        # physical lines, since a quoted name may hold a newline
+        header_lines = reader.line_num
         if header[:1] != ["t"]:
             raise ValueError("trace CSV must start with header 't,var1,...'")
         names = header[1:]
         if not all(names) or len(set(names)) != len(names):
             raise ValueError(f"trace CSV header has an empty or repeated variable name: {names}")
         # checked here because np.loadtxt only warns on an empty body
-        first = next(fh, "")
-        if not first.strip():
+        if not next(fh, "").strip():
             raise ValueError("trace CSV has no samples after the header")
-        data = np.loadtxt(
-            itertools.chain([first], fh), delimiter=",", ndmin=2, comments=None,
+    data = np.loadtxt(
+        path, delimiter=",", ndmin=2, comments=None, skiprows=header_lines,
+    )
+    if data.shape[1] != len(names) + 1:
+        raise ValueError(
+            f"trace CSV rows have {data.shape[1]} columns, header has {len(names) + 1}"
         )
-        if data.shape[1] != len(names) + 1:
-            raise ValueError(
-                f"trace CSV rows have {data.shape[1]} columns, header has {len(names) + 1}"
-            )
     return Signal(
         times=data[:, 0],
         values={name: data[:, 1 + j] for j, name in enumerate(names)},

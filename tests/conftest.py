@@ -1,5 +1,5 @@
-"""Shared random generators for monitor differential tests, and the
-hypothesis strategy for gate thresholds."""
+"""Shared random generators and the boolean oracle for monitor
+differential tests, and the hypothesis strategy for gate thresholds."""
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from gatesynth.formulas import (
     And, Atom, Eventually, Globally, Implies, Not, Or, TrueFormula, Until,
 )
 from gatesynth.gates import Thresholds
+from gatesynth.monitor import _start, _window
 from gatesynth.signals import Signal
 
 VARS = ("x", "y")
@@ -49,6 +50,45 @@ def random_formula(rng, depth=3, max_hi=2.0):
                      random_formula(rng, depth - 1, max_hi))
     op = Eventually if kind == "F" else Globally
     return op(lo, hi, random_formula(rng, depth - 1, max_hi))
+
+
+def eval_boolean(f, s, t=0.0) -> bool:
+    """Independent boolean semantics (brute force over the grid).
+
+    Deliberately implemented without reference to the robustness
+    computation; used to cross-check the sign of the quantitative monitor.
+    It evaluates every operand and every window, with no short cut, at the
+    times ``robustness_naive`` does, so it raises ``HorizonError`` on the
+    same formulas, and at the same sample: the one ``t`` names, within
+    ``TIME_TOL``.
+    """
+    times = s.times
+
+    def ev(node, at: float) -> bool:
+        if isinstance(node, TrueFormula):
+            return True
+        if isinstance(node, Atom):
+            x = s.sample_at(node.var, at)
+            return x >= node.threshold if node.op == ">=" else x <= node.threshold
+        if isinstance(node, Not):
+            return not ev(node.child, at)
+        if isinstance(node, And):
+            return all([ev(node.left, at), ev(node.right, at)])
+        if isinstance(node, Or):
+            return any([ev(node.left, at), ev(node.right, at)])
+        if isinstance(node, Implies):
+            return any([not ev(node.left, at), ev(node.right, at)])
+        if isinstance(node, (Globally, Eventually)):
+            pick = all if isinstance(node, Globally) else any
+            return pick([ev(node.child, u) for u in _window(times, at + node.lo, at + node.hi)])
+        if isinstance(node, Until):
+            return any([
+                all([ev(node.right, u)] + [ev(node.left, v) for v in _window(times, at, u)])
+                for u in _window(times, at + node.lo, at + node.hi)
+            ])
+        raise TypeError(f"not a formula node: {node!r}")
+
+    return ev(f, times[_start(f, s, t)])
 
 
 @pytest.fixture

@@ -15,16 +15,14 @@ from gatesynth.gates import (
     GateKind, GateParams, Thresholds, closed_form,
     gate_drive,
 )
-from gatesynth.monitor import (
-    HorizonError, eval_boolean, robustness, robustness_naive,
-)
+from gatesynth.monitor import HorizonError, robustness, robustness_naive
 from gatesynth.odesim import SimConfig, simulate_constant_drive, simulate_gate, verify
 from gatesynth.formulas import parse
 from gatesynth.synth import (
     CurvedRegion, GateContract, alpha_bound, k_box, n_bound, synthesize_circuit,
 )
 
-from conftest import random_formula, random_signal
+from conftest import eval_boolean, random_formula, random_signal
 
 TH_23 = Thresholds(plus=2 / 3, minus=1 / 3, p=0.1)
 TH_34 = Thresholds(plus=3 / 4, minus=1 / 4, p=0.1)

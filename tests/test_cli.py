@@ -461,6 +461,16 @@ class TestMonitor:
         err = capsys.readouterr().err
         assert "bad trace file" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("body", ["t,x\nnan,1.0\n", "t,x\n0.0,0.8\ninf,0.8\n"],
+                             ids=["nan-only-time", "inf-last-time"])
+    def test_non_finite_time_exits_1(self, tmp_path, capsys, body):
+        # the NaN trace printed 0.5 and exited 0
+        trace = tmp_path / "trace.csv"
+        trace.write_text(body)
+        rc = main(["monitor", str(trace), "x >= 0.5"])
+        err = assert_one_error_line(rc, capsys)
+        assert f"bad trace file {trace}: times must be finite" in err
+
     def test_window_between_grid_points_exits_1(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
         rows = ["t,x"] + [f"{0.01 * i:.2f},0.8" for i in range(11)]

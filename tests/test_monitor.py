@@ -11,12 +11,11 @@ from gatesynth.formulas import (
     Atom, Eventually, Globally, Implies, Not, TrueFormula, Until, parse,
 )
 from gatesynth.monitor import (
-    HorizonError, _sliding, _until, eval_boolean, robustness, robustness_naive,
-    robustness_signal,
+    HorizonError, _sliding, _until, robustness, robustness_naive, robustness_signal,
 )
 from gatesynth.signals import OutOfRangeError, Signal
 
-from conftest import random_formula, random_signal
+from conftest import eval_boolean, random_formula, random_signal
 
 
 def const(level, t_end=3.0, h=0.1, var="x"):

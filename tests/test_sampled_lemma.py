@@ -251,6 +251,17 @@ def covered_outputs() -> list[tuple[int, str]]:
     return found
 
 
+def step_at(z: float, params) -> float:
+    """The step at which the fastest gate has alpha*h = z, brought down an
+    ulp at a time while the product as rounded exceeds z*: z/alpha*alpha
+    can round above z, and at z = z* the simulator refused such a step."""
+    alpha = max(g.alpha for g in params.values())
+    h = z / alpha
+    while alpha * h > RK4_MONOTONE_LIMIT:
+        h = np.nextafter(h, 0.0)
+    return h
+
+
 def case_of(seed: int, var: str, bits: tuple, z: float, steps: int, programs):
     """The circuit, design, combination, output, step, step count and input
     programs of a case of the circuit property: ``programs`` maps each
@@ -258,7 +269,7 @@ def case_of(seed: int, var: str, bits: tuple, z: float, steps: int, programs):
     favourable) band ends and the step h that gives it."""
     c, params = circuit_and_design(seed)
     combo = dict(zip(c.external_inputs, bits))
-    h = z / max(g.alpha for g in params.values())
+    h = step_at(z, params)
     if callable(programs):
         programs = {v: programs(*ends, h) for v, ends in band_ends(c, combo, var).items()}
     return c, params, combo, var, h, steps, programs
@@ -274,7 +285,7 @@ def circuit_cases(draw):
     bits = tuple(draw(st.sampled_from((LOW, HIGH))) for _ in c.external_inputs)
     z = draw(st.floats(1e-3, RK4_MONOTONE_LIMIT))
     steps = draw(st.integers(1, 40))
-    h = z / max(g.alpha for g in params.values())
+    h = step_at(z, params)
     programs = {v: draw(program(lvl, c.thresholds[v], h, steps))
                 for v, lvl in zip(c.external_inputs, bits)}
     return seed, var, bits, z, steps, programs
@@ -293,6 +304,9 @@ def mid_step(steps: int):
 @example(args=(6, "x1", (HIGH, LOW), 1.0, 2, mid_step(2)))
 @example(args=(80, "x5", (LOW, HIGH, LOW), 0.7, 20, lambda worst, best, h: best))
 @example(args=(238, "x4", (LOW, HIGH, LOW), 0.1, 10, mid_step(10)))
+# z* itself, where z/alpha*alpha rounded above z* and the simulator refused
+@example(args=(223, "x0", (LOW, LOW), RK4_MONOTONE_LIMIT, 1,
+               {"u0": [(0.0, 0.0)], "u1": [(0.0, 0.0)]}))
 @settings(max_examples=100, deadline=None)
 @given(args=circuit_cases())
 def test_circuit_program_inputs_never_beat_the_worst_case(args):

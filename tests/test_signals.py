@@ -1,4 +1,5 @@
 import csv
+import gzip
 from pathlib import Path
 
 import numpy as np
@@ -25,13 +26,13 @@ def per_row_write_trace_csv(signal, path):
             w.writerow([repr(float(t))] + [repr(float(signal.values[v][i])) for v in names])
 
 
-def awkward_signal(rows, nvars):
+def awkward_signal(rows, nvars, names=('q"x', "a,b", "y", "z", "w")):
     """Irregular times and values over the float range, with inf, nan,
     -0.0 and subnormals, under names that need csv quoting."""
     rng = np.random.default_rng([rows, nvars])
     times = np.concatenate([[0.0], np.cumsum(rng.uniform(1e-3, 1.0, rows - 1))])
     special = [np.inf, -np.inf, np.nan, -0.0, 5e-324, 2.5e-310, 1e16]
-    names = ['q"x', "a,b", "y", "z", "w"][:nvars]
+    names = list(names)[:nvars]
     values = {}
     for name in names:
         v = rng.normal(0.0, 1.0, rows) * 10.0 ** rng.integers(-300, 300, rows)
@@ -39,6 +40,15 @@ def awkward_signal(rows, nvars):
         v[at] = special[:at.size]
         values[name] = v
     return Signal(times=times, values=values)
+
+
+def assert_same_bits(back, s):
+    """``back`` has ``s``'s names, and its times and values bit for bit,
+    so -0.0, NaN and subnormals must survive too."""
+    assert back.variables == s.variables
+    for got, want in zip([back.times, *back.values.values()], [s.times, *s.values.values()]):
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestSampleAt:
@@ -109,6 +119,19 @@ class TestInvariants:
     def test_times_must_be_nonempty_1d(self, times):
         with pytest.raises(ValueError, match="times must be a nonempty 1-d array"):
             Signal(times=times, values={"x": np.zeros(np.shape(times))})
+
+    @pytest.mark.parametrize("times", [[np.nan], [np.nan, 1.0], [0.0, np.inf],
+                                       [0.0, 1.0, np.nan], [-np.inf, 0.0]])
+    def test_non_finite_end_rejected(self, times):
+        # a NaN first time passed the first-time check, and with one sample
+        # no step caught it; an inf last time passed the step check
+        with pytest.raises(ValueError, match="times must be finite"):
+            Signal(times=times, values={"x": np.zeros(len(times))})
+
+    def test_non_finite_inner_time_rejected(self):
+        for inner in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                sig([0.0, inner, 2.0], [0, 1, 2])
 
     def test_no_variables_rejected(self):
         with pytest.raises(ValueError):
@@ -221,8 +244,59 @@ class TestCsv:
         "t,x\n0,1\n0.1,1,2\n",    # ragged row
         "t,x\n0,1\n0.1,one\n",    # non-numeric cell
         "t,x\n0,1,2\n",           # more columns than the header names
+        "t,x\nnan,1.0\n",         # a NaN time, the only sample
+        "t,x\n0,1\ninf,2\n",      # an infinite last time
+        't,"x\n\n"\n',             # a header over three lines, no samples
     ])
     def test_malformed_rejected(self, tmp_path, text):
         (tmp_path / "trace.csv").write_text(text)
         with pytest.raises(ValueError):
             read_trace_csv(tmp_path / "trace.csv")
+
+    @pytest.mark.parametrize("rows", [1, 2, 1500])
+    @pytest.mark.parametrize("names", [
+        ['q"x', "a,b", "y"],
+        ["a\nb", "c\r\nd", "e\n\nf"],      # quoted names over several lines
+        ["\r\n", "x"],
+    ], ids=["quoted", "multiline", "only-newline"])
+    def test_awkward_round_trip_is_bit_exact(self, tmp_path, rows, names):
+        s = awkward_signal(rows, len(names), names)
+        write_trace_csv(s, tmp_path / "trace.csv")
+        assert_same_bits(read_trace_csv(tmp_path / "trace.csv"), s)
+
+    def test_str_path_bytes_and_relative_path_read_the_same(self, tmp_path, monkeypatch):
+        s = awkward_signal(50, 2, ["a\nb", "y"])
+        write_trace_csv(s, tmp_path / "trace.csv")
+        monkeypatch.chdir(tmp_path)
+        for path in (str(tmp_path / "trace.csv"), tmp_path / "trace.csv", "trace.csv",
+                     Path("trace.csv"), b"trace.csv"):
+            assert_same_bits(read_trace_csv(path), s)
+
+    def test_relative_path_that_looks_like_a_url_is_a_file(self, tmp_path, monkeypatch):
+        # relative, numpy would take it for a URL; a port no one serves
+        # keeps even that attempt on this host
+        (tmp_path / "http:" / "localhost:1").mkdir(parents=True)
+        (tmp_path / "http:" / "localhost:1" / "trace.csv").write_text("t,x\n0,1\n")
+        monkeypatch.chdir(tmp_path)
+        assert read_trace_csv("http://localhost:1/trace.csv").values["x"].tolist() == [1.0]
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma", ".csv.gz"])
+    def test_compressed_suffix_refused(self, tmp_path, suffix):
+        # numpy's opener would decompress a path by its suffix
+        plain = tmp_path / f"trace{suffix}"
+        plain.write_text("t,x\n0,1\n")
+        with pytest.raises(ValueError, match="compressed-file suffix"):
+            read_trace_csv(plain)
+
+    def test_gzip_file_refused(self, tmp_path):
+        path = tmp_path / "trace.csv.gz"
+        with gzip.open(path, "wt") as fh:
+            fh.write("t,x\n0,1\n")
+        with pytest.raises(ValueError, match="compressed-file suffix"):
+            read_trace_csv(str(path))
+
+    def test_other_suffixes_read(self, tmp_path):
+        # the rule is the suffix as spelt, numpy's own
+        for name in ("trace.GZ", "trace.gzip", "trace.gz.csv", "trace"):
+            (tmp_path / name).write_text("t,x\n0,1\n")
+            assert read_trace_csv(tmp_path / name).values["x"].tolist() == [1.0]
