@@ -25,8 +25,11 @@ monitor keeps its own rule, so the differential tests compare two
 independent rules.  (The tests' boolean oracle, ``eval_boolean`` in
 ``tests/conftest.py``, shares the naive rule.)  Both monitors evaluate at
 the sample a time names within ``signals.TIME_TOL``, use closed windows
-and raise ``HorizonError`` on the same formulas: a window that holds no
-sample, or a horizon past the end of the trace.  Both give NaN wherever a
+widened by it, and raise ``HorizonError`` on the same formulas: a window
+that holds no sample, or a sample past :func:`_defined_until`.  On a
+trace that ``Signal.is_uniform`` accepts, the index windows pick the
+samples the time windows do for every bound on the grid or more than
+2*TIME_TOL off it.  Both give NaN wherever a
 connective's operand or a window's sample is NaN: ``np.min``/``np.max``
 and ``np.minimum``/``np.maximum`` propagate it, where Python's ``min``
 and ``max`` would drop all but a leading NaN.
@@ -142,20 +145,14 @@ def robustness_signal(f: Formula, s: Signal) -> np.ndarray:
     """Robustness of ``f`` at every grid point where it is defined.
 
     Requires a uniformly sampled signal.  Entry ``i`` of the result is the
-    robustness at ``s.times[i]``.  The result covers exactly the times t
-    that :func:`robustness` and :func:`robustness_naive` accept: those
-    with t + ``required_horizon(f)`` <= t_end, and ``HorizonError`` where
-    there is none.
+    robustness at ``s.times[i]``, for each sample :func:`_defined_until`
+    admits (on a step within a few TIME_TOL, maybe not the last ones; see
+    :func:`robustness`), and ``HorizonError`` where there is none.
     """
     out = _ev_grid(f, s)
-    # A window whose upper bound is off the grid reaches less than a step
-    # past its last sample, so the grid-offset arithmetic above can leave
-    # up to one entry per window that needs trace beyond t_end.  Drop them.
-    n, need, end = len(out), required_horizon(f), s.t_end + TIME_TOL
-    while n and s.times[n - 1] + need > end:
-        n -= 1
+    n = int(s.times.searchsorted(_defined_until(f, s), side="right"))
     if not n:
-        raise HorizonError(f"formula needs horizon {need} (trace ends at {s.t_end})")
+        raise HorizonError(f"formula needs horizon {required_horizon(f)} (trace ends at {s.t_end})")
     return out[:n]
 
 
@@ -195,17 +192,21 @@ def _ev_signal(node: Formula, s: Signal, h: float) -> np.ndarray:
     raise TypeError(f"not a formula node: {node!r}")
 
 
+def _defined_until(f: Formula, s: Signal) -> float:
+    """The last time at which every monitor evaluates ``f`` on ``s``: a
+    sample t_i qualifies when t_i + required_horizon(f) <= t_end + TIME_TOL."""
+    return s.t_end + TIME_TOL - required_horizon(f)
+
+
 def _start(f: Formula, s: Signal, t: float) -> int:
     """The sample every monitor evaluates ``f`` at for time ``t``
-    (``OutOfRangeError`` if ``t`` names none), once checked that ``f``
-    needs no trace past t_end from that sample (``HorizonError``)."""
+    (``OutOfRangeError`` if ``t`` names none), once checked that
+    :func:`_defined_until` admits it (``HorizonError``)."""
     i = s.index_of(t)
-    at = float(s.times[i])
-    need = at + required_horizon(f)
-    if need > s.t_end + TIME_TOL:
+    if s.times[i] > _defined_until(f, s):
         raise HorizonError(
-            f"formula needs horizon {required_horizon(f)} past t={at} "
-            f"(trace ends at {s.t_end}, {need} required)"
+            f"formula needs horizon {required_horizon(f)} past t={s.times[i]} "
+            f"(trace ends at {s.t_end})"
         )
     return i
 
@@ -214,17 +215,13 @@ def robustness(f: Formula, s: Signal, t: float = 0.0) -> float:
     """Quantitative satisfaction degree of ``f`` on ``s`` at time ``t``.
 
     ``t`` must be a sample point of the trace, else ``OutOfRangeError``.
-    Falls back to the naive evaluator on non-uniform grids.
+    Falls back to the naive evaluator on non-uniform grids, and where the
+    grid arrays stop short of sample i: on a step within a few TIME_TOL,
+    the windows' TIME_TOL widenings can add up to one more sample.
     """
     i = _start(f, s, t)
-    if not s.is_uniform():
-        return robustness_naive(f, s, t)
-    # _start has checked that sample i needs no trace past t_end, so the
-    # tail that robustness_signal trims is not read
-    arr = _ev_grid(f, s)
-    if i >= len(arr):
-        raise HorizonError(f"robustness of {f} undefined at t={t}")
-    return float(arr[i])
+    arr = _ev_grid(f, s) if s.is_uniform() else ()
+    return float(arr[i]) if i < len(arr) else robustness_naive(f, s, t)
 
 
 def _window(times: np.ndarray, lo: float, hi: float) -> np.ndarray:

@@ -152,13 +152,11 @@ def _program(var, schedule) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _levels_at(program: tuple[np.ndarray, np.ndarray], times: np.ndarray) -> np.ndarray:
-    """Levels of a :func:`_program` at each of ``times``, all >= 0.
-
-    A level starts to hold at t >= t0 - 1e-12, so a time that misses its
-    breakpoint by rounding still sees the new level.
-    """
+    """Levels of a :func:`_program` at each of ``times``, all >= 0.  A
+    level holds from :data:`~gatesynth.signals.TIME_TOL` before its
+    breakpoint, the time that names the same sample."""
     starts, levels = program  # starts[0] is 0, so every index is >= 0
-    return levels[np.searchsorted(starts - 1e-12, times, side="right") - 1]
+    return levels[np.searchsorted(starts - TIME_TOL, times, side="right") - 1]
 
 
 def _circuit_step(c: Circuit, step: float | None) -> float:
@@ -254,14 +252,13 @@ def simulate_constant_drive(
 def _input_stages(cfg: SimConfig, names, times: np.ndarray) -> tuple[dict, dict]:
     """The levels of the input programs ``names`` of ``cfg`` at ``times``,
     and the (start, mid, end) levels a gate reads from each of every step:
-    the level at t, t + h/2 and t + h, one list of Python floats each."""
-    h = cfg.step
+    the levels at t_k, t_k + h/2 and t_{k+1}, one list of Python floats each."""
     values, stages = {}, {}
     for v in names:
         program = cfg._programs[v]
         values[v] = _levels_at(program, times)
-        stages[v] = (values[v][:-1].tolist(),
-                     *(_levels_at(program, times[:-1] + dt).tolist() for dt in (0.5 * h, h)))
+        mid = _levels_at(program, times[:-1] + 0.5 * cfg.step)
+        stages[v] = (values[v][:-1].tolist(), mid.tolist(), values[v][1:].tolist())
     return values, stages
 
 

@@ -37,7 +37,7 @@ class Signal:
 
     times: np.ndarray
     values: dict[str, np.ndarray]
-    # grid step and uniformity, from the one np.diff of the times
+    # grid step and uniformity, from the sample positions
     _step: float | None = field(init=False, repr=False)
     _uniform: bool = field(init=False, repr=False)
 
@@ -46,21 +46,23 @@ class Signal:
         object.__setattr__(self, "times", times)
         if times.ndim != 1 or times.size == 0:
             raise ValueError("times must be a nonempty 1-d array")
-        # the ends only: the step check below refuses a non-finite time
+        # the ends only: the order check below refuses a non-finite time
         # between two finite ones
         if not (math.isfinite(times[0]) and math.isfinite(times[-1])):
             raise ValueError(f"times must be finite, got {times[0]} to {times[-1]}")
         if abs(times[0]) > TIME_TOL:
             raise ValueError("first time point must be 0")
-        steps = np.diff(times)
-        if not np.all(steps > 0):
+        if not np.all(times[1:] > times[:-1]):
             raise ValueError("times must be strictly increasing")
         step, uniform = None, True
-        if steps.size:
-            step = float(steps[0])
-            # |steps - step| in place: no second trace-sized array
-            dev = np.abs(np.subtract(steps, step, out=steps), out=steps)
-            uniform = bool(np.all(dev <= TIME_TOL * max(step, 1.0)))
+        if times.size > 1:
+            step = float(times[-1] - times[0]) / (times.size - 1)
+            # |t_0 + k*step - t_k| in place: no second trace-sized array
+            dev = np.arange(times.size, dtype=float)
+            dev *= step
+            dev += times[0]
+            dev -= times
+            uniform = step > 2 * TIME_TOL and bool(np.abs(dev, out=dev).max() <= TIME_TOL / 2)
         object.__setattr__(self, "_step", step)
         object.__setattr__(self, "_uniform", uniform)
         if not self.values:
@@ -101,12 +103,15 @@ class Signal:
         return float(np.interp(t, self.times, samples))
 
     def is_uniform(self) -> bool:
-        """Every step within :data:`TIME_TOL` times max(first step, 1) of the first one."""
+        """A step over 2*TIME_TOL and every t_k within :data:`TIME_TOL`/2 of
+        t_0 + k*:attr:`step`: two samples' offsets from that grid differ by
+        at most TIME_TOL, a window's slack, and no slack reaches a neighbour."""
         return self._uniform
 
     @property
     def step(self) -> float:
-        """Grid step of a uniform signal."""
+        """Grid step of a uniform signal: (t_end - t_0)/(T - 1), the fitted
+        step, so an error in one sample's time is not carried down the trace."""
         if self._step is None:
             raise ValueError("single-sample signal has no step")
         if not self._uniform:

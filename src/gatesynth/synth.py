@@ -572,9 +572,10 @@ def worst_case_output_robustness(
     alpha*step up to :data:`odesim.RK4_MONOTONE_LIMIT`, the longest step
     the simulator takes.  So each trajectory moves monotonically toward
     its constant drive, and the result is exactly the sample at
-    j = floor(delta/step): x[j] - plus on a high row, minus - x[j] on a
-    low one.  RK4 lags the exact solution, so the
-    continuous-time robustness of the exact solution is never below it;
+    j = floor((delta + TIME_TOL)/step), the last the monitor's window
+    F[0,delta] reads: x[j] - plus on a high row, minus - x[j] on a low
+    one.  RK4 lags the exact solution, so the continuous-time robustness
+    of the exact solution is never below it;
     where alpha*step is small enough for the RK4 error to vanish (below
     1e-6 at alpha*step <= 0.1) the gap is at most alpha*(delta - j*step).
     The tests check both; nothing here relies on them.  For the sampled
@@ -651,10 +652,9 @@ def export_region_csv(path, points: np.ndarray, inside: np.ndarray, binding: lis
     """Write a sampled 2D region to CSV.
 
     Columns: K1, K2, inside (0/1), binding_constraint; K2 is blank for
-    one-axis points.  (The header has no ``min_robustness`` column any
-    more: nothing filled it.)  Each number is formatted ``%.10g``; the
-    rows are written by :mod:`csv` in one call, so a binding label is
-    quoted under its rules and every line ends in ``\\r\\n``.  ``points``
+    one-axis points.  Each number is formatted ``%.10g``; the rows are
+    written by :mod:`csv` in one call, so a binding label is quoted under
+    its rules and every line ends in ``\\r\\n``.  ``points``
     that are not an (N, 1) or (N, 2) array, or an ``inside`` or
     ``binding`` of another length than ``points``, raise ``ValueError``
     before the file is opened.

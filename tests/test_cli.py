@@ -445,6 +445,15 @@ class TestMonitor:
         assert rc == 0
         assert capsys.readouterr().out.strip() == "0.3"
 
+    def test_wide_step_trace_matches_the_naive_monitor(self, tmp_path, capsys):
+        # t_3 lies 5e-9 past 30, outside F[0,30]: the trace is not uniform,
+        # and the monitor answers as robustness_naive does
+        trace = tmp_path / "wide.csv"
+        trace.write_text("t,x\n0,0\n10,0\n20,0\n30.000000005,1\n40,0\n50,0\n")
+        rc = main(["monitor", str(trace), "F[0,30] (x >= 0.5)"])
+        assert rc == 0
+        assert capsys.readouterr().out.strip() == "-0.5"
+
     def test_short_trace_exits_1(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
         trace.write_text("t,x\n0.0,0.8\n1.0,0.8\n")

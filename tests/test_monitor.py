@@ -1,19 +1,21 @@
 import gc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.lib.stride_tricks import sliding_window_view
 
+from gatesynth import monitor
 from gatesynth.formulas import (
     Atom, Eventually, Globally, Implies, Not, TrueFormula, Until, parse,
 )
 from gatesynth.monitor import (
     HorizonError, _sliding, _until, robustness, robustness_naive, robustness_signal,
 )
-from gatesynth.signals import OutOfRangeError, Signal
+from gatesynth.signals import TIME_TOL, OutOfRangeError, Signal
 
 from conftest import eval_boolean, random_formula, random_signal
 
@@ -572,6 +574,115 @@ class TestMonitorTracesShapes:
         s = Signal(times=np.arange(n) * 0.5,
                    values={"x": self.random_walk(rng, n), "y": self.random_walk(rng, n)})
         assert_fast_is_naive(parse(text), s)
+
+
+@st.composite
+def jittered_case(draw, within=True):
+    """A 0/1 trace whose sample k lies up to 0.45*TIME_TOL off k*h, with
+    h in {0.005, 0.01, 0.02} and t_0, t_end on the grid, or, if not
+    ``within``, one interior sample 0.55 to 2 TIME_TOL off it; and one of
+    F, G, Until, a nested window or an implication, with bounds on the
+    grid or off it by 0.1 to 0.9 of a step."""
+    h = draw(st.sampled_from((0.005, 0.01, 0.02)))
+    n = draw(st.integers(24, 48))
+    err = st.floats(-0.45, 0.45).map(lambda e: e * TIME_TOL)
+    times = np.arange(n) * h + np.array([0.0, *draw(st.lists(err, min_size=n - 2,
+                                                              max_size=n - 2)), 0.0])
+    if not within:
+        off = draw(st.floats(0.55, 2.0)) * draw(st.sampled_from((-1, 1)))
+        j = draw(st.integers(1, n - 2))
+        times[j] = j * h + off * TIME_TOL
+    bits = st.lists(st.sampled_from((0.0, 1.0)), min_size=n, max_size=n)
+    s = Signal(times=times, values={"x": draw(bits), "y": draw(bits)})
+
+    def window():
+        lo = draw(st.integers(0, 4)) + draw(st.just(0.0) | st.floats(0.1, 0.9))
+        return lo * h, (lo + draw(st.integers(1, 5))) * h
+
+    x, y = Atom("x", ">=", 0.5), Atom("y", "<=", 0.5)
+    kind = draw(st.sampled_from(("F", "G", "U", "nested", "implies")))
+    if kind == "F":
+        f = Eventually(*window(), x)
+    elif kind == "G":
+        f = Globally(*window(), x)
+    elif kind == "U":
+        f = Until(*window(), x, y)
+    elif kind == "nested":
+        f = Eventually(*window(), Globally(*window(), x))
+    else:
+        f = Implies(x, Eventually(*window(), y))
+    return f, s
+
+
+def check_jittered_fast_is_naive(case):
+    f, s = case
+    assert s.is_uniform()
+    fast = robustness_signal(f, s)
+    for i, t in enumerate(s.times[: len(fast)].tolist()):
+        assert robustness(f, s, t) == fast[i] == robustness_naive(f, s, t)
+    if len(fast) < s.times.size:
+        with pytest.raises(HorizonError):
+            robustness_naive(f, s, float(s.times[len(fast)]))
+
+
+class TestPositionJitter:
+    """A trace whose samples lie within TIME_TOL/2 of t_0 + k*step is
+    uniform, and there the fast monitor equals the naive one at every
+    defined sample; a sample further off makes the trace non-uniform, so
+    robustness falls back to the naive monitor and robustness_signal
+    refuses the trace."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=jittered_case())
+    def test_fast_is_naive_within_the_bound(self, case):
+        check_jittered_fast_is_naive(case)
+
+    @pytest.mark.slow
+    @settings(max_examples=2000, deadline=None)
+    @given(case=jittered_case())
+    def test_fast_is_naive_within_the_bound_sweep(self, case):
+        check_jittered_fast_is_naive(case)
+
+    @settings(max_examples=50, deadline=None)
+    @given(case=jittered_case(within=False))
+    def test_beyond_the_bound_is_not_uniform(self, case):
+        f, s = case
+        assert not s.is_uniform()
+        with pytest.raises(ValueError, match="not uniformly sampled"):
+            robustness_signal(f, s)
+        with mock.patch.object(monitor, "_ev_grid", side_effect=AssertionError("fast path")):
+            for t in s.times.tolist():
+                try:
+                    naive = robustness_naive(f, s, t)
+                except HorizonError:
+                    break
+                assert robustness(f, s, t) == naive
+
+    def test_step_within_two_time_tol_is_not_uniform(self):
+        # a window widened by TIME_TOL reaches a neighbour's slot: by index
+        # the fast monitor raised HorizonError where the naive one reads 0.5
+        x = np.zeros(10)
+        x[0] = 1.0
+        s = Signal(times=np.arange(10) * 5e-10, values={"x": x})
+        assert not s.is_uniform()
+        f = parse("F[0,1.5e-9] (x >= 0.5)")
+        assert robustness(f, s) == robustness_naive(f, s) == 0.5
+
+    def test_grid_arrays_short_of_an_admitted_sample(self):
+        # step 2.2e-9 with t_1 0.45*TIME_TOL early: F[0,3.5e-9] is defined
+        # at t_1, but its index window, widened by TIME_TOL, ends past t_2
+        s = Signal(times=[0, 1.75e-9, 4.4e-9], values={"x": [0.0, 0.0, 1.0]})
+        assert s.is_uniform()
+        f = parse("F[0,3.5e-9] (x >= 0.5)")
+        assert robustness(f, s, 1.75e-9) == robustness_naive(f, s, 1.75e-9) == 0.5
+
+    def test_wide_step_sample_off_by_5e_9(self):
+        # F[0,30] picks sample 3 by index, but t_3 lies 5e-9 past 30; a
+        # per-step test scaled by the step called this trace uniform, and
+        # robustness gave +0.5
+        s = Signal(times=[0, 10, 20, 30.000000005, 40, 50], values={"x": [0, 0, 0, 1, 0, 0]})
+        f = parse("F[0,30] (x >= 0.5)")
+        assert robustness(f, s) == robustness_naive(f, s) == -0.5
 
 
 class TestWiringValidity:

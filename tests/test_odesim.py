@@ -15,7 +15,7 @@ from gatesynth.gates import (
     GateKind, GateParams, Thresholds, closed_form, gate_drive, gate_drives,
 )
 from gatesynth.formulas import parse
-from gatesynth.monitor import robustness
+from gatesynth.monitor import robustness, robustness_naive
 from gatesynth.odesim import (
     RK4_MONOTONE_LIMIT, SimConfig, simulate_circuit,
     simulate_constant_drive, simulate_gate, time_grid, verify, verify_combos,
@@ -36,12 +36,12 @@ def and_gate(alpha=0.9222, k=(0.40, 0.40), n=4):
 
 def _scan_level(schedule, t):
     """A linear scan over an input program, kept as an oracle independent
-    of the simulator's ``searchsorted`` lookup: a level holds from t0 - 1e-12."""
+    of the simulator's ``searchsorted`` lookup: a level holds from t0 - TIME_TOL."""
     if isinstance(schedule, (int, float)):
         return float(schedule)
     value = None
     for t0, lvl in schedule:
-        if t >= t0 - 1e-12:
+        if t >= t0 - TIME_TOL:
             value = lvl
         else:
             break
@@ -77,12 +77,23 @@ class TestScheduleValue:
     def test_breakpoint_tolerance(self):
         sched = [(0.0, 0.1), (0.3, 0.9)]
         assert level_at(sched, 0.1 + 0.2) == 0.9  # 0.30000000000000004
-        assert level_at(sched, 0.3 - 1e-12) == 0.9  # the rule is t >= t0 - 1e-12
-        assert level_at(sched, 0.3 - 1e-13) == 0.9
-        assert level_at(sched, 0.3 - 1e-11) == 0.1
+        assert level_at(sched, 0.3 - TIME_TOL) == 0.9  # the rule is t >= t0 - TIME_TOL
+        assert level_at(sched, 0.3 - 1e-12) == 0.9
+        assert level_at(sched, 0.3 - 2e-9) == 0.1
         # on a step grid: 3 * 0.1 misses the breakpoint 0.3 by rounding
         s = simulate_gate(SLOW_NOT, SimConfig(horizon=0.5, step=0.1, inputs={"u": sched}))
         assert s.values["u"].tolist() == [0.1, 0.1, 0.1, 0.9, 0.9, 0.9]
+
+    def test_breakpoint_within_time_tol_of_a_sample(self):
+        # 0.5 + 5e-10 names sample 50, so the input holds 1 there, as the
+        # monitor's window [0.5000000005, 0.9] reads it; under a slack below
+        # TIME_TOL it would hold 0 there and the formula read -0.5
+        g = GateParams(GateKind.NOT, n=3, alpha=1, hill_k=(0.5,))
+        cfg = SimConfig(horizon=1.0, step=0.01, inputs={"A": [(0, 0.0), (0.5 + 5e-10, 1.0)]})
+        trace = simulate_gate(g, cfg)
+        assert trace.values["A"][49:51].tolist() == [0.0, 1.0]
+        f = parse("G[0.5000000005,0.9] (A >= 0.5)")
+        assert robustness(f, trace) == robustness_naive(f, trace) == 0.5
 
     def test_unsorted_rejected(self):
         with pytest.raises(ValueError, match="strictly increase"):
@@ -97,8 +108,8 @@ class TestScheduleValue:
         starts = [0.0, *itertools.accumulate(gaps)]
         program = list(zip(starts, levels))
         assert level_at(levels[0], t) == _scan_level(levels[0], t)
-        # a level holds from t0 - 1e-12: probe both sides of that edge
-        probes = [t] + [t0 + dt for t0 in starts for dt in (0.0, 1e-13, -1e-13, 1e-11, -1e-11)]
+        # a level holds from t0 - TIME_TOL: probe both sides of that edge
+        probes = [t] + [t0 + dt for t0 in starts for dt in (0.0, 1e-10, -1e-10, 1e-8, -1e-8)]
         for when in probes:
             if when >= 0:  # the simulator reads no level before t = 0
                 assert level_at(program, when) == _scan_level(program, when), when

@@ -155,22 +155,41 @@ class TestUniformity:
         with pytest.raises(ValueError):
             _ = s.step
 
-    def test_step_is_first_difference(self):
+    def test_step_is_fitted_from_the_ends(self):
         times = np.arange(200) * 0.01
         s = sig(times, np.zeros(200))
-        assert s.step == times[1] - times[0]
+        assert s.step == (times[-1] - times[0]) / 199
         assert times.tolist() == (np.arange(200) * 0.01).tolist()  # not modified
+        # an error in the second time is not carried down the trace
+        times[1] += 0.4 * TIME_TOL
+        s = sig(times, np.zeros(200))
+        assert s.is_uniform() and s.step == (times[-1] - times[0]) / 199
 
-    def test_tolerance_relative_to_step(self):
-        # steps within 1e-9 * max(h, 1) of the first one count as uniform
+    def test_positions_within_half_time_tol(self):
+        # uniform when every t_k lies within TIME_TOL/2 of t_0 + k*step
         times = np.arange(6) * 0.1
-        times[3] += 0.5e-9
+        times[3] += 0.4 * TIME_TOL
         assert sig(times, np.zeros(6)).is_uniform()
-        times[3] += 2e-9
+        times[3] += 0.2 * TIME_TOL
         assert not sig(times, np.zeros(6)).is_uniform()
+
+    def test_step_over_two_time_tol(self):
+        assert not sig(np.arange(5) * 2 * TIME_TOL, np.zeros(5)).is_uniform()
+        assert sig(np.arange(5) * 2.5 * TIME_TOL, np.zeros(5)).is_uniform()
+
+    def test_tolerance_does_not_scale_with_the_step(self):
+        # one sample 5e-9 late on a step of 10: F[0,30] picks it by time
+        # but not by index, so the trace is not uniform
         wide = np.arange(6) * 10.0
         wide[3] += 5e-9
-        assert sig(wide, np.zeros(6)).is_uniform()
+        assert not sig(wide, np.zeros(6)).is_uniform()
+
+    def test_position_error_does_not_pile_up(self):
+        # every step within 8e-11 of the first, but sample 25 lies 1e-9
+        # past 25*step
+        k = np.arange(51)
+        times = k * 0.01 + np.minimum(k, 50 - k) * 4e-11
+        assert not sig(times, np.zeros(51)).is_uniform()
 
     def test_single_sample(self):
         s = sig([0.0], [1.0])
