@@ -153,17 +153,28 @@ class Globally(_Window):
 
 def required_horizon(f: Formula) -> float:
     """Trace length needed past the evaluation time for every sub-window."""
-    if isinstance(f, (TrueFormula, Atom)):
-        return 0.0
-    if isinstance(f, Not):
-        return required_horizon(f.child)
-    if isinstance(f, _Binary):
-        return max(required_horizon(f.left), required_horizon(f.right))
-    if isinstance(f, _Window):
-        return f.hi + required_horizon(f.child)
-    if isinstance(f, Until):
-        return f.hi + max(required_horizon(f.left), required_horizon(f.right))
-    raise TypeError(f"not a formula node: {f!r}")
+    horizon = _HORIZON.get(type(f))
+    if horizon is None:
+        raise TypeError(f"not a formula node: {f!r}")
+    return horizon(f)
+
+
+def _binary_horizon(f) -> float:
+    return max(required_horizon(f.left), required_horizon(f.right))
+
+
+# the horizon rule of each node type
+_HORIZON = {
+    TrueFormula: lambda f: 0.0,
+    Atom: lambda f: 0.0,
+    Not: lambda f: required_horizon(f.child),
+    And: _binary_horizon,
+    Or: _binary_horizon,
+    Implies: _binary_horizon,
+    Eventually: lambda f: f.hi + required_horizon(f.child),
+    Globally: lambda f: f.hi + required_horizon(f.child),
+    Until: lambda f: f.hi + _binary_horizon(f),
+}
 
 
 _TOKEN_RE = re.compile(

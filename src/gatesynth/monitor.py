@@ -146,14 +146,37 @@ def robustness_signal(f: Formula, s: Signal) -> np.ndarray:
 
     Requires a uniformly sampled signal.  Entry ``i`` of the result is the
     robustness at ``s.times[i]``, for each sample :func:`_defined_until`
-    admits (on a step within a few TIME_TOL, maybe not the last ones; see
-    :func:`robustness`), and ``HorizonError`` where there is none.
+    admits, and ``HorizonError`` where there is none.
     """
-    out = _ev_grid(f, s)
     n = int(s.times.searchsorted(_defined_until(f, s), side="right"))
     if not n:
         raise HorizonError(f"formula needs horizon {required_horizon(f)} (trace ends at {s.t_end})")
-    return out[:n]
+    return _grid_robustness(f, s, 0, n)
+
+
+def _grid_robustness(f: Formula, s: Signal, first: int, stop: int) -> np.ndarray:
+    """Robustness of ``f`` at samples first..stop-1 of ``s``, a uniform
+    signal, each of which :func:`_defined_until` admits.
+
+    The window kernels give every sample their index windows reach.  On a
+    step within a few TIME_TOL, the time windows' TIME_TOL widenings can
+    reach a sample or two further, and nested windows' kernels may reach
+    none; the naive monitor gives those samples.
+    """
+    try:
+        out = _ev_grid(f, s)[first:stop]
+    except HorizonError as err:
+        try:
+            return _naive_range(f, s, first, stop)
+        except HorizonError:
+            raise err from None  # the kernels' error names the step
+    if len(out) == stop - first:
+        return out
+    return np.concatenate([out, _naive_range(f, s, first + len(out), stop)])
+
+
+def _naive_range(f: Formula, s: Signal, first: int, stop: int) -> np.ndarray:
+    return np.array([robustness_naive(f, s, t) for t in s.times[first:stop].tolist()])
 
 
 def _ev_grid(f: Formula, s: Signal) -> np.ndarray:
@@ -163,33 +186,55 @@ def _ev_grid(f: Formula, s: Signal) -> np.ndarray:
 
 
 def _ev_signal(node: Formula, s: Signal, h: float) -> np.ndarray:
-    # a module-level recursion, not a closure: a nested recursive function
-    # is a reference cycle that would keep ``s`` alive until the next GC
-    if isinstance(node, TrueFormula):
-        return np.full(s.times.size, np.inf)
-    if isinstance(node, Atom):
-        x = s.samples(node.var)
-        return x - node.threshold if node.op == ">=" else node.threshold - x
-    if isinstance(node, Not):
-        return -_ev_signal(node.child, s, h)
-    if isinstance(node, (And, Or, Implies)):
+    """Robustness of ``node`` at every sample its index windows reach, on
+    step ``h``, by the evaluator :data:`_EV_SIGNAL` holds for its type."""
+    # module-level functions, not closures over ``s``: a nested recursive
+    # function is a reference cycle that would keep ``s`` alive until the next GC
+    ev = _EV_SIGNAL.get(type(node))
+    if ev is None:
+        raise TypeError(f"not a formula node: {node!r}")
+    return ev(node, s, h)
+
+
+def _ev_atom(node: Atom, s: Signal, h: float) -> np.ndarray:
+    x = s.samples(node.var)
+    return x - node.threshold if node.op == ">=" else node.threshold - x
+
+
+def _ev_connective(pick: np.ufunc, negate_left: bool):
+    def ev(node, s: Signal, h: float) -> np.ndarray:
         a, b = _ev_signal(node.left, s, h), _ev_signal(node.right, s, h)
-        if isinstance(node, Implies):
+        if negate_left:
             a = -a
         n = min(len(a), len(b))
-        pick = np.minimum if isinstance(node, And) else np.maximum
         return pick(a[:n], b[:n])
-    if isinstance(node, Globally):
+    return ev
+
+
+def _ev_window(pick: np.ufunc):
+    def ev(node, s: Signal, h: float) -> np.ndarray:
         ia, ib = _window_offsets(node.lo, node.hi, h)
-        return _sliding(_ev_signal(node.child, s, h), ia, ib, np.minimum)
-    if isinstance(node, Eventually):
-        ia, ib = _window_offsets(node.lo, node.hi, h)
-        return _sliding(_ev_signal(node.child, s, h), ia, ib, np.maximum)
-    if isinstance(node, Until):
-        ia, ib = _window_offsets(node.lo, node.hi, h)
-        r1, r2 = _ev_signal(node.left, s, h), _ev_signal(node.right, s, h)
-        return _until(r1, r2, ia, ib)
-    raise TypeError(f"not a formula node: {node!r}")
+        return _sliding(_ev_signal(node.child, s, h), ia, ib, pick)
+    return ev
+
+
+def _ev_until(node: Until, s: Signal, h: float) -> np.ndarray:
+    ia, ib = _window_offsets(node.lo, node.hi, h)
+    return _until(_ev_signal(node.left, s, h), _ev_signal(node.right, s, h), ia, ib)
+
+
+# the fast evaluator of each node type
+_EV_SIGNAL = {
+    TrueFormula: lambda node, s, h: np.full(s.times.size, np.inf),
+    Atom: _ev_atom,
+    Not: lambda node, s, h: -_ev_signal(node.child, s, h),
+    And: _ev_connective(np.minimum, negate_left=False),
+    Or: _ev_connective(np.maximum, negate_left=False),
+    Implies: _ev_connective(np.maximum, negate_left=True),
+    Globally: _ev_window(np.minimum),
+    Eventually: _ev_window(np.maximum),
+    Until: _ev_until,
+}
 
 
 def _defined_until(f: Formula, s: Signal) -> float:
@@ -215,13 +260,13 @@ def robustness(f: Formula, s: Signal, t: float = 0.0) -> float:
     """Quantitative satisfaction degree of ``f`` on ``s`` at time ``t``.
 
     ``t`` must be a sample point of the trace, else ``OutOfRangeError``.
-    Falls back to the naive evaluator on non-uniform grids, and where the
-    grid arrays stop short of sample i: on a step within a few TIME_TOL,
-    the windows' TIME_TOL widenings can add up to one more sample.
+    Evaluates as :func:`robustness_signal` does on uniform grids, and by
+    the naive evaluator on others.
     """
     i = _start(f, s, t)
-    arr = _ev_grid(f, s) if s.is_uniform() else ()
-    return float(arr[i]) if i < len(arr) else robustness_naive(f, s, t)
+    if not s.is_uniform():
+        return robustness_naive(f, s, t)
+    return float(_grid_robustness(f, s, i, i + 1)[0])
 
 
 def _window(times: np.ndarray, lo: float, hi: float) -> np.ndarray:

@@ -239,14 +239,18 @@ def simulate_constant_drive(
     and moves monotonically toward d.  Each operation is monotone in d, so
     every x_k is too, to the last bit.  Raises ``ValueError`` if alpha*h
     exceeds :data:`RK4_MONOTONE_LIMIT`.
+
+    The array is the transpose of a C-ordered (len(drive), n_steps+1)
+    one, so each trajectory (a column) is contiguous in memory: a monitor
+    reading one trajectory at a time reads it without a stride.
     """
     drive = np.asarray(drive, dtype=float)
     k_log_a = np.arange(n_steps + 1.0) * _log_step_factor(alpha, h)
-    out = np.multiply.outer(-np.expm1(k_log_a), drive)
-    # a (T, 1) column for a scalar x0: no second (T, N) outer product
-    out += np.exp(k_log_a)[:, None] * x0
-    out[0] = x0
-    return out
+    out = np.multiply.outer(drive, -np.expm1(k_log_a))
+    # a (1, T) row for a scalar x0: no second (N, T) outer product
+    out += np.reshape(x0, (-1, 1)) * np.exp(k_log_a)
+    out[:, 0] = x0
+    return out.T
 
 
 def _input_stages(cfg: SimConfig, names, times: np.ndarray) -> tuple[dict, dict]:

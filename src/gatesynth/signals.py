@@ -57,12 +57,12 @@ class Signal:
         step, uniform = None, True
         if times.size > 1:
             step = float(times[-1] - times[0]) / (times.size - 1)
-            # |t_0 + k*step - t_k| in place: no second trace-sized array
+            # t_0 + k*step - t_k in place: no second trace-sized array
             dev = np.arange(times.size, dtype=float)
             dev *= step
             dev += times[0]
             dev -= times
-            uniform = step > 2 * TIME_TOL and bool(np.abs(dev, out=dev).max() <= TIME_TOL / 2)
+            uniform = step > 2 * TIME_TOL and bool(dev.max() - dev.min() <= TIME_TOL)
         object.__setattr__(self, "_step", step)
         object.__setattr__(self, "_uniform", uniform)
         if not self.values:
@@ -103,9 +103,10 @@ class Signal:
         return float(np.interp(t, self.times, samples))
 
     def is_uniform(self) -> bool:
-        """A step over 2*TIME_TOL and every t_k within :data:`TIME_TOL`/2 of
-        t_0 + k*:attr:`step`: two samples' offsets from that grid differ by
-        at most TIME_TOL, a window's slack, and no slack reaches a neighbour."""
+        """A step over 2*TIME_TOL, and offsets t_0 + k*:attr:`step` - t_k
+        that spread by at most :data:`TIME_TOL` (max minus min): two
+        samples' offsets from that grid then differ by at most TIME_TOL, a
+        window's slack, and no slack reaches a neighbour."""
         return self._uniform
 
     @property

@@ -51,6 +51,7 @@ import math
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -208,6 +209,18 @@ def _and_curve(level: float, level_other: float, ttC: float, n: float, k_other: 
     return level * inner ** (1.0 / n)
 
 
+class _K1Bounds(NamedTuple):
+    """A Method 2 region's K1 interval [lower, upper] at each of some K2
+    values, one entry per value, with its bounds' names as indices into
+    ``labels``, whose entry 0 is ``positivity``."""
+
+    lower: np.ndarray
+    upper: np.ndarray
+    lower_code: np.ndarray
+    upper_code: np.ndarray
+    labels: np.ndarray
+
+
 @dataclass(frozen=True)
 class CurvedRegion:
     """Curve-bounded Method 2 validity region of an AND or OR gate: for each
@@ -245,8 +258,8 @@ class CurvedRegion:
     def judge(self, points) -> tuple[np.ndarray, list[str]]:
         """(inside, binding constraint name) of each row of the (N, 2) array ``points``."""
         k = _k_points(points, 2, "a Method 2 region needs two K axes")
-        return _interval_membership(_M2_INTERVALS[self.kind], self.thresholds, self.n,
-                                    k[:, 0], k[:, 1])
+        k2, rows = np.unique(k[:, 1], return_inverse=True)
+        return _interval_membership(self._bounds(k2), k[:, 0], rows)
 
     def membership(self, point) -> tuple[bool, str]:
         """:meth:`judge` of one (K1, K2) point."""
@@ -256,18 +269,33 @@ class CurvedRegion:
     def contains(self, point) -> bool:
         return self.membership(point)[0]
 
+    def _bounds(self, k2: np.ndarray) -> _K1Bounds:
+        """The K1 interval at each entry of the 1-d array ``k2``, evaluated
+        on Python floats (see the module docstring): for K2 in (0, K_MAX]
+        the kind's interval, its upper bound cut at K_MAX (named
+        ``K_max``), and otherwise an empty interval named ``positivity``
+        or ``K_max``."""
+        at = _M2_INTERVALS[self.kind](self.thresholds, self.n)
+        codes = {"positivity": 0}
+        rows = []
+        for k in k2.tolist():
+            if 0 < k <= K_MAX:
+                lower, lower_name, upper, upper_name = at(k)
+                if upper > K_MAX:
+                    upper, upper_name = K_MAX, "K_max"
+            else:
+                name = "K_max" if k > K_MAX else "positivity"
+                lower, lower_name, upper, upper_name = math.inf, name, -math.inf, name
+            rows.append((lower, upper, codes.setdefault(lower_name, len(codes)),
+                         codes.setdefault(upper_name, len(codes))))
+        lower, upper, lower_code, upper_code = np.array(rows, dtype=float).reshape(-1, 4).T
+        return _K1Bounds(lower, upper, lower_code.astype(np.intp), upper_code.astype(np.intp),
+                         np.array(list(codes), dtype=object))
+
 
 # absolute slack on curve comparisons so points exactly on a boundary
 # (for example the Method 1 box corner) are not lost to float rounding
 _EDGE_TOL = 1e-9
-
-
-def _by_value(x: np.ndarray, f: Callable[[float], tuple]) -> np.ndarray:
-    """The tuple ``f(v)`` for every entry v of ``x``, as an object array with
-    a row per entry.  ``f`` runs once per distinct value, on a Python float,
-    so its powers are libm ``pow`` (see the module docstring)."""
-    uniq, inv = np.unique(x, return_inverse=True)
-    return np.array([f(v) for v in uniq.tolist()], dtype=object)[inv]
 
 
 def _and_interval(ths, n: float) -> Callable[[float], tuple]:
@@ -311,38 +339,26 @@ def _or_interval(ths, n: float) -> Callable[[float], tuple]:
 _M2_INTERVALS = {GateKind.AND: _and_interval, GateKind.OR: _or_interval}
 
 
-def _interval_membership(interval, ths, n: float, k1: np.ndarray, k2: np.ndarray
+def _interval_membership(bounds: _K1Bounds, k1: np.ndarray, rows: np.ndarray
                          ) -> tuple[np.ndarray, list[str]]:
-    """(inside, binding) of the points (k1, k2) in a region that holds, for
-    each K2 in (0, K_MAX], the K1 in (0, K_MAX] with lower - _EDGE_TOL <= K1
-    <= upper + _EDGE_TOL, ``interval(ths, n)`` mapping K2 to (lower, lower
-    name, upper, upper name), evaluated once per distinct K2.
+    """(inside, binding) of the points whose K1 are ``k1`` and whose K2 is
+    entry ``rows`` of ``bounds`` (see :meth:`CurvedRegion._bounds`): inside
+    when K1 is in (0, K_MAX] and lower - _EDGE_TOL <= K1 <= upper + _EDGE_TOL.
 
     An inside point gets the nearer bound's name, the lower's on a tie; an
     outside point that of the bound it violates, the upper if both, or
-    ``positivity`` where a K is <= 0.  K_MAX is the bound ``K_max``.
+    ``positivity`` where a K is <= 0 (a K2 <= 0 has an empty interval of
+    that name).  K_MAX is the bound ``K_max``.
     """
-    at = interval(ths, n)
-
-    def bounds(k: float) -> tuple:
-        if not 0 < k <= K_MAX:
-            name = "positivity" if k <= 0 else "K_max"
-            return math.inf, name, -math.inf, name
-        lower, lower_name, upper, upper_name = at(k)
-        if upper > K_MAX:
-            upper, upper_name = K_MAX, "K_max"
-        return lower, lower_name, upper, upper_name
-
-    table = _by_value(k2, bounds).reshape(-1, 4)
-    lower, upper = table[:, 0].astype(float), table[:, 2].astype(float)
-    pos = (k1 > 0) & (k2 > 0)
+    lower, upper = bounds.lower[rows], bounds.upper[rows]
+    pos = k1 > 0
     upper_side = (k1 > upper + _EDGE_TOL) | (k1 > K_MAX)
     inside = pos & (k1 >= lower - _EDGE_TOL) & ~upper_side
     near = inside.nonzero()
     upper_side[near] = upper[near] - k1[near] < k1[near] - lower[near]
-    binding = np.where(upper_side, table[:, 3], table[:, 1])
-    binding[~pos] = "positivity"
-    return inside, binding.tolist()
+    code = np.where(upper_side, bounds.upper_code[rows], bounds.lower_code[rows])
+    code[~pos] = 0
+    return inside, bounds.labels[code].tolist()
 
 
 def check_n_bound(
@@ -524,9 +540,12 @@ class NumericGrid:
 
     def points(self) -> np.ndarray:
         """Every grid point as an (N, m) array, columns K1..Km, K1 slowest."""
-        mesh = np.meshgrid(*(np.linspace(*a) for a in self.axes.values()), indexing="ij",
-                           copy=False)
+        mesh = np.meshgrid(*self._values(), indexing="ij", copy=False)
         return np.stack(mesh, axis=-1).reshape(-1, len(self.axes))
+
+    def _values(self) -> list[np.ndarray]:
+        """Each axis's values, K1..Km."""
+        return [np.linspace(*a) for a in self.axes.values()]
 
 
 @dataclass(frozen=True, eq=False)  # compared by identity: its fields are arrays
@@ -556,8 +575,11 @@ def worst_case_output_robustness(
     array, T samples by the block's points, stays within about 1 MiB:
     max(1, 2**20 // (8*T)) points to a block.  A block's trajectories
     share one :class:`Signal`, one variable per point named
-    ``f"x_{i}"`` with i the point's index in ``k_values``, and
-    each point makes one :func:`monitor.robustness` call on
+    ``f"x_{i}"`` with i the point's index in ``k_values``, each a view of
+    its column of the block's (T, N) trajectory array.
+    :func:`odesim.simulate_constant_drive` stores that array trajectory by
+    trajectory, so every column the monitor reads is contiguous.  Each
+    point makes one :func:`monitor.robustness` call on
     F[0,delta] G[0,lam] of its own variable.  The per-point call stays,
     rather than one batched monitor pass, because the benchmark's traced
     self-check counts monitor calls (points x rows per job) until it
@@ -690,15 +712,28 @@ def sample_region(
 
     The points are judged one block of 16k at a time: a judge peaks at
     about 100 bytes a point (float and boolean temporaries, a label
-    pointer), so it stays under 2 MiB whatever the grid size.  The masks
-    and labels are joined in grid order, identical to one call on the whole
-    grid.  A grid of another axis count than the region's raises
-    ``ValueError``.
+    pointer), so it stays under 2 MiB whatever the grid size.  A Method 2
+    region's K1 intervals are evaluated once, at each distinct value of the
+    grid's K2 axis, and each block gathers them.  The masks and labels are
+    joined in grid order, identical to one call on the whole grid.  A grid
+    of another axis count than the region's raises ``ValueError``.
     """
     pts = grid.points()
+    if isinstance(region, CurvedRegion) and len(grid.axes) == 2:
+        k2, col = np.unique(grid._values()[1], return_inverse=True)
+        bounds = region._bounds(k2)
+
+        def judge(block: slice) -> tuple[np.ndarray, list[str]]:
+            # K2 runs fastest: point p holds entry p % len(col) of the axis
+            rows = col[np.arange(block.start, block.stop) % len(col)]
+            return _interval_membership(bounds, pts[block, 0], rows)
+    else:
+        def judge(block: slice) -> tuple[np.ndarray, list[str]]:
+            return region.judge(pts[block])
+
     inside = np.empty(len(pts), dtype=bool)
     binding: list[str] = []
     for block in _blocks(len(pts), 64):
-        inside[block], labels = region.judge(pts[block])
+        inside[block], labels = judge(block)
         binding += labels
     return pts, inside, binding

@@ -578,18 +578,22 @@ class TestMonitorTracesShapes:
 
 @st.composite
 def jittered_case(draw, within=True):
-    """A 0/1 trace whose sample k lies up to 0.45*TIME_TOL off k*h, with
-    h in {0.005, 0.01, 0.02} and t_0, t_end on the grid, or, if not
-    ``within``, one interior sample 0.55 to 2 TIME_TOL off it; and one of
-    F, G, Until, a nested window or an implication, with bounds on the
-    grid or off it by 0.1 to 0.9 of a step."""
+    """A 0/1 trace with h in {0.005, 0.01, 0.02}, t_0 and t_end on the grid
+    k*h, and each interior sample k at k*h + c + e_k.  The constant offset
+    c lies within 0.9*TIME_TOL of 0 and the jitter e_k keeps c + e_k and 0
+    within 0.9*TIME_TOL of each other, so the ends may lie off the grid the
+    interior samples share.  If not ``within``, one interior sample lies
+    1.1 to 3 TIME_TOL off k*h instead.  With it one of F, G, Until, a
+    nested window or an implication, with bounds on the grid or off it by
+    0.1 to 0.9 of a step."""
     h = draw(st.sampled_from((0.005, 0.01, 0.02)))
     n = draw(st.integers(24, 48))
-    err = st.floats(-0.45, 0.45).map(lambda e: e * TIME_TOL)
-    times = np.arange(n) * h + np.array([0.0, *draw(st.lists(err, min_size=n - 2,
-                                                              max_size=n - 2)), 0.0])
+    c = draw(st.floats(-0.9, 0.9))
+    err = st.floats(min(c, 0.0) - c, max(c, 0.0) + 0.9 - abs(c) - c)
+    interior = c + np.array(draw(st.lists(err, min_size=n - 2, max_size=n - 2)))
+    times = np.arange(n) * h + np.array([0.0, *interior, 0.0]) * TIME_TOL
     if not within:
-        off = draw(st.floats(0.55, 2.0)) * draw(st.sampled_from((-1, 1)))
+        off = draw(st.floats(1.1, 3.0)) * draw(st.sampled_from((-1, 1)))
         j = draw(st.integers(1, n - 2))
         times[j] = j * h + off * TIME_TOL
     bits = st.lists(st.sampled_from((0.0, 1.0)), min_size=n, max_size=n)
@@ -626,8 +630,8 @@ def check_jittered_fast_is_naive(case):
 
 
 class TestPositionJitter:
-    """A trace whose samples lie within TIME_TOL/2 of t_0 + k*step is
-    uniform, and there the fast monitor equals the naive one at every
+    """A trace whose offsets from t_0 + k*step spread by at most TIME_TOL
+    is uniform, and there the fast monitor equals the naive one at every
     defined sample; a sample further off makes the trace non-uniform, so
     robustness falls back to the naive monitor and robustness_signal
     refuses the trace."""
@@ -670,11 +674,40 @@ class TestPositionJitter:
 
     def test_grid_arrays_short_of_an_admitted_sample(self):
         # step 2.2e-9 with t_1 0.45*TIME_TOL early: F[0,3.5e-9] is defined
-        # at t_1, but its index window, widened by TIME_TOL, ends past t_2
+        # at t_1, but its index window, widened by TIME_TOL, ends past t_2;
+        # robustness_signal gave [0.5], without t_1
         s = Signal(times=[0, 1.75e-9, 4.4e-9], values={"x": [0.0, 0.0, 1.0]})
         assert s.is_uniform()
         f = parse("F[0,3.5e-9] (x >= 0.5)")
         assert robustness(f, s, 1.75e-9) == robustness_naive(f, s, 1.75e-9) == 0.5
+        assert robustness_signal(f, s).tolist() == [0.5, 0.5]
+
+    def test_nested_windows_reach_no_admitted_sample(self):
+        # two windows, each widened by TIME_TOL, reach past t_1 by index, so
+        # the kernels give no entry; the naive monitor reads t_0
+        s = Signal(times=[0, 2.5e-9], values={"x": [0.0, 1.0]})
+        assert s.is_uniform()
+        f = parse("F[0,1.5e-9] G[0,1.5e-9] (x >= 0.5)")
+        assert robustness(f, s) == robustness_naive(f, s) == 0.5
+        assert robustness_signal(f, s).tolist() == [0.5]
+
+    def test_constant_offset_and_off_grid_ends(self):
+        # every t_k 4e-10 past k*0.01 but t_0 and the last sample, 8e-10
+        # earlier: not uniform under a TIME_TOL/2 bound on each offset, so
+        # robustness took the naive monitor
+        n = 60
+        times = np.arange(n) * 0.01 + 4e-10
+        times[0] = 0.0
+        times[-1] -= 8e-10
+        rng = np.random.default_rng(3)
+        s = Signal(times=times, values={"x": rng.integers(0, 2, n).astype(float),
+                                        "y": rng.integers(0, 2, n).astype(float)})
+        assert s.is_uniform()
+        for text in ("F[0,0.05] (x >= 0.5)", "G[0.03,0.07] (x >= 0.5)",
+                     "(x >= 0.5) U[0.01,0.04] (y <= 0.5)",
+                     "F[0,0.025] G[0,0.035] (x >= 0.5)",
+                     "(x >= 0.5) -> F[0.015,0.05] (y <= 0.5)"):
+            check_jittered_fast_is_naive((parse(text), s))
 
     def test_wide_step_sample_off_by_5e_9(self):
         # F[0,30] picks sample 3 by index, but t_3 lies 5e-9 past 30; a

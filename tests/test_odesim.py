@@ -343,6 +343,27 @@ class TestIntegrator:
         assert np.array_equal(out, simulate_constant_drive(drive, 1.0, np.full(2, 0.5), 0.01, 10))
         assert simulate_constant_drive(drive, 1.0, 0.5, 0.01, 0).tolist() == [[0.5, 0.5]]
 
+    @staticmethod
+    def outer_product_form(drive, alpha, x0, h, n_steps):
+        # the (T, N) outer-product expression the closed form was first
+        # written as, kept as the reference for its values
+        k_log_a = np.arange(n_steps + 1.0) * odesim._log_step_factor(alpha, h)
+        out = np.multiply.outer(-np.expm1(k_log_a), drive)
+        out += np.exp(k_log_a)[:, None] * x0
+        out[0] = x0
+        return out
+
+    @pytest.mark.parametrize("per_trajectory", [False, True])
+    def test_columns_contiguous_and_bitwise_equal_to_the_outer_product(self, per_trajectory):
+        rng = np.random.default_rng(11)
+        drive = rng.uniform(0.0, 1.0, 37)
+        x0 = rng.uniform(0.0, 1.0, 37) if per_trajectory else 0.3
+        out = simulate_constant_drive(drive, 2.7, x0, 0.01, 450)
+        want = self.outer_product_form(drive, 2.7, x0, 0.01, 450)
+        assert out.shape == want.shape == (451, 37)
+        assert np.ascontiguousarray(out).tobytes() == want.tobytes()
+        assert all(out[:, j].flags.c_contiguous for j in (0, 36))
+
     def test_determinism(self):
         g = and_gate()
         cfg = SimConfig(horizon=8.0, step=0.01, initial={"x": 0.1},

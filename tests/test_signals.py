@@ -165,13 +165,29 @@ class TestUniformity:
         s = sig(times, np.zeros(200))
         assert s.is_uniform() and s.step == (times[-1] - times[0]) / 199
 
-    def test_positions_within_half_time_tol(self):
-        # uniform when every t_k lies within TIME_TOL/2 of t_0 + k*step
+    def test_offsets_spread_within_time_tol(self):
+        # uniform when the offsets t_0 + k*step - t_k spread by at most
+        # TIME_TOL; t_0 and t_end have offset 0
         times = np.arange(6) * 0.1
-        times[3] += 0.4 * TIME_TOL
+        times[3] += 0.6 * TIME_TOL
         assert sig(times, np.zeros(6)).is_uniform()
-        times[3] += 0.2 * TIME_TOL
+        times[2] -= 0.3 * TIME_TOL  # spread 0.9*TIME_TOL
+        assert sig(times, np.zeros(6)).is_uniform()
+        times[2] -= 0.2 * TIME_TOL  # spread 1.1*TIME_TOL
         assert not sig(times, np.zeros(6)).is_uniform()
+
+    def test_constant_offset_with_the_last_sample_off_it(self):
+        # every t_k 4e-10 past k*0.01 but the last, 8e-10 earlier: the
+        # offsets from the fitted grid lie within 8e-10 of each other,
+        # though 8e-10 is more than TIME_TOL/2 from 0
+        k = np.arange(101)
+        times = k * 0.01 + 4e-10
+        times[0] = 0.0
+        times[-1] -= 8e-10
+        s = sig(times, np.zeros(101))
+        assert s.is_uniform() and s.step == (times[-1] - times[0]) / 100
+        times[-2] += 0.3 * TIME_TOL  # its offset -7.96e-10 becomes -1.096e-9
+        assert not sig(times, np.zeros(101)).is_uniform()
 
     def test_step_over_two_time_tol(self):
         assert not sig(np.arange(5) * 2 * TIME_TOL, np.zeros(5)).is_uniform()
@@ -185,10 +201,10 @@ class TestUniformity:
         assert not sig(wide, np.zeros(6)).is_uniform()
 
     def test_position_error_does_not_pile_up(self):
-        # every step within 8e-11 of the first, but sample 25 lies 1e-9
+        # every step within 1.2e-10 of the first, but sample 25 lies 1.5e-9
         # past 25*step
         k = np.arange(51)
-        times = k * 0.01 + np.minimum(k, 50 - k) * 4e-11
+        times = k * 0.01 + np.minimum(k, 50 - k) * 6e-11
         assert not sig(times, np.zeros(51)).is_uniform()
 
     def test_single_sample(self):

@@ -1215,9 +1215,9 @@ class TestBlockedEvaluation:
         membership = synth._interval_membership
         sizes = []
 
-        def recording(interval, ths, n, k1, k2):
+        def recording(bounds, k1, rows):
             sizes.append(len(k1))
-            return membership(interval, ths, n, k1, k2)
+            return membership(bounds, k1, rows)
 
         monkeypatch.setattr(synth, "_interval_membership", recording)
         monkeypatch.setattr(synth, "_BLOCK_BYTES", 7 * 64)
@@ -1225,6 +1225,29 @@ class TestBlockedEvaluation:
         assert sizes == [7] * 62 + [3]
         for pt, ok, why in zip(pts, inside, binding):
             assert region.membership(pt) == (ok, why)
+
+    @pytest.mark.parametrize("region", [
+        CurvedRegion(AND, (TH_34,) * 3, 4), CurvedRegion(OR, (TH_23, TH_34, TH_23), 5),
+    ], ids=["and", "or"])
+    @pytest.mark.parametrize("axes", [
+        {"K1": (1.2, -0.1, 14), "K2": (1.3, -0.2, 11)},
+        {"K1": (-0.1, 1.2, 14), "K2": (0.0, 1.5, 16)},
+        {"K1": (-0.1, 1.2, 40), "K2": (0.4, 0.4, 1)},
+        {"K1": (-0.1, 1.2, 40), "K2": (0.0, 0.0, 1)},
+        {"K1": (-0.1, 1.2, 40), "K2": (1.5, 1.5, 1)},
+        {"K1": (1.2, -0.1, 14), "K2": (0.3, 0.3, 3)},
+    ], ids=["descending", "from-zero", "one-k2", "k2-zero", "k2-above-k-max", "repeated-k2"])
+    def test_grid_bounds_match_single_points(self, monkeypatch, region, axes):
+        # sample_region evaluates the K1 interval once per distinct value
+        # of the grid's K2 axis and gathers it block by block; membership
+        # evaluates it for its one point
+        monkeypatch.setattr(synth, "_BLOCK_BYTES", 9 * 64)
+        pts, inside, binding = sample_region(region, NumericGrid(axes))
+        assert len(pts) >= 4 * 9
+        for pt, ok, why in zip(pts, inside, binding):
+            assert region.membership(pt) == (ok, why)
+        judged, labels = region.judge(pts[::-1])
+        assert judged.tobytes() == inside[::-1].tobytes() and labels == binding[::-1]
 
     @staticmethod
     def traced_peak(fn):
