@@ -25,7 +25,7 @@ from typing import ClassVar
 __all__ = [
     "Formula", "TrueFormula", "Atom", "Not", "And", "Or", "Implies",
     "Until", "Eventually", "Globally", "parse", "required_horizon",
-    "StlSyntaxError",
+    "horizon_and_depth", "StlSyntaxError",
 ]
 
 
@@ -153,27 +153,44 @@ class Globally(_Window):
 
 def required_horizon(f: Formula) -> float:
     """Trace length needed past the evaluation time for every sub-window."""
-    horizon = _HORIZON.get(type(f))
-    if horizon is None:
+    return horizon_and_depth(f)[0]
+
+
+def horizon_and_depth(f: Formula) -> tuple[float, int]:
+    """:func:`required_horizon` of ``f`` and its temporal depth, the most
+    temporal operators on one path from the root to a leaf, in one walk."""
+    reach = _REACH.get(type(f))
+    if reach is None:
         raise TypeError(f"not a formula node: {f!r}")
-    return horizon(f)
+    return reach(f)
 
 
-def _binary_horizon(f) -> float:
-    return max(required_horizon(f.left), required_horizon(f.right))
+def _binary_reach(f) -> tuple[float, int]:
+    (h1, d1), (h2, d2) = horizon_and_depth(f.left), horizon_and_depth(f.right)
+    return max(h1, h2), max(d1, d2)
 
 
-# the horizon rule of each node type
-_HORIZON = {
-    TrueFormula: lambda f: 0.0,
-    Atom: lambda f: 0.0,
-    Not: lambda f: required_horizon(f.child),
-    And: _binary_horizon,
-    Or: _binary_horizon,
-    Implies: _binary_horizon,
-    Eventually: lambda f: f.hi + required_horizon(f.child),
-    Globally: lambda f: f.hi + required_horizon(f.child),
-    Until: lambda f: f.hi + _binary_horizon(f),
+def _window_reach(f) -> tuple[float, int]:
+    h, d = horizon_and_depth(f.child)
+    return f.hi + h, d + 1
+
+
+def _until_reach(f) -> tuple[float, int]:
+    h, d = _binary_reach(f)
+    return f.hi + h, d + 1
+
+
+# the horizon and depth rule of each node type
+_REACH = {
+    TrueFormula: lambda f: (0.0, 0),
+    Atom: lambda f: (0.0, 0),
+    Not: lambda f: horizon_and_depth(f.child),
+    And: _binary_reach,
+    Or: _binary_reach,
+    Implies: _binary_reach,
+    Eventually: _window_reach,
+    Globally: _window_reach,
+    Until: _until_reach,
 }
 
 

@@ -5,16 +5,19 @@ signed margin to their threshold, boolean connectives map to min/max, and
 bounded temporal operators take sup/inf over the signal's sample grid
 restricted to their window.  Two monitors are provided:
 
-* :func:`robustness` — array-based monitor; on uniform grids the temporal
-  windows become fixed index ranges.  F/G windows use a sparse table
-  (Bender & Farach-Colton, LATIN 2000), or a single reduction when only
-  one window fits, and Until doubles a two-part segment summary by
-  associative composition (the offline counterpart of Donzé, Ferrère &
-  Maler, CAV 2013).  Both take O(log w) passes of binary ``np.minimum``/
-  ``np.maximum`` over the whole trace, along axis 0 of a (T,) or (T, N)
-  array.  They are exact: min and max round nothing, so every result is
-  one of the window's own values.  (Where 0.0 and -0.0, or NaNs of both
-  signs, meet in a window, which of the equal values comes out follows
+* :func:`robustness` — array-based monitor; the temporal windows become
+  fixed index ranges on a uniform grid whose step is over the formula's
+  floor, (temporal depth + 2)*TIME_TOL, where :func:`_defined_until` proves
+  they reach every sample the naive monitor admits.  Any other trace goes
+  whole to the naive monitor; :func:`robustness_signal` refuses it.  F/G
+  windows use a sparse table (Bender & Farach-Colton, LATIN 2000), or a
+  single reduction when only one window fits, and Until doubles a two-part
+  segment summary by associative composition (the offline counterpart of
+  Donzé, Ferrère & Maler, CAV 2013).  Both take O(log w) passes of binary
+  ``np.minimum``/``np.maximum`` over the whole trace, along axis 0 of a (T,)
+  or (T, N) array.  They are exact: min and max round nothing, so every
+  result is one of the window's own values.  (Where 0.0 and -0.0, or NaNs of
+  both signs, meet in a window, which of the equal values comes out follows
   numpy's loops and is not specified.)
 * :func:`robustness_naive` — direct recursive evaluation, O(n*w) per
   temporal operator, supporting arbitrary (non-uniform) grids.  Kept as an
@@ -25,14 +28,13 @@ monitor keeps its own rule, so the differential tests compare two
 independent rules.  (The tests' boolean oracle, ``eval_boolean`` in
 ``tests/conftest.py``, shares the naive rule.)  Both monitors evaluate at
 the sample a time names within ``signals.TIME_TOL``, use closed windows
-widened by it, and raise ``HorizonError`` on the same formulas: a window
-that holds no sample, or a sample past :func:`_defined_until`.  On a
-trace that ``Signal.is_uniform`` accepts, the index windows pick the
-samples the time windows do for every bound on the grid or more than
-2*TIME_TOL off it.  Both give NaN wherever a
-connective's operand or a window's sample is NaN: ``np.min``/``np.max``
-and ``np.minimum``/``np.maximum`` propagate it, where Python's ``min``
-and ``max`` would drop all but a leading NaN.
+widened by it, and raise ``HorizonError`` on a window that holds no
+sample or a sample past :func:`_defined_until`.  The index windows pick
+the samples the time windows do for every bound on the grid or more than
+2*TIME_TOL off it.  Both give NaN wherever a connective's operand or a
+window's sample is NaN: ``np.min``/``np.max`` and ``np.minimum``/
+``np.maximum`` propagate it, where Python's ``min`` and ``max`` would
+drop all but a leading NaN.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import numpy as np
 
 from .formulas import (
     And, Atom, Eventually, Formula, Globally, Implies, Not, Or,
-    TrueFormula, Until, required_horizon,
+    TrueFormula, Until, horizon_and_depth, required_horizon,
 )
 from .signals import TIME_TOL, Signal
 
@@ -144,44 +146,22 @@ def _until(r1: np.ndarray, r2: np.ndarray, ia: int, ib: int) -> np.ndarray:
 def robustness_signal(f: Formula, s: Signal) -> np.ndarray:
     """Robustness of ``f`` at every grid point where it is defined.
 
-    Requires a uniformly sampled signal.  Entry ``i`` of the result is the
-    robustness at ``s.times[i]``, for each sample :func:`_defined_until`
-    admits, and ``HorizonError`` where there is none.
+    Entry ``i`` is the robustness at ``s.times[i]``, for each sample
+    :func:`_defined_until` admits, and ``HorizonError`` where there is none.
+    A trace not uniform at a step over the formula's floor: ``ValueError``.
     """
-    n = int(s.times.searchsorted(_defined_until(f, s), side="right"))
+    last, fast = _defined_until(f, s)
+    n = int(s.times.searchsorted(last, side="right"))
     if not n:
         raise HorizonError(f"formula needs horizon {required_horizon(f)} (trace ends at {s.t_end})")
-    return _grid_robustness(f, s, 0, n)
-
-
-def _grid_robustness(f: Formula, s: Signal, first: int, stop: int) -> np.ndarray:
-    """Robustness of ``f`` at samples first..stop-1 of ``s``, a uniform
-    signal, each of which :func:`_defined_until` admits.
-
-    The window kernels give every sample their index windows reach.  On a
-    step within a few TIME_TOL, the time windows' TIME_TOL widenings can
-    reach a sample or two further, and nested windows' kernels may reach
-    none; the naive monitor gives those samples.
-    """
-    try:
-        out = _ev_grid(f, s)[first:stop]
-    except HorizonError as err:
-        try:
-            return _naive_range(f, s, first, stop)
-        except HorizonError:
-            raise err from None  # the kernels' error names the step
-    if len(out) == stop - first:
-        return out
-    return np.concatenate([out, _naive_range(f, s, first + len(out), stop)])
-
-
-def _naive_range(f: Formula, s: Signal, first: int, stop: int) -> np.ndarray:
-    return np.array([robustness_naive(f, s, t) for t in s.times[first:stop].tolist()])
+    if not fast:
+        raise ValueError("signal is not uniformly sampled at a step over the formula's floor")
+    return _ev_grid(f, s)[:n]
 
 
 def _ev_grid(f: Formula, s: Signal) -> np.ndarray:
     """:func:`_ev_signal` at the step of ``s``, a uniform signal, untrimmed."""
-    # a single sample has no step; temporal operators fail the window check anyway
+    # a single sample has no step; it admits only horizons within TIME_TOL: offsets 0 at step 1
     return _ev_signal(f, s, s.step if s.times.size >= 2 else 1.0)
 
 
@@ -237,36 +217,55 @@ _EV_SIGNAL = {
 }
 
 
-def _defined_until(f: Formula, s: Signal) -> float:
-    """The last time at which every monitor evaluates ``f`` on ``s``: a
-    sample t_i qualifies when t_i + required_horizon(f) <= t_end + TIME_TOL."""
-    return s.t_end + TIME_TOL - required_horizon(f)
+def _defined_until(f: Formula, s: Signal) -> tuple[float, bool]:
+    """The last time at which every monitor evaluates ``f`` on ``s`` (a
+    sample t_i qualifies when t_i + required_horizon(f) <= t_end +
+    TIME_TOL), and whether the index windows reach every such sample: so
+    when ``s`` is one sample, or uniform with a step h over the floor
+    (depth + 2)*TIME_TOL, depth the temporal depth of ``f`` from the same
+    walk.  At depth 0 the floor is ``Signal.is_uniform``'s own step rule.
+
+    Proof, in exact arithmetic, with e = TIME_TOL and H the horizon.  Write
+    the T samples as t_i = t_0 + i*h - d_i: the fitted step makes d_0 =
+    d_{T-1} = 0, and the d_i spread by at most e, so d_i <= e.  A window
+    [lo, hi] ends floor((hi + e)/h) samples on, so the kernels give the
+    first T - B samples, B the largest sum of these on one path, at most
+    (H + depth*e)/h.  An admitted t_i has t_i + H <= t_end + e, so the
+    j = T-1-i samples after it span j*h = t_end - t_i - d_i >= H - 2e.  Were
+    B > j, the integers j < B would lie in [(H - 2e)/h, (H + depth*e)/h],
+    shorter than 1.  So i < T - B, and no kernel's input is empty.
+    """
+    horizon, depth = horizon_and_depth(f)
+    fast = s.is_uniform() and (s.times.size < 2 or s.step > (depth + 2) * TIME_TOL)
+    return s.t_end + TIME_TOL - horizon, fast
 
 
-def _start(f: Formula, s: Signal, t: float) -> int:
+def _start(f: Formula, s: Signal, t: float) -> tuple[int, bool]:
     """The sample every monitor evaluates ``f`` at for time ``t``
     (``OutOfRangeError`` if ``t`` names none), once checked that
-    :func:`_defined_until` admits it (``HorizonError``)."""
+    :func:`_defined_until` admits it (``HorizonError``), and whether the
+    index windows reach it."""
     i = s.index_of(t)
-    if s.times[i] > _defined_until(f, s):
+    last, fast = _defined_until(f, s)
+    if s.times[i] > last:
         raise HorizonError(
             f"formula needs horizon {required_horizon(f)} past t={s.times[i]} "
             f"(trace ends at {s.t_end})"
         )
-    return i
+    return i, fast
 
 
 def robustness(f: Formula, s: Signal, t: float = 0.0) -> float:
     """Quantitative satisfaction degree of ``f`` on ``s`` at time ``t``.
 
     ``t`` must be a sample point of the trace, else ``OutOfRangeError``.
-    Evaluates as :func:`robustness_signal` does on uniform grids, and by
-    the naive evaluator on others.
+    Evaluates as :func:`robustness_signal` does, and by the naive
+    evaluator on a trace that it refuses.
     """
-    i = _start(f, s, t)
-    if not s.is_uniform():
+    i, fast = _start(f, s, t)
+    if not fast:
         return robustness_naive(f, s, t)
-    return float(_grid_robustness(f, s, i, i + 1)[0])
+    return float(_ev_grid(f, s)[i])
 
 
 def _window(times: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -308,4 +307,4 @@ def robustness_naive(f: Formula, s: Signal, t: float = 0.0) -> float:
             ])
         raise TypeError(f"not a formula node: {node!r}")
 
-    return float(ev(f, times[_start(f, s, t)]))
+    return float(ev(f, times[_start(f, s, t)[0]]))

@@ -88,7 +88,7 @@ def eval_boolean(f, s, t=0.0) -> bool:
             ])
         raise TypeError(f"not a formula node: {node!r}")
 
-    return ev(f, times[_start(f, s, t)])
+    return ev(f, times[_start(f, s, t)[0]])
 
 
 @pytest.fixture

@@ -454,6 +454,25 @@ class TestMonitor:
         assert rc == 0
         assert capsys.readouterr().out.strip() == "-0.5"
 
+    def test_step_under_the_floor_of_nested_windows(self, tmp_path, capsys):
+        # step 2.5e-9 is under the floor 4e-9 of a depth-2 formula, whose
+        # index windows reach no sample: the monitor answers as
+        # robustness_naive does
+        trace = tmp_path / "fine.csv"
+        trace.write_text("t,x\n0,0\n2.5e-9,1\n")
+        rc = main(["monitor", str(trace), "F[0,1.5e-9] G[0,1.5e-9] (x >= 0.5)"])
+        assert rc == 0
+        assert capsys.readouterr().out.strip() == "0.5"
+
+    def test_step_under_the_floor_at_a_later_sample(self, tmp_path, capsys):
+        # step 2.2e-9 is under the floor 3e-9 of a depth-1 formula, whose
+        # index window passes t_1 by
+        trace = tmp_path / "fine.csv"
+        trace.write_text("t,x\n0,0\n1.75e-9,0\n4.4e-9,1\n")
+        rc = main(["monitor", str(trace), "F[0,3.5e-9] (x >= 0.5)", "--t", "1.75e-9"])
+        assert rc == 0
+        assert capsys.readouterr().out.strip() == "0.5"
+
     def test_short_trace_exits_1(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
         trace.write_text("t,x\n0.0,0.8\n1.0,0.8\n")

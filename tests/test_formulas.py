@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from gatesynth.formulas import (
     And, Atom, Eventually, Globally, Implies, Not, Or, StlSyntaxError,
-    TrueFormula, Until, parse, required_horizon,
+    TrueFormula, Until, horizon_and_depth, parse, required_horizon,
 )
 
 
@@ -183,3 +183,16 @@ class TestRequiredHorizon:
     def test_until_nesting(self):
         f = parse("(G[0,1] x >= 0) U[0,2] (F[0,3] y >= 0)")
         assert required_horizon(f) == 5
+
+    @pytest.mark.parametrize("text,horizon,depth", [
+        ("x >= 0.5", 0, 0),
+        ("!(true)", 0, 0),
+        # the longest horizon and the deepest path may differ
+        ("G[0,16](xA >= 0.75) -> F[0,4] G[0,1](xC >= 0.75)", 16, 2),
+        ("(G[0,1] x >= 0) U[0,2] (F[0,3] y >= 0)", 5, 2),
+        ("F[0,1] (x >= 0 & G[0,1] F[0,1] !(y >= 0))", 3, 3),
+    ])
+    def test_horizon_and_depth(self, text, horizon, depth):
+        f = parse(text)
+        assert horizon_and_depth(f) == (horizon, depth)
+        assert required_horizon(f) == horizon

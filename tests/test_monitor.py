@@ -182,9 +182,11 @@ def spiked(n, x_at=(), y_at=(), x_base=0.0, level=1.0):
 
 
 def assert_fast_is_naive(f, s):
-    """robustness_signal equals robustness_naive exactly at every index it
-    returns, and returns every index the naive monitor accepts."""
-    fast = robustness_signal(f, s)
+    """robustness_signal, with the naive monitor out of its reach, equals
+    robustness_naive exactly at every index it returns, and returns every
+    index the naive monitor accepts."""
+    with mock.patch.object(monitor, "robustness_naive", side_effect=AssertionError("naive path")):
+        fast = robustness_signal(f, s)
     assert len(fast) > 0
     naive = [robustness_naive(f, s, float(t)) for t in s.times[: len(fast)]]
     assert fast.tolist() == naive
@@ -629,12 +631,77 @@ def check_jittered_fast_is_naive(case):
             robustness_naive(f, s, float(s.times[len(fast)]))
 
 
+@st.composite
+def floor_case(draw, above=True):
+    """A chain of 1 to 4 nested F, G and U windows, the chain in either
+    operand of an Until, each window [l*h, m*h - b] with 0 <= l < m <= 3.
+    Either every b is 0, or each lies in [0, TIME_TOL], which takes the time
+    rule's last admitted sample furthest past the index windows' reach.
+    The step h is (depth + 2 + x)*TIME_TOL with x in [1e-6, 3], or in
+    [-0.9, -1e-6] if not ``above``.  The 0/1 trace has t_0 = 0, t_{T-1} =
+    (T-1)*h and each interior t_k = k*h - d_k, its offsets d_k spread by up
+    to 0.99*TIME_TOL around 0, and 1 to 4 samples more than the chain's
+    index reach."""
+    depth = draw(st.integers(1, 4))
+    x = draw(st.floats(1e-6, 3.0) if above else st.floats(-0.9, -1e-6))
+    h = (depth + 2 + x) * TIME_TOL
+    on_grid = draw(st.booleans())
+    f, reach = Atom("x", ">=", 0.5), 0
+    for _ in range(depth):
+        m = draw(st.integers(1, 3))
+        lo = draw(st.integers(0, m - 1)) * h
+        hi = m * h - (0.0 if on_grid else draw(st.floats(0.0, 1.0)) * TIME_TOL)
+        reach += m
+        op = draw(st.sampled_from(("F", "G", "U_left", "U_right")))
+        if op == "F":
+            f = Eventually(lo, hi, f)
+        elif op == "G":
+            f = Globally(lo, hi, f)
+        elif op == "U_left":
+            f = Until(lo, hi, f, Atom("y", "<=", 0.5))
+        else:
+            f = Until(lo, hi, Atom("y", "<=", 0.5), f)
+    n = reach + draw(st.integers(1, 4))
+    low = draw(st.floats(-0.99, 0.0))
+    d = draw(st.lists(st.floats(low, low + 0.99), min_size=n - 2, max_size=n - 2))
+    times = np.arange(n) * h - np.array([0.0, *d, 0.0]) * TIME_TOL
+    times[-1] = (n - 1) * h
+    bits = st.lists(st.sampled_from((0.0, 1.0)), min_size=n, max_size=n)
+    s = Signal(times=times, values={"x": draw(bits), "y": draw(bits)})
+    return f, s, on_grid
+
+
+def check_reach(case):
+    """Over the floor, _ev_grid covers every sample _defined_until admits,
+    and the values equal the naive monitor's where every bound is on the
+    grid.  Under it, robustness never calls _ev_grid and robustness_signal
+    refuses the trace."""
+    f, s, on_grid = case
+    assert s.is_uniform()
+    last, fast = monitor._defined_until(f, s)
+    n = int(s.times.searchsorted(last, side="right"))
+    assert n >= 1
+    if fast:
+        assert len(monitor._ev_grid(f, s)) >= n
+        if on_grid:
+            assert len(assert_fast_is_naive(f, s)) == n
+        else:
+            assert len(robustness_signal(f, s)) == n
+        return
+    with pytest.raises(ValueError, match="not uniformly sampled"):
+        robustness_signal(f, s)
+    with mock.patch.object(monitor, "_ev_grid", side_effect=AssertionError("fast path")):
+        for t in s.times[:n].tolist():
+            assert robustness(f, s, t) == robustness_naive(f, s, t)
+
+
 class TestPositionJitter:
     """A trace whose offsets from t_0 + k*step spread by at most TIME_TOL
-    is uniform, and there the fast monitor equals the naive one at every
-    defined sample; a sample further off makes the trace non-uniform, so
-    robustness falls back to the naive monitor and robustness_signal
-    refuses the trace."""
+    is uniform, and there, at a step over the formula's floor of (temporal
+    depth + 2)*TIME_TOL, the fast monitor equals the naive one at every
+    defined sample.  A sample further off makes the trace non-uniform, and
+    on such a trace, as on one whose step is not over the floor, robustness
+    takes the naive monitor and robustness_signal refuses the trace."""
 
     @settings(max_examples=100, deadline=None)
     @given(case=jittered_case())
@@ -674,22 +741,27 @@ class TestPositionJitter:
 
     def test_grid_arrays_short_of_an_admitted_sample(self):
         # step 2.2e-9 with t_1 0.45*TIME_TOL early: F[0,3.5e-9] is defined
-        # at t_1, but its index window, widened by TIME_TOL, ends past t_2;
-        # robustness_signal gave [0.5], without t_1
+        # at t_1, but its index window, widened by TIME_TOL, ends past t_2.
+        # The step is under the floor 3e-9 of a depth-1 formula
         s = Signal(times=[0, 1.75e-9, 4.4e-9], values={"x": [0.0, 0.0, 1.0]})
         assert s.is_uniform()
         f = parse("F[0,3.5e-9] (x >= 0.5)")
-        assert robustness(f, s, 1.75e-9) == robustness_naive(f, s, 1.75e-9) == 0.5
-        assert robustness_signal(f, s).tolist() == [0.5, 0.5]
+        with mock.patch.object(monitor, "_ev_grid", side_effect=AssertionError("fast path")):
+            assert robustness(f, s, 1.75e-9) == robustness_naive(f, s, 1.75e-9) == 0.5
+        with pytest.raises(ValueError, match="not uniformly sampled"):
+            robustness_signal(f, s)
 
     def test_nested_windows_reach_no_admitted_sample(self):
         # two windows, each widened by TIME_TOL, reach past t_1 by index, so
-        # the kernels give no entry; the naive monitor reads t_0
+        # the kernels give no entry where the naive monitor reads t_0.  The
+        # step is under the floor 4e-9 of a depth-2 formula
         s = Signal(times=[0, 2.5e-9], values={"x": [0.0, 1.0]})
         assert s.is_uniform()
         f = parse("F[0,1.5e-9] G[0,1.5e-9] (x >= 0.5)")
-        assert robustness(f, s) == robustness_naive(f, s) == 0.5
-        assert robustness_signal(f, s).tolist() == [0.5]
+        with mock.patch.object(monitor, "_ev_grid", side_effect=AssertionError("fast path")):
+            assert robustness(f, s) == robustness_naive(f, s) == 0.5
+        with pytest.raises(ValueError, match="not uniformly sampled"):
+            robustness_signal(f, s)
 
     def test_constant_offset_and_off_grid_ends(self):
         # every t_k 4e-10 past k*0.01 but t_0 and the last sample, 8e-10
@@ -716,6 +788,48 @@ class TestPositionJitter:
         s = Signal(times=[0, 10, 20, 30.000000005, 40, 50], values={"x": [0, 0, 0, 1, 0, 0]})
         f = parse("F[0,30] (x >= 0.5)")
         assert robustness(f, s) == robustness_naive(f, s) == -0.5
+
+
+class TestStepFloor:
+    """The index windows reach every sample the time rule admits at a step
+    over (temporal depth + 2)*TIME_TOL, even with bounds just under the
+    grid and offsets spread by up to TIME_TOL, where the time rule admits
+    the most; at a step just under it the naive monitor answers."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=floor_case() | floor_case(above=False))
+    def test_index_windows_reach_every_admitted_sample(self, case):
+        check_reach(case)
+
+    @pytest.mark.slow
+    @settings(max_examples=2000, deadline=None)
+    @given(case=floor_case() | floor_case(above=False))
+    def test_index_windows_reach_every_admitted_sample_sweep(self, case):
+        check_reach(case)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_kernels_stop_short_just_under_the_floor(self, depth):
+        # step (depth + 1.9)*TIME_TOL, each window [0, 2h - 0.99*TIME_TOL]
+        # and t_2 0.99*TIME_TOL early: the time rule admits t_2, which the
+        # index windows, 2*depth samples long, pass by.  So the floor is
+        # tight to 0.1*TIME_TOL
+        h = (depth + 1.9) * TIME_TOL
+        n = 2 * depth + 2
+        times = np.arange(n) * h
+        times[2] -= 0.99 * TIME_TOL
+        s = Signal(times=times, values={"x": np.arange(n) % 2.0})
+        assert s.is_uniform()
+        f = Atom("x", ">=", 0.5)
+        for _ in range(depth):
+            f = Eventually(0.0, 2 * h - 0.99 * TIME_TOL, f)
+        last, fast = monitor._defined_until(f, s)
+        assert not fast and s.times[2] <= last
+        assert len(monitor._ev_grid(f, s)) == 2
+        t = float(s.times[2])
+        with mock.patch.object(monitor, "_ev_grid", side_effect=AssertionError("fast path")):
+            assert robustness(f, s, t) == robustness_naive(f, s, t)
+        with pytest.raises(ValueError, match="not uniformly sampled"):
+            robustness_signal(f, s)
 
 
 class TestWiringValidity:
